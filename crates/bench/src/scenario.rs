@@ -150,6 +150,7 @@ pub fn run_figure4(cfg: &Figure4Config) -> Figure4Result {
         pending_retry_ms: 1000,
         replication_factor: 1,
         workers: 1,
+        ..ClusterConfig::default()
     };
 
     // Build the cluster first (apps are installed below, once the fleet

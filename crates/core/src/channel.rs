@@ -37,11 +37,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use beehive_raft::FsyncPolicy;
 
 use crate::events::{EventJournal, EventKind};
 use crate::id::{BeeId, HiveId};
-use crate::outbox::{JournalEntry, Outbox, OutboxState};
+use crate::outbox::{JournalEntry, Outbox, OutboxState, SendRef};
 use crate::supervision::backoff_delay_ms;
 
 /// Compact the journal after this many incremental appends.
@@ -91,7 +91,7 @@ impl Default for ChannelTuning {
 
 /// The channel-layer frame wrapping a serialized
 /// [`crate::message::WireEnvelope`]. Travels as `FrameKind::App` payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelFrame {
     /// Sender's channel epoch (incarnation id).
     pub epoch: u64,
@@ -103,6 +103,24 @@ pub struct ChannelFrame {
     pub ack: u64,
     /// The serialized application envelope.
     pub env: Vec<u8>,
+}
+
+beehive_wire::wire_struct!(ChannelFrame {
+    epoch,
+    seq,
+    ack_epoch,
+    ack,
+    env: bytes
+});
+
+impl ChannelFrame {
+    /// The wire bytes of a frame around a borrowed envelope. A struct is the
+    /// concatenation of its fields on the wire, so this is
+    /// `to_vec(&ChannelFrame { .. })` without owning `env`.
+    fn encode(epoch: u64, seq: u64, ack_epoch: u64, ack: u64, env: &[u8]) -> Vec<u8> {
+        beehive_wire::to_vec(&(epoch, seq, ack_epoch, ack, beehive_wire::Bytes(env)))
+            .expect("channel frame serializes")
+    }
 }
 
 /// Outcome of feeding a received frame through the channel.
@@ -249,19 +267,32 @@ impl ReliableChannels {
     /// restored). Without one — or if the journal cannot be opened — the
     /// channel runs in memory with a fresh epoch: `now_ms`, bumped past
     /// every epoch this process has already minted or restored so a new
-    /// incarnation is always strictly newer in receivers' eyes.
+    /// incarnation is always strictly newer in receivers' eyes. The journal
+    /// syncs every rewrite ([`FsyncPolicy::Always`]).
     pub fn new(
         id: HiveId,
         tuning: ChannelTuning,
         storage_dir: Option<&Path>,
         now_ms: u64,
     ) -> ReliableChannels {
+        Self::with_fsync(id, tuning, storage_dir, now_ms, FsyncPolicy::Always)
+    }
+
+    /// [`ReliableChannels::new`] with an explicit fsync policy for the
+    /// outbox journal.
+    pub fn with_fsync(
+        id: HiveId,
+        tuning: ChannelTuning,
+        storage_dir: Option<&Path>,
+        now_ms: u64,
+        fsync: FsyncPolicy,
+    ) -> ReliableChannels {
         let mut journal = None;
         let mut restored = OutboxState::default();
         let mut storage_fault = None;
         if let Some(dir) = storage_dir {
             let path = dir.join(format!("hive-{}.outbox", id.0));
-            match Outbox::open(&path) {
+            match Outbox::open_with(&path, fsync) {
                 Ok((ob, state)) => {
                     journal = Some(ob);
                     restored = state;
@@ -403,31 +434,25 @@ impl ReliableChannels {
         });
         let seq = s.next_seq;
         s.next_seq += 1;
-        let frame = ChannelFrame {
-            epoch: self.epoch,
-            seq,
-            ack_epoch,
-            ack,
-            env: env_bytes,
-        };
-        let bytes = beehive_wire::to_vec(&frame).expect("channel frame serializes");
-        // Buffer before journaling: journal_append may compact, and the
-        // compaction snapshot is taken from in-memory state — it must
-        // already contain this entry, or the rewritten journal keeps the
-        // advanced next_seq while losing the payload. Journal-before-wire
-        // still holds, since the bytes only leave once we return.
-        let s = self.send.get_mut(&to.0).expect("just inserted");
+        let bytes = ChannelFrame::encode(self.epoch, seq, ack_epoch, ack, &env_bytes);
+        // Buffer before journaling: the append may trigger a compaction,
+        // and the compaction snapshot is taken from in-memory state — it
+        // must already contain this entry, or the rewritten journal keeps
+        // the advanced next_seq while losing the payload. The record is
+        // encoded out of the buffer, so the envelope is never cloned.
+        // Journal-before-wire still holds, since the bytes only leave once
+        // we return.
         s.unacked.push_back(Unacked {
             seq,
-            env: frame.env.clone(),
+            env: env_bytes,
             sent_ms: now_ms,
             attempts: 1,
         });
-        self.journal_append(JournalEntry::Send {
-            to: to.0,
-            seq,
-            env: frame.env,
-        });
+        if let Some(journal) = self.journal.as_mut() {
+            let env = &s.unacked.back().expect("just pushed").env;
+            let appended = journal.append_send(SendRef { to: to.0, seq, env });
+            self.after_append(appended);
+        }
         bytes
     }
 
@@ -530,20 +555,13 @@ impl ReliableChannels {
                 if now_ms.saturating_sub(u.sent_ms) < wait {
                     continue;
                 }
-                let frame = ChannelFrame {
-                    epoch: self.epoch,
-                    seq: u.seq,
-                    ack_epoch,
-                    ack,
-                    env: u.env.clone(),
-                };
                 u.sent_ms = now_ms;
                 u.attempts = u.attempts.saturating_add(1);
                 self.retransmits += 1;
                 self.delta.retransmits += 1;
                 work.retransmits.push((
                     HiveId(peer),
-                    beehive_wire::to_vec(&frame).expect("channel frame serializes"),
+                    ChannelFrame::encode(self.epoch, u.seq, ack_epoch, ack, &u.env),
                 ));
             }
         }
@@ -649,13 +667,19 @@ impl ReliableChannels {
         r.ack_due = Some(r.ack_due.map_or(candidate, |d| d.min(candidate)));
     }
 
-    /// Appends to the journal if one is open; IO failure degrades the
-    /// channel to in-memory operation (logged once).
+    /// Appends to the journal if one is open.
     fn journal_append(&mut self, entry: JournalEntry) {
-        let Some(journal) = self.journal.as_mut() else {
-            return;
-        };
-        if let Err(e) = journal.append(&entry) {
+        if let Some(journal) = self.journal.as_mut() {
+            let appended = journal.append(&entry);
+            self.after_append(appended);
+        }
+    }
+
+    /// Follows up one journal append: an IO failure degrades the channel to
+    /// in-memory operation (logged once); enough appends since the last
+    /// compaction rewrite the journal as a snapshot of the in-memory state.
+    fn after_append(&mut self, appended: std::io::Result<()>) {
+        if let Err(e) = appended {
             eprintln!(
                 "beehive: hive {} outbox append failed ({e}); channel degrading to memory",
                 self.id.0
@@ -663,32 +687,47 @@ impl ReliableChannels {
             self.journal = None;
             return;
         }
-        if journal.appends_since_compact() >= COMPACT_EVERY {
-            let snapshot = self.snapshot_entries();
-            if let Some(journal) = self.journal.as_mut() {
-                match journal.compact(&snapshot) {
-                    Ok(bytes) => {
-                        if let Some(events) = &self.events {
-                            events.record(
-                                EventKind::OutboxCompaction,
-                                format!(
-                                    "rewrote journal to {} entries ({bytes} bytes)",
-                                    snapshot.len()
-                                ),
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("beehive: hive {} outbox compaction failed ({e}); channel degrading to memory", self.id.0);
-                        self.journal = None;
-                    }
+        if self
+            .journal
+            .as_ref()
+            .is_none_or(|j| j.appends_since_compact() < COMPACT_EVERY)
+        {
+            return;
+        }
+        let state = self.snapshot_state();
+        let journal = self.journal.as_mut().expect("checked above");
+        let unacked = self.send.iter().flat_map(|(&to, s)| {
+            s.unacked.iter().map(move |u| SendRef {
+                to,
+                seq: u.seq,
+                env: &u.env,
+            })
+        });
+        match journal.compact(&state, unacked) {
+            Ok(bytes) => {
+                if let Some(events) = &self.events {
+                    let entries =
+                        state.len() + self.send.values().map(|s| s.unacked.len()).sum::<usize>();
+                    events.record(
+                        EventKind::OutboxCompaction,
+                        format!("rewrote journal to {entries} entries ({bytes} bytes)"),
+                    );
                 }
+            }
+            Err(e) => {
+                eprintln!(
+                    "beehive: hive {} outbox compaction failed ({e}); channel degrading to memory",
+                    self.id.0
+                );
+                self.journal = None;
             }
         }
     }
 
-    /// The journal snapshot equivalent to the current in-memory state.
-    fn snapshot_entries(&self) -> Vec<JournalEntry> {
+    /// The journal entries equivalent to the current in-memory state, less
+    /// the unacked envelopes (compaction writes those out of the resend
+    /// buffers).
+    fn snapshot_state(&self) -> Vec<JournalEntry> {
         let mut out = vec![JournalEntry::Epoch { epoch: self.epoch }];
         if self.retired_sent != 0 || self.retired_delivered != 0 || self.expired != 0 {
             // Cumulative accumulator record; emitted before per-peer state so
@@ -706,13 +745,6 @@ impl ReliableChannels {
                 next_seq: s.next_seq,
                 acked: s.acked,
             });
-            for u in &s.unacked {
-                out.push(JournalEntry::Send {
-                    to,
-                    seq: u.seq,
-                    env: u.env.clone(),
-                });
-            }
         }
         for (&from, r) in &self.recv {
             out.push(JournalEntry::RecvState {

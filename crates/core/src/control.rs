@@ -8,7 +8,7 @@ use crate::id::{AppName, BeeId, HiveId};
 use crate::registry::RegistryCommand;
 
 /// Hive-to-hive platform traffic. Not visible to applications.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ControlMsg {
     /// A registry command forwarded toward the current registry leader.
     RegistryForward(RegistryCommand),
@@ -118,6 +118,20 @@ pub enum ControlMsg {
         op: MembershipOp,
     },
 }
+
+beehive_wire::wire_enum!(ControlMsg {
+    0 => RegistryForward(_),
+    1 => RequestMigration { app, bee, to },
+    2 => MigrateState { app, bee, state: bytes, colony, repl_seq },
+    3 => MergeState { app, winner, loser, state: bytes },
+    4 => ReplicateTx { app, bee, seq, journal: bytes },
+    5 => ReplicaSyncRequest { app, bee },
+    6 => ReplicaSyncState { app, bee, seq, state: bytes },
+    7 => TraceQuery { query_id, trace_id },
+    8 => TraceReply { query_id, trace_id, spans },
+    9 => ChannelAck { ack_epoch, upto },
+    10 => MembershipChange { node, addr, op },
+});
 
 /// What a [`ControlMsg::MembershipChange`] asks for or announces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

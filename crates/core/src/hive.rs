@@ -104,11 +104,12 @@ pub struct HiveConfig {
     /// [`beehive_raft::Config::snapshot_threshold`] (whose own 0 disables
     /// compaction); nonzero overrides it.
     pub snapshot_interval: u64,
-    /// Fsync policy for durable registry storage. [`FsyncPolicy::Always`]
-    /// (the default) syncs before every atomic rename — the Raft
-    /// correctness requirement. [`FsyncPolicy::Never`] skips the sync for
-    /// benches and tests: crash-atomic, but a power loss can lose
-    /// acknowledged writes.
+    /// Fsync policy for the durable files under `registry_storage_dir`:
+    /// the registry storage and the channel's outbox journal.
+    /// [`FsyncPolicy::Always`] (the default) syncs before every atomic
+    /// rename — the Raft correctness requirement. [`FsyncPolicy::Never`]
+    /// skips the sync for benches and tests: crash-atomic, but a power loss
+    /// can lose acknowledged writes.
     ///
     /// [`FsyncPolicy::Always`]: beehive_raft::FsyncPolicy::Always
     /// [`FsyncPolicy::Never`]: beehive_raft::FsyncPolicy::Never
@@ -553,7 +554,7 @@ impl Hive {
         let tracer = Arc::new(TraceCollector::new(cfg.trace_capacity));
         let dead_letters = Arc::new(DeadLetterStore::new(cfg.dead_letter_capacity));
         transport.set_events(events.clone());
-        let mut channels = ReliableChannels::new(
+        let mut channels = ReliableChannels::with_fsync(
             cfg.id,
             ChannelTuning {
                 resend_ms: cfg.channel_resend_ms,
@@ -562,6 +563,7 @@ impl Hive {
             },
             cfg.registry_storage_dir.as_deref(),
             clock.now_ms(),
+            cfg.fsync,
         );
         channels.set_events(events.clone());
         if let Some(detail) = channels.storage_fault() {

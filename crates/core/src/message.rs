@@ -185,7 +185,7 @@ impl Envelope {
 }
 
 /// The on-the-wire form of an [`Envelope`] for inter-hive relays.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct WireEnvelope {
     /// Origin.
     pub src: Source,
@@ -202,6 +202,15 @@ pub struct WireEnvelope {
     /// message cannot reset its retry budget by crossing hives.
     pub deliveries: u32,
 }
+
+beehive_wire::wire_struct!(WireEnvelope {
+    src,
+    dst,
+    type_name,
+    payload: bytes,
+    trace,
+    deliveries,
+});
 
 impl WireEnvelope {
     /// Encodes an envelope for the wire.

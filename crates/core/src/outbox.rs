@@ -20,19 +20,21 @@
 //! prefix) fails the open with `InvalidData` so the hive halts instead of
 //! silently diverging from its peers. Compaction rewrites the journal as a
 //! state snapshot (atomic tmp + rename) once enough incremental records
-//! accumulate.
+//! accumulate. Whether the rewrite and the torn-tail truncation are synced
+//! to disk follows the hive's [`FsyncPolicy`], like the registry storage
+//! next to it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use beehive_raft::FsyncPolicy;
 use beehive_wire::record::{encode_record, scan_records};
-
-use serde::{Deserialize, Serialize};
+use serde::ser::{Serialize, SerializeStructVariant, Serializer};
 
 /// One durable record of the channel journal.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalEntry {
     /// This hive's channel epoch (stamped once at channel creation and
     /// preserved by compaction; receivers use it to tell a durable restart
@@ -120,6 +122,40 @@ pub enum JournalEntry {
         /// Unacked envelopes abandoned (returned for dead-lettering).
         expired: u64,
     },
+}
+
+beehive_wire::wire_enum!(JournalEntry {
+    0 => Epoch { epoch },
+    1 => Send { to, seq, env: bytes },
+    2 => Acked { to, upto },
+    3 => Delivered { from, epoch, seq },
+    4 => RecvReset { from, epoch, retired },
+    5 => SendState { to, next_seq, acked },
+    6 => RecvState { from, epoch, last_delivered, seen_ahead, retired },
+    7 => PeerRetired { peer, sent, delivered, expired },
+});
+
+/// A [`JournalEntry::Send`] that borrows its envelope — the same record on
+/// disk. The channel journals and compacts straight out of its resend
+/// buffer with it, instead of cloning every payload into an owned entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendRef<'a> {
+    /// Destination hive.
+    pub to: u32,
+    /// Per-peer monotonic sequence number.
+    pub seq: u64,
+    /// Serialized [`crate::message::WireEnvelope`].
+    pub env: &'a [u8],
+}
+
+impl Serialize for SendRef<'_> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let mut sv = s.serialize_struct_variant("JournalEntry", 1, "Send", 3)?;
+        sv.serialize_field("to", &self.to)?;
+        sv.serialize_field("seq", &self.seq)?;
+        sv.serialize_field("env", &beehive_wire::Bytes(self.env))?;
+        sv.end()
+    }
 }
 
 /// Recovered send-side state for one peer.
@@ -250,6 +286,7 @@ pub struct Outbox {
     path: PathBuf,
     file: File,
     appends_since_compact: u64,
+    fsync: FsyncPolicy,
 }
 
 impl std::fmt::Debug for Outbox {
@@ -262,7 +299,14 @@ impl std::fmt::Debug for Outbox {
 }
 
 impl Outbox {
-    /// Opens (or creates) the journal at `path` and replays it.
+    /// Opens (or creates) the journal at `path` and replays it, syncing
+    /// every rewrite of the file ([`FsyncPolicy::Always`]).
+    pub fn open(path: impl Into<PathBuf>) -> io::Result<(Outbox, OutboxState)> {
+        Self::open_with(path, FsyncPolicy::Always)
+    }
+
+    /// Opens (or creates) the journal at `path` with an explicit fsync
+    /// policy and replays it.
     ///
     /// A torn tail record — a crash mid-append — is truncated off the file
     /// (so later appends extend the verified prefix, not the garbage) and
@@ -270,7 +314,10 @@ impl Outbox {
     /// fails with `InvalidData`: callers must treat that as fatal, because
     /// a journal that fails its checksums mid-file cannot be trusted to
     /// reproduce the dedup/resend state the peers have observed.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<(Outbox, OutboxState)> {
+    pub fn open_with(
+        path: impl Into<PathBuf>,
+        fsync: FsyncPolicy,
+    ) -> io::Result<(Outbox, OutboxState)> {
         let path = path.into();
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
@@ -305,7 +352,9 @@ impl Outbox {
                     let keep = torn.valid_len as u64;
                     let f = OpenOptions::new().write(true).open(&path)?;
                     f.set_len(keep)?;
-                    f.sync_data()?;
+                    if fsync == FsyncPolicy::Always {
+                        f.sync_data()?;
+                    }
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -317,6 +366,7 @@ impl Outbox {
                 path,
                 file,
                 appends_since_compact: 0,
+                fsync,
             },
             state,
         ))
@@ -326,9 +376,17 @@ impl Outbox {
     /// (no userspace buffering), so a killed process loses at most the
     /// record being written.
     pub fn append(&mut self, entry: &JournalEntry) -> io::Result<()> {
-        let bytes = beehive_wire::to_vec(entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let rec = beehive_wire::record::record_frame(&bytes);
+        self.append_record(entry)
+    }
+
+    /// [`Outbox::append`] of a `Send` entry whose envelope stays where it is.
+    pub fn append_send(&mut self, send: SendRef<'_>) -> io::Result<()> {
+        self.append_record(&send)
+    }
+
+    fn append_record<T: Serialize>(&mut self, entry: &T) -> io::Result<()> {
+        let mut rec = Vec::new();
+        encode_entry(entry, &mut rec)?;
         self.file.write_all(&rec)?;
         self.appends_since_compact += 1;
         Ok(())
@@ -340,20 +398,28 @@ impl Outbox {
         self.appends_since_compact
     }
 
-    /// Atomically replaces the journal with `snapshot` (tmp + rename).
-    /// Returns the size in bytes of the rewritten journal.
-    pub fn compact(&mut self, snapshot: &[JournalEntry]) -> io::Result<u64> {
+    /// Atomically replaces the journal with a snapshot (tmp + rename):
+    /// the `state` entries, then one `Send` record per still-unacked
+    /// envelope. Returns the size in bytes of the rewritten journal.
+    pub fn compact<'a>(
+        &mut self,
+        state: &[JournalEntry],
+        unacked: impl IntoIterator<Item = SendRef<'a>>,
+    ) -> io::Result<u64> {
         let tmp = self.path.with_extension("outbox.tmp");
         let mut buf = Vec::new();
-        for entry in snapshot {
-            let bytes = beehive_wire::to_vec(entry)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            encode_record(&bytes, &mut buf);
+        for entry in state {
+            encode_entry(entry, &mut buf)?;
+        }
+        for send in unacked {
+            encode_entry(&send, &mut buf)?;
         }
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&buf)?;
-            f.sync_data()?;
+            if self.fsync == FsyncPolicy::Always {
+                f.sync_data()?;
+            }
         }
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
@@ -365,6 +431,14 @@ impl Outbox {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
+
+/// Appends `entry` to `out` as one checksummed record.
+fn encode_entry<T: Serialize>(entry: &T, out: &mut Vec<u8>) -> io::Result<()> {
+    let bytes = beehive_wire::to_vec(entry)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    encode_record(&bytes, out);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -538,19 +612,21 @@ mod tests {
             ob.append(&JournalEntry::Acked { to: 4, upto: 9 }).unwrap();
             assert_eq!(ob.appends_since_compact(), 11);
             // Compact to the equivalent snapshot.
-            ob.compact(&[
-                JournalEntry::Epoch { epoch: 5 },
-                JournalEntry::SendState {
-                    to: 4,
-                    next_seq: 11,
-                    acked: 9,
-                },
-                JournalEntry::Send {
+            ob.compact(
+                &[
+                    JournalEntry::Epoch { epoch: 5 },
+                    JournalEntry::SendState {
+                        to: 4,
+                        next_seq: 11,
+                        acked: 9,
+                    },
+                ],
+                [SendRef {
                     to: 4,
                     seq: 10,
-                    env: vec![10],
-                },
-            ])
+                    env: &[10],
+                }],
+            )
             .unwrap();
             assert_eq!(ob.appends_since_compact(), 0);
             // Appends keep working after the rename.
@@ -562,6 +638,37 @@ mod tests {
         assert_eq!(s.next_seq, 11);
         assert_eq!(s.acked, 10);
         assert!(s.unacked.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn fsync_never_still_compacts_and_truncates() {
+        let path = tmp_journal("nosync");
+        {
+            let (mut ob, _) = Outbox::open_with(&path, FsyncPolicy::Never).unwrap();
+            ob.append(&JournalEntry::Epoch { epoch: 1 }).unwrap();
+            ob.compact(
+                &[JournalEntry::Epoch { epoch: 6 }],
+                [SendRef {
+                    to: 2,
+                    seq: 1,
+                    env: &[1, 2, 3],
+                }],
+            )
+            .unwrap();
+            ob.append_send(SendRef {
+                to: 2,
+                seq: 2,
+                env: &[4],
+            })
+            .unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        let (_ob, state) = Outbox::open_with(&path, FsyncPolicy::Never).unwrap();
+        assert_eq!(state.epoch, Some(6));
+        assert_eq!(state.torn_truncations, 1);
+        assert_eq!(state.send[&2].unacked, BTreeMap::from([(1, vec![1, 2, 3])]));
         let _ = std::fs::remove_file(&path);
     }
 

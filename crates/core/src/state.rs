@@ -47,9 +47,10 @@ pub type Key = String;
 
 /// An encoded dictionary value: an immutable, cheaply-clonable shared buffer.
 ///
-/// Cloning bumps a refcount; the bytes are never copied. Serializes
-/// byte-identically to `Vec<u8>` under the wire format, so snapshots and
-/// replication journals are unchanged from the clone-based engine.
+/// Cloning bumps a refcount; the bytes are never copied. On the wire it is
+/// an opaque byte payload (`varint len + raw`, [`beehive_wire::Bytes`]) —
+/// the same bytes a `Vec<u8>` produces, so snapshots and replication
+/// journals are unchanged from the clone-based engine.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SharedBytes(Arc<[u8]>);
 
@@ -108,15 +109,13 @@ impl fmt::Debug for SharedBytes {
 
 impl Serialize for SharedBytes {
     fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        // Element-wise, exactly like Vec<u8>'s generic seq impl — NOT
-        // serialize_bytes, which some formats frame differently.
-        serializer.collect_seq(self.0.iter())
+        beehive_wire::Bytes(&self.0).serialize(serializer)
     }
 }
 
 impl<'de> Deserialize<'de> for SharedBytes {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
-        Vec::<u8>::deserialize(deserializer).map(Self::from)
+        beehive_wire::ByteBuf::deserialize(deserializer).map(|b| Self::from(b.into_vec()))
     }
 }
 

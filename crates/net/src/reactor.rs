@@ -498,7 +498,11 @@ fn reactor_loop(
             shared.wake_pending.store(false, Ordering::Release);
         }
 
-        // Accept every waiting inbound connection.
+        // Accept every waiting inbound connection. `pollfds` was built before
+        // these existed: only the first `polled` inbound connections have an
+        // entry in it (the new ones are polled next iteration), and the
+        // outbound entries start right after those.
+        let polled = in_conns.len();
         if pollfds[1].revents != 0 {
             while let Ok((stream, _)) = listener.accept() {
                 stream.set_nonblocking(true).ok();
@@ -511,12 +515,10 @@ fn reactor_loop(
             }
         }
 
-        // Drain readable inbound connections. Capture the count pollfds
-        // was built with: removals below must not shift the outbound base.
-        let n_in = in_conns.len();
+        // Drain readable inbound connections.
         let mut delivered = false;
         let mut idx = 0;
-        while idx < in_conns.len() {
+        while idx < polled {
             let revents = pollfds[2 + idx].revents;
             let fate = if revents & (libc::POLLIN | libc::POLLHUP | libc::POLLERR) != 0 {
                 read_inbound(&shared, &mut in_conns[idx], &inbox_tx, &mut delivered)
@@ -536,7 +538,7 @@ fn reactor_loop(
         }
 
         // Outbound connections: settle in-flight connects, detect EOF.
-        let out_base = 2 + n_in;
+        let out_base = 2 + polled;
         for (i, peer) in out_order.iter().enumerate() {
             let Some(conn) = out_conns.get_mut(peer) else {
                 continue;
@@ -891,6 +893,32 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         None
+    }
+
+    #[test]
+    fn connections_accepted_in_an_iteration_are_polled_in_the_next() {
+        // No peers, so no outbound connection: the poll set is the wake pipe
+        // and the listener, and an accepted connection has no entry in it
+        // until the next iteration. Two dialers, so the second accept also
+        // happens next to an inbound connection that does have one.
+        let t = ReactorTransport::bind(HiveId(1), "127.0.0.1:0".parse().unwrap(), HashMap::new())
+            .unwrap();
+        let mut dialers = Vec::new();
+        for peer in [7u32, 8] {
+            let mut s = TcpStream::connect(t.local_addr()).unwrap();
+            s.write_all(&encode_frame(HiveId(peer), KIND_HANDSHAKE, &[]))
+                .unwrap();
+            s.write_all(&encode_frame(
+                HiveId(peer),
+                kind_to_byte(FrameKind::App),
+                &[peer as u8],
+            ))
+            .unwrap();
+            let (from, f) = recv_blocking(&t, 2000).expect("the reactor outlives its accept");
+            assert_eq!(from, HiveId(peer));
+            assert_eq!(f.bytes, vec![peer as u8]);
+            dialers.push(s);
+        }
     }
 
     #[test]

@@ -29,13 +29,14 @@ pub trait SwitchIo: Send + Sync {
 }
 
 /// Raw upstream bytes from a switch's control channel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SwitchUpstream {
     /// Datapath id of the sending switch.
     pub dpid: u64,
     /// One encoded OpenFlow message.
     pub bytes: Vec<u8>,
 }
+beehive_wire::wire_struct!(SwitchUpstream { dpid, bytes: bytes });
 impl_message!(SwitchUpstream);
 
 /// A switch completed its handshake.
@@ -74,7 +75,7 @@ pub struct StatReply {
 impl_message!(StatReply);
 
 /// A packet punted to the control plane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PacketInEvent {
     /// The switch.
     pub switch: u64,
@@ -83,6 +84,11 @@ pub struct PacketInEvent {
     /// Packet bytes.
     pub data: Vec<u8>,
 }
+beehive_wire::wire_struct!(PacketInEvent {
+    switch,
+    in_port,
+    data: bytes
+});
 impl_message!(PacketInEvent);
 
 /// A port went up/down.
@@ -120,7 +126,7 @@ pub struct InstallRule {
 impl_message!(InstallRule);
 
 /// Command: inject a packet out of a switch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PacketOutCmd {
     /// Target switch.
     pub switch: u64,
@@ -131,6 +137,12 @@ pub struct PacketOutCmd {
     /// Raw packet.
     pub data: Vec<u8>,
 }
+beehive_wire::wire_struct!(PacketOutCmd {
+    switch,
+    in_port,
+    out_port,
+    data: bytes
+});
 impl_message!(PacketOutCmd);
 
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]

@@ -8,7 +8,6 @@ use rand::{Rng, SeedableRng};
 use crate::config::Config;
 use crate::log::RaftLog;
 use crate::storage::{HardState, SnapshotRecord, Storage, StorageError};
-use serde::{Deserialize, Serialize};
 
 use crate::types::{
     ConfChange, ConfChangeKind, Entry, EntryKind, LogIndex, NodeId, RaftMessage, Term,
@@ -19,12 +18,17 @@ use crate::StateMachine;
 /// configuration at the snapshot point plus the serialized state machine.
 /// Configuration must ride snapshots — a joiner that catches up via
 /// `InstallSnapshot` would otherwise never learn who the members are.
-#[derive(Serialize, Deserialize)]
 struct SnapshotBlob {
     voters: Vec<NodeId>,
     learners: Vec<NodeId>,
     data: Vec<u8>,
 }
+
+beehive_wire::wire_struct!(SnapshotBlob {
+    voters,
+    learners,
+    data: bytes
+});
 
 /// A node's current role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

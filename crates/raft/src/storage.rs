@@ -80,7 +80,7 @@ pub struct HardState {
 }
 
 /// Snapshot blob plus the log position it covers.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SnapshotRecord {
     /// Index the snapshot covers.
     pub index: LogIndex,
@@ -89,6 +89,12 @@ pub struct SnapshotRecord {
     /// Serialized state machine.
     pub data: Vec<u8>,
 }
+
+beehive_wire::wire_struct!(SnapshotRecord {
+    index,
+    term,
+    data: bytes
+});
 
 /// Persistence interface. Implementations must make `save_*` durable before
 /// returning `Ok` (MemStorage trivially so).

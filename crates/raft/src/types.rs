@@ -68,7 +68,7 @@ impl ConfChange {
 }
 
 /// A single replicated log entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// Term in which the entry was created.
     pub term: Term,
@@ -80,8 +80,15 @@ pub struct Entry {
     pub kind: EntryKind,
 }
 
+beehive_wire::wire_struct!(Entry {
+    term,
+    index,
+    data: bytes,
+    kind
+});
+
 /// Raft RPCs, exchanged as plain values; the embedder is the transport.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RaftMessage {
     /// Candidate solicits a vote (Raft §5.2).
     RequestVote {
@@ -169,6 +176,18 @@ pub enum RaftMessage {
         term: Term,
     },
 }
+
+beehive_wire::wire_enum!(RaftMessage {
+    0 => RequestVote { term, last_log_index, last_log_term },
+    1 => RequestVoteResp { term, granted },
+    2 => AppendEntries { term, prev_log_index, prev_log_term, entries, leader_commit },
+    3 => AppendEntriesResp { term, success, match_index, conflict_index },
+    4 => InstallSnapshot { term, last_index, last_term, data: bytes },
+    5 => InstallSnapshotResp { term, match_index },
+    6 => PreVote { term, last_log_index, last_log_term },
+    7 => PreVoteResp { term, granted },
+    8 => TimeoutNow { term },
+});
 
 impl RaftMessage {
     /// The term carried by this message.

@@ -10,7 +10,10 @@
 //! * `usize` lengths (sequences, maps, strings, bytes) are LEB128 varints;
 //! * enum variants are encoded by their `u32` variant index as a varint;
 //! * `Option` is a one-byte tag (0 = `None`, 1 = `Some`) followed by the value;
-//! * structs and tuples are field concatenations with no framing.
+//! * structs and tuples are field concatenations with no framing;
+//! * opaque byte payloads are a varint length and the raw bytes, written and
+//!   read in one copy through [`Bytes`] / [`ByteBuf`] — the same bytes a
+//!   sequence of `u8` would produce, without one serde call per byte.
 //!
 //! The format guarantees round-tripping for every type in the serde data
 //! model except `deserialize_any` (unsupported by design, as in bincode).
@@ -29,23 +32,34 @@
 //! assert_eq!(stat, back);
 //! ```
 
+mod bulk;
 mod de;
 mod error;
 pub mod record;
 mod ser;
 mod varint;
 
+pub use bulk::{ByteBuf, Bytes};
 pub use de::{from_slice, Deserializer};
 pub use error::{Error, Result};
-pub use ser::{to_vec, to_writer, Serializer};
+pub use ser::{to_vec, to_writer, Serializer, Sink};
 pub use varint::{decode_varint, encode_varint, varint_len};
 
-/// Serializes a value and returns the encoded byte length. Used for
-/// bandwidth accounting of messages that are delivered locally. Note: this
-/// performs a full serialization pass (the serializer is buffer-backed), so
-/// callers on hot paths should treat it as costing one `to_vec`.
+/// The byte length `to_vec(value)` would have. Used for bandwidth accounting
+/// of messages that are delivered locally. Walks the value like a
+/// serialization pass but only adds up sizes: nothing is allocated or
+/// copied, and a bulk byte payload costs one addition whatever its length.
 pub fn encoded_len<T: serde::Serialize + ?Sized>(value: &T) -> Result<usize> {
-    Ok(to_vec(value)?.len())
+    struct ByteCount(usize);
+    impl Sink for ByteCount {
+        #[inline]
+        fn put(&mut self, bytes: &[u8]) {
+            self.0 += bytes.len();
+        }
+    }
+    let mut ser = Serializer::with_sink(ByteCount(0));
+    value.serialize(&mut ser)?;
+    Ok(ser.into_inner().0)
 }
 
 #[cfg(test)]
@@ -209,6 +223,31 @@ mod tests {
             inner: None,
         };
         assert_eq!(encoded_len(&n).unwrap(), to_vec(&n).unwrap().len());
+    }
+
+    #[test]
+    fn bulk_bytes_are_the_bytes_of_a_u8_sequence() {
+        for n in [0usize, 1, 127, 128, 16_383, 16_384] {
+            let v: Vec<u8> = (0..n).map(|i| i as u8).collect();
+            let bulk = to_vec(&Bytes(&v)).unwrap();
+            assert_eq!(bulk, to_vec(&v).unwrap(), "length {n}");
+            assert_eq!(from_slice::<ByteBuf>(&bulk).unwrap().into_vec(), v);
+            assert_eq!(from_slice::<Vec<u8>>(&bulk).unwrap(), v);
+            assert_eq!(encoded_len(&Bytes(&v)).unwrap(), bulk.len());
+        }
+    }
+
+    #[test]
+    fn bulk_bytes_reject_bad_lengths() {
+        let buf = to_vec(&Bytes(&[9; 200])).unwrap();
+        for cut in 0..buf.len() {
+            let err = from_slice::<ByteBuf>(&buf[..cut]).unwrap_err();
+            assert!(matches!(err, Error::Eof), "cut at {cut}: {err}");
+        }
+        let mut huge = Vec::new();
+        encode_varint(u64::MAX, &mut huge);
+        let err = from_slice::<ByteBuf>(&huge).unwrap_err();
+        assert!(matches!(err, Error::Eof | Error::LengthOverflow(_)));
     }
 
     #[test]

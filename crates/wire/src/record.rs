@@ -254,7 +254,10 @@ mod tests {
         buf.extend_from_slice(&tail);
         let scan = scan_records(&buf).unwrap();
         assert_eq!(scan.payloads, vec![b"ok".to_vec()]);
-        assert_eq!(scan.torn.unwrap().reason, "truncated record payload");
+        assert_eq!(
+            scan.torn.as_ref().unwrap().reason,
+            "truncated record payload"
+        );
         assert_eq!(scan.valid_len(), journal(&[b"ok"]).len());
     }
 }

@@ -3,7 +3,7 @@
 use serde::ser::{self, Serialize};
 
 use crate::error::{Error, Result};
-use crate::varint::encode_varint;
+use crate::varint::varint_bytes;
 
 /// Serializes `value` into a freshly allocated `Vec<u8>`.
 pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
@@ -22,9 +22,26 @@ pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(
     Ok(())
 }
 
-/// The wire-format serializer. Accumulates output into an internal buffer.
-pub struct Serializer {
-    out: Vec<u8>,
+/// Where a [`Serializer`] puts its output. One `put` per primitive the
+/// format writes (an integer, a length prefix, a whole string or byte
+/// payload), so a sink can also count bytes ([`crate::encoded_len`]) or
+/// calls (the tests that pin bulk payloads to O(1) visits).
+pub trait Sink {
+    /// Appends `bytes` to the output.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// The wire-format serializer, writing into a [`Sink`] (a `Vec<u8>` unless
+/// built by [`Serializer::with_sink`]).
+pub struct Serializer<W = Vec<u8>> {
+    out: W,
 }
 
 impl Serializer {
@@ -39,14 +56,23 @@ impl Serializer {
             out: Vec::with_capacity(cap),
         }
     }
+}
 
-    /// Consumes the serializer, returning the encoded bytes.
-    pub fn into_inner(self) -> Vec<u8> {
+impl<W: Sink> Serializer<W> {
+    /// Creates a serializer writing into `sink`.
+    pub fn with_sink(sink: W) -> Self {
+        Serializer { out: sink }
+    }
+
+    /// Consumes the serializer, returning its sink (the encoded bytes, for
+    /// a `Vec<u8>`).
+    pub fn into_inner(self) -> W {
         self.out
     }
 
-    fn put_len(&mut self, len: usize) {
-        encode_varint(len as u64, &mut self.out);
+    fn put_varint(&mut self, v: u64) {
+        let (buf, used) = varint_bytes(v);
+        self.out.put(&buf[..used]);
     }
 }
 
@@ -59,25 +85,25 @@ impl Default for Serializer {
 macro_rules! ser_int {
     ($name:ident, $ty:ty) => {
         fn $name(self, v: $ty) -> Result<()> {
-            self.out.extend_from_slice(&v.to_le_bytes());
+            self.out.put(&v.to_le_bytes());
             Ok(())
         }
     };
 }
 
-impl<'a> ser::Serializer for &'a mut Serializer {
+impl<'a, W: Sink> ser::Serializer for &'a mut Serializer<W> {
     type Ok = ();
     type Error = Error;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
+    type SerializeSeq = Compound<'a, W>;
+    type SerializeTuple = Compound<'a, W>;
+    type SerializeTupleStruct = Compound<'a, W>;
+    type SerializeTupleVariant = Compound<'a, W>;
+    type SerializeMap = Compound<'a, W>;
+    type SerializeStruct = Compound<'a, W>;
+    type SerializeStructVariant = Compound<'a, W>;
 
     fn serialize_bool(self, v: bool) -> Result<()> {
-        self.out.push(v as u8);
+        self.out.put(&[v as u8]);
         Ok(())
     }
 
@@ -99,24 +125,22 @@ impl<'a> ser::Serializer for &'a mut Serializer {
     }
 
     fn serialize_str(self, v: &str) -> Result<()> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v.as_bytes());
-        Ok(())
+        self.serialize_bytes(v.as_bytes())
     }
 
     fn serialize_bytes(self, v: &[u8]) -> Result<()> {
-        self.put_len(v.len());
-        self.out.extend_from_slice(v);
+        self.put_varint(v.len() as u64);
+        self.out.put(v);
         Ok(())
     }
 
     fn serialize_none(self) -> Result<()> {
-        self.out.push(0);
+        self.out.put(&[0]);
         Ok(())
     }
 
     fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<()> {
-        self.out.push(1);
+        self.out.put(&[1]);
         value.serialize(self)
     }
 
@@ -134,7 +158,7 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         variant_index: u32,
         _variant: &'static str,
     ) -> Result<()> {
-        encode_varint(variant_index as u64, &mut self.out);
+        self.put_varint(variant_index as u64);
         Ok(())
     }
 
@@ -153,23 +177,23 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         _variant: &'static str,
         value: &T,
     ) -> Result<()> {
-        encode_varint(variant_index as u64, &mut self.out);
+        self.put_varint(variant_index as u64);
         value.serialize(self)
     }
 
-    fn serialize_seq(self, len: Option<usize>) -> Result<Compound<'a>> {
+    fn serialize_seq(self, len: Option<usize>) -> Result<Compound<'a, W>> {
         let len = len.ok_or_else(|| {
             Error::Custom("beehive-wire requires sequence lengths up front".into())
         })?;
-        self.put_len(len);
+        self.put_varint(len as u64);
         Ok(Compound { ser: self })
     }
 
-    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a>> {
+    fn serialize_tuple(self, _len: usize) -> Result<Compound<'a, W>> {
         Ok(Compound { ser: self })
     }
 
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a>> {
+    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a, W>> {
         Ok(Compound { ser: self })
     }
 
@@ -179,19 +203,19 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         variant_index: u32,
         _variant: &'static str,
         _len: usize,
-    ) -> Result<Compound<'a>> {
-        encode_varint(variant_index as u64, &mut self.out);
+    ) -> Result<Compound<'a, W>> {
+        self.put_varint(variant_index as u64);
         Ok(Compound { ser: self })
     }
 
-    fn serialize_map(self, len: Option<usize>) -> Result<Compound<'a>> {
+    fn serialize_map(self, len: Option<usize>) -> Result<Compound<'a, W>> {
         let len =
             len.ok_or_else(|| Error::Custom("beehive-wire requires map lengths up front".into()))?;
-        self.put_len(len);
+        self.put_varint(len as u64);
         Ok(Compound { ser: self })
     }
 
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a>> {
+    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Compound<'a, W>> {
         Ok(Compound { ser: self })
     }
 
@@ -201,8 +225,8 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         variant_index: u32,
         _variant: &'static str,
         _len: usize,
-    ) -> Result<Compound<'a>> {
-        encode_varint(variant_index as u64, &mut self.out);
+    ) -> Result<Compound<'a, W>> {
+        self.put_varint(variant_index as u64);
         Ok(Compound { ser: self })
     }
 
@@ -212,11 +236,11 @@ impl<'a> ser::Serializer for &'a mut Serializer {
 }
 
 /// Serializer state for compound types (seqs, tuples, maps, structs).
-pub struct Compound<'a> {
-    ser: &'a mut Serializer,
+pub struct Compound<'a, W> {
+    ser: &'a mut Serializer<W>,
 }
 
-impl ser::SerializeSeq for Compound<'_> {
+impl<W: Sink> ser::SerializeSeq for Compound<'_, W> {
     type Ok = ();
     type Error = Error;
 
@@ -229,7 +253,7 @@ impl ser::SerializeSeq for Compound<'_> {
     }
 }
 
-impl ser::SerializeTuple for Compound<'_> {
+impl<W: Sink> ser::SerializeTuple for Compound<'_, W> {
     type Ok = ();
     type Error = Error;
 
@@ -242,7 +266,7 @@ impl ser::SerializeTuple for Compound<'_> {
     }
 }
 
-impl ser::SerializeTupleStruct for Compound<'_> {
+impl<W: Sink> ser::SerializeTupleStruct for Compound<'_, W> {
     type Ok = ();
     type Error = Error;
 
@@ -255,7 +279,7 @@ impl ser::SerializeTupleStruct for Compound<'_> {
     }
 }
 
-impl ser::SerializeTupleVariant for Compound<'_> {
+impl<W: Sink> ser::SerializeTupleVariant for Compound<'_, W> {
     type Ok = ();
     type Error = Error;
 
@@ -268,7 +292,7 @@ impl ser::SerializeTupleVariant for Compound<'_> {
     }
 }
 
-impl ser::SerializeMap for Compound<'_> {
+impl<W: Sink> ser::SerializeMap for Compound<'_, W> {
     type Ok = ();
     type Error = Error;
 
@@ -285,7 +309,7 @@ impl ser::SerializeMap for Compound<'_> {
     }
 }
 
-impl ser::SerializeStruct for Compound<'_> {
+impl<W: Sink> ser::SerializeStruct for Compound<'_, W> {
     type Ok = ();
     type Error = Error;
 
@@ -302,7 +326,7 @@ impl ser::SerializeStruct for Compound<'_> {
     }
 }
 
-impl ser::SerializeStructVariant for Compound<'_> {
+impl<W: Sink> ser::SerializeStructVariant for Compound<'_, W> {
     type Ok = ();
     type Error = Error;
 

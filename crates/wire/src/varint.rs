@@ -2,17 +2,26 @@
 
 use crate::error::{Error, Result};
 
-/// Appends `value` to `out` as an LEB128 varint (1–10 bytes).
-pub fn encode_varint(mut value: u64, out: &mut Vec<u8>) {
+/// `value` as an LEB128 varint: the buffer and how many of its bytes are used.
+pub(crate) fn varint_bytes(mut value: u64) -> ([u8; 10], usize) {
+    let mut buf = [0u8; 10];
+    let mut used = 0;
     loop {
         let byte = (value & 0x7F) as u8;
         value >>= 7;
         if value == 0 {
-            out.push(byte);
-            return;
+            buf[used] = byte;
+            return (buf, used + 1);
         }
-        out.push(byte | 0x80);
+        buf[used] = byte | 0x80;
+        used += 1;
     }
+}
+
+/// Appends `value` to `out` as an LEB128 varint (1–10 bytes).
+pub fn encode_varint(value: u64, out: &mut Vec<u8>) {
+    let (buf, used) = varint_bytes(value);
+    out.extend_from_slice(&buf[..used]);
 }
 
 /// Number of bytes `encode_varint` would emit for `value`.
