@@ -249,6 +249,10 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
     }
 }
 
+/// Events a hive's [`EventJournal`] retains; older ones are overwritten, the
+/// recorded total keeps counting.
+pub const EVENT_CAPACITY: usize = 4096;
+
 /// A fixed-capacity ring of recent [`Event`]s with an optional JSONL sink.
 pub struct EventJournal {
     hive: HiveId,

@@ -1,36 +1,33 @@
-//! The parallel bee executor: a worker pool that runs checked-out bees'
-//! mailbox batches on N OS threads while the hive thread keeps exclusive
-//! ownership of routing, the registry, Raft I/O and migration.
+//! Bee execution: [`run_batch`], the one function that runs handlers, and
+//! the worker pool that calls it when `HiveConfig::workers > 1`.
 //!
 //! The paper's central invariant — each bee exclusively owns its mapped
-//! cells — is exactly what makes this safe: bees with disjoint colonies
-//! share no state, so their handlers can run concurrently without locks.
-//! The protocol is **checkout / check-in**:
+//! cells — is what makes one function enough: a bee's state, colony and
+//! mail are all a handler may touch, so `run_batch` borrows exactly those,
+//! runs the mail inside one transaction (a savepoint per message) and
+//! returns what the handlers asked for as [`BatchEffects`], applying none
+//! of it. Turning effects into dispatch, control frames, replication and
+//! registry proposals is `Hive::apply_batch`, on the hive thread.
 //!
-//! 1. The hive drains its run queue and *checks out* every runnable bee
-//!    from its queen ([`crate::queen::Queen::check_out`]): the bee's state,
-//!    colony and entire pending mailbox move into a [`BeeJob`], and the bee
-//!    is marked [`crate::queen::BeeStatus::CheckedOut`]. Bees that are
-//!    mid-merge, mid-migration or staged are never checked out — they stay
-//!    pinned to the hive thread's sequential path.
-//! 2. Workers run each job's batch exactly like the sequential
-//!    `Hive::run_bee` loop would (transaction per message, commit/rollback,
-//!    cell claiming, replication journaling, instrumentation), accumulating
-//!    all side effects in a [`BeeJobResult`] instead of applying them.
-//! 3. The hive thread blocks until every job of the round is back, sorts
-//!    results by bee id, *checks all bees back in first*, and only then
-//!    applies side effects (outbox dispatch, control messages, registry
-//!    proposals, instrumentation merge) in that deterministic order.
+//! Two callers, differing only in who runs the call and how much mail it
+//! gets (see `DESIGN.md`, "Execution model"):
 //!
-//! Because the hive thread blocks for the round, no deliveries, registry
-//! events or control messages can touch a checked-out bee concurrently —
-//! one-bee-one-thread exclusivity holds trivially, and for applications
-//! whose handlers emit no messages the final state is bit-identical to the
-//! sequential executor (see `tests/behavior_equivalence.rs`).
+//! * `workers == 1`: the hive thread, one message per run-queue turn, with
+//!   the bee borrowed in place from its queen.
+//! * `workers > 1`: this module's pool, in **checkout / check-in** rounds.
+//!   The hive drains its run queue and checks every runnable bee out of its
+//!   queen ([`crate::queen::Queen::check_out`]: state, colony and the whole
+//!   pending mailbox move into a [`BeeJob`]); bees with disjoint colonies
+//!   share no state, so workers run the jobs concurrently without locks.
+//!   The hive thread blocks until the whole round is back — so no delivery,
+//!   registry event or control message can touch a checked-out bee — sorts
+//!   the results by `(app, bee)`, checks every bee back in, and only then
+//!   applies effects in that order. Bees that are mid-merge, mid-migration
+//!   or staged are never checked out.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -41,7 +38,8 @@ use crate::control::ControlMsg;
 use crate::id::{BeeId, HiveId};
 use crate::message::Envelope;
 use crate::metrics::Instrumentation;
-use crate::state::{BeeState, JournalOp, TxJournal, TxState};
+use crate::queen::CheckedOutBee;
+use crate::state::{BeeState, JournalOp, TxState};
 use crate::supervision::{panic_detail, FailureKind, HandlerFaults};
 use crate::trace::{TraceCollector, TraceSpan};
 
@@ -79,40 +77,31 @@ impl Parker {
     }
 }
 
-/// One checked-out bee plus everything a worker needs to run its batch.
-pub(crate) struct BeeJob {
-    /// Index of the app in the hive's app table (round bookkeeping).
-    pub app_idx: usize,
-    /// The bee being run.
-    pub bee: BeeId,
-    /// The application (shared, immutable — handlers are `Send + Sync`).
-    pub app: Arc<App>,
+/// What is fixed for one batch: which bee runs, where and when, and the
+/// hive facilities the run consults.
+pub(crate) struct BatchEnv<'a> {
+    /// The application whose handlers run.
+    pub app: &'a App,
     /// The hive the bee lives on.
     pub hive: HiveId,
-    /// Platform time for this round, in ms.
-    pub now_ms: u64,
-    /// The bee's checked-out state.
-    pub state: BeeState,
-    /// The bee's checked-out colony.
-    pub colony: BTreeSet<Cell>,
-    /// Whether the bee is pinned (local singleton).
+    /// The bee being run.
+    pub bee: BeeId,
+    /// Whether the bee is pinned (local singleton): pinned bees claim no
+    /// cells and are not replicated.
     pub pinned: bool,
-    /// Replication sequence at checkout.
-    pub repl_seq: u64,
+    /// Platform time of this run, in ms.
+    pub now_ms: u64,
     /// Whether committed journals must be encoded for colony replication.
     pub replicate: bool,
-    /// The bee's entire pending mailbox for this round.
-    pub batch: Vec<(u16, Envelope)>,
-    /// The hive's span ring buffer; workers record directly (slot-level
-    /// locking only), so spans need no check-in round trip.
-    pub tracer: Arc<TraceCollector>,
-    /// Shared handler-fault injection table (tests / chaos runs).
-    pub faults: Arc<HandlerFaults>,
+    /// The hive's span ring buffer (slot-level locking only).
+    pub tracer: &'a TraceCollector,
+    /// Handler-fault injection table (tests / chaos runs).
+    pub faults: &'a HandlerFaults,
 }
 
-/// One message whose handler failed (error or panic) during a batch. The
-/// hive thread decides its fate on check-in: redeliver with backoff or
-/// dead-letter once the budget is exhausted.
+/// One message whose handler failed (error or panic). The hive thread
+/// decides its fate: redeliver with backoff or dead-letter once the budget
+/// is exhausted.
 pub(crate) struct FailedDelivery {
     /// Handler index the envelope was dispatched to.
     pub hidx: u16,
@@ -126,269 +115,268 @@ pub(crate) struct FailedDelivery {
     pub detail: String,
 }
 
-/// Everything a batch produced, to be checked back in and applied by the
-/// hive thread in deterministic (app, bee) order.
-pub(crate) struct BeeJobResult {
-    /// App index, copied from the job.
-    pub app_idx: usize,
-    /// The bee, copied from the job.
-    pub bee: BeeId,
-    /// Pinned flag, copied from the job.
-    pub pinned: bool,
-    /// The bee's state after the batch.
-    pub state: BeeState,
-    /// The bee's colony after the batch (including freshly claimed cells).
-    pub colony: BTreeSet<Cell>,
-    /// Replication sequence after the batch.
-    pub repl_seq: u64,
-    /// Cells written outside the colony, to be proposed as `AssignCells`.
-    pub new_cells: Vec<Cell>,
-    /// Messages emitted by committed handlers, in processing order.
+/// What one message of a batch asked for. A failed message was rolled back:
+/// it carries only its `failure`.
+#[derive(Default)]
+pub(crate) struct MsgEffects {
+    /// Messages the handler emitted, in emit order.
     pub outbox: Vec<Envelope>,
-    /// Control messages requested by committed handlers.
+    /// Control messages the handler requested.
     pub control_out: Vec<(HiveId, ControlMsg)>,
-    /// Encoded committed journals for colony replication: `(seq, bytes)`.
-    pub journals: Vec<(u64, Vec<u8>)>,
-    /// Whether the *last* message's handler requested retirement (matching
-    /// the sequential executor, where a retire only collects the bee when
-    /// the mailbox is empty afterwards).
-    pub retire: bool,
-    /// Handler invocations that returned an error.
-    pub errors: u64,
-    /// Messages processed.
-    pub processed: u64,
-    /// Messages whose handler failed, for supervised redelivery.
-    pub failed: Vec<FailedDelivery>,
-    /// Whether at least one message in the batch committed (resets the
-    /// bee's consecutive-failure streak).
-    pub had_success: bool,
-    /// Failures at the *tail* of the batch (after the last success) — the
-    /// bee's live consecutive-failure streak contribution.
-    pub trailing_failures: u32,
-    /// Instrumentation delta for the whole batch.
-    pub instr: Instrumentation,
-    /// Wall nanoseconds the worker spent on this batch.
-    pub busy_nanos: u64,
-    /// Which worker ran the batch.
-    pub worker: usize,
+    /// The committed journal to ship to the colony's replicas:
+    /// `(replication seq, encoded journal)`.
+    pub replicate: Option<(u64, Vec<u8>)>,
+    /// Set when the handler failed, for supervised redelivery.
+    pub failure: Option<FailedDelivery>,
 }
 
-/// Runs one bee's batch on a worker thread. This mirrors the sequential
-/// `Hive::run_bee` per-message sequence exactly; any change there must be
-/// reflected here (and vice versa).
+/// Everything a batch asked for, applied by `Hive::apply_batch`.
+pub(crate) struct BatchEffects {
+    /// Per message, in message order.
+    pub msgs: Vec<MsgEffects>,
+    /// Cells written outside the colony (already added to it), to be
+    /// proposed as `AssignCells`.
+    pub new_cells: Vec<Cell>,
+    /// Whether the *last* message's handler committed a retire request.
+    /// Only the last message may retire a bee: every earlier one has more
+    /// mail behind it, and a bee is only collected when idle.
+    pub retire: bool,
+}
+
+/// Runs `mail` on one bee, the only place handlers are invoked.
 ///
 /// The whole batch runs inside ONE open transaction with a savepoint per
-/// message: a handler failure rolls back exactly its own message
-/// ([`TxState::rollback_to`]) while committed messages' writes stay applied,
-/// and each committed message drains its own replication journal
-/// ([`TxState::take_journal_since`]) — byte-identical to the journals the
-/// per-message engine produced, but without re-applying buffered ops or
-/// cloning values at every message boundary.
-fn run_batch(worker: usize, job: BeeJob) -> BeeJobResult {
-    let BeeJob {
-        app_idx,
-        bee,
-        app,
-        hive,
-        now_ms,
-        mut state,
-        mut colony,
-        pinned,
-        mut repl_seq,
-        replicate,
-        batch,
-        tracer,
-        faults,
-    } = job;
-    let app_name = app.name().clone();
-    let mut instr = Instrumentation::default();
-    let mut outbox: Vec<Envelope> = Vec::new();
-    let mut control_out: Vec<(HiveId, ControlMsg)> = Vec::new();
-    let mut journals: Vec<(u64, Vec<u8>)> = Vec::new();
+/// message: a handler failure (an `Err`, a panic, or an injected fault)
+/// rolls back exactly its own message ([`TxState::rollback_to`]) while
+/// committed messages' writes stay applied, and each committed message
+/// drains its own replication journal ([`TxState::take_journal_since`]).
+/// Handler statistics go to `instr`, which is locked per message and only
+/// after the handler returned — handlers may lock it themselves (the
+/// collector app drains it).
+pub(crate) fn run_batch(
+    env: &BatchEnv<'_>,
+    state: &mut BeeState,
+    colony: &mut BTreeSet<Cell>,
+    repl_seq: &mut u64,
+    mail: &[(u16, Envelope)],
+    instr: &Mutex<Instrumentation>,
+) -> BatchEffects {
+    let BatchEnv {
+        hive, bee, now_ms, ..
+    } = *env;
+    let app_name = env.app.name();
+    let mut msgs: Vec<MsgEffects> = Vec::with_capacity(mail.len());
     let mut new_cells: Vec<Cell> = Vec::new();
     let mut retire_last = false;
-    let mut errors = 0u64;
-    let mut processed = 0u64;
-    let mut failed: Vec<FailedDelivery> = Vec::new();
-    let mut had_success = false;
-    let mut trailing_failures = 0u32;
-    let batch_started = std::time::Instant::now();
 
-    // One open transaction for the whole batch; each message gets a
-    // savepoint so a failure rolls back exactly that message.
-    let mut tx = TxState::begin(&mut state);
-
-    for (hidx, env) in batch {
-        let handler = app.handler(hidx).expect("handler index valid");
-        let in_type = env.msg.type_name().to_string();
-        let msg_len = env.msg.encoded_len();
+    let mut tx = TxState::begin(state);
+    for (hidx, envelope) in mail {
+        let handler = env.app.handler(*hidx).expect("handler index valid");
+        let in_type = envelope.msg.type_name();
+        let msg_len = envelope.msg.encoded_len();
 
         let sp = tx.savepoint();
         let mut ctx = RcvCtx {
             hive,
             app: app_name.clone(),
             bee,
-            src: env.src,
+            src: envelope.src,
             now_ms,
-            trace: env.trace,
-            deliveries: env.deliveries,
+            trace: envelope.trace,
+            deliveries: envelope.deliveries,
             tx,
             outbox: Vec::new(),
             control_out: Vec::new(),
             retire: false,
         };
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         // A panic is contained at the message boundary, exactly like `Err`:
-        // roll back the transaction, classify, and let the hive supervisor
+        // roll back the message, classify, and let the hive supervisor
         // decide between redelivery and the dead-letter queue.
-        let outcome: Result<(), (FailureKind, String)> = if faults.should_fail(&app_name, &in_type)
-        {
-            Err((FailureKind::Error, "injected handler fault".to_string()))
-        } else {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handler.rcv(env.msg.as_ref(), &mut ctx)
-            })) {
-                Ok(Ok(())) => Ok(()),
-                Ok(Err(e)) => Err((FailureKind::Error, e)),
-                Err(payload) => Err((FailureKind::Panic, panic_detail(payload.as_ref()))),
-            }
-        };
+        let outcome: Result<(), (FailureKind, String)> =
+            if env.faults.should_fail(app_name, in_type) {
+                Err((FailureKind::Error, "injected handler fault".to_string()))
+            } else {
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handler.rcv(envelope.msg.as_ref(), &mut ctx)
+                })) {
+                    Ok(Ok(())) => Ok(()),
+                    Ok(Err(e)) => Err((FailureKind::Error, e)),
+                    Err(payload) => Err((FailureKind::Panic, panic_detail(payload.as_ref()))),
+                }
+            };
         let elapsed = started.elapsed().as_nanos() as u64;
 
         let RcvCtx {
             tx: tx_back,
-            outbox: msg_out,
-            control_out: ctl_out,
+            outbox,
+            control_out,
             retire,
             ..
         } = ctx;
         tx = tx_back;
-        let ok = outcome.is_ok();
-        let (journal, msg_out, ctl_out) = if ok {
-            (tx.take_journal_since(&sp), msg_out, ctl_out)
-        } else {
-            tx.rollback_to(&sp);
-            (TxJournal::default(), Vec::new(), Vec::new())
+        let mut done = MsgEffects::default();
+        let failure_kind = match outcome {
+            Ok(()) => {
+                let journal = tx.take_journal_since(&sp);
+                if !env.pinned {
+                    // Claim newly written cells that fall outside the colony.
+                    for op in &journal.ops {
+                        let (JournalOp::Put { dict, key, .. } | JournalOp::Del { dict, key }) = op;
+                        if key == WHOLE_DICT_KEY {
+                            continue;
+                        }
+                        let cell = Cell::new(dict.clone(), key.clone());
+                        if !colony.contains(&cell) && !colony.contains(&Cell::whole(dict.clone())) {
+                            colony.insert(cell.clone());
+                            new_cells.push(cell);
+                        }
+                    }
+                    // Colony replication: sequence and encode the journal.
+                    if env.replicate && !journal.is_empty() {
+                        *repl_seq += 1;
+                        if let Ok(bytes) = beehive_wire::to_vec(&journal) {
+                            done.replicate = Some((*repl_seq, bytes));
+                        }
+                    }
+                }
+                done.outbox = outbox;
+                done.control_out = control_out;
+                retire_last = retire;
+                None
+            }
+            Err((kind, detail)) => {
+                tx.rollback_to(&sp);
+                done.failure = Some(FailedDelivery {
+                    hidx: *hidx,
+                    handler: handler.name.clone(),
+                    env: envelope.clone(),
+                    kind,
+                    detail,
+                });
+                retire_last = false;
+                Some(kind)
+            }
         };
-        if let Err((kind, detail)) = outcome {
-            instr.record_failure(kind);
-            failed.push(FailedDelivery {
-                hidx,
-                handler: handler.name.clone(),
-                env: env.clone(),
-                kind,
-                detail,
-            });
-        }
-        if ok {
-            had_success = true;
-            trailing_failures = 0;
-        } else {
-            trailing_failures = trailing_failures.saturating_add(1);
-        }
-        // Only the batch's final message can retire the bee: earlier
-        // messages always have more mail behind them (sequential parity).
-        retire_last = ok && retire;
+        let ok = failure_kind.is_none();
 
-        // Claim newly written cells that fall outside the colony.
-        if ok && !pinned {
-            for op in &journal.ops {
-                let (dict, key) = match op {
-                    JournalOp::Put { dict, key, .. } => (dict, key),
-                    JournalOp::Del { dict, key } => (dict, key),
-                };
-                if key == WHOLE_DICT_KEY {
-                    continue;
-                }
-                let covered = colony.contains(&Cell {
-                    dict: dict.clone(),
-                    key: key.clone(),
-                }) || colony.contains(&Cell::whole(dict.clone()));
-                if !covered {
-                    let cell = Cell {
-                        dict: dict.clone(),
-                        key: key.clone(),
-                    };
-                    colony.insert(cell.clone());
-                    new_cells.push(cell);
-                }
-            }
-        }
-
-        // Colony replication: sequence and encode the committed journal.
-        if ok && !pinned && replicate && !journal.is_empty() {
-            repl_seq += 1;
-            if let Ok(bytes) = beehive_wire::to_vec(&journal) {
-                journals.push((repl_seq, bytes));
-            }
-        }
-
-        // Instrumentation (accumulated locally; merged on check-in).
-        if env.src.bee().is_some() {
-            instr.record_matrix(env.src.hive(), hive);
-        }
+        let wait_us = now_ms.saturating_sub(envelope.trace.enqueued_ms) * 1_000;
         {
-            let stats = instr.bee(&app_name, bee);
-            stats.record_in(env.src.hive(), env.src.bee(), msg_len);
+            let mut instr = instr.lock();
+            if envelope.src.bee().is_some() {
+                instr.record_matrix(envelope.src.hive(), hive);
+            }
+            let stats = instr.bee(app_name, bee);
+            stats.record_in(envelope.src.hive(), envelope.src.bee(), msg_len);
             stats.handler_nanos += elapsed;
             if !ok {
                 stats.errors += 1;
             }
+            if let Some(kind) = failure_kind {
+                instr.record_failure(kind);
+            }
+            for out in &done.outbox {
+                instr.bee(app_name, bee).record_out(out.msg.encoded_len());
+                instr.record_provenance(app_name, in_type, out.msg.type_name());
+            }
+            instr.record_in_type(app_name, in_type);
+            instr.bee_cells.insert(bee.0, colony.len() as u64);
+            instr.record_latency(app_name, in_type, wait_us, elapsed / 1_000);
         }
-        for out in &msg_out {
-            instr.bee(&app_name, bee).record_out(out.msg.encoded_len());
-            instr.record_provenance(&app_name, &in_type, out.msg.type_name());
-        }
-        instr.record_in_type(&app_name, &in_type);
-        let wait_us = now_ms.saturating_sub(env.trace.enqueued_ms) * 1_000;
-        instr.record_latency(&app_name, &in_type, wait_us, elapsed / 1_000);
-        tracer.record(TraceSpan {
-            trace_id: env.trace.trace_id,
-            span_id: env.trace.span_id,
-            parent_span: env.trace.parent_span,
+        env.tracer.record(TraceSpan {
+            trace_id: envelope.trace.trace_id,
+            span_id: envelope.trace.span_id,
+            parent_span: envelope.trace.parent_span,
             hive,
             app: app_name.clone(),
             bee,
-            msg_type: in_type.clone(),
+            msg_type: in_type.to_string(),
             start_ms: now_ms,
             queue_wait_us: wait_us,
             runtime_ns: elapsed,
             ok,
         });
-        if !ok {
-            errors += 1;
-        }
-        processed += 1;
-        outbox.extend(msg_out);
-        control_out.extend(ctl_out);
+        msgs.push(done);
     }
     // Per-message journals were drained at their savepoints; the residual
     // commit is empty and O(1) — the writes are already in `state`.
     let residue = tx.commit();
     debug_assert!(residue.is_empty(), "all journals drained per message");
-    instr.bee_cells.insert(bee.0, colony.len() as u64);
-    let busy_nanos = batch_started.elapsed().as_nanos() as u64;
 
-    BeeJobResult {
-        app_idx,
-        bee,
-        pinned,
-        state,
-        colony,
-        repl_seq,
+    BatchEffects {
+        msgs,
         new_cells,
-        outbox,
-        control_out,
-        journals,
         retire: retire_last,
-        errors,
-        processed,
-        failed,
-        had_success,
-        trailing_failures,
-        instr,
-        busy_nanos,
+    }
+}
+
+/// One checked-out bee plus everything a worker needs to run its mailbox.
+pub(crate) struct BeeJob {
+    /// Index of the app in the hive's app table (round bookkeeping).
+    pub app_idx: usize,
+    /// The bee being run.
+    pub bee: BeeId,
+    /// The application (shared, immutable — handlers are `Send + Sync`).
+    pub app: Arc<App>,
+    /// The hive the bee lives on.
+    pub hive: HiveId,
+    /// Platform time for this round, in ms.
+    pub now_ms: u64,
+    /// Whether committed journals must be encoded for colony replication.
+    pub replicate: bool,
+    /// The bee's checked-out state, colony, replication sequence and mail;
+    /// the run updates the first three in place.
+    pub out: CheckedOutBee,
+    /// The hive's span ring buffer.
+    pub tracer: Arc<TraceCollector>,
+    /// Shared handler-fault injection table (tests / chaos runs).
+    pub faults: Arc<HandlerFaults>,
+}
+
+/// A job a worker has run: the bee's pieces to check back in (`job.out`)
+/// plus what the run produced.
+pub(crate) struct FinishedJob {
+    /// The job, `out` as the run left it.
+    pub job: BeeJob,
+    /// What the handlers asked for.
+    pub effects: BatchEffects,
+    /// Handler statistics of this run plus the worker's own batch counters
+    /// (`executor`), merged into the hive's store.
+    pub instr: Instrumentation,
+}
+
+fn run_job(worker: usize, mut job: BeeJob) -> FinishedJob {
+    let started = Instant::now();
+    let delta = Mutex::new(Instrumentation::default());
+    let effects = run_batch(
+        &BatchEnv {
+            app: &job.app,
+            hive: job.hive,
+            bee: job.bee,
+            pinned: job.out.pinned,
+            now_ms: job.now_ms,
+            replicate: job.replicate,
+            tracer: &job.tracer,
+            faults: &job.faults,
+        },
+        &mut job.out.state,
+        &mut job.out.colony,
+        &mut job.out.repl_seq,
+        &job.out.mail,
+        &delta,
+    );
+    // Free the processed mail here rather than on the hive thread.
+    job.out.mail = Vec::new();
+    let mut instr = delta.into_inner();
+    instr.executor.record_batch(
         worker,
+        effects.msgs.len() as u64,
+        started.elapsed().as_nanos() as u64,
+    );
+    FinishedJob {
+        job,
+        effects,
+        instr,
     }
 }
 
@@ -397,7 +385,7 @@ fn run_batch(worker: usize, job: BeeJob) -> BeeJobResult {
 /// worker.
 pub(crate) struct Executor {
     job_tx: Option<Sender<BeeJob>>,
-    res_rx: Receiver<BeeJobResult>,
+    res_rx: Receiver<FinishedJob>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -406,7 +394,7 @@ impl Executor {
     pub(crate) fn new(workers: usize) -> Self {
         assert!(workers >= 1);
         let (job_tx, job_rx) = unbounded::<BeeJob>();
-        let (res_tx, res_rx) = unbounded::<BeeJobResult>();
+        let (res_tx, res_rx) = unbounded::<FinishedJob>();
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let rx = job_rx.clone();
@@ -418,7 +406,7 @@ impl Executor {
                     // `run_batch`, so the worker itself never unwinds on
                     // application faults.
                     while let Ok(job) = rx.recv() {
-                        if tx.send(run_batch(w, job)).is_err() {
+                        if tx.send(run_job(w, job)).is_err() {
                             break;
                         }
                     }
@@ -442,10 +430,10 @@ impl Executor {
             .expect("executor workers alive");
     }
 
-    /// Blocks for the next finished batch. Handler failures (including
-    /// panics) ride back inside the result's `failed` list — they never
-    /// propagate as panics to the hive thread.
-    pub(crate) fn collect(&self) -> BeeJobResult {
+    /// Blocks for the next finished job. Handler failures (including
+    /// panics) ride back inside its effects — they never propagate as
+    /// panics to the hive thread.
+    pub(crate) fn collect(&self) -> FinishedJob {
         self.res_rx.recv().expect("executor workers alive")
     }
 }

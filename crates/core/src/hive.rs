@@ -16,27 +16,25 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::app::{App, RcvCtx};
+use crate::app::App;
 use crate::cell::{Cell, Mapped};
 use crate::channel::{ChannelDelivery, ChannelTuning, ReliableChannels};
 use crate::clock::Clock;
 use crate::control::{ControlMsg, MembershipOp};
-use crate::events::{EventJournal, EventKind};
-use crate::executor::{BeeJob, Executor, Parker};
+use crate::events::{EventJournal, EventKind, EVENT_CAPACITY};
+use crate::executor::{run_batch, BatchEffects, BatchEnv, BeeJob, Executor, Parker};
 use crate::id::{AppName, BeeId, HiveId};
 use crate::lifecycle::{Lifecycle, LifecycleStage};
-use crate::message::{Dst, Envelope, Message, MessageRegistry, Source, WireEnvelope};
+use crate::message::{Dst, Envelope, Message, MessageRegistry, WireEnvelope};
 use crate::metrics::Instrumentation;
 use crate::optimizer::{plan_migrations, BeeLoad, OptimizerConfig};
 use crate::platform::Tick;
 use crate::queen::{BeeStatus, Delivery, Queen};
 use crate::registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState};
 use crate::replication::{replicas_of, ApplyOutcome, ShadowStore};
-use crate::state::{BeeState, TxState};
-use crate::supervision::{
-    panic_detail, DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, OverflowPolicy,
-};
-use crate::trace::{TraceCollector, TraceHub, TraceSpan};
+use crate::state::BeeState;
+use crate::supervision::{DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, OverflowPolicy};
+use crate::trace::{TraceCollector, TraceHub, TRACE_CAPACITY};
 use crate::transport::{Frame, FrameKind, Transport};
 use beehive_raft::{ConfChange, ConfChangeKind};
 
@@ -114,20 +112,13 @@ pub struct HiveConfig {
     /// [`FsyncPolicy::Always`]: beehive_raft::FsyncPolicy::Always
     /// [`FsyncPolicy::Never`]: beehive_raft::FsyncPolicy::Never
     pub fsync: beehive_raft::FsyncPolicy,
-    /// Number of executor worker threads for bee handlers. `1` (the
-    /// default) runs every handler on the hive thread — today's sequential
-    /// semantics. `> 1` spawns a worker pool and runs disjoint-colony bees
+    /// Number of threads that run bee handlers. `1` (the default) runs
+    /// them on the hive thread, one message per run-queue turn. `> 1` spawns
+    /// a worker pool and runs disjoint-colony bees' whole mailboxes
     /// concurrently in checkout/check-in rounds (see `DESIGN.md`,
-    /// "Execution model"); the hive thread always keeps routing, registry,
+    /// "Execution model"). The hive thread always keeps routing, registry,
     /// Raft and migration to itself.
     pub workers: usize,
-    /// Capacity of the causal-trace span ring buffer (see
-    /// [`crate::trace::TraceCollector`]). Old spans are overwritten.
-    pub trace_capacity: usize,
-    /// Capacity of the flight-recorder event journal (see
-    /// [`crate::events::EventJournal`]). Old events are overwritten; the
-    /// recorded total keeps counting.
-    pub event_capacity: usize,
     /// How many times a message whose handler failed (`Err` or panic) is
     /// redelivered before it is dead-lettered. 0 dead-letters on the first
     /// failure; the total attempts for a poisoned message is
@@ -170,21 +161,6 @@ pub struct HiveConfig {
     /// return traffic flushes one cumulative ack after this many ms, so an
     /// N-message one-way burst produces O(1) ack frames.
     pub channel_ack_flush_ms: u64,
-    /// Maximum messages the sequential executor drains from one bee's
-    /// mailbox per run-queue turn, all inside ONE open transaction with a
-    /// savepoint per message (commit/replication overhead amortizes; a
-    /// failure rolls back exactly its own message). `1` (the default)
-    /// preserves the classic round-robin interleaving across bees — the
-    /// deterministic schedule the chaos harness digests depend on — so
-    /// batching is an explicit opt-in per hive. Has no effect on the
-    /// parallel executor (`workers > 1`), which always drains the whole
-    /// checked-out mailbox as one batch.
-    pub max_drain_batch: usize,
-    /// Which TCP engine a real deployment binds for the inter-hive wire
-    /// (`--transport` on beehive-node). Purely advisory inside the core —
-    /// the transport is constructed by the binary and handed in — but kept
-    /// in the config so deployment tooling and status output agree on it.
-    pub transport: crate::transport::TransportPreference,
 }
 
 impl HiveConfig {
@@ -205,8 +181,6 @@ impl HiveConfig {
             snapshot_interval: 0,
             fsync: beehive_raft::FsyncPolicy::Always,
             workers: 1,
-            trace_capacity: 4096,
-            event_capacity: 4096,
             max_redeliveries: 3,
             redelivery_backoff_ms: 100,
             quarantine_threshold: 10,
@@ -218,8 +192,6 @@ impl HiveConfig {
             channel_resend_ms: 200,
             channel_window: 1024,
             channel_ack_flush_ms: 5,
-            max_drain_batch: 1,
-            transport: crate::transport::TransportPreference::default(),
         }
     }
 
@@ -227,9 +199,6 @@ impl HiveConfig {
     /// `voters` hives forming the registry quorum.
     pub fn clustered(id: HiveId, all_hives: Vec<HiveId>, voters: usize) -> Self {
         let mut voters_list: Vec<HiveId> = all_hives.iter().copied().take(voters.max(1)).collect();
-        if !voters_list.contains(&id) && voters_list.len() < all_hives.len() {
-            // keep deterministic: voters are simply the first N hives
-        }
         voters_list.sort();
         HiveConfig {
             registry_voters: voters_list,
@@ -469,7 +438,7 @@ impl Hive {
         );
         // The flight recorder comes up first so durable-storage faults found
         // while restoring state land in the journal before the hive halts.
-        let events = Arc::new(EventJournal::new(cfg.id, cfg.event_capacity, clock.clone()));
+        let events = Arc::new(EventJournal::new(cfg.id, EVENT_CAPACITY, clock.clone()));
         let storage_fatal = |events: &EventJournal, detail: String| -> ! {
             events.record(EventKind::StorageFault, detail.clone());
             panic!("hive {}: fatal storage fault: {detail}", cfg.id.0);
@@ -551,7 +520,7 @@ impl Hive {
         } else {
             None
         };
-        let tracer = Arc::new(TraceCollector::new(cfg.trace_capacity));
+        let tracer = Arc::new(TraceCollector::new(TRACE_CAPACITY));
         let dead_letters = Arc::new(DeadLetterStore::new(cfg.dead_letter_capacity));
         transport.set_events(events.clone());
         let mut channels = ReliableChannels::with_fsync(
@@ -1286,14 +1255,12 @@ impl Hive {
             }
             if !self.run_queue.is_empty() {
                 if self.executor.is_some() {
-                    // Parallel round: fan the whole run queue out across the
-                    // worker pool and block for the results (the round always
-                    // drains the queue, so a zero-work round still makes
-                    // progress toward the `drain_applied() == 0` exit below).
-                    work += self.run_parallel_round(now);
+                    // The round always drains the queue, so a zero-work
+                    // round still makes progress toward the
+                    // `drain_applied() == 0` exit below.
+                    work += self.run_round(now);
                 } else if let Some((app_idx, bee)) = self.run_queue.pop_front() {
-                    let budget = self.cfg.step_budget.saturating_sub(work).max(1);
-                    work += self.run_bee(app_idx, bee, now, budget);
+                    work += self.run_inline(app_idx, bee, now);
                 }
                 continue;
             }
@@ -3086,29 +3053,56 @@ impl Hive {
     // Bee execution
     // ------------------------------------------------------------------
 
-    /// Runs one message on a bee. Returns whether work was done.
-    /// One parallel executor round: drains the run queue, checks every
-    /// runnable bee out to the worker pool with its full mailbox batch,
-    /// blocks for all results, then checks bees back in and applies side
-    /// effects deterministically in (app, bee) order. Returns messages
-    /// processed. See `DESIGN.md`, "Execution model".
-    fn run_parallel_round(&mut self, now: u64) -> usize {
-        let executor = self
-            .executor
-            .as_ref()
-            .expect("parallel round requires executor");
+    /// The `workers == 1` caller of [`run_batch`]: runs the bee's next
+    /// message on the hive thread, with the bee borrowed in place. One
+    /// message per run-queue turn keeps the round-robin interleaving across
+    /// bees that the chaos digests pin. Returns messages processed.
+    fn run_inline(&mut self, app_idx: usize, bee_id: BeeId, now: u64) -> usize {
+        let Some(bee) = self.queens[app_idx].bee_mut(bee_id) else {
+            return 0;
+        };
+        // Quarantined: leave the backlog queued; the cooldown timer
+        // re-queues the bee for its half-open probe.
+        if !bee.runnable() || bee.is_quarantined(now) {
+            return 0;
+        }
+        let mail = bee.mailbox.pop_front().expect("runnable bee has mail");
+        let pinned = bee.pinned;
+        let effects = run_batch(
+            &BatchEnv {
+                app: &self.apps[app_idx],
+                hive: self.cfg.id,
+                bee: bee_id,
+                pinned,
+                now_ms: now,
+                replicate: self.cfg.replication_factor > 1,
+                tracer: &self.tracer,
+                faults: &self.faults,
+            },
+            &mut bee.state,
+            &mut bee.colony,
+            &mut bee.repl_seq,
+            std::slice::from_ref(&mail),
+            &self.instr,
+        );
+        self.apply_batch(app_idx, bee_id, pinned, effects, now)
+    }
+
+    /// The `workers > 1` caller of [`run_batch`]: drains the run queue,
+    /// checks every runnable bee out to the worker pool with its whole
+    /// mailbox, blocks for all results, checks the bees back in and applies
+    /// their effects in (app, bee) order. Returns messages processed. See
+    /// `DESIGN.md`, "Execution model".
+    fn run_round(&mut self, now: u64) -> usize {
+        let executor = self.executor.as_ref().expect("round requires executor");
         let me = self.cfg.id;
         let replicate = self.cfg.replication_factor > 1;
 
-        // Fan out: one job per distinct runnable bee. Bees that refuse
-        // checkout (went inactive, drained mailbox via a merge/migration)
-        // are skipped — exactly like the sequential path's early returns.
-        let mut seen: HashSet<(usize, BeeId)> = HashSet::new();
+        // Fan out: one job per runnable bee. Bees that refuse checkout
+        // (queued twice and already out, went inactive, mailbox drained by a
+        // merge/migration) are skipped.
         let mut jobs = 0usize;
         while let Some((app_idx, bee)) = self.run_queue.pop_front() {
-            if !seen.insert((app_idx, bee)) {
-                continue;
-            }
             let Some(out) = self.queens[app_idx].check_out(bee, now) else {
                 continue;
             };
@@ -3118,12 +3112,8 @@ impl Hive {
                 app: self.apps[app_idx].clone(),
                 hive: me,
                 now_ms: now,
-                state: out.state,
-                colony: out.colony,
-                pinned: out.pinned,
-                repl_seq: out.repl_seq,
                 replicate,
-                batch: out.mail,
+                out,
                 tracer: self.tracer.clone(),
                 faults: self.faults.clone(),
             });
@@ -3140,402 +3130,111 @@ impl Hive {
         for _ in 0..jobs {
             results.push(executor.collect());
         }
-        results.sort_by_key(|r| (r.app_idx, r.bee));
+        // The same deterministic order regardless of which worker finished
+        // first.
+        results.sort_by_key(|r| (r.job.app_idx, r.job.bee));
 
-        // Phase 1: restore every bee before applying any side effect, so
-        // effects (which may touch other bees via dispatch) always observe a
-        // fully checked-in queen.
+        // Restore every bee before applying any effect, so effects (which
+        // may touch other bees via dispatch) always observe a fully
+        // checked-in queen.
         for r in &mut results {
-            self.queens[r.app_idx].check_in(
-                r.bee,
-                std::mem::take(&mut r.state),
-                std::mem::take(&mut r.colony),
-                r.repl_seq,
+            self.queens[r.job.app_idx].check_in(
+                r.job.bee,
+                std::mem::take(&mut r.job.out.state),
+                std::mem::take(&mut r.job.out.colony),
+                r.job.out.repl_seq,
             );
         }
 
-        // Phase 2: side effects, in sorted (app, bee) order — the same
-        // deterministic order regardless of which worker finished first.
         let mut processed = 0usize;
         for r in results {
-            processed += r.processed as usize;
-            {
-                let mut instr = self.instr.lock();
-                instr
-                    .executor
-                    .record_batch(r.worker, r.processed, r.busy_nanos);
-                instr.merge_delta(r.instr);
-            }
-            self.counters.handler_errors += r.errors;
-            self.counters.handled_ok += r.processed - r.errors;
-            for env in r.outbox {
-                self.dispatch_queue.push_back(env);
-            }
-            for (to, cmsg) in r.control_out {
-                self.send_control(to, &cmsg);
-            }
-            if !r.journals.is_empty() {
-                let app_name = self.apps[r.app_idx].name().clone();
-                for (seq, bytes) in r.journals {
-                    for replica in replicas_of(me, &self.cfg.all_hives, self.cfg.replication_factor)
-                    {
-                        self.counters.replicated_txs += 1;
-                        self.send_control(
-                            replica,
-                            &ControlMsg::ReplicateTx {
-                                app: app_name.clone(),
-                                bee: r.bee,
-                                seq,
-                                journal: bytes.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-            if !r.new_cells.is_empty() {
-                self.submit_tracked(RegistryOp::AssignCells {
-                    bee: r.bee,
-                    cells: r.new_cells,
-                });
-            }
-            if r.retire && !r.pinned {
-                let empty_and_idle = self.queens[r.app_idx]
-                    .bee(r.bee)
-                    .is_some_and(|b| b.state.total_entries() == 0 && b.mailbox.is_empty());
-                if empty_and_idle {
-                    self.submit_tracked(RegistryOp::RemoveBee { bee: r.bee });
-                }
-            }
-            // Supervision: route each failed message (redelivery or DLQ) and
-            // feed the batch outcome to the bee's circuit breaker.
-            let saw_failures = !r.failed.is_empty();
-            for f in r.failed {
-                self.handle_failed_delivery(
-                    r.app_idx, r.bee, f.hidx, &f.handler, f.env, f.kind, f.detail, now,
-                );
-            }
-            if r.had_success || saw_failures {
-                self.apply_outcome(r.app_idx, r.bee, r.had_success, r.trailing_failures, now);
-            }
+            self.instr.lock().merge_delta(r.instr);
+            processed +=
+                self.apply_batch(r.job.app_idx, r.job.bee, r.job.out.pinned, r.effects, now);
         }
         processed
     }
 
-    /// Runs one bee's drained batch on the hive thread, returning the number
-    /// of messages processed.
-    ///
-    /// Up to [`HiveConfig::max_drain_batch`] messages run inside ONE open
-    /// transaction with a savepoint per message
-    /// ([`crate::state::TxState::savepoint`]): commit, encoding and
-    /// replication bookkeeping amortize across the batch while a mid-batch
-    /// handler failure rolls back exactly its own message. With the default
-    /// batch limit of 1 this is behaviourally identical — same message
-    /// interleaving across bees, same per-message side-effect order — to the
-    /// classic one-message-per-turn sequential path. This mirrors the
-    /// parallel executor's `run_batch`; any change here must be reflected
-    /// there (and vice versa).
-    fn run_bee(&mut self, app_idx: usize, bee_id: BeeId, now: u64, budget: usize) -> usize {
-        let me = self.cfg.id;
-        let app_name = self.apps[app_idx].name().clone();
-        let replicate_on = self.cfg.replication_factor > 1;
-        let max_batch = self.cfg.max_drain_batch.max(1).min(budget.max(1));
-
-        /// Per-message effects buffered during the batch (phase 1, bee
-        /// borrowed) and applied after it (phase 2, bee released) in the
-        /// same order the per-message engine used.
-        struct Done {
-            src: Source,
-            trace: crate::trace::TraceContext,
-            in_type: String,
-            msg_len: usize,
-            ok: bool,
-            failure_kind: Option<FailureKind>,
-            elapsed: u64,
-            outbox: Vec<Envelope>,
-            control_out: Vec<(HiveId, ControlMsg)>,
-            replicate: Option<(u64, Vec<u8>)>,
-            colony_len: u64,
-            retire: bool,
-        }
-        /// A failed message routed to supervision in phase 2.
-        struct Failed {
-            hidx: u16,
-            handler: String,
-            env: Envelope,
-            kind: FailureKind,
-            detail: String,
-        }
-
-        // Phase 1: drain the batch and run it inside one transaction, with
-        // the bee (and its state) borrowed from the queen.
-        let mut records: Vec<Done> = Vec::new();
-        let mut failed: Vec<Failed> = Vec::new();
-        let mut new_cells: Vec<Cell> = Vec::new();
-        let (has_more, pinned) = {
-            let queen = &mut self.queens[app_idx];
-            let Some(bee) = queen.bee_mut(bee_id) else {
-                return 0;
-            };
-            if bee.status != BeeStatus::Active {
-                return 0;
-            }
-            // Quarantined: leave the backlog queued; the cooldown timer
-            // re-queues the bee for its half-open probe.
-            if bee.is_quarantined(now) {
-                return 0;
-            }
-            // A half-open probe (cooldown elapsed, breaker still armed)
-            // runs exactly one message regardless of the batch limit.
-            let probing = bee.quarantined_until_ms.is_some();
-            let limit = if probing { 1 } else { max_batch };
-            let take = limit.min(bee.mailbox.len());
-            if take == 0 {
-                return 0;
-            }
-            let batch: Vec<(u16, Envelope)> = bee.mailbox.drain(..take).collect();
-            let has_more = !bee.mailbox.is_empty();
-            let pinned = bee.pinned;
-            records.reserve(batch.len());
-
-            let apps = &self.apps;
-            let mut tx = TxState::begin(&mut bee.state);
-            for (hidx, env) in batch {
-                let handler = apps[app_idx].handler(hidx).expect("handler index valid");
-                let in_type = env.msg.type_name().to_string();
-                let msg_len = env.msg.encoded_len();
-
-                let sp = tx.savepoint();
-                let mut ctx = RcvCtx {
-                    hive: me,
-                    app: app_name.clone(),
-                    bee: bee_id,
-                    src: env.src,
-                    now_ms: now,
-                    trace: env.trace,
-                    deliveries: env.deliveries,
-                    tx,
-                    outbox: Vec::new(),
-                    control_out: Vec::new(),
-                    retire: false,
-                };
-                let started = std::time::Instant::now();
-                // A panic is contained at the message boundary, exactly like
-                // `Err`: roll back, classify, then redeliver or dead-letter.
-                let outcome: Result<(), (FailureKind, String)> = if self
-                    .faults
-                    .should_fail(&app_name, &in_type)
-                {
-                    Err((FailureKind::Error, "injected handler fault".to_string()))
-                } else {
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handler.rcv(env.msg.as_ref(), &mut ctx)
-                    })) {
-                        Ok(Ok(())) => Ok(()),
-                        Ok(Err(e)) => Err((FailureKind::Error, e)),
-                        Err(payload) => Err((FailureKind::Panic, panic_detail(payload.as_ref()))),
-                    }
-                };
-                let elapsed = started.elapsed().as_nanos() as u64;
-
-                let RcvCtx {
-                    tx: tx_back,
-                    outbox,
-                    control_out,
-                    retire,
-                    ..
-                } = ctx;
-                tx = tx_back;
-                let ok = outcome.is_ok();
-                let (journal, outbox, control_out) = if ok {
-                    (tx.take_journal_since(&sp), outbox, control_out)
-                } else {
-                    tx.rollback_to(&sp);
-                    (crate::state::TxJournal::default(), Vec::new(), Vec::new())
-                };
-
-                // Claim newly written cells that fall outside the colony.
-                if ok && !pinned {
-                    for op in &journal.ops {
-                        let (dict, key) = match op {
-                            crate::state::JournalOp::Put { dict, key, .. } => (dict, key),
-                            crate::state::JournalOp::Del { dict, key } => (dict, key),
-                        };
-                        if key == crate::cell::WHOLE_DICT_KEY {
-                            continue;
-                        }
-                        let covered = bee.colony.contains(&Cell {
-                            dict: dict.clone(),
-                            key: key.clone(),
-                        }) || bee.colony.contains(&Cell::whole(dict.clone()));
-                        if !covered {
-                            let cell = Cell {
-                                dict: dict.clone(),
-                                key: key.clone(),
-                            };
-                            bee.colony.insert(cell.clone());
-                            new_cells.push(cell.clone());
-                        }
-                    }
-                }
-                let colony_len = bee.colony.len() as u64;
-
-                // Colony replication: sequence and encode the committed
-                // journal for shipping to this bee's shadow hives.
-                let mut replicate: Option<(u64, Vec<u8>)> = None;
-                if ok && !pinned && replicate_on && !journal.is_empty() {
-                    bee.repl_seq += 1;
-                    if let Ok(bytes) = beehive_wire::to_vec(&journal) {
-                        replicate = Some((bee.repl_seq, bytes));
-                    }
-                }
-
-                let (src, trace) = (env.src, env.trace);
-                let failure_kind = match &outcome {
-                    Err((kind, _)) => Some(*kind),
-                    Ok(()) => None,
-                };
-                if let Err((kind, detail)) = outcome {
-                    failed.push(Failed {
-                        hidx,
-                        handler: handler.name.clone(),
-                        env,
-                        kind,
-                        detail,
-                    });
-                }
-                records.push(Done {
-                    src,
-                    trace,
-                    in_type,
-                    msg_len,
-                    ok,
-                    failure_kind,
-                    elapsed,
-                    outbox,
-                    control_out,
-                    replicate,
-                    colony_len,
-                    retire: ok && retire,
-                });
-            }
-            // Per-message journals were drained at their savepoints; the
-            // residual commit is empty and O(1).
-            let residue = tx.commit();
-            debug_assert!(residue.is_empty(), "all journals drained per message");
-            (has_more, pinned)
-        };
-
-        // Phase 2: apply per-message effects in the per-message engine's
-        // order: instrumentation + counters, supervision, breaker outcome,
-        // requeue, outputs, cell claims, retirement.
-        {
-            let mut instr = self.instr.lock();
-            for r in &records {
-                if r.src.bee().is_some() {
-                    instr.record_matrix(r.src.hive(), me);
-                }
-                let stats = instr.bee(&app_name, bee_id);
-                stats.record_in(r.src.hive(), r.src.bee(), r.msg_len);
-                stats.handler_nanos += r.elapsed;
-                if !r.ok {
-                    stats.errors += 1;
-                }
-                if let Some(kind) = r.failure_kind {
-                    instr.record_failure(kind);
-                }
-                for out in &r.outbox {
-                    instr
-                        .bee(&app_name, bee_id)
-                        .record_out(out.msg.encoded_len());
-                    instr.record_provenance(&app_name, &r.in_type, out.msg.type_name());
-                }
-                instr.record_in_type(&app_name, &r.in_type);
-                instr.bee_cells.insert(bee_id.0, r.colony_len);
-                let wait_us = now.saturating_sub(r.trace.enqueued_ms) * 1_000;
-                instr.record_latency(&app_name, &r.in_type, wait_us, r.elapsed / 1_000);
-                self.tracer.record(TraceSpan {
-                    trace_id: r.trace.trace_id,
-                    span_id: r.trace.span_id,
-                    parent_span: r.trace.parent_span,
-                    hive: me,
-                    app: app_name.clone(),
-                    bee: bee_id,
-                    msg_type: r.in_type.clone(),
-                    start_ms: now,
-                    queue_wait_us: wait_us,
-                    runtime_ns: r.elapsed,
-                    ok: r.ok,
-                });
-            }
-        }
+    /// Turns what [`run_batch`] returned into hive actions — the only code
+    /// that does. The bee is back in its queen (never borrowed, checked in)
+    /// by the time this runs. Returns messages processed.
+    fn apply_batch(
+        &mut self,
+        app_idx: usize,
+        bee: BeeId,
+        pinned: bool,
+        mut effects: BatchEffects,
+        now: u64,
+    ) -> usize {
+        // Supervision: route each failure (redelivery or dead-letter) and
+        // feed the run's outcome to the bee's circuit breaker.
         let mut had_success = false;
         let mut trailing_failures = 0u32;
-        for r in &records {
-            if r.ok {
+        for m in &mut effects.msgs {
+            let Some(f) = m.failure.take() else {
                 self.counters.handled_ok += 1;
                 had_success = true;
                 trailing_failures = 0;
-            } else {
-                self.counters.handler_errors += 1;
-                trailing_failures = trailing_failures.saturating_add(1);
-            }
-        }
-        let retire = records.last().is_some_and(|r| r.retire);
-        let processed = records.len();
-
-        // Supervision: route each failure (redelivery or dead-letter) and
-        // feed the batch outcome to the bee's circuit breaker. With a batch
-        // of one this is exactly the per-message outcome.
-        for f in failed {
+                continue;
+            };
+            self.counters.handler_errors += 1;
+            trailing_failures = trailing_failures.saturating_add(1);
             self.handle_failed_delivery(
-                app_idx, bee_id, f.hidx, &f.handler, f.env, f.kind, f.detail, now,
+                app_idx, bee, f.hidx, &f.handler, f.env, f.kind, f.detail, now,
             );
         }
-        self.apply_outcome(app_idx, bee_id, had_success, trailing_failures, now);
+        self.apply_outcome(app_idx, bee, had_success, trailing_failures, now);
 
-        // Requeue if there is more mail.
-        if has_more {
-            self.run_queue.push_back((app_idx, bee_id));
+        // Requeue whenever mail remains: the inline caller takes one message
+        // per turn, and a half-open probe checks out only one.
+        if self.queens[app_idx]
+            .bee(bee)
+            .is_some_and(|b| !b.mailbox.is_empty())
+        {
+            self.run_queue.push_back((app_idx, bee));
         }
 
-        // Emit the handlers' outputs in message order.
-        for r in &mut records {
-            for env in r.outbox.drain(..) {
+        // The handlers' outputs, in message order.
+        let processed = effects.msgs.len();
+        for m in effects.msgs {
+            for env in m.outbox {
                 self.dispatch_queue.push_back(env);
             }
-            for (to, cmsg) in r.control_out.drain(..) {
+            for (to, cmsg) in m.control_out {
                 self.send_control(to, &cmsg);
             }
-            if let Some((seq, bytes)) = r.replicate.take() {
-                for replica in replicas_of(me, &self.cfg.all_hives, self.cfg.replication_factor) {
+            if let Some((seq, journal)) = m.replicate {
+                let tx = ControlMsg::ReplicateTx {
+                    app: self.apps[app_idx].name().clone(),
+                    bee,
+                    seq,
+                    journal,
+                };
+                for replica in replicas_of(
+                    self.cfg.id,
+                    &self.cfg.all_hives,
+                    self.cfg.replication_factor,
+                ) {
                     self.counters.replicated_txs += 1;
-                    self.send_control(
-                        replica,
-                        &ControlMsg::ReplicateTx {
-                            app: app_name.clone(),
-                            bee: bee_id,
-                            seq,
-                            journal: bytes.clone(),
-                        },
-                    );
+                    self.send_control(replica, &tx);
                 }
             }
         }
-        if !new_cells.is_empty() {
+        if !effects.new_cells.is_empty() {
             self.submit_tracked(RegistryOp::AssignCells {
-                bee: bee_id,
-                cells: new_cells,
+                bee,
+                cells: effects.new_cells,
             });
         }
         // Colony garbage collection: a retired bee with empty state and an
         // idle mailbox is removed from the registry (the queen drops it when
         // the Removed event applies).
-        if retire && !pinned {
+        if effects.retire && !pinned {
             let empty_and_idle = self.queens[app_idx]
-                .bee(bee_id)
+                .bee(bee)
                 .is_some_and(|b| b.state.total_entries() == 0 && b.mailbox.is_empty());
             if empty_and_idle {
-                self.submit_tracked(RegistryOp::RemoveBee { bee: bee_id });
+                self.submit_tracked(RegistryOp::RemoveBee { bee });
             }
         }
         processed

@@ -583,20 +583,18 @@ mod tests {
 
     #[test]
     fn merge_delta_accumulates_counters() {
+        let bee = BeeId::new(HiveId(1), 1);
         let mut base = Instrumentation::default();
-        base.bee("te", BeeId::new(HiveId(1), 1))
-            .record_in(HiveId(1), None, 8);
+        base.bee("te", bee).record_in(HiveId(1), None, 8);
         base.record_in_type("te", "PacketIn");
         let mut delta = Instrumentation::default();
-        delta
-            .bee("te", BeeId::new(HiveId(1), 1))
-            .record_in(HiveId(1), None, 4);
+        delta.bee("te", bee).record_in(HiveId(1), None, 4);
         delta.record_in_type("te", "PacketIn");
         delta.record_provenance("te", "PacketIn", "PacketOut");
         delta.bee_cells.insert(1, 5);
         delta.executor.record_batch(0, 2, 100);
         base.merge_delta(delta);
-        assert_eq!(base.bees[&("te".to_string(), 1)].msgs_in, 2);
+        assert_eq!(base.bees[&("te".to_string(), bee.0)].msgs_in, 2);
         assert_eq!(
             base.in_type_counts[&("te".to_string(), "PacketIn".to_string())],
             2

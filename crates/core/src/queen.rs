@@ -32,8 +32,8 @@ pub enum BeeStatus {
     /// Created here ahead of an inbound migration: the `Moved` event has been
     /// applied but the state shipment hasn't arrived (or vice versa).
     StagedIn,
-    /// Checked out to an executor worker for a parallel round: state, colony
-    /// and mailbox are on loan to the worker; deliveries still buffer here.
+    /// Checked out to an executor worker for a round: state, colony and
+    /// mailbox are on loan to the worker; deliveries still buffer here.
     /// The hive thread blocks for the round, so nothing else can observe or
     /// mutate the bee before [`Queen::check_in`] restores it.
     CheckedOut,
@@ -112,7 +112,7 @@ pub enum Delivery {
     Rejected(Envelope),
 }
 
-/// A bee's loaned-out pieces during a parallel executor round
+/// A bee's loaned-out pieces during an executor round
 /// (see [`Queen::check_out`]).
 pub(crate) struct CheckedOutBee {
     /// The bee's state, moved out for the round.
@@ -387,17 +387,17 @@ impl Queen {
             .map(|b| b.id)
     }
 
-    /// Checks a bee out for a parallel executor round: takes its state,
-    /// colony and the *entire* pending mailbox, and freezes the bee as
+    /// Checks a bee out for an executor round: takes its state, colony and
+    /// the *entire* pending mailbox, and freezes the bee as
     /// [`BeeStatus::CheckedOut`]. Returns `None` unless the bee is `Active`
-    /// with pending mail (mid-merge/mid-migration bees stay on the hive
-    /// thread's sequential path by construction), or while quarantined. A
-    /// bee whose quarantine cooldown has expired is checked out with a
-    /// single message — the half-open probe — so a still-broken handler
-    /// cannot burn the whole backlog in one round.
+    /// with pending mail (mid-merge/mid-migration bees do not run), or while
+    /// quarantined. A bee whose quarantine cooldown has expired is checked
+    /// out with a single message — the half-open probe — so a still-broken
+    /// handler cannot burn the whole backlog in one round; the hive
+    /// re-queues it for the rest.
     pub(crate) fn check_out(&mut self, id: BeeId, now_ms: u64) -> Option<CheckedOutBee> {
         let bee = self.bees.get_mut(&id)?;
-        if bee.status != BeeStatus::Active || bee.mailbox.is_empty() || bee.is_quarantined(now_ms) {
+        if !bee.runnable() || bee.is_quarantined(now_ms) {
             return None;
         }
         let probing = bee.quarantined_until_ms.is_some();
@@ -416,7 +416,7 @@ impl Queen {
         })
     }
 
-    /// Checks a bee back in after a parallel round: restores state, colony
+    /// Checks a bee back in after a round: restores state, colony
     /// and replication sequence and reactivates it. Deliveries that arrived
     /// while checked out are already buffered in the mailbox and are
     /// untouched. The colony is unioned defensively in case a registry event

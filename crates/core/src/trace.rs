@@ -117,6 +117,9 @@ pub struct TraceSpan {
     pub ok: bool,
 }
 
+/// Spans a hive's [`TraceCollector`] retains; older ones are overwritten.
+pub const TRACE_CAPACITY: usize = 4096;
+
 /// A fixed-capacity ring buffer of recent [`TraceSpan`]s.
 ///
 /// Writers claim a slot with one atomic fetch-add and then take only that

@@ -226,45 +226,17 @@ impl TransportSnapshot {
     }
 }
 
-/// Which TCP engine a deployment runs its inter-hive wire on.
+/// The TCP engine `beehive_net::bind_tcp` binds: the reactor, the only one.
 ///
-/// Both engines speak the same wire format (mixed clusters interoperate)
-/// and the same [`Transport`] semantics — the conformance suite in
-/// `beehive-net` holds them to that. The threaded engine remains for one
-/// release as the differential baseline; see DESIGN.md §3.14.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+/// A one-variant enum only because the repository's benchmark harness
+/// (`benchmark/src/cluster.rs`, a frozen path) calls
+/// `bind_tcp(TransportPreference::Reactor, id, addr, peers)`; nothing selects
+/// on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportPreference {
     /// Non-blocking reactor: one event loop owns all peer sockets, sends
     /// are enqueues onto per-peer rings, flushes are vectored writes.
-    #[default]
     Reactor,
-    /// Classic engine: a blocking reader thread per connection, writes on
-    /// the caller's thread. Deprecated — kept one release as baseline.
-    Threaded,
-}
-
-impl TransportPreference {
-    /// Stable lowercase label (CLI flag value, metric label).
-    pub fn label(self) -> &'static str {
-        match self {
-            TransportPreference::Reactor => "reactor",
-            TransportPreference::Threaded => "threaded",
-        }
-    }
-}
-
-impl std::str::FromStr for TransportPreference {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reactor" => Ok(TransportPreference::Reactor),
-            "threaded" => Ok(TransportPreference::Threaded),
-            other => Err(format!(
-                "unknown transport {other:?} (expected \"reactor\" or \"threaded\")"
-            )),
-        }
-    }
 }
 
 /// A hive's endpoint into the inter-hive network.
@@ -374,22 +346,6 @@ mod tests {
         assert_eq!(snap.received(FrameKind::Raft), (1, 8));
         assert_eq!(snap.received(FrameKind::Control), (0, 0));
         assert_eq!(FrameKind::ALL[0].label(), "app");
-    }
-
-    #[test]
-    fn transport_preference_parses_and_defaults_to_reactor() {
-        assert_eq!(TransportPreference::default(), TransportPreference::Reactor);
-        assert_eq!(
-            "reactor".parse::<TransportPreference>().unwrap(),
-            TransportPreference::Reactor
-        );
-        assert_eq!(
-            "threaded".parse::<TransportPreference>().unwrap(),
-            TransportPreference::Threaded
-        );
-        assert!("epoll".parse::<TransportPreference>().is_err());
-        assert_eq!(TransportPreference::Reactor.label(), "reactor");
-        assert_eq!(TransportPreference::Threaded.label(), "threaded");
     }
 
     #[test]

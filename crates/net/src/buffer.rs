@@ -1,4 +1,4 @@
-//! Per-peer outbound machinery shared by both TCP engines: the encoded
+//! Per-peer outbound machinery of the reactor transport: the encoded
 //! frame ring with vectored batched flushes ([`SendRing`]) and the
 //! dead-peer connect backoff schedule ([`ConnectBackoff`]).
 //!
@@ -86,8 +86,8 @@ pub struct EncodedFrame {
     pub kind: Option<FrameKind>,
     /// Encoded wire bytes (header + payload).
     pub bytes: Vec<u8>,
-    /// The [`Frame::wire_len`] accounting size (payload + 8), kept so ring
-    /// counters match the threaded engine byte for byte.
+    /// The [`Frame::wire_len`] accounting size (payload + 8) the ring
+    /// counters use.
     pub acct_len: usize,
 }
 

@@ -1,10 +1,4 @@
-//! Shared wire framing for the TCP-backed transports.
-//!
-//! Both engines — the classic threaded transport ([`crate::TcpTransport`])
-//! and the non-blocking reactor ([`crate::ReactorTransport`]) — speak the
-//! exact same bytes, so a mixed cluster (some hives threaded, some reactor)
-//! interoperates and the two engines are differential-testable against each
-//! other:
+//! Wire framing of the TCP transport ([`crate::ReactorTransport`]):
 //!
 //! ```text
 //! [u32 len][u32 src_hive][u8 kind][payload]      (all integers little-endian)
@@ -23,7 +17,7 @@
 //! allocation. The fuzz suite (`tests/proptest_decoder.rs`) pins that
 //! equivalence.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use beehive_core::transport::FrameKind;
 use beehive_core::HiveId;
@@ -81,38 +75,6 @@ pub fn encode_frame(src: HiveId, kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     encode_frame_into(&mut out, src, kind, payload);
     out
-}
-
-/// Writes one frame as a **single** buffered write — header and payload
-/// coalesced, so the kernel sees one syscall per frame instead of the old
-/// header+payload pair (and, with `TCP_NODELAY`, emits one segment).
-pub fn write_frame<W: Write>(
-    w: &mut W,
-    src: HiveId,
-    kind: u8,
-    payload: &[u8],
-) -> std::io::Result<()> {
-    let buf = encode_frame(src, kind, payload);
-    w.write_all(&buf)
-}
-
-/// Blocking counterpart of [`FrameDecoder`] for the threaded transport's
-/// one-thread-per-connection readers: reads exactly one frame.
-pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<(HiveId, u8, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if !(5..=MAX_FRAME_LEN).contains(&len) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "bad frame length",
-        ));
-    }
-    let mut rest = vec![0u8; len];
-    r.read_exact(&mut rest)?;
-    let src = HiveId(u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]));
-    let kind = rest[4];
-    Ok((src, kind, rest[5..].to_vec()))
 }
 
 /// One frame sliced out of a [`FrameDecoder`]'s stream.
@@ -325,13 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_bytes_match_the_threaded_codec() {
-        // The decoder and the blocking reader must accept each other's bytes.
-        let bytes = encode_frame(HiveId(3), KIND_RAFT, &[1, 2, 3, 4]);
-        let (src, kind, payload) = read_frame(&mut &bytes[..]).unwrap();
+    fn wire_bytes_are_len_src_kind_payload() {
         assert_eq!(
-            (src, kind, payload),
-            (HiveId(3), KIND_RAFT, vec![1, 2, 3, 4])
+            encode_frame(HiveId(3), KIND_RAFT, &[1, 2, 3, 4]),
+            [9, 0, 0, 0, 3, 0, 0, 0, KIND_RAFT, 1, 2, 3, 4]
         );
     }
 }

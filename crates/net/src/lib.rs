@@ -7,17 +7,14 @@
 //!   destination, traffic category and time bucket), optional latency, drops
 //!   and partitions. This is what the simulator and the Figure-4 evaluation
 //!   run on.
-//! * [`ReactorTransport`]: the non-blocking reactor TCP transport — one
-//!   event loop per hive owns every peer socket, sends are lock-cheap ring
-//!   enqueues, flushes are vectored batched writes. The default engine for
-//!   real deployments.
-//! * [`TcpTransport`]: the classic threaded TCP transport (one blocking
-//!   reader thread per connection). Same wire format as the reactor; kept
-//!   one release as the differential baseline.
+//! * [`ReactorTransport`]: the TCP transport for real deployments — one
+//!   non-blocking event loop per hive owns every peer socket, sends are
+//!   lock-cheap ring enqueues, flushes are vectored batched writes. It is
+//!   built from the framing codec in [`frame`] and the outbound
+//!   ring/backoff machinery in [`buffer`].
 //!
-//! Both TCP engines share the framing codec in [`frame`] and the outbound
-//! ring/backoff machinery in [`buffer`]; `tests/conformance.rs` runs them
-//! (and the fabric) through one harness to keep their semantics identical.
+//! `tests/conformance.rs` runs the reactor and the fabric through one
+//! harness to keep their [`Transport`] semantics identical.
 
 pub mod buffer;
 mod fabric;
@@ -25,7 +22,6 @@ pub mod frame;
 mod matrix;
 #[cfg(unix)]
 mod reactor;
-mod tcp;
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -38,39 +34,19 @@ pub use fabric::{ClearedFrames, FabricFaults, FaultStats, MemEndpoint, MemFabric
 pub use matrix::{MatrixCell, TrafficMatrix};
 #[cfg(unix)]
 pub use reactor::ReactorTransport;
-pub use tcp::TcpTransport;
 
-/// Binds the TCP engine selected by `pref` and returns it type-erased,
-/// together with the bound address (useful with port 0) and its counters —
-/// everything `beehive-node` needs before handing the transport to the
-/// hive. On non-unix targets the reactor is unavailable and the threaded
-/// engine is bound regardless of preference.
+/// Binds the reactor and returns it type-erased, together with the bound
+/// address (useful with port 0) and its counters — everything
+/// `beehive-node` needs before handing the transport to the hive.
+#[cfg(unix)]
 pub fn bind_tcp(
-    pref: TransportPreference,
+    _engine: TransportPreference,
     id: HiveId,
     listen: SocketAddr,
     peers: HashMap<HiveId, SocketAddr>,
 ) -> std::io::Result<(Box<dyn Transport>, SocketAddr, Arc<TransportCounters>)> {
-    match pref {
-        #[cfg(unix)]
-        TransportPreference::Reactor => {
-            let t = ReactorTransport::bind(id, listen, peers)?;
-            let addr = t.local_addr();
-            let counters = t.counters();
-            Ok((Box::new(t), addr, counters))
-        }
-        #[cfg(not(unix))]
-        TransportPreference::Reactor => {
-            let t = TcpTransport::bind(id, listen, peers)?;
-            let addr = t.local_addr();
-            let counters = t.counters();
-            Ok((Box::new(t), addr, counters))
-        }
-        TransportPreference::Threaded => {
-            let t = TcpTransport::bind(id, listen, peers)?;
-            let addr = t.local_addr();
-            let counters = t.counters();
-            Ok((Box::new(t), addr, counters))
-        }
-    }
+    let t = ReactorTransport::bind(id, listen, peers)?;
+    let addr = t.local_addr();
+    let counters = t.counters();
+    Ok((Box::new(t), addr, counters))
 }

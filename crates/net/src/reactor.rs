@@ -1,10 +1,7 @@
 //! Non-blocking reactor transport: one event loop per hive owns every peer
 //! socket.
 //!
-//! This is the fast-path engine behind `--transport reactor`. Where the
-//! threaded transport ([`crate::TcpTransport`]) pays a thread per inbound
-//! connection plus a blocking write per frame on the *hive* thread, the
-//! reactor moves all wire I/O onto a single `poll(2)` loop:
+//! All wire I/O runs on a single `poll(2)` loop, off the hive thread:
 //!
 //! * **Sends are lock-cheap enqueues.** [`Transport::send`] encodes the
 //!   frame outside any lock, pushes it onto the peer's [`SendRing`], and
@@ -18,13 +15,11 @@
 //!   [`FrameDecoder`] buffer and slices complete frames out, whatever the
 //!   TCP segmentation.
 //!
-//! Semantics are byte-for-byte those of the threaded engine — same wire
-//! format (mixed clusters interoperate), same [`TransportCounters`]
-//! accounting, same dead-peer backoff schedule, deferred-queue
-//! reconnect-flush ordering, eviction priorities and
-//! `connect_peer`/`disconnect_peer` behaviour. The conformance suite
-//! (`tests/conformance.rs`) runs both engines through one harness to keep
-//! it that way.
+//! The [`Transport`] semantics — [`TransportCounters`] accounting,
+//! dead-peer backoff schedule, deferred-queue reconnect-flush ordering,
+//! eviction priorities and `connect_peer`/`disconnect_peer` behaviour — are
+//! pinned by the conformance suite (`tests/conformance.rs`), which runs the
+//! reactor and the in-memory fabric through one harness.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -53,7 +48,7 @@ type SharedWaker = Arc<Mutex<Option<Arc<dyn Fn() + Send + Sync>>>>;
 type SharedEvents = Arc<Mutex<Option<Arc<EventJournal>>>>;
 
 /// How long a non-blocking connect may sit half-open before it is declared
-/// failed — mirrors the threaded engine's `connect_timeout`.
+/// failed.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Default poll timeout when nothing is scheduled: a liveness backstop, not
@@ -75,8 +70,8 @@ struct PeerOut {
     /// while the peer is down (bounded at [`DEFERRED_CAP`]).
     ring: SendRing,
     /// How many frames at the front of `ring` have already been counted
-    /// `deferred` — so a later connect failure only counts the new tail,
-    /// matching the threaded engine's one-count-per-frame accounting.
+    /// `deferred` — so a later connect failure only counts the new tail
+    /// (one count per frame).
     counted: usize,
     /// Dead-peer reconnect backoff (None = healthy or never attempted).
     backoff: Option<ConnectBackoff>,
@@ -233,9 +228,9 @@ impl Transport for ReactorTransport {
             }
             po.ring.push(encoded);
             // Inside an open backoff window a frame is deferred the moment
-            // it is queued (the threaded engine's defer-without-probing
-            // path); outside one it only becomes deferred if the connect
-            // the reactor is about to attempt fails.
+            // it is queued, without probing the peer; outside one it only
+            // becomes deferred if the connect the reactor is about to
+            // attempt fails.
             if !po.connected && po.backoff.is_some_and(|b| b.active()) {
                 po.counted += 1;
                 self.shared.counters.record_deferred();
@@ -665,7 +660,7 @@ fn start_pending_connects(shared: &Arc<Shared>, out_conns: &mut HashMap<HiveId, 
                 );
             }
             // No address on file or an immediate connect error: both are
-            // connect failures (the threaded engine defers identically).
+            // connect failures.
             None => on_connect_failed(shared, peer),
         }
     }
@@ -681,8 +676,8 @@ fn on_connect_established(shared: &Arc<Shared>, peer: HiveId, stream: &TcpStream
         po.backoff = None;
         po.connected = true;
         po.ring.reset_progress();
-        // Identify ourselves before any queued traffic, exactly like the
-        // threaded dialer. Unaccounted and never surrendered.
+        // Identify ourselves before any queued traffic. Unaccounted and
+        // never surrendered.
         po.ring.push_front(EncodedFrame {
             kind: None,
             bytes: encode_frame(shared.id, KIND_HANDSHAKE, &[]),
@@ -724,8 +719,7 @@ fn on_connect_failed(shared: &Arc<Shared>, peer: HiveId) {
 
 /// An established outbound connection died: forget partial-write progress
 /// so the torn frame retransmits whole on the next connect (no backoff —
-/// the peer was just alive, so the reconnect is attempted immediately,
-/// like the threaded engine's write-error retry).
+/// the peer was just alive, so the reconnect is attempted immediately).
 fn on_connect_lost(shared: &Arc<Shared>, peer: HiveId) {
     let mut outs = shared.outs.lock();
     if let Some(po) = outs.get_mut(&peer) {
@@ -1027,38 +1021,6 @@ mod tests {
         assert_eq!(held[0].bytes, vec![1]);
         assert_eq!(held[1].kind, FrameKind::Control);
         assert!(!t.peers().contains(&HiveId(4)));
-    }
-
-    #[test]
-    fn reactor_interoperates_with_threaded_transport() {
-        // A mixed cluster: hive 1 reactor, hive 2 classic threaded. Both
-        // directions must deliver — the engines share one wire format.
-        let mut r =
-            ReactorTransport::bind(HiveId(1), "127.0.0.1:0".parse().unwrap(), HashMap::new())
-                .unwrap();
-        let mut th =
-            crate::TcpTransport::bind(HiveId(2), "127.0.0.1:0".parse().unwrap(), HashMap::new())
-                .unwrap();
-        let ra = r.local_addr();
-        let ta = th.local_addr();
-        r.add_peer(HiveId(2), ta);
-        th.add_peer(HiveId(1), ra);
-        r.send(HiveId(2), Frame::app(vec![42]));
-        let deadline = Instant::now() + Duration::from_millis(2000);
-        let mut got = None;
-        while got.is_none() && Instant::now() < deadline {
-            got = th.try_recv();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let (from, f) = got.expect("threaded receives from reactor");
-        assert_eq!(from, HiveId(1));
-        assert_eq!(f.bytes, vec![42]);
-
-        th.send(HiveId(1), Frame::raft(vec![7]));
-        let (from, f) = recv_blocking(&r, 2000).expect("reactor receives from threaded");
-        assert_eq!(from, HiveId(2));
-        assert_eq!(f.kind, FrameKind::Raft);
-        assert_eq!(f.bytes, vec![7]);
     }
 
     #[test]

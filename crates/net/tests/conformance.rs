@@ -1,12 +1,11 @@
-//! Transport conformance suite: one harness, three transports.
+//! Transport conformance suite: one harness, two transports.
 //!
-//! The reactor engine may only replace the threaded engine if no consumer
-//! can tell them apart, so every behavioural contract `hive.rs`, the
-//! reliable channel and membership drain rely on is asserted here against
-//! the in-memory fabric, the threaded TCP transport, and the non-blocking
-//! reactor: per-peer FIFO order, waker delivery, deferred-queue
-//! reconnect-flush ordering, eviction priorities under overflow, counter
-//! monotonicity, and clean shutdown without leaked threads or sockets.
+//! Every behavioural contract `hive.rs`, the reliable channel and
+//! membership drain rely on is asserted here against the reactor (real
+//! sockets) and, where it applies, the in-memory fabric the simulator runs
+//! on: per-peer FIFO order, waker delivery, deferred-queue reconnect-flush
+//! ordering, eviction priorities under overflow, counter monotonicity, and
+//! clean shutdown without leaked threads or sockets.
 //!
 //! Tests share one global lock: the leak checks count process-wide threads
 //! and file descriptors, which concurrent tests would skew.
@@ -19,10 +18,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use beehive_core::transport::{Frame, FrameKind, Transport, TransportCounters};
+use beehive_core::transport::{Frame, FrameKind, Transport};
 use beehive_core::{HiveId, SystemClock};
 use beehive_net::buffer::DEFERRED_CAP;
-use beehive_net::{MemFabric, ReactorTransport, TcpTransport};
+use beehive_net::{MemFabric, ReactorTransport};
 
 /// Serializes every test in this file (see module docs).
 fn serial() -> MutexGuard<'static, ()> {
@@ -32,83 +31,14 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// The two real-socket engines, driven through one wrapper so each
-/// conformance test is written once.
-enum TcpKind {
-    Threaded,
-    Reactor,
+fn bind(id: HiveId) -> ReactorTransport {
+    ReactorTransport::bind(id, "127.0.0.1:0".parse().unwrap(), HashMap::new()).unwrap()
 }
 
-enum Tcp {
-    Threaded(TcpTransport),
-    Reactor(ReactorTransport),
-}
-
-impl Tcp {
-    fn bind(kind: &TcpKind, id: HiveId, peers: HashMap<HiveId, SocketAddr>) -> Tcp {
-        let listen: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        match kind {
-            TcpKind::Threaded => Tcp::Threaded(TcpTransport::bind(id, listen, peers).unwrap()),
-            TcpKind::Reactor => Tcp::Reactor(ReactorTransport::bind(id, listen, peers).unwrap()),
-        }
-    }
-
-    /// Binds on a specific address (reviving a previously dead peer).
-    fn bind_at(kind: &TcpKind, id: HiveId, listen: SocketAddr) -> Tcp {
-        match kind {
-            TcpKind::Threaded => {
-                Tcp::Threaded(TcpTransport::bind(id, listen, HashMap::new()).unwrap())
-            }
-            TcpKind::Reactor => {
-                Tcp::Reactor(ReactorTransport::bind(id, listen, HashMap::new()).unwrap())
-            }
-        }
-    }
-
-    fn local_addr(&self) -> SocketAddr {
-        match self {
-            Tcp::Threaded(t) => t.local_addr(),
-            Tcp::Reactor(t) => t.local_addr(),
-        }
-    }
-
-    fn counters(&self) -> Arc<TransportCounters> {
-        match self {
-            Tcp::Threaded(t) => t.counters(),
-            Tcp::Reactor(t) => t.counters(),
-        }
-    }
-
-    fn add_peer(&mut self, id: HiveId, addr: SocketAddr) {
-        match self {
-            Tcp::Threaded(t) => t.add_peer(id, addr),
-            Tcp::Reactor(t) => t.add_peer(id, addr),
-        }
-    }
-
-    fn as_transport(&self) -> &dyn Transport {
-        match self {
-            Tcp::Threaded(t) => t,
-            Tcp::Reactor(t) => t,
-        }
-    }
-
-    fn as_transport_mut(&mut self) -> &mut dyn Transport {
-        match self {
-            Tcp::Threaded(t) => t,
-            Tcp::Reactor(t) => t,
-        }
-    }
-}
-
-const ENGINES: [TcpKind; 2] = [TcpKind::Threaded, TcpKind::Reactor];
-
-fn tcp_pair(kind: &TcpKind) -> (Tcp, Tcp) {
-    let mut a = Tcp::bind(kind, HiveId(1), HashMap::new());
-    let mut b = Tcp::bind(kind, HiveId(2), HashMap::new());
-    let (aa, ba) = (a.local_addr(), b.local_addr());
-    a.add_peer(HiveId(2), ba);
-    b.add_peer(HiveId(1), aa);
+fn tcp_pair() -> (ReactorTransport, ReactorTransport) {
+    let (mut a, mut b) = (bind(HiveId(1)), bind(HiveId(2)));
+    a.add_peer(HiveId(2), b.local_addr());
+    b.add_peer(HiveId(1), a.local_addr());
     (a, b)
 }
 
@@ -180,14 +110,12 @@ fn fifo_order_per_peer_fabric() {
 }
 
 #[test]
-fn fifo_order_per_peer_tcp_engines() {
+fn fifo_order_per_peer_reactor() {
     let _guard = serial();
-    for kind in &ENGINES {
-        let (a, b) = tcp_pair(kind);
-        assert_fifo(a.as_transport(), b.as_transport(), HiveId(2), 120);
-        // And the reverse direction on the same pair.
-        assert_fifo(b.as_transport(), a.as_transport(), HiveId(1), 40);
-    }
+    let (a, b) = tcp_pair();
+    assert_fifo(&a, &b, HiveId(2), 120);
+    // And the reverse direction on the same pair.
+    assert_fifo(&b, &a, HiveId(1), 40);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,20 +125,18 @@ fn fifo_order_per_peer_tcp_engines() {
 #[test]
 fn waker_fires_on_inbound_frame() {
     let _guard = serial();
-    for kind in &ENGINES {
-        let (a, mut b) = tcp_pair(kind);
-        let woken = Arc::new(AtomicUsize::new(0));
-        let woken2 = woken.clone();
-        b.as_transport_mut().set_waker(Arc::new(move || {
-            woken2.fetch_add(1, Ordering::SeqCst);
-        }));
-        a.as_transport().send(HiveId(2), Frame::app(vec![1]));
-        recv_blocking(b.as_transport(), 5000).expect("frame arrives");
-        assert!(
-            wait_until(2000, || woken.load(Ordering::SeqCst) >= 1),
-            "waker never fired"
-        );
-    }
+    let (a, mut b) = tcp_pair();
+    let woken = Arc::new(AtomicUsize::new(0));
+    let woken2 = woken.clone();
+    b.set_waker(Arc::new(move || {
+        woken2.fetch_add(1, Ordering::SeqCst);
+    }));
+    a.send(HiveId(2), Frame::app(vec![1]));
+    recv_blocking(&b, 5000).expect("frame arrives");
+    assert!(
+        wait_until(2000, || woken.load(Ordering::SeqCst) >= 1),
+        "waker never fired"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -221,38 +147,36 @@ fn waker_fires_on_inbound_frame() {
 #[test]
 fn deferred_frames_flush_in_order_on_reconnect() {
     let _guard = serial();
-    for kind in &ENGINES {
-        let addr = dead_addr();
-        let mut a = Tcp::bind(kind, HiveId(1), HashMap::new());
-        a.add_peer(HiveId(2), addr);
-        a.as_transport().send(HiveId(2), Frame::app(vec![1]));
-        a.as_transport().send(HiveId(2), Frame::app(vec![2]));
-        let counters = a.counters();
-        assert!(
-            wait_until(3000, || counters.snapshot().deferred >= 2),
-            "both frames should defer while the peer is dead"
-        );
-        assert!(counters.snapshot().connect_failures >= 1);
-        // Revive the peer on the very same address, wait out the window,
-        // then send one more frame: 1, 2, 3 must arrive in that order.
-        let b = Tcp::bind_at(kind, HiveId(2), addr);
-        let window = counters.peer_backoff_ms(HiveId(2)).expect("backed off");
-        std::thread::sleep(Duration::from_millis(window + 50));
-        a.as_transport().send(HiveId(2), Frame::app(vec![3]));
-        for expect in 1..=3u8 {
-            let (from, f) = recv_blocking(b.as_transport(), 5000).expect("deferred frame arrives");
-            assert_eq!(from, HiveId(1));
-            assert_eq!(f.bytes, vec![expect], "deferred flush out of order");
-        }
-        assert!(
-            wait_until(2000, || counters.peer_backoff_ms(HiveId(2)).is_none()),
-            "backoff gauge resets after a successful connect"
-        );
-        assert!(
-            wait_until(2000, || counters.snapshot().sent(FrameKind::App).0 == 3),
-            "all three frames eventually count as sent"
-        );
+    let addr = dead_addr();
+    let mut a = bind(HiveId(1));
+    a.add_peer(HiveId(2), addr);
+    a.send(HiveId(2), Frame::app(vec![1]));
+    a.send(HiveId(2), Frame::app(vec![2]));
+    let counters = a.counters();
+    assert!(
+        wait_until(3000, || counters.snapshot().deferred >= 2),
+        "both frames should defer while the peer is dead"
+    );
+    assert!(counters.snapshot().connect_failures >= 1);
+    // Revive the peer on the very same address, wait out the window,
+    // then send one more frame: 1, 2, 3 must arrive in that order.
+    let b = ReactorTransport::bind(HiveId(2), addr, HashMap::new()).unwrap();
+    let window = counters.peer_backoff_ms(HiveId(2)).expect("backed off");
+    std::thread::sleep(Duration::from_millis(window + 50));
+    a.send(HiveId(2), Frame::app(vec![3]));
+    for expect in 1..=3u8 {
+        let (from, f) = recv_blocking(&b, 5000).expect("deferred frame arrives");
+        assert_eq!(from, HiveId(1));
+        assert_eq!(f.bytes, vec![expect], "deferred flush out of order");
     }
+    assert!(
+        wait_until(2000, || counters.peer_backoff_ms(HiveId(2)).is_none()),
+        "backoff gauge resets after a successful connect"
+    );
+    assert!(
+        wait_until(2000, || counters.snapshot().sent(FrameKind::App).0 == 3),
+        "all three frames eventually count as sent"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -263,39 +187,36 @@ fn deferred_frames_flush_in_order_on_reconnect() {
 #[test]
 fn eviction_priorities_under_overflow() {
     let _guard = serial();
-    for kind in &ENGINES {
-        let addr = dead_addr();
-        let mut a = Tcp::bind(kind, HiveId(1), HashMap::new());
-        a.add_peer(HiveId(9), addr);
-        let t = a.as_transport();
-        // Oldest queued frame is Control — the kind with no retransmission
-        // layer above the transport.
-        t.send(HiveId(9), Frame::control(vec![0xC0]));
-        for i in 0..DEFERRED_CAP as u32 {
-            t.send(HiveId(9), Frame::app(i.to_le_bytes().to_vec()));
-        }
-        let counters = a.counters();
-        assert!(
-            wait_until(3000, || counters.snapshot().deferred_evicted >= 1),
-            "overflow must evict"
-        );
-        assert_eq!(
-            counters.snapshot().deferred_evicted,
-            1,
-            "exactly one over cap"
-        );
-        // The surrendered queue tells us who the victim was: the Control
-        // frame survives at the front, App frame #0 is gone.
-        let held = t.disconnect_peer(HiveId(9));
-        assert_eq!(held.len(), DEFERRED_CAP);
-        assert_eq!(held[0].kind, FrameKind::Control);
-        assert_eq!(held[0].bytes, vec![0xC0]);
-        assert_eq!(
-            held[1].bytes,
-            1u32.to_le_bytes().to_vec(),
-            "oldest App frame was the victim"
-        );
+    let addr = dead_addr();
+    let mut a = bind(HiveId(1));
+    a.add_peer(HiveId(9), addr);
+    // Oldest queued frame is Control — the kind with no retransmission
+    // layer above the transport.
+    a.send(HiveId(9), Frame::control(vec![0xC0]));
+    for i in 0..DEFERRED_CAP as u32 {
+        a.send(HiveId(9), Frame::app(i.to_le_bytes().to_vec()));
     }
+    let counters = a.counters();
+    assert!(
+        wait_until(3000, || counters.snapshot().deferred_evicted >= 1),
+        "overflow must evict"
+    );
+    assert_eq!(
+        counters.snapshot().deferred_evicted,
+        1,
+        "exactly one over cap"
+    );
+    // The surrendered queue tells us who the victim was: the Control
+    // frame survives at the front, App frame #0 is gone.
+    let held = a.disconnect_peer(HiveId(9));
+    assert_eq!(held.len(), DEFERRED_CAP);
+    assert_eq!(held[0].kind, FrameKind::Control);
+    assert_eq!(held[0].bytes, vec![0xC0]);
+    assert_eq!(
+        held[1].bytes,
+        1u32.to_le_bytes().to_vec(),
+        "oldest App frame was the victim"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -306,43 +227,41 @@ fn eviction_priorities_under_overflow() {
 #[test]
 fn counters_are_monotone_and_agree() {
     let _guard = serial();
-    for kind in &ENGINES {
-        let (a, b) = tcp_pair(kind);
-        let ca = a.counters();
-        let cb = b.counters();
-        let mut last_out = 0u64;
-        let mut last_in = 0u64;
-        for round in 0..5u8 {
-            for i in 0..20u8 {
-                a.as_transport().send(HiveId(2), Frame::app(vec![round, i]));
-            }
-            for _ in 0..20 {
-                recv_blocking(b.as_transport(), 5000).expect("frame arrives");
-            }
-            let out = ca.snapshot().sent(FrameKind::App);
-            let inn = cb.snapshot().received(FrameKind::App);
-            assert!(out.0 >= last_out, "sent counter went backwards");
-            assert!(inn.0 >= last_in, "recv counter went backwards");
-            last_out = out.0;
-            last_in = inn.0;
+    let (a, b) = tcp_pair();
+    let ca = a.counters();
+    let cb = b.counters();
+    let mut last_out = 0u64;
+    let mut last_in = 0u64;
+    for round in 0..5u8 {
+        for i in 0..20u8 {
+            a.send(HiveId(2), Frame::app(vec![round, i]));
         }
-        // Everything received was counted on both ends with the same
-        // wire_len accounting (payload + 8).
-        assert!(
-            wait_until(2000, || {
-                ca.snapshot().sent(FrameKind::App) == cb.snapshot().received(FrameKind::App)
-            }),
-            "sender and receiver accounting disagree: {:?} vs {:?}",
-            ca.snapshot().sent(FrameKind::App),
-            cb.snapshot().received(FrameKind::App)
-        );
-        assert_eq!(ca.snapshot().sent(FrameKind::App), (100, 100 * 10));
+        for _ in 0..20 {
+            recv_blocking(&b, 5000).expect("frame arrives");
+        }
+        let out = ca.snapshot().sent(FrameKind::App);
+        let inn = cb.snapshot().received(FrameKind::App);
+        assert!(out.0 >= last_out, "sent counter went backwards");
+        assert!(inn.0 >= last_in, "recv counter went backwards");
+        last_out = out.0;
+        last_in = inn.0;
     }
+    // Everything received was counted on both ends with the same
+    // wire_len accounting (payload + 8).
+    assert!(
+        wait_until(2000, || {
+            ca.snapshot().sent(FrameKind::App) == cb.snapshot().received(FrameKind::App)
+        }),
+        "sender and receiver accounting disagree: {:?} vs {:?}",
+        ca.snapshot().sent(FrameKind::App),
+        cb.snapshot().received(FrameKind::App)
+    );
+    assert_eq!(ca.snapshot().sent(FrameKind::App), (100, 100 * 10));
 }
 
 // ---------------------------------------------------------------------------
 // Contract 6: dropping a transport releases every thread and socket it
-// created — no leaked reader threads, reactor loops, or fds.
+// created — no leaked reactor loops or fds.
 // ---------------------------------------------------------------------------
 
 fn count_threads() -> usize {
@@ -356,31 +275,28 @@ fn count_fds() -> usize {
 #[test]
 fn clean_shutdown_leaks_nothing() {
     let _guard = serial();
-    for kind in &ENGINES {
-        let threads_before = count_threads();
-        let fds_before = count_fds();
-        {
-            let (a, b) = tcp_pair(kind);
-            // Real traffic so both directions have live connections and
-            // (for the threaded engine) reader threads.
-            a.as_transport().send(HiveId(2), Frame::app(vec![1]));
-            recv_blocking(b.as_transport(), 5000).expect("frame arrives");
-            b.as_transport().send(HiveId(1), Frame::raft(vec![2]));
-            recv_blocking(a.as_transport(), 5000).expect("reply arrives");
-        }
-        assert!(
-            wait_until(5000, || count_threads() <= threads_before),
-            "leaked threads: {} before, {} after",
-            threads_before,
-            count_threads()
-        );
-        assert!(
-            wait_until(5000, || count_fds() <= fds_before),
-            "leaked fds: {} before, {} after",
-            fds_before,
-            count_fds()
-        );
+    let threads_before = count_threads();
+    let fds_before = count_fds();
+    {
+        let (a, b) = tcp_pair();
+        // Real traffic so both directions have live connections.
+        a.send(HiveId(2), Frame::app(vec![1]));
+        recv_blocking(&b, 5000).expect("frame arrives");
+        b.send(HiveId(1), Frame::raft(vec![2]));
+        recv_blocking(&a, 5000).expect("reply arrives");
     }
+    assert!(
+        wait_until(5000, || count_threads() <= threads_before),
+        "leaked threads: {} before, {} after",
+        threads_before,
+        count_threads()
+    );
+    assert!(
+        wait_until(5000, || count_fds() <= fds_before),
+        "leaked fds: {} before, {} after",
+        fds_before,
+        count_fds()
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -390,40 +306,20 @@ fn clean_shutdown_leaks_nothing() {
 #[test]
 fn runtime_membership_add_and_remove() {
     let _guard = serial();
-    for kind in &ENGINES {
-        let a = Tcp::bind(kind, HiveId(1), HashMap::new());
-        let b = Tcp::bind(kind, HiveId(2), HashMap::new());
-        // Neither knew the other at bind time; announce like a live join.
-        a.as_transport()
-            .connect_peer(HiveId(2), &b.local_addr().to_string());
-        assert!(a.as_transport().peers().contains(&HiveId(2)));
-        a.as_transport().send(HiveId(2), Frame::app(vec![7]));
-        let (from, f) =
-            recv_blocking(b.as_transport(), 5000).expect("frame reaches the added peer");
-        assert_eq!(from, HiveId(1));
-        assert_eq!(f.bytes, vec![7]);
-        // A garbage address never touches the address book.
-        a.as_transport().connect_peer(HiveId(3), "not-an-address");
-        assert!(!a.as_transport().peers().contains(&HiveId(3)));
-        // Removal forgets the peer and is idempotent.
-        a.as_transport().disconnect_peer(HiveId(2));
-        assert!(!a.as_transport().peers().contains(&HiveId(2)));
-        assert!(a.as_transport().disconnect_peer(HiveId(2)).is_empty());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Contract 8: the engines interoperate on the wire — a mixed cluster.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn threaded_and_reactor_interoperate() {
-    let _guard = serial();
-    let mut r = Tcp::bind(&TcpKind::Reactor, HiveId(1), HashMap::new());
-    let mut t = Tcp::bind(&TcpKind::Threaded, HiveId(2), HashMap::new());
-    let (ra, ta) = (r.local_addr(), t.local_addr());
-    r.add_peer(HiveId(2), ta);
-    t.add_peer(HiveId(1), ra);
-    assert_fifo(r.as_transport(), t.as_transport(), HiveId(2), 60);
-    assert_fifo(t.as_transport(), r.as_transport(), HiveId(1), 60);
+    let a = bind(HiveId(1));
+    let b = bind(HiveId(2));
+    // Neither knew the other at bind time; announce like a live join.
+    a.connect_peer(HiveId(2), &b.local_addr().to_string());
+    assert!(a.peers().contains(&HiveId(2)));
+    a.send(HiveId(2), Frame::app(vec![7]));
+    let (from, f) = recv_blocking(&b, 5000).expect("frame reaches the added peer");
+    assert_eq!(from, HiveId(1));
+    assert_eq!(f.bytes, vec![7]);
+    // A garbage address never touches the address book.
+    a.connect_peer(HiveId(3), "not-an-address");
+    assert!(!a.peers().contains(&HiveId(3)));
+    // Removal forgets the peer and is idempotent.
+    a.disconnect_peer(HiveId(2));
+    assert!(!a.peers().contains(&HiveId(2)));
+    assert!(a.disconnect_peer(HiveId(2)).is_empty());
 }

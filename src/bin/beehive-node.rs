@@ -61,12 +61,6 @@
 //! * `--inject-fault APP:MSG:TIMES` — repeatable, testing only: fail the
 //!   next TIMES deliveries of MSG (wire-name suffix match) to APP, to
 //!   exercise supervised redelivery in smoke tests
-//! * `--transport reactor|threaded` — which TCP engine carries inter-hive
-//!   frames (default `reactor`: one non-blocking event loop, batched
-//!   vectored writes). `threaded` keeps the classic
-//!   one-reader-thread-per-connection engine for one more release as the
-//!   differential baseline; both speak the same wire format, so a mixed
-//!   cluster interoperates
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -109,7 +103,6 @@ struct Args {
     max_redeliveries: Option<u32>,
     mailbox_capacity: Option<usize>,
     inject_faults: Vec<(String, String, u32)>,
-    transport: TransportPreference,
 }
 
 fn usage() -> ! {
@@ -120,7 +113,7 @@ fn usage() -> ! {
          [--status-addr ADDR] [--metrics-dump PATH] [--dump-every SECS] [--dlq-dump PATH] \
          [--storage-dir PATH] [--snapshot-interval N] [--fsync always|never] \
          [--max-redeliveries N] [--mailbox-capacity N] \
-         [--inject-fault APP:MSG:TIMES] [--transport reactor|threaded]"
+         [--inject-fault APP:MSG:TIMES]"
     );
     std::process::exit(2)
 }
@@ -156,7 +149,6 @@ fn parse_args() -> Args {
     let mut max_redeliveries = None;
     let mut mailbox_capacity = None;
     let mut inject_faults = Vec::new();
-    let mut transport = TransportPreference::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut val = || it.next().unwrap_or_else(|| usage());
@@ -220,7 +212,6 @@ fn parse_args() -> Args {
                     parts[2].parse().unwrap_or_else(|_| usage()),
                 ));
             }
-            "--transport" => transport = val().parse().unwrap_or_else(|_| usage()),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -246,7 +237,6 @@ fn parse_args() -> Args {
         max_redeliveries,
         mailbox_capacity,
         inject_faults,
-        transport,
     }
 }
 
@@ -276,15 +266,17 @@ fn main() {
     let args = parse_args();
     let me = HiveId(args.id);
 
-    let (transport, advertise, tcp_counters) =
-        bind_tcp(args.transport, me, args.listen, args.peers.clone()).unwrap_or_else(|e| {
-            eprintln!("failed to bind {}: {e}", args.listen);
-            std::process::exit(1);
-        });
-    eprintln!(
-        "hive {me} listening on {advertise} ({} transport)",
-        args.transport.label()
-    );
+    let (transport, advertise, tcp_counters) = bind_tcp(
+        TransportPreference::Reactor,
+        me,
+        args.listen,
+        args.peers.clone(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("failed to bind {}: {e}", args.listen);
+        std::process::exit(1);
+    });
+    eprintln!("hive {me} listening on {advertise}");
 
     let mut all: Vec<HiveId> = args
         .peers
@@ -327,7 +319,6 @@ fn main() {
     if let Some(n) = args.mailbox_capacity {
         cfg.mailbox_capacity = n;
     }
-    cfg.transport = args.transport;
 
     let mut hive = Hive::new(cfg, Arc::new(SystemClock::new()), transport);
 

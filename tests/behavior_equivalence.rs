@@ -178,20 +178,15 @@ fn run_on(n: usize, ops: &[DoOp]) -> BTreeMap<String, Account> {
 }
 
 /// Runs the workload on one standalone hive with `workers` executor threads
-/// and `max_drain_batch` messages per sequential mailbox drain, and returns
-/// (final accounts, per-bee delivered-message counts). All ops are emitted
-/// up front, so every routing decision commits before any bee runs — the
-/// parallel executor must then produce bit-identical state and identical
-/// per-bee delivery counts regardless of worker count or batch size.
-fn run_standalone(
-    workers: usize,
-    max_drain_batch: usize,
-    ops: &[DoOp],
-) -> (BTreeMap<String, Account>, BTreeMap<u64, u64>) {
+/// and returns (final accounts, per-bee delivered-message counts). All ops
+/// are emitted up front, so every routing decision commits before any bee
+/// runs — `workers = 1` then runs one message per run-queue turn and
+/// `workers = 4` whole mailboxes per round, and both must produce
+/// bit-identical state and identical per-bee delivery counts.
+fn run_standalone(workers: usize, ops: &[DoOp]) -> (BTreeMap<String, Account>, BTreeMap<u64, u64>) {
     let mut cfg = HiveConfig::standalone(HiveId(1));
     cfg.tick_interval_ms = 0; // no platform ticks: the workload is the only input
     cfg.workers = workers;
-    cfg.max_drain_batch = max_drain_batch;
     let mut hive = Hive::new(
         cfg,
         std::sync::Arc::new(SystemClock::new()),
@@ -230,8 +225,8 @@ fn run_standalone(
 #[test]
 fn workers_one_vs_four_identical() {
     let ops = workload(123, 400);
-    let (seq_accounts, seq_per_bee) = run_standalone(1, 1, &ops);
-    let (par_accounts, par_per_bee) = run_standalone(4, 1, &ops);
+    let (seq_accounts, seq_per_bee) = run_standalone(1, &ops);
+    let (par_accounts, par_per_bee) = run_standalone(4, &ops);
     assert_eq!(
         seq_accounts, par_accounts,
         "workers=4 must produce bit-identical final dictionary state"
@@ -251,7 +246,6 @@ fn workers_one_vs_four_identical() {
 /// the audit API offers.
 fn audit_bank(
     workers: usize,
-    max_drain_batch: usize,
     ops: &[DoOp],
 ) -> (
     BTreeMap<u64, Vec<(String, Vec<(String, Vec<u8>)>)>>,
@@ -261,7 +255,6 @@ fn audit_bank(
     let mut cfg = HiveConfig::standalone(HiveId(1));
     cfg.tick_interval_ms = 0;
     cfg.workers = workers;
-    cfg.max_drain_batch = max_drain_batch;
     let mut hive = Hive::new(
         cfg,
         std::sync::Arc::new(SystemClock::new()),
@@ -281,38 +274,21 @@ fn audit_bank(
     (dicts, counters.handled_ok, counters.handler_errors)
 }
 
-/// The tentpole's batching claim: draining N queued envelopes inside one
-/// open transaction with per-message savepoints must be observationally
-/// identical to one-transaction-per-message execution — byte-identical
-/// final dictionaries and identical platform counters — under both the
-/// sequential executor (workers=1, where `max_drain_batch` applies) and the
-/// parallel executor (workers=4, which always drains whole mailboxes).
+/// Draining a whole mailbox inside one open transaction with per-message
+/// savepoints (workers=4) must be observationally identical to running one
+/// message per turn (workers=1): byte-identical final dictionaries and
+/// identical platform counters.
 #[test]
 fn batched_drains_byte_identical_to_per_message() {
     let ops = workload(321, 400);
-    let (per_msg, ok_1, err_1) = audit_bank(1, 1, &ops);
-    let (batched, ok_b, err_b) = audit_bank(1, 64, &ops);
+    let (per_msg, ok_1, err_1) = audit_bank(1, &ops);
+    let (batched, ok_b, err_b) = audit_bank(4, &ops);
     assert_eq!(
         per_msg, batched,
-        "workers=1: batched drains must produce byte-identical dictionaries"
+        "whole-mailbox drains must produce byte-identical dictionaries"
     );
-    assert_eq!(
-        (ok_1, err_1),
-        (ok_b, err_b),
-        "workers=1: counters must match"
-    );
+    assert_eq!((ok_1, err_1), (ok_b, err_b), "counters must match");
     assert!(ok_1 > 0, "workload must have handled messages");
-
-    let (par_batched, ok_p, err_p) = audit_bank(4, 64, &ops);
-    assert_eq!(
-        per_msg, par_batched,
-        "workers=4: batched parallel drains must produce byte-identical dictionaries"
-    );
-    assert_eq!(
-        (ok_1, err_1),
-        (ok_p, err_p),
-        "workers=4: counters must match"
-    );
 }
 
 #[test]

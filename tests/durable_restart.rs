@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use beehive::core::{Hive, HiveConfig};
-use beehive::net::TcpTransport;
+use beehive::net::ReactorTransport;
 use beehive::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -37,7 +37,7 @@ fn build_hive(
     all: Vec<HiveId>,
     dir: &std::path::Path,
 ) -> Hive {
-    let transport = TcpTransport::bind(id, addr, peers).unwrap();
+    let transport = ReactorTransport::bind(id, addr, peers).unwrap();
     let mut cfg = HiveConfig::clustered(id, all, 3);
     cfg.tick_interval_ms = 0;
     cfg.raft_tick_ms = 5;
@@ -108,7 +108,8 @@ fn restarted_hive_recovers_registry_from_disk() {
     std::thread::sleep(std::time::Duration::from_millis(300));
 
     // … and bring one hive back alone from its durable state.
-    let transport = TcpTransport::bind(HiveId(1), addr(1), peers_of(1)).expect("rebind after drop");
+    let transport =
+        ReactorTransport::bind(HiveId(1), addr(1), peers_of(1)).expect("rebind after drop");
     let mut cfg = HiveConfig::clustered(HiveId(1), all, 3);
     cfg.tick_interval_ms = 0;
     cfg.registry_storage_dir = Some(dir.clone());

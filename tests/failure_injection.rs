@@ -338,12 +338,16 @@ fn transient_handler_failures_converge_with_parallel_workers() {
     transient_failure_scenario(4);
 }
 
-#[test]
-fn quarantine_opens_and_recovers_via_half_open_probe() {
+/// Three consecutive failures open a bee's breaker; after the cooldown one
+/// message runs as the half-open probe, its success closes the breaker, and
+/// the backlog queued behind the probe is processed without waiting for
+/// unrelated traffic.
+fn quarantine_probe_scenario(workers: usize) {
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
             voters: 0,
+            workers,
             max_redeliveries: 0, // every failure dead-letters immediately
             quarantine_threshold: 3,
             quarantine_cooldown_ms: 5_000,
@@ -393,6 +397,16 @@ fn quarantine_opens_and_recovers_via_half_open_probe() {
         .unwrap();
     assert_eq!(count, 3, "breaker closed after the successful probe");
     assert_eq!(c.hive(HiveId(1)).counters().quarantines, 1, "opened once");
+}
+
+#[test]
+fn quarantine_opens_and_recovers_via_half_open_probe_sequentially() {
+    quarantine_probe_scenario(1);
+}
+
+#[test]
+fn quarantine_opens_and_recovers_via_half_open_probe_with_parallel_workers() {
+    quarantine_probe_scenario(4);
 }
 
 /// Regression: `requeue_dead_letters` must reset each envelope's delivery

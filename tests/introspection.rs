@@ -14,7 +14,7 @@ use beehive::core::{
     render_metrics, Analytics, DeadLetterStore, EventJournal, Hive, HiveConfig, HiveHandle,
     StatusContext, StatusServer, TraceCollector, TraceHub, Transport,
 };
-use beehive::net::TcpTransport;
+use beehive::net::ReactorTransport;
 use beehive::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -65,9 +65,10 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 #[test]
 fn status_server_assembles_a_cross_hive_trace_over_tcp() {
     // Two hives over TCP on localhost, port 0 then address exchange.
-    let mut transports: Vec<TcpTransport> = (1..=2u32)
+    let mut transports: Vec<ReactorTransport> = (1..=2u32)
         .map(|i| {
-            TcpTransport::bind(HiveId(i), "127.0.0.1:0".parse().unwrap(), HashMap::new()).unwrap()
+            ReactorTransport::bind(HiveId(i), "127.0.0.1:0".parse().unwrap(), HashMap::new())
+                .unwrap()
         })
         .collect();
     let addrs: Vec<_> = transports.iter().map(|t| t.local_addr()).collect();

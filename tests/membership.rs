@@ -15,7 +15,7 @@ use std::sync::Arc;
 use beehive::core::{
     Analytics, Hive, HiveConfig, HiveHandle, LifecycleStage, StatusContext, StatusServer, Transport,
 };
-use beehive::net::TcpTransport;
+use beehive::net::ReactorTransport;
 use beehive::prelude::*;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -97,9 +97,10 @@ const KEYS: usize = 8;
 #[test]
 fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
     // --- seed cluster: three voters over TCP, port 0 + address exchange ---
-    let mut transports: Vec<TcpTransport> = (1..=3u32)
+    let mut transports: Vec<ReactorTransport> = (1..=3u32)
         .map(|i| {
-            TcpTransport::bind(HiveId(i), "127.0.0.1:0".parse().unwrap(), HashMap::new()).unwrap()
+            ReactorTransport::bind(HiveId(i), "127.0.0.1:0".parse().unwrap(), HashMap::new())
+                .unwrap()
         })
         .collect();
     let addrs: Vec<SocketAddr> = transports.iter().map(|t| t.local_addr()).collect();
@@ -175,7 +176,7 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
         .enumerate()
         .map(|(j, &a)| (HiveId(j as u32 + 1), a))
         .collect();
-    let t4 = TcpTransport::bind(HiveId(4), "127.0.0.1:0".parse().unwrap(), peers).unwrap();
+    let t4 = ReactorTransport::bind(HiveId(4), "127.0.0.1:0".parse().unwrap(), peers).unwrap();
     let addr4 = t4.local_addr();
     let joined: Vec<HiveId> = (1..=4).map(HiveId).collect();
     let mut cfg4 = HiveConfig::clustered(HiveId(4), joined, 3);

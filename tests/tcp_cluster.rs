@@ -1,13 +1,12 @@
 //! A real multi-threaded deployment: three hives over TCP on localhost,
 //! each on its own thread with the system clock — the production code path
-//! (no simulator involved). Runs once per TCP engine: the threaded
-//! transport and the non-blocking reactor must both carry a live cluster.
+//! (no simulator involved).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use beehive::core::{Hive, HiveConfig, HiveHandle, Transport, TransportPreference};
+use beehive::core::{Hive, HiveConfig, HiveHandle, TransportPreference};
 use beehive::net::bind_tcp;
 use beehive::prelude::*;
 use parking_lot::Mutex;
@@ -71,13 +70,14 @@ fn counter(answers: Arc<Mutex<Vec<Answer>>>) -> App {
         .build()
 }
 
-fn run_cluster(pref: TransportPreference) {
+#[test]
+fn three_hives_over_tcp_route_consistently() {
     let n = 3u32;
     // Bind everyone on port 0 first, then exchange addresses.
     let mut transports = Vec::new();
     for i in 1..=n {
         let (t, addr, _counters) = bind_tcp(
-            pref,
+            TransportPreference::Reactor,
             HiveId(i),
             "127.0.0.1:0".parse().unwrap(),
             HashMap::new(),
@@ -108,7 +108,6 @@ fn run_cluster(pref: TransportPreference) {
         cfg.tick_interval_ms = 0;
         cfg.raft_tick_ms = 5;
         cfg.pending_retry_ms = 200;
-        cfg.transport = pref;
         let mut hive = Hive::new(cfg, Arc::new(SystemClock::new()), transport);
         hive.install(counter(answers.clone()));
         handles.push(hive.handle());
@@ -156,14 +155,4 @@ fn run_cluster(pref: TransportPreference) {
         cell_bees, 1,
         "exactly one colony for key k (got {total_bees} bees total)"
     );
-}
-
-#[test]
-fn three_hives_over_tcp_route_consistently() {
-    run_cluster(TransportPreference::Threaded);
-}
-
-#[test]
-fn three_hives_over_reactor_route_consistently() {
-    run_cluster(TransportPreference::Reactor);
 }
