@@ -6,6 +6,7 @@
 //! distribution, message provenance ("packet out messages are emitted …
 //! upon receiving 80% of packet in's"), and hive load balance.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -13,7 +14,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::id::HiveId;
 use crate::metrics::{
-    ExecutorStats, HiveMetrics, LatencyHistogram, MsgLatency, ProvenanceKey, LATENCY_BUCKETS_US,
+    ExecutorStats, HiveMetrics, LatencyHistogram, MsgLatency, PlatformCounters, ProvenanceKey,
+    LATENCY_BUCKETS_US,
 };
 
 /// Short type name (drop module path) for display.
@@ -28,8 +30,7 @@ pub struct Analytics {
     per_app: BTreeMap<String, AppLoad>,
     /// Provenance counters.
     provenance: BTreeMap<ProvenanceKey, u64>,
-    /// Typed-input counters per app+type (provenance denominators), summed
-    /// from each app's message counts.
+    /// Messages processed per hive.
     msgs_per_hive: BTreeMap<u32, u64>,
     /// Per (app, bee) message counts (for skew analysis).
     per_bee: BTreeMap<(String, u64), u64>,
@@ -37,32 +38,9 @@ pub struct Analytics {
     executor_per_hive: BTreeMap<u32, ExecutorStats>,
     /// Queue-wait / runtime histograms per (app, message type).
     latency: BTreeMap<(String, String), MsgLatency>,
-    /// Handler failures by kind across all hives: `[errors, panics]`.
-    handler_failures: [u64; 2],
-    /// Supervised redeliveries across all hives.
-    redeliveries: u64,
-    /// Dead-lettered messages across all hives.
-    dead_letters: u64,
-    /// Undecodable frames/payloads across all hives.
-    decode_errors: u64,
-    /// Latest quarantined-bees gauge per hive (last report wins).
-    quarantined_per_hive: BTreeMap<u32, u64>,
-    /// Reliable-channel retransmissions across all hives.
-    retransmits: u64,
-    /// Duplicate frames suppressed by receiver dedup across all hives.
-    dups_suppressed: u64,
-    /// Standalone channel ack frames across all hives.
-    channel_acks: u64,
-    /// Latest outbox-depth gauge per hive (last report wins).
-    outbox_depth_per_hive: BTreeMap<u32, u64>,
-    /// Latest registry snapshot-index gauge per hive (last report wins).
-    snapshot_index_per_hive: BTreeMap<u32, u64>,
-    /// Latest registry snapshot-lag gauge per hive (last report wins).
-    snapshot_lag_per_hive: BTreeMap<u32, u64>,
-    /// Registry snapshots installed from peers across all hives.
-    snapshot_installs: u64,
-    /// Torn journal tails truncated during recovery across all hives.
-    journal_torn_truncations: u64,
+    /// The platform scalars per hive: counters summed over its reports,
+    /// gauges as of its latest one.
+    platform_per_hive: BTreeMap<u32, PlatformCounters>,
     /// When this analytics instance was created (drives the uptime gauge).
     /// Not serialized: a deserialized instance reports zero uptime.
     #[serde(skip)]
@@ -108,10 +86,13 @@ impl Analytics {
             load.handler_nanos += snap.stats.handler_nanos;
             load.errors += snap.stats.errors;
             *self.msgs_per_hive.entry(snap.hive.0).or_insert(0) += snap.stats.msgs_in;
-            *self
-                .per_bee
-                .entry((snap.app.clone(), snap.bee.0))
-                .or_insert(0) += snap.stats.msgs_in;
+            match self.per_bee.entry((snap.app.clone(), snap.bee.0)) {
+                Entry::Vacant(first) => {
+                    first.insert(snap.stats.msgs_in);
+                    load.bees += 1;
+                }
+                Entry::Occupied(mut seen) => *seen.get_mut() += snap.stats.msgs_in,
+            }
         }
         for (key, count) in &report.provenance {
             *self.provenance.entry(key.clone()).or_insert(0) += count;
@@ -128,38 +109,10 @@ impl Analytics {
                 .or_default()
                 .merge(lat);
         }
-        self.handler_failures[0] += report.handler_failures[0];
-        self.handler_failures[1] += report.handler_failures[1];
-        self.redeliveries += report.redeliveries;
-        self.dead_letters += report.dead_letters;
-        self.decode_errors += report.decode_errors;
-        self.quarantined_per_hive
-            .insert(report.hive.0, report.quarantined);
-        self.retransmits += report.retransmits;
-        self.dups_suppressed += report.dups_suppressed;
-        self.channel_acks += report.channel_acks;
-        self.outbox_depth_per_hive
-            .insert(report.hive.0, report.outbox_depth);
-        self.snapshot_index_per_hive
-            .insert(report.hive.0, report.snapshot_index);
-        self.snapshot_lag_per_hive
-            .insert(report.hive.0, report.snapshot_lag);
-        self.snapshot_installs += report.snapshot_installs;
-        self.journal_torn_truncations += report.journal_torn_truncations;
-        // Recompute bee counts.
-        let mut bees_per_app: BTreeMap<&String, u64> = BTreeMap::new();
-        for (app, _) in self.per_bee.keys() {
-            *bees_per_app.entry(app).or_insert(0) += 1;
-        }
-        let counts: Vec<(String, u64)> = bees_per_app
-            .into_iter()
-            .map(|(a, c)| (a.clone(), c))
-            .collect();
-        for (app, count) in counts {
-            if let Some(load) = self.per_app.get_mut(&app) {
-                load.bees = count;
-            }
-        }
+        self.platform_per_hive
+            .entry(report.hive.0)
+            .or_default()
+            .absorb(&report.platform);
     }
 
     /// Per-app loads.
@@ -217,80 +170,10 @@ impl Analytics {
             .max()
     }
 
-    /// Handler failures by kind across all hives: `[errors, panics]`.
-    pub fn handler_failures(&self) -> [u64; 2] {
-        self.handler_failures
-    }
-
-    /// Supervised redeliveries across all hives.
-    pub fn redeliveries(&self) -> u64 {
-        self.redeliveries
-    }
-
-    /// Dead-lettered messages across all hives.
-    pub fn dead_letters(&self) -> u64 {
-        self.dead_letters
-    }
-
-    /// Undecodable frames/payloads across all hives.
-    pub fn decode_errors(&self) -> u64 {
-        self.decode_errors
-    }
-
-    /// Currently quarantined bees, summed over the latest gauge from each
-    /// hive.
-    pub fn quarantined_bees(&self) -> u64 {
-        self.quarantined_per_hive.values().sum()
-    }
-
-    /// Reliable-channel retransmissions across all hives.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Duplicate frames suppressed by receiver dedup across all hives.
-    pub fn dups_suppressed(&self) -> u64 {
-        self.dups_suppressed
-    }
-
-    /// Standalone channel ack frames emitted across all hives.
-    pub fn channel_acks(&self) -> u64 {
-        self.channel_acks
-    }
-
-    /// Unacked envelopes buffered for resend, summed over the latest gauge
-    /// from each hive.
-    pub fn outbox_depth(&self) -> u64 {
-        self.outbox_depth_per_hive.values().sum()
-    }
-
-    /// Highest registry compaction index reported by any hive.
-    pub fn snapshot_index(&self) -> u64 {
-        self.snapshot_index_per_hive
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Worst (largest) registry snapshot lag across the latest gauge from
-    /// each hive — applied entries not yet covered by a durable snapshot.
-    pub fn snapshot_lag(&self) -> u64 {
-        self.snapshot_lag_per_hive
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Registry snapshots installed from peers across all hives.
-    pub fn snapshot_installs(&self) -> u64 {
-        self.snapshot_installs
-    }
-
-    /// Torn journal tails truncated during recovery across all hives.
-    pub fn journal_torn_truncations(&self) -> u64 {
-        self.journal_torn_truncations
+    /// The platform scalars cluster-wide: each row folded over the hives as
+    /// its [`PlatformKind`](crate::metrics::PlatformKind) declares.
+    pub fn platform(&self) -> PlatformCounters {
+        PlatformCounters::fold(self.platform_per_hive.values())
     }
 
     /// Renders everything as Prometheus text exposition format. Each metric
@@ -300,8 +183,12 @@ impl Analytics {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
 
-        out.push_str("# HELP beehive_build_info Build metadata; the value is always 1.\n");
-        out.push_str("# TYPE beehive_build_info gauge\n");
+        push_header(
+            &mut out,
+            "beehive_build_info",
+            "Build metadata; the value is always 1.",
+            "gauge",
+        );
         push_sample(
             &mut out,
             "beehive_build_info",
@@ -314,66 +201,63 @@ impl Analytics {
             ],
             1.0,
         );
-        out.push_str("# HELP beehive_uptime_seconds Seconds since analytics started.\n");
-        out.push_str("# TYPE beehive_uptime_seconds gauge\n");
+        push_header(
+            &mut out,
+            "beehive_uptime_seconds",
+            "Seconds since analytics started.",
+            "gauge",
+        );
         push_sample(
             &mut out,
             "beehive_uptime_seconds",
             &[],
             self.uptime_seconds(),
         );
-        out.push_str("# HELP beehive_app_messages_total Messages processed per application.\n");
-        out.push_str("# TYPE beehive_app_messages_total counter\n");
-        for (app, load) in &self.per_app {
-            push_sample(
-                &mut out,
+        type AppValue = fn(&AppLoad) -> f64;
+        let app_families: [(&str, &str, &str, AppValue); 5] = [
+            (
                 "beehive_app_messages_total",
-                &[("app", app)],
-                load.msgs as f64,
-            );
-        }
-        out.push_str("# HELP beehive_app_bytes_total Wire bytes received per application.\n");
-        out.push_str("# TYPE beehive_app_bytes_total counter\n");
-        for (app, load) in &self.per_app {
-            push_sample(
-                &mut out,
+                "Messages processed per application.",
+                "counter",
+                |l| l.msgs as f64,
+            ),
+            (
                 "beehive_app_bytes_total",
-                &[("app", app)],
-                load.bytes as f64,
-            );
-        }
-        out.push_str("# HELP beehive_app_handler_seconds_total Time spent in rcv functions.\n");
-        out.push_str("# TYPE beehive_app_handler_seconds_total counter\n");
-        for (app, load) in &self.per_app {
-            push_sample(
-                &mut out,
+                "Wire bytes received per application.",
+                "counter",
+                |l| l.bytes as f64,
+            ),
+            (
                 "beehive_app_handler_seconds_total",
-                &[("app", app)],
-                load.handler_nanos as f64 / 1e9,
-            );
-        }
-        out.push_str("# HELP beehive_app_errors_total Rolled-back handler invocations.\n");
-        out.push_str("# TYPE beehive_app_errors_total counter\n");
-        for (app, load) in &self.per_app {
-            push_sample(
-                &mut out,
+                "Time spent in rcv functions.",
+                "counter",
+                |l| l.handler_nanos as f64 / 1e9,
+            ),
+            (
                 "beehive_app_errors_total",
-                &[("app", app)],
-                load.errors as f64,
-            );
-        }
-        out.push_str("# HELP beehive_app_bees Distinct bees observed per application.\n");
-        out.push_str("# TYPE beehive_app_bees gauge\n");
-        for (app, load) in &self.per_app {
-            push_sample(
-                &mut out,
+                "Rolled-back handler invocations.",
+                "counter",
+                |l| l.errors as f64,
+            ),
+            (
                 "beehive_app_bees",
-                &[("app", app)],
-                load.bees as f64,
-            );
+                "Distinct bees observed per application.",
+                "gauge",
+                |l| l.bees as f64,
+            ),
+        ];
+        for (name, help, ty, value) in app_families {
+            push_header(&mut out, name, help, ty);
+            for (app, load) in &self.per_app {
+                push_sample(&mut out, name, &[("app", app)], value(load));
+            }
         }
-        out.push_str("# HELP beehive_hive_messages_total Messages processed per hive.\n");
-        out.push_str("# TYPE beehive_hive_messages_total counter\n");
+        push_header(
+            &mut out,
+            "beehive_hive_messages_total",
+            "Messages processed per hive.",
+            "counter",
+        );
         for (hive, msgs) in &self.msgs_per_hive {
             let h = hive.to_string();
             push_sample(
@@ -383,10 +267,12 @@ impl Analytics {
                 *msgs as f64,
             );
         }
-        out.push_str(
-            "# HELP beehive_provenance_emissions_total Emissions of out_type caused by in_type.\n",
+        push_header(
+            &mut out,
+            "beehive_provenance_emissions_total",
+            "Emissions of out_type caused by in_type.",
+            "counter",
         );
-        out.push_str("# TYPE beehive_provenance_emissions_total counter\n");
         for (k, count) in &self.provenance {
             push_sample(
                 &mut out,
@@ -399,8 +285,12 @@ impl Analytics {
                 *count as f64,
             );
         }
-        out.push_str("# HELP beehive_executor_rounds_total Parallel executor rounds per hive.\n");
-        out.push_str("# TYPE beehive_executor_rounds_total counter\n");
+        push_header(
+            &mut out,
+            "beehive_executor_rounds_total",
+            "Parallel executor rounds per hive.",
+            "counter",
+        );
         for (hive, ex) in &self.executor_per_hive {
             let h = hive.to_string();
             push_sample(
@@ -410,8 +300,12 @@ impl Analytics {
                 ex.rounds as f64,
             );
         }
-        out.push_str("# HELP beehive_executor_busy_seconds_total Worker busy time per hive.\n");
-        out.push_str("# TYPE beehive_executor_busy_seconds_total counter\n");
+        push_header(
+            &mut out,
+            "beehive_executor_busy_seconds_total",
+            "Worker busy time per hive.",
+            "counter",
+        );
         for (hive, ex) in &self.executor_per_hive {
             let h = hive.to_string();
             let busy: u64 = ex.workers.iter().map(|w| w.busy_nanos).sum();
@@ -422,138 +316,16 @@ impl Analytics {
                 busy as f64 / 1e9,
             );
         }
-        // Fault-containment families render unconditionally (zeros visible)
-        // so dashboards and smoke tests can rely on their presence.
-        out.push_str("# HELP beehive_handler_failures_total Failed handler invocations by kind.\n");
-        out.push_str("# TYPE beehive_handler_failures_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_handler_failures_total",
-            &[("kind", "error")],
-            self.handler_failures[0] as f64,
-        );
-        push_sample(
-            &mut out,
-            "beehive_handler_failures_total",
-            &[("kind", "panic")],
-            self.handler_failures[1] as f64,
-        );
-        out.push_str("# HELP beehive_redeliveries_total Supervised redelivery attempts.\n");
-        out.push_str("# TYPE beehive_redeliveries_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_redeliveries_total",
-            &[],
-            self.redeliveries as f64,
-        );
-        out.push_str(
-            "# HELP beehive_dead_letters_total Messages recorded in dead-letter queues.\n",
-        );
-        out.push_str("# TYPE beehive_dead_letters_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_dead_letters_total",
-            &[],
-            self.dead_letters as f64,
-        );
-        out.push_str("# HELP beehive_decode_errors_total Undecodable frames or payloads.\n");
-        out.push_str("# TYPE beehive_decode_errors_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_decode_errors_total",
-            &[],
-            self.decode_errors as f64,
-        );
-        out.push_str("# HELP beehive_quarantined_bees Bees currently quarantined.\n");
-        out.push_str("# TYPE beehive_quarantined_bees gauge\n");
-        push_sample(
-            &mut out,
-            "beehive_quarantined_bees",
-            &[],
-            self.quarantined_bees() as f64,
-        );
-        // Reliable-channel families also render unconditionally, so smoke
-        // tests can grep for zeros as well as for activity.
-        out.push_str(
-            "# HELP beehive_retransmits_total Channel frames retransmitted after an ack timeout.\n",
-        );
-        out.push_str("# TYPE beehive_retransmits_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_retransmits_total",
-            &[],
-            self.retransmits as f64,
-        );
-        out.push_str(
-            "# HELP beehive_dups_suppressed_total Duplicate frames absorbed by receiver dedup.\n",
-        );
-        out.push_str("# TYPE beehive_dups_suppressed_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_dups_suppressed_total",
-            &[],
-            self.dups_suppressed as f64,
-        );
-        out.push_str("# HELP beehive_channel_acks_total Standalone channel ack frames emitted.\n");
-        out.push_str("# TYPE beehive_channel_acks_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_channel_acks_total",
-            &[],
-            self.channel_acks as f64,
-        );
-        out.push_str(
-            "# HELP beehive_outbox_depth Unacked envelopes buffered for resend across hives.\n",
-        );
-        out.push_str("# TYPE beehive_outbox_depth gauge\n");
-        push_sample(
-            &mut out,
-            "beehive_outbox_depth",
-            &[],
-            self.outbox_depth() as f64,
-        );
-        // Durability families render unconditionally too: the restart-storm
-        // smoke job greps these for snapshot installs and corruption counts.
-        out.push_str(
-            "# HELP beehive_snapshot_index Highest registry log index covered by a durable snapshot.\n",
-        );
-        out.push_str("# TYPE beehive_snapshot_index gauge\n");
-        push_sample(
-            &mut out,
-            "beehive_snapshot_index",
-            &[],
-            self.snapshot_index() as f64,
-        );
-        out.push_str(
-            "# HELP beehive_snapshot_lag Applied registry entries not yet covered by a snapshot (worst hive).\n",
-        );
-        out.push_str("# TYPE beehive_snapshot_lag gauge\n");
-        push_sample(
-            &mut out,
-            "beehive_snapshot_lag",
-            &[],
-            self.snapshot_lag() as f64,
-        );
-        out.push_str(
-            "# HELP beehive_snapshot_installs_total Registry snapshots installed from peers.\n",
-        );
-        out.push_str("# TYPE beehive_snapshot_installs_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_snapshot_installs_total",
-            &[],
-            self.snapshot_installs as f64,
-        );
-        out.push_str(
-            "# HELP beehive_journal_torn_truncations_total Torn journal tails truncated during recovery.\n",
-        );
-        out.push_str("# TYPE beehive_journal_torn_truncations_total counter\n");
-        push_sample(
-            &mut out,
-            "beehive_journal_torn_truncations_total",
-            &[],
-            self.journal_torn_truncations as f64,
-        );
+        // The platform families render unconditionally (zeros visible), so
+        // dashboards and the smoke jobs can rely on their presence.
+        let mut family = "";
+        for (row, value) in self.platform().rows() {
+            if row.family != family {
+                family = row.family;
+                push_header(&mut out, family, row.help, row.kind.prometheus_type());
+            }
+            push_sample(&mut out, family, row.label.as_slice(), value as f64);
+        }
         push_histogram_family(
             &mut out,
             "beehive_queue_wait_seconds",
@@ -614,8 +386,13 @@ fn escape_label(v: &str, out: &mut String) {
     }
 }
 
+/// Appends one family's `# HELP` and `# TYPE` lines.
+pub(crate) fn push_header(out: &mut String, name: &str, help: &str, ty: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {ty}\n"));
+}
+
 /// Appends one `name{labels} value` exposition line.
-fn push_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
+pub(crate) fn push_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
     out.push_str(name);
     if !labels.is_empty() {
         out.push('{');
@@ -653,8 +430,7 @@ fn push_histogram_family<'a>(
     help: &str,
     series: impl Iterator<Item = (&'a (String, String), &'a LatencyHistogram)>,
 ) {
-    out.push_str(&format!("# HELP {name} {help}\n"));
-    out.push_str(&format!("# TYPE {name} histogram\n"));
+    push_header(out, name, help, "histogram");
     for ((app, ty), hist) in series {
         let ty = short_type(ty);
         let mut cumulative = 0u64;
@@ -725,24 +501,13 @@ impl fmt::Display for Analytics {
                 share * 100.0
             )?;
         }
-        let fault_total = self.handler_failures[0]
-            + self.handler_failures[1]
-            + self.redeliveries
-            + self.dead_letters
-            + self.decode_errors
-            + self.quarantined_bees();
-        if fault_total != 0 {
-            writeln!(
-                f,
-                "  faults: {} handler errors, {} panics, {} redeliveries, {} dead letters, \
-                 {} decode errors, {} quarantined bees",
-                self.handler_failures[0],
-                self.handler_failures[1],
-                self.redeliveries,
-                self.dead_letters,
-                self.decode_errors,
-                self.quarantined_bees(),
-            )?;
+        let platform = self.platform();
+        if !platform.is_zero() {
+            write!(f, "  platform:")?;
+            for (row, value) in platform.rows().filter(|(_, value)| *value != 0) {
+                write!(f, " {}={value}", row.field)?;
+            }
+            writeln!(f)?;
         }
         for (hive, ex) in self.executor_per_hive() {
             let busy_ms: u64 = ex.workers.iter().map(|w| w.busy_nanos).sum::<u64>() / 1_000_000;
@@ -815,19 +580,7 @@ mod tests {
             )],
             executor: ExecutorStats::default(),
             latency: Vec::new(),
-            handler_failures: [0, 0],
-            redeliveries: 0,
-            dead_letters: 0,
-            decode_errors: 0,
-            quarantined: 0,
-            retransmits: 0,
-            dups_suppressed: 0,
-            channel_acks: 0,
-            outbox_depth: 0,
-            snapshot_index: 0,
-            snapshot_lag: 0,
-            snapshot_installs: 0,
-            journal_torn_truncations: 0,
+            platform: Default::default(),
         }
     }
 
@@ -851,9 +604,10 @@ mod tests {
         let mut a = Analytics::new();
         a.ingest(&report(1, "ls", 1, 10));
         a.ingest(&report(2, "ls", 2, 30));
+        a.ingest(&report(2, "ls", 2, 10)); // a known bee's next window
         let load = a.app("ls").unwrap();
-        assert_eq!(load.msgs, 40);
-        assert_eq!(load.bytes, 4000);
+        assert_eq!(load.msgs, 50);
+        assert_eq!(load.bytes, 5000);
         assert_eq!(load.bees, 2);
     }
 
@@ -920,144 +674,6 @@ mod tests {
         assert!(text.contains("beehive_app_messages_total{app=\"te\"} 6"));
         // The Display report cites p99s too.
         assert!(a.to_string().contains("p99"), "{a}");
-    }
-
-    #[test]
-    fn fault_counters_aggregate_and_render_unconditionally() {
-        let mut a = Analytics::new();
-        // Zero-state exposition still carries every fault family.
-        let text = a.render_prometheus();
-        assert!(
-            text.contains("beehive_handler_failures_total{kind=\"error\"} 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("beehive_handler_failures_total{kind=\"panic\"} 0"),
-            "{text}"
-        );
-        assert!(text.contains("beehive_redeliveries_total 0"), "{text}");
-        assert!(text.contains("beehive_dead_letters_total 0"), "{text}");
-        assert!(text.contains("beehive_decode_errors_total 0"), "{text}");
-        assert!(text.contains("beehive_quarantined_bees 0"), "{text}");
-
-        let mut r1 = report(1, "ls", 1, 5);
-        r1.handler_failures = [2, 1];
-        r1.redeliveries = 3;
-        r1.dead_letters = 1;
-        r1.decode_errors = 4;
-        r1.quarantined = 1;
-        a.ingest(&r1);
-        // Counters accumulate; the per-hive gauge is replaced, not summed.
-        let mut r1b = report(1, "ls", 1, 5);
-        r1b.handler_failures = [1, 0];
-        r1b.quarantined = 0;
-        a.ingest(&r1b);
-        let mut r2 = report(2, "ls", 2, 5);
-        r2.quarantined = 2;
-        a.ingest(&r2);
-
-        assert_eq!(a.handler_failures(), [3, 1]);
-        assert_eq!(a.redeliveries(), 3);
-        assert_eq!(a.dead_letters(), 1);
-        assert_eq!(a.decode_errors(), 4);
-        assert_eq!(a.quarantined_bees(), 2, "hive 1 recovered, hive 2 has two");
-
-        let text = a.render_prometheus();
-        assert!(
-            text.contains("beehive_handler_failures_total{kind=\"error\"} 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("beehive_handler_failures_total{kind=\"panic\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("beehive_quarantined_bees 2"), "{text}");
-        assert!(a.to_string().contains("faults: 3 handler errors"), "{a}");
-    }
-
-    #[test]
-    fn channel_counters_aggregate_and_render_unconditionally() {
-        let mut a = Analytics::new();
-        // Zero-state exposition still carries every channel family, so CI
-        // can grep for zeros before any traffic flows.
-        let text = a.render_prometheus();
-        assert!(text.contains("beehive_retransmits_total 0"), "{text}");
-        assert!(text.contains("beehive_dups_suppressed_total 0"), "{text}");
-        assert!(text.contains("beehive_channel_acks_total 0"), "{text}");
-        assert!(text.contains("beehive_outbox_depth 0"), "{text}");
-
-        let mut r1 = report(1, "ls", 1, 5);
-        r1.retransmits = 4;
-        r1.dups_suppressed = 2;
-        r1.channel_acks = 3;
-        r1.outbox_depth = 6;
-        a.ingest(&r1);
-        // Counters accumulate; the depth gauge is replaced per hive.
-        let mut r1b = report(1, "ls", 1, 5);
-        r1b.retransmits = 1;
-        r1b.outbox_depth = 0;
-        a.ingest(&r1b);
-        let mut r2 = report(2, "ls", 2, 5);
-        r2.outbox_depth = 2;
-        a.ingest(&r2);
-
-        assert_eq!(a.retransmits(), 5);
-        assert_eq!(a.dups_suppressed(), 2);
-        assert_eq!(a.channel_acks(), 3);
-        assert_eq!(a.outbox_depth(), 2, "hive 1 drained, hive 2 holds two");
-
-        let text = a.render_prometheus();
-        assert!(text.contains("beehive_retransmits_total 5"), "{text}");
-        assert!(text.contains("beehive_dups_suppressed_total 2"), "{text}");
-        assert!(text.contains("beehive_channel_acks_total 3"), "{text}");
-        assert!(text.contains("beehive_outbox_depth 2"), "{text}");
-    }
-
-    #[test]
-    fn durability_counters_aggregate_and_render_unconditionally() {
-        let mut a = Analytics::new();
-        // Zero-state exposition still carries every durability family, so
-        // the restart-storm smoke job can grep before any snapshot exists.
-        let text = a.render_prometheus();
-        assert!(text.contains("beehive_snapshot_index 0"), "{text}");
-        assert!(text.contains("beehive_snapshot_lag 0"), "{text}");
-        assert!(text.contains("beehive_snapshot_installs_total 0"), "{text}");
-        assert!(
-            text.contains("beehive_journal_torn_truncations_total 0"),
-            "{text}"
-        );
-
-        let mut r1 = report(1, "ls", 1, 5);
-        r1.snapshot_index = 32;
-        r1.snapshot_lag = 4;
-        r1.snapshot_installs = 1;
-        r1.journal_torn_truncations = 1;
-        a.ingest(&r1);
-        // Counters accumulate; the gauges are replaced per hive and the
-        // cluster view takes the worst (max) hive.
-        let mut r1b = report(1, "ls", 1, 5);
-        r1b.snapshot_index = 64;
-        r1b.snapshot_lag = 0;
-        a.ingest(&r1b);
-        let mut r2 = report(2, "ls", 2, 5);
-        r2.snapshot_index = 40;
-        r2.snapshot_lag = 7;
-        r2.snapshot_installs = 2;
-        a.ingest(&r2);
-
-        assert_eq!(a.snapshot_index(), 64);
-        assert_eq!(a.snapshot_lag(), 7, "worst hive wins");
-        assert_eq!(a.snapshot_installs(), 3);
-        assert_eq!(a.journal_torn_truncations(), 1);
-
-        let text = a.render_prometheus();
-        assert!(text.contains("beehive_snapshot_index 64"), "{text}");
-        assert!(text.contains("beehive_snapshot_lag 7"), "{text}");
-        assert!(text.contains("beehive_snapshot_installs_total 3"), "{text}");
-        assert!(
-            text.contains("beehive_journal_torn_truncations_total 1"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -281,6 +281,9 @@ pub(crate) fn run_batch(
             }
             instr.record_in_type(app_name, in_type);
             instr.bee_cells.insert(bee.0, colony.len() as u64);
+            if env.pinned {
+                instr.pinned.insert(bee.0);
+            }
             instr.record_latency(app_name, in_type, wait_us, elapsed / 1_000);
         }
         env.tracer.record(TraceSpan {

@@ -615,7 +615,7 @@ impl Hive {
         }
         let torn = hive.channels.torn_truncations();
         if torn > 0 {
-            hive.instr.lock().journal_torn_truncations += torn;
+            hive.instr.lock().platform.journal_torn_truncations += torn;
         }
         hive
     }
@@ -1205,7 +1205,7 @@ impl Hive {
                 }
             }
             self.quarantine_timers = still;
-            self.instr.lock().quarantined = self.quarantine_timers.len() as u64;
+            self.instr.lock().platform.quarantined = self.quarantine_timers.len() as u64;
         }
 
         // 6d. Reliable-channel maintenance: re-send unacked application
@@ -1275,10 +1275,10 @@ impl Hive {
         let outbox_depth = self.channels.stats().outbox_depth;
         if !delta.is_empty() || outbox_depth != self.last_outbox_depth {
             let mut instr = self.instr.lock();
-            instr.retransmits += delta.retransmits;
-            instr.dups_suppressed += delta.dups_suppressed;
-            instr.channel_acks += delta.acks_sent;
-            instr.outbox_depth = outbox_depth;
+            instr.platform.retransmits += delta.retransmits;
+            instr.platform.dups_suppressed += delta.dups_suppressed;
+            instr.platform.channel_acks += delta.acks_sent;
+            instr.platform.outbox_depth = outbox_depth;
             self.last_outbox_depth = outbox_depth;
         }
         work
@@ -1329,9 +1329,9 @@ impl Hive {
                 );
             }
             let mut instr = self.instr.lock();
-            instr.snapshot_index = snap_index;
-            instr.snapshot_lag = lag;
-            instr.snapshot_installs += installs - self.last_snapshot_installs;
+            instr.platform.snapshot_index = snap_index;
+            instr.platform.snapshot_lag = lag;
+            instr.platform.snapshot_installs += installs - self.last_snapshot_installs;
             self.last_snapshot_index = snap_index;
             self.last_snapshot_installs = installs;
             self.last_snapshot_lag = lag;
@@ -1527,7 +1527,6 @@ impl Hive {
                         *seq += 1;
                         id
                     });
-                    self.instr.lock().pinned.insert(bee.0);
                     self.deliver_checked(app_idx, bee, hidx, env.clone());
                 }
                 Mapped::LocalBroadcast => {
@@ -1856,7 +1855,7 @@ impl Hive {
         now: u64,
     ) {
         self.counters.dead_letters += 1;
-        self.instr.lock().dead_letters += 1;
+        self.instr.lock().platform.dead_letters += 1;
         self.events.record_full(
             EventKind::DeadLettered,
             env.trace.trace_id,
@@ -1908,7 +1907,7 @@ impl Hive {
         }
         env.deliveries += 1;
         self.counters.redeliveries += 1;
-        self.instr.lock().redeliveries += 1;
+        self.instr.lock().platform.redeliveries += 1;
         // Exponential backoff (capped at 64× base) with deterministic jitter
         // derived from the bee id, so colliding retries spread out without a
         // random source and the schedule replays identically across runs.
@@ -1958,7 +1957,7 @@ impl Hive {
                 format!("breaker tripped; cooldown until {until}ms"),
             );
             self.quarantine_timers.push((app_idx, bee, until));
-            self.instr.lock().quarantined = self.quarantine_timers.len() as u64;
+            self.instr.lock().platform.quarantined = self.quarantine_timers.len() as u64;
         }
     }
 
@@ -1967,7 +1966,7 @@ impl Hive {
     fn note_decode_error(&mut self, peer: Option<HiveId>) {
         const LOG_WINDOW_MS: u64 = 5_000;
         self.counters.decode_errors += 1;
-        self.instr.lock().decode_errors += 1;
+        self.instr.lock().platform.decode_errors += 1;
         let Some(peer) = peer else {
             return;
         };
@@ -2237,7 +2236,7 @@ impl Hive {
             format!("undeliverable: hive-{} departed the cluster", peer.0),
         );
         self.counters.dead_letters += 1;
-        self.instr.lock().dead_letters += 1;
+        self.instr.lock().platform.dead_letters += 1;
         self.dead_letters.record(DeadLetter {
             app,
             bee,

@@ -1,7 +1,4 @@
-//! Live cluster introspection: a dependency-free HTTP/1.0 status server
-//! plus the shared Prometheus render path used by both the server and the
-//! `--metrics-dump` file exporter (one renderer, two transports — the dump
-//! flag is the fallback for environments that cannot open a port).
+//! Live cluster introspection: a dependency-free HTTP/1.0 status server.
 //!
 //! Endpoints:
 //!
@@ -31,9 +28,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::analytics::Analytics;
+use crate::analytics::{push_header, push_sample, Analytics};
 use crate::events::EventJournal;
 use crate::lifecycle::{Lifecycle, LifecycleStage};
+use crate::metrics::PlatformCounters;
 use crate::supervision::DeadLetterStore;
 use crate::trace::{chrome_trace_merged, TraceCollector, TraceHub};
 use crate::transport::{FrameKind, TransportCounters, TransportSnapshot};
@@ -79,9 +77,8 @@ pub struct StatusContext {
     pub lifecycle: Option<Arc<Lifecycle>>,
 }
 
-/// Renders the full Prometheus exposition: analytics families plus (when
-/// present) the transport families. The single render path shared by
-/// `GET /metrics` and `--metrics-dump`.
+/// Renders the full Prometheus exposition behind `GET /metrics`: analytics
+/// families plus (when present) the transport families.
 pub fn render_metrics(analytics: &Analytics, transport: Option<&TransportSnapshot>) -> String {
     let mut text = analytics.render_prometheus();
     if let Some(snap) = transport {
@@ -92,83 +89,67 @@ pub fn render_metrics(analytics: &Analytics, transport: Option<&TransportSnapsho
 
 /// Renders the TCP transport counters as Prometheus text.
 pub fn render_transport(snap: &TransportSnapshot) -> String {
-    use std::fmt::Write;
     let mut out = String::new();
-    out.push_str(
-        "# HELP beehive_transport_frames_total Frames exchanged by the TCP transport.\n\
-         # TYPE beehive_transport_frames_total counter\n",
-    );
-    for kind in FrameKind::ALL {
-        let (fo, _) = snap.sent(kind);
-        let (fi, _) = snap.received(kind);
-        let k = kind.label();
-        writeln!(
-            out,
-            "beehive_transport_frames_total{{kind=\"{k}\",direction=\"out\"}} {fo}"
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "beehive_transport_frames_total{{kind=\"{k}\",direction=\"in\"}} {fi}"
-        )
-        .unwrap();
+    type PerKind = fn((u64, u64)) -> u64;
+    let traffic: [(&str, &str, PerKind); 2] = [
+        (
+            "beehive_transport_frames_total",
+            "Frames exchanged by the TCP transport.",
+            |(frames, _)| frames,
+        ),
+        (
+            "beehive_transport_bytes_total",
+            "Wire bytes exchanged by the TCP transport.",
+            |(_, bytes)| bytes,
+        ),
+    ];
+    for (name, help, pick) in traffic {
+        push_header(&mut out, name, help, "counter");
+        for kind in FrameKind::ALL {
+            for (direction, counts) in [("out", snap.sent(kind)), ("in", snap.received(kind))] {
+                push_sample(
+                    &mut out,
+                    name,
+                    &[("kind", kind.label()), ("direction", direction)],
+                    pick(counts) as f64,
+                );
+            }
+        }
     }
-    out.push_str(
-        "# HELP beehive_transport_bytes_total Wire bytes exchanged by the TCP transport.\n\
-         # TYPE beehive_transport_bytes_total counter\n",
-    );
-    for kind in FrameKind::ALL {
-        let (_, bo) = snap.sent(kind);
-        let (_, bi) = snap.received(kind);
-        let k = kind.label();
-        writeln!(
-            out,
-            "beehive_transport_bytes_total{{kind=\"{k}\",direction=\"out\"}} {bo}"
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "beehive_transport_bytes_total{{kind=\"{k}\",direction=\"in\"}} {bi}"
-        )
-        .unwrap();
+    let totals = [
+        (
+            "beehive_transport_connect_failures_total",
+            "Failed connect attempts to peers.",
+            snap.connect_failures,
+        ),
+        (
+            "beehive_transport_deferred_total",
+            "Frames queued for retransmission on reconnect instead of sent (dead or backed-off peer).",
+            snap.deferred,
+        ),
+        (
+            "beehive_transport_deferred_evicted_total",
+            "Frames evicted from a full deferred queue (dropped; App/Raft recover via retransmission, Control does not).",
+            snap.deferred_evicted,
+        ),
+    ];
+    for (name, help, value) in totals {
+        push_header(&mut out, name, help, "counter");
+        push_sample(&mut out, name, &[], value as f64);
     }
-    out.push_str(
-        "# HELP beehive_transport_connect_failures_total Failed connect attempts to peers.\n\
-         # TYPE beehive_transport_connect_failures_total counter\n",
-    );
-    writeln!(
-        out,
-        "beehive_transport_connect_failures_total {}",
-        snap.connect_failures
-    )
-    .unwrap();
-    out.push_str(
-        "# HELP beehive_transport_deferred_total Frames queued for retransmission on \
-         reconnect instead of sent (dead or backed-off peer).\n\
-         # TYPE beehive_transport_deferred_total counter\n",
-    );
-    writeln!(out, "beehive_transport_deferred_total {}", snap.deferred).unwrap();
-    out.push_str(
-        "# HELP beehive_transport_deferred_evicted_total Frames evicted from a full \
-         deferred queue (dropped; App/Raft recover via retransmission, Control does not).\n\
-         # TYPE beehive_transport_deferred_evicted_total counter\n",
-    );
-    writeln!(
-        out,
-        "beehive_transport_deferred_evicted_total {}",
-        snap.deferred_evicted
-    )
-    .unwrap();
-    out.push_str(
-        "# HELP beehive_transport_peer_backoff_ms Current dead-peer backoff window per peer.\n\
-         # TYPE beehive_transport_peer_backoff_ms gauge\n",
+    push_header(
+        &mut out,
+        "beehive_transport_peer_backoff_ms",
+        "Current dead-peer backoff window per peer.",
+        "gauge",
     );
     for (peer, ms) in &snap.peer_backoff_ms {
-        writeln!(
-            out,
-            "beehive_transport_peer_backoff_ms{{peer=\"{peer}\"}} {ms}"
-        )
-        .unwrap();
+        push_sample(
+            &mut out,
+            "beehive_transport_peer_backoff_ms",
+            &[("peer", &peer.to_string())],
+            *ms as f64,
+        );
     }
     out
 }
@@ -269,14 +250,12 @@ fn serve_connection(mut stream: TcpStream, ctx: &StatusContext) -> std::io::Resu
             respond(&mut stream, "200 OK", "text/plain; version=0.0.4", &text)
         }
         "/healthz" => {
-            let (quarantined, outbox_depth, snapshot_lag) = {
-                let analytics = ctx.analytics.lock().unwrap();
-                (
-                    analytics.quarantined_bees(),
-                    analytics.outbox_depth(),
-                    analytics.snapshot_lag(),
-                )
-            };
+            let PlatformCounters {
+                quarantined,
+                outbox_depth,
+                snapshot_lag,
+                ..
+            } = ctx.analytics.lock().unwrap().platform();
             let dead_letters = ctx.dead_letters.len() as u64;
             let stage = ctx
                 .lifecycle

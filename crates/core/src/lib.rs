@@ -105,10 +105,13 @@ pub use lifecycle::{Lifecycle, LifecycleStage};
 pub use message::{cast, Dst, Envelope, Message, MessageRegistry, Source, TypedMessage};
 pub use metrics::{
     BeeStats, BeeStatsSnapshot, ExecutorStats, HiveMetrics, Instrumentation, LatencyHistogram,
-    MsgLatency, WorkerStats, LATENCY_BUCKETS_US,
+    MsgLatency, PlatformCounters, PlatformKind, PlatformRow, WorkerStats, LATENCY_BUCKETS_US,
+    PLATFORM_TABLE,
 };
 pub use outbox::{JournalEntry, Outbox, OutboxState};
-pub use platform::{collector_app, optimizer_app, Tick, COLLECTOR_APP, OPTIMIZER_APP};
+pub use platform::{
+    collector_app, exporter_app, optimizer_app, Tick, COLLECTOR_APP, EXPORTER_APP, OPTIMIZER_APP,
+};
 pub use queen::Delivery;
 pub use registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState};
 pub use replication::{replicas_of, ShadowStore};

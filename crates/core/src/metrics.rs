@@ -269,20 +269,171 @@ pub struct ProvenanceKey {
     pub out_type: String,
 }
 
+/// How one platform scalar behaves over time and across hives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlatformKind {
+    /// A delta since the hive's previous report: added at every hop.
+    Counter,
+    /// Current state of one hive (the last report wins); the cluster figure
+    /// is the sum over hives.
+    GaugeSum,
+    /// Current state of one hive; the cluster figure is the worst hive's.
+    GaugeMax,
+}
+
+impl PlatformKind {
+    /// The Prometheus `# TYPE` of a family of this kind.
+    pub fn prometheus_type(self) -> &'static str {
+        match self {
+            PlatformKind::Counter => "counter",
+            PlatformKind::GaugeSum | PlatformKind::GaugeMax => "gauge",
+        }
+    }
+}
+
+/// One row of [`PLATFORM_TABLE`]: everything the pipeline knows about one
+/// [`PlatformCounters`] field.
+#[derive(Debug, Clone, Copy)]
+pub struct PlatformRow {
+    /// The field's name.
+    pub field: &'static str,
+    /// How values of it fold.
+    pub kind: PlatformKind,
+    /// The Prometheus family it is exposed as. Adjacent rows may share one.
+    pub family: &'static str,
+    /// The label telling the rows of a shared family apart.
+    pub label: Option<(&'static str, &'static str)>,
+    /// The family's `# HELP` text.
+    pub help: &'static str,
+}
+
+/// Declares the platform scalars: [`PlatformCounters`] gets one `u64` field
+/// per row, in row order, and [`PLATFORM_TABLE`] the matching descriptions.
+macro_rules! platform_counters {
+    ($($field:ident: $kind:ident, $family:literal, $label:expr, $help:literal;)+) => {
+        /// The hive-wide platform scalars, carried whole from the hive's
+        /// [`Instrumentation`] through [`HiveMetrics`] to the analytics
+        /// store. Adding one is a row in this table plus the site that
+        /// counts it; field order is wire order.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct PlatformCounters {
+            $(#[doc = $help] pub $field: u64,)+
+        }
+
+        /// One row per [`PlatformCounters`] field, in field order — which is
+        /// also the order of the `/metrics` exposition.
+        pub const PLATFORM_TABLE: &[PlatformRow] = &[$(PlatformRow {
+            field: stringify!($field),
+            kind: PlatformKind::$kind,
+            family: $family,
+            label: $label,
+            help: $help,
+        },)+];
+
+        impl PlatformCounters {
+            /// Every row with this reading's value for it.
+            pub fn rows(&self) -> impl Iterator<Item = (&'static PlatformRow, u64)> {
+                PLATFORM_TABLE.iter().zip([$(self.$field,)+])
+            }
+
+            /// Every row with this reading's cell for it.
+            pub fn rows_mut(&mut self) -> impl Iterator<Item = (&'static PlatformRow, &mut u64)> {
+                PLATFORM_TABLE.iter().zip([$(&mut self.$field,)+])
+            }
+        }
+    };
+}
+
+platform_counters! {
+    handler_errors: Counter, "beehive_handler_failures_total", Some(("kind", "error")),
+        "Failed handler invocations by kind.";
+    handler_panics: Counter, "beehive_handler_failures_total", Some(("kind", "panic")),
+        "Failed handler invocations by kind.";
+    redeliveries: Counter, "beehive_redeliveries_total", None,
+        "Supervised redelivery attempts.";
+    dead_letters: Counter, "beehive_dead_letters_total", None,
+        "Messages recorded in dead-letter queues.";
+    decode_errors: Counter, "beehive_decode_errors_total", None,
+        "Undecodable frames or payloads.";
+    quarantined: GaugeSum, "beehive_quarantined_bees", None,
+        "Bees currently quarantined.";
+    retransmits: Counter, "beehive_retransmits_total", None,
+        "Channel frames retransmitted after an ack timeout.";
+    dups_suppressed: Counter, "beehive_dups_suppressed_total", None,
+        "Duplicate frames absorbed by receiver dedup.";
+    channel_acks: Counter, "beehive_channel_acks_total", None,
+        "Standalone channel ack frames emitted.";
+    outbox_depth: GaugeSum, "beehive_outbox_depth", None,
+        "Unacked envelopes buffered for resend across hives.";
+    snapshot_index: GaugeMax, "beehive_snapshot_index", None,
+        "Highest registry log index covered by a durable snapshot.";
+    snapshot_lag: GaugeMax, "beehive_snapshot_lag", None,
+        "Applied registry entries not yet covered by a snapshot (worst hive).";
+    snapshot_installs: Counter, "beehive_snapshot_installs_total", None,
+        "Registry snapshots installed from peers.";
+    journal_torn_truncations: Counter, "beehive_journal_torn_truncations_total", None,
+        "Torn journal tails truncated during recovery.";
+}
+
+impl PlatformCounters {
+    /// Whether every scalar is zero.
+    pub fn is_zero(&self) -> bool {
+        *self == PlatformCounters::default()
+    }
+
+    /// Folds a later reading of the same hive into this one: counters add,
+    /// gauges are replaced.
+    pub fn absorb(&mut self, later: &PlatformCounters) {
+        for ((row, mine), (_, theirs)) in self.rows_mut().zip(later.rows()) {
+            match row.kind {
+                PlatformKind::Counter => *mine += theirs,
+                PlatformKind::GaugeSum | PlatformKind::GaugeMax => *mine = theirs,
+            }
+        }
+    }
+
+    /// Returns the current reading and starts the next window: counters
+    /// restart from zero, gauges keep describing the hive's state.
+    pub fn take(&mut self) -> PlatformCounters {
+        let taken = *self;
+        for (row, cell) in self.rows_mut() {
+            if row.kind == PlatformKind::Counter {
+                *cell = 0;
+            }
+        }
+        taken
+    }
+
+    /// The cluster figure over one reading per hive.
+    pub fn fold<'a>(hives: impl IntoIterator<Item = &'a PlatformCounters>) -> PlatformCounters {
+        let mut cluster = PlatformCounters::default();
+        for hive in hives {
+            for ((row, total), (_, value)) in cluster.rows_mut().zip(hive.rows()) {
+                match row.kind {
+                    PlatformKind::Counter | PlatformKind::GaugeSum => *total += value,
+                    PlatformKind::GaugeMax => *total = (*total).max(value),
+                }
+            }
+        }
+        cluster
+    }
+}
+
 /// A hive's local instrumentation store.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Instrumentation {
     /// Stats per (app, bee).
     pub bees: BTreeMap<(AppName, u64), BeeStats>,
-    /// Where each instrumented bee currently lives (this hive) and how many
-    /// cells it owns.
+    /// How many cells each bee instrumented in this window owns. Rewritten
+    /// with every message the bee handles, so it is taken with the window.
     pub bee_cells: BTreeMap<u64, u64>,
     /// Provenance counters: how often `in_type` produced `out_type`.
     pub provenance: BTreeMap<ProvenanceKey, u64>,
     /// Deliveries per (app, message type) — the denominators for
     /// [`Instrumentation::provenance_ratios`].
     pub in_type_counts: BTreeMap<(AppName, String), u64>,
-    /// Bees that are pinned to this hive (local singletons).
+    /// The bees instrumented in this window that are pinned to this hive
+    /// (local singletons). Per window, like `bee_cells`.
     pub pinned: std::collections::BTreeSet<u64>,
     /// Cumulative bee-to-bee message matrix: `(src_hive, dst_hive) → msgs`.
     /// Never reset by [`Instrumentation::take`]; this is what regenerates
@@ -293,38 +444,8 @@ pub struct Instrumentation {
     pub executor: ExecutorStats,
     /// Queue-wait / handler-runtime histograms per (app, message type).
     pub latency: BTreeMap<(AppName, String), MsgLatency>,
-    /// Handler failures by kind (delta): `[error, panic]`.
-    pub handler_failures: [u64; 2],
-    /// Redeliveries scheduled by the supervisor (delta).
-    pub redeliveries: u64,
-    /// Messages dead-lettered (delta; all [`FailureKind`]s).
-    pub dead_letters: u64,
-    /// Wire frames whose payload failed to decode (delta).
-    pub decode_errors: u64,
-    /// Bees currently quarantined on this hive (gauge; retained by
-    /// [`Instrumentation::take`], it describes state, not a delta).
-    pub quarantined: u64,
-    /// Reliable-channel frames retransmitted after an ack timeout (delta).
-    pub retransmits: u64,
-    /// Duplicate frames suppressed by receiver-side dedup (delta).
-    pub dups_suppressed: u64,
-    /// Standalone ack frames emitted by the channel layer (delta;
-    /// piggybacked acks ride data frames and are not counted).
-    pub channel_acks: u64,
-    /// Unacked envelopes currently buffered for resend across all peers
-    /// (gauge; retained by [`Instrumentation::take`] like `quarantined`).
-    pub outbox_depth: u64,
-    /// Index the registry raft log has been compacted through (gauge;
-    /// retained by [`Instrumentation::take`]).
-    pub snapshot_index: u64,
-    /// Applied entries ahead of the last durable snapshot (gauge; retained
-    /// by [`Instrumentation::take`]).
-    pub snapshot_lag: u64,
-    /// Registry snapshots installed from a peer since the previous report
-    /// (delta).
-    pub snapshot_installs: u64,
-    /// Torn journal tails truncated during durable-state recovery (delta).
-    pub journal_torn_truncations: u64,
+    /// The hive-wide scalars (counters are deltas, gauges current state).
+    pub platform: PlatformCounters,
 }
 
 impl Instrumentation {
@@ -362,8 +483,8 @@ impl Instrumentation {
     /// through `dead_letters` instead.
     pub fn record_failure(&mut self, kind: FailureKind) {
         match kind {
-            FailureKind::Error => self.handler_failures[0] += 1,
-            FailureKind::Panic => self.handler_failures[1] += 1,
+            FailureKind::Error => self.platform.handler_errors += 1,
+            FailureKind::Panic => self.platform.handler_panics += 1,
             FailureKind::Quarantined | FailureKind::MailboxOverflow | FailureKind::PeerDeparted => {
             }
         }
@@ -405,35 +526,20 @@ impl Instrumentation {
         }
         self.pinned.extend(delta.pinned);
         self.executor.merge(&delta.executor);
-        self.handler_failures[0] += delta.handler_failures[0];
-        self.handler_failures[1] += delta.handler_failures[1];
-        self.redeliveries += delta.redeliveries;
-        self.dead_letters += delta.dead_letters;
-        self.decode_errors += delta.decode_errors;
-        self.retransmits += delta.retransmits;
-        self.dups_suppressed += delta.dups_suppressed;
-        self.channel_acks += delta.channel_acks;
-        self.snapshot_installs += delta.snapshot_installs;
-        self.journal_torn_truncations += delta.journal_torn_truncations;
-        // Gauges: worker deltas always carry 0; the hive sets them directly.
-        self.quarantined = self.quarantined.max(delta.quarantined);
-        self.outbox_depth = self.outbox_depth.max(delta.outbox_depth);
-        self.snapshot_index = self.snapshot_index.max(delta.snapshot_index);
-        self.snapshot_lag = self.snapshot_lag.max(delta.snapshot_lag);
+        // Gauges are only ever set on this store, so its reading is the later
+        // one.
+        let mut platform = delta.platform;
+        platform.absorb(&self.platform);
+        self.platform = platform;
     }
 
-    /// Takes the counter deltas, leaving the store empty. Metadata (pinned
-    /// bees, colony sizes) is retained — it describes current state, not a
-    /// delta.
+    /// Takes the window, leaving the store empty but for what describes no
+    /// window: the cumulative message matrix and the platform gauges.
     pub fn take(&mut self) -> Instrumentation {
-        let taken = std::mem::take(self);
-        self.pinned = taken.pinned.clone();
-        self.bee_cells = taken.bee_cells.clone();
-        self.msg_matrix = taken.msg_matrix.clone();
-        self.quarantined = taken.quarantined;
-        self.outbox_depth = taken.outbox_depth;
-        self.snapshot_index = taken.snapshot_index;
-        self.snapshot_lag = taken.snapshot_lag;
+        let mut taken = std::mem::take(self);
+        std::mem::swap(&mut self.msg_matrix, &mut taken.msg_matrix);
+        self.platform = taken.platform;
+        taken.platform = self.platform.take();
         taken
     }
 
@@ -492,33 +598,9 @@ pub struct HiveMetrics {
     pub executor: ExecutorStats,
     /// Latency-histogram deltas per (app, message type).
     pub latency: Vec<(AppName, String, MsgLatency)>,
-    /// Handler failures by kind since the previous report: `[error, panic]`.
-    pub handler_failures: [u64; 2],
-    /// Redeliveries scheduled since the previous report.
-    pub redeliveries: u64,
-    /// Messages dead-lettered since the previous report.
-    pub dead_letters: u64,
-    /// Wire frames that failed to decode since the previous report.
-    pub decode_errors: u64,
-    /// Bees currently quarantined on this hive (gauge).
-    pub quarantined: u64,
-    /// Reliable-channel retransmissions since the previous report.
-    pub retransmits: u64,
-    /// Duplicate frames suppressed by dedup since the previous report.
-    pub dups_suppressed: u64,
-    /// Standalone channel acks emitted since the previous report.
-    pub channel_acks: u64,
-    /// Unacked envelopes buffered for resend on this hive (gauge).
-    pub outbox_depth: u64,
-    /// Index the registry raft log is compacted through (gauge).
-    pub snapshot_index: u64,
-    /// Applied entries ahead of the last durable snapshot (gauge).
-    pub snapshot_lag: u64,
-    /// Registry snapshots installed from a peer since the previous report.
-    pub snapshot_installs: u64,
-    /// Torn journal tails truncated during recovery since the previous
-    /// report.
-    pub journal_torn_truncations: u64,
+    /// The hive-wide scalars: counters since the previous report, gauges as
+    /// of this one.
+    pub platform: PlatformCounters,
 }
 crate::impl_message!(HiveMetrics);
 
@@ -693,10 +775,11 @@ mod tests {
         let lat = &agg.latency[&("te".to_string(), "PacketIn".to_string())];
         assert_eq!(lat.queue_wait.count, 2, "one sample per cycle");
         assert_eq!(lat.runtime.count, 2);
-        // Metadata survives in the store (it describes state, not a delta)…
-        assert!(store.pinned.contains(&bee.0));
-        assert_eq!(store.bee_cells[&bee.0], 4);
-        // …and the second take carried no stale counters.
+        // Metadata is rewritten with every handled message, so it leaves
+        // with its window: nothing accumulates for bees that have gone.
+        assert!(agg.pinned.contains(&bee.0));
+        assert_eq!(agg.bee_cells[&bee.0], 4);
+        assert!(store.pinned.is_empty() && store.bee_cells.is_empty());
         assert!(store.bees.is_empty());
     }
 
@@ -722,91 +805,63 @@ mod tests {
         assert_eq!(merged, direct);
     }
 
+    /// Every table row gets a distinct value; `take`, the worker check-in
+    /// and the per-hive and cross-hive folds must then treat each row as its
+    /// kind declares.
     #[test]
-    fn failure_counters_flow_and_the_gauge_is_retained() {
-        let mut inst = Instrumentation::default();
-        inst.record_failure(FailureKind::Error);
-        inst.record_failure(FailureKind::Panic);
-        inst.record_failure(FailureKind::Panic);
-        // Admission failures never count as handler failures.
-        inst.record_failure(FailureKind::Quarantined);
-        inst.record_failure(FailureKind::MailboxOverflow);
-        inst.redeliveries = 4;
-        inst.dead_letters = 2;
-        inst.decode_errors = 1;
-        inst.quarantined = 3;
-        let taken = inst.take();
-        assert_eq!(taken.handler_failures, [1, 2]);
-        assert_eq!(taken.redeliveries, 4);
-        assert_eq!(taken.dead_letters, 2);
-        assert_eq!(taken.decode_errors, 1);
-        // Deltas reset; the quarantine gauge survives the take.
-        assert_eq!(inst.handler_failures, [0, 0]);
-        assert_eq!(inst.redeliveries, 0);
-        assert_eq!(inst.quarantined, 3);
-        let mut agg = Instrumentation::default();
-        agg.merge_delta(taken);
-        agg.merge_delta(Instrumentation {
-            handler_failures: [0, 1],
+    fn platform_rows_fold_as_the_table_declares() {
+        let reading = |base: u64| {
+            let mut p = PlatformCounters::default();
+            for (i, (_, cell)) in p.rows_mut().enumerate() {
+                *cell = base + i as u64;
+            }
+            p
+        };
+        let mut inst = Instrumentation {
+            platform: reading(100),
             ..Default::default()
-        });
-        assert_eq!(agg.handler_failures, [1, 3]);
-        assert_eq!(agg.dead_letters, 2);
-        assert_eq!(agg.quarantined, 3, "gauge merges by max, not sum");
-    }
+        };
+        let taken = inst.take();
+        assert_eq!(taken.platform, reading(100));
+        for ((row, left), (_, was)) in inst.platform.rows().zip(taken.platform.rows()) {
+            let want = match row.kind {
+                PlatformKind::Counter => 0,
+                PlatformKind::GaugeSum | PlatformKind::GaugeMax => was,
+            };
+            assert_eq!(left, want, "{} after take", row.field);
+        }
 
-    #[test]
-    fn channel_counters_flow_and_the_depth_gauge_is_retained() {
-        let mut inst = Instrumentation::default();
-        inst.retransmits = 3;
-        inst.dups_suppressed = 5;
-        inst.channel_acks = 2;
-        inst.outbox_depth = 7;
-        let taken = inst.take();
-        assert_eq!(taken.retransmits, 3);
-        assert_eq!(taken.dups_suppressed, 5);
-        assert_eq!(taken.channel_acks, 2);
-        // Deltas reset; the depth gauge survives the take.
-        assert_eq!(inst.retransmits, 0);
-        assert_eq!(inst.dups_suppressed, 0);
-        assert_eq!(inst.outbox_depth, 7);
-        let mut agg = Instrumentation::default();
-        agg.merge_delta(taken);
-        agg.merge_delta(Instrumentation {
-            retransmits: 1,
-            outbox_depth: 4,
-            ..Default::default()
-        });
-        assert_eq!(agg.retransmits, 4);
-        assert_eq!(agg.dups_suppressed, 5);
-        assert_eq!(agg.outbox_depth, 7, "gauge merges by max, not sum");
-    }
+        // A worker's delta carries counters only: they add, and its zero
+        // gauges do not reset the store's. Admission failures ran no
+        // handler and count as no handler failure.
+        let gauges = inst.platform;
+        let mut delta = Instrumentation::default();
+        delta.record_failure(FailureKind::Panic);
+        delta.record_failure(FailureKind::Quarantined);
+        delta.record_failure(FailureKind::MailboxOverflow);
+        inst.merge_delta(delta);
+        assert_eq!(
+            inst.platform,
+            PlatformCounters {
+                handler_panics: 1,
+                ..gauges
+            }
+        );
 
-    #[test]
-    fn snapshot_counters_flow_and_the_gauges_are_retained() {
-        let mut inst = Instrumentation::default();
-        inst.snapshot_index = 40;
-        inst.snapshot_lag = 3;
-        inst.snapshot_installs = 2;
-        inst.journal_torn_truncations = 1;
-        let taken = inst.take();
-        assert_eq!(taken.snapshot_installs, 2);
-        assert_eq!(taken.journal_torn_truncations, 1);
-        // Deltas reset; the compaction gauges survive the take.
-        assert_eq!(inst.snapshot_installs, 0);
-        assert_eq!(inst.journal_torn_truncations, 0);
-        assert_eq!(inst.snapshot_index, 40);
-        assert_eq!(inst.snapshot_lag, 3);
-        let mut agg = Instrumentation::default();
-        agg.merge_delta(taken);
-        agg.merge_delta(Instrumentation {
-            snapshot_index: 24,
-            snapshot_installs: 1,
-            ..Default::default()
-        });
-        assert_eq!(agg.snapshot_installs, 3);
-        assert_eq!(agg.journal_torn_truncations, 1);
-        assert_eq!(agg.snapshot_index, 40, "gauge merges by max, not sum");
+        // Two windows of hive A and one of hive B.
+        let mut hive_a = reading(100);
+        hive_a.absorb(&reading(200));
+        let cluster = PlatformCounters::fold([&hive_a, &reading(150)]);
+        for (i, (row, got)) in cluster.rows().enumerate() {
+            let i = i as u64;
+            let want = match row.kind {
+                PlatformKind::Counter => (100 + i) + (200 + i) + (150 + i),
+                PlatformKind::GaugeSum => (200 + i) + (150 + i),
+                PlatformKind::GaugeMax => 200 + i,
+            };
+            assert_eq!(got, want, "{} across hives", row.field);
+        }
+        assert!(PlatformCounters::default().is_zero() && !cluster.is_zero());
     }
 
     #[test]

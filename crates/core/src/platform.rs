@@ -5,6 +5,8 @@
 //! * [`Tick`] — the periodic timer message (`on TimeOut` in the paper);
 //! * [`collector_app`] — per-hive, reads the local instrumentation store and
 //!   emits [`HiveMetrics`] reports;
+//! * [`exporter_app`] — per-hive, folds the reports into the [`Analytics`]
+//!   store the status server renders;
 //! * [`optimizer_app`] — aggregates reports on a single bee (its dictionary
 //!   is monolithic — dogfooding the centralized-app pattern) and issues
 //!   migration orders per the greedy heuristic.
@@ -14,6 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::analytics::Analytics;
 use crate::app::App;
 use crate::id::{BeeId, HiveId};
 use crate::metrics::{BeeStats, BeeStatsSnapshot, HiveMetrics, Instrumentation, LatencyHistogram};
@@ -33,6 +36,8 @@ crate::impl_message!(Tick);
 pub const COLLECTOR_APP: &str = "beehive.collector";
 /// Name of the optimizer platform app.
 pub const OPTIMIZER_APP: &str = "beehive.optimizer";
+/// Name of the exporter platform app.
+pub const EXPORTER_APP: &str = "beehive.exporter";
 
 /// Builds the per-hive metrics collector. It runs on a pinned local
 /// singleton bee; on every [`Tick`] it drains the hive's instrumentation
@@ -40,72 +45,60 @@ pub const OPTIMIZER_APP: &str = "beehive.optimizer";
 pub fn collector_app(instr: Arc<Mutex<Instrumentation>>) -> App {
     App::builder(COLLECTOR_APP)
         .handle_local::<Tick>("collect", move |tick, ctx| {
-            let delta = instr.lock().take();
-            if delta.bees.is_empty()
-                && delta.provenance.is_empty()
-                && delta.executor.is_empty()
-                && delta.latency.is_empty()
-                && delta.handler_failures == [0, 0]
-                && delta.redeliveries == 0
-                && delta.dead_letters == 0
-                && delta.decode_errors == 0
-                && delta.quarantined == 0
-                && delta.retransmits == 0
-                && delta.dups_suppressed == 0
-                && delta.channel_acks == 0
-                && delta.outbox_depth == 0
-                && delta.snapshot_index == 0
-                && delta.snapshot_lag == 0
-                && delta.snapshot_installs == 0
-                && delta.journal_torn_truncations == 0
+            let Instrumentation {
+                bees,
+                bee_cells,
+                pinned,
+                provenance,
+                executor,
+                latency,
+                platform,
+                ..
+            } = instr.lock().take();
+            if bees.is_empty()
+                && provenance.is_empty()
+                && executor.is_empty()
+                && latency.is_empty()
+                && platform.is_zero()
             {
                 return Ok(());
             }
             let hive = ctx.hive();
-            let bees = delta
-                .bees
-                .iter()
-                .map(|((app, bee), stats)| BeeStatsSnapshot {
-                    app: app.clone(),
-                    bee: BeeId(*bee),
-                    hive,
-                    pinned: delta.pinned.contains(bee),
-                    cells: delta.bee_cells.get(bee).copied().unwrap_or(0),
-                    stats: stats.clone(),
-                })
-                .collect();
-            let provenance = delta
-                .provenance
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect();
-            let latency = delta
-                .latency
-                .iter()
-                .map(|((app, ty), lat)| (app.clone(), ty.clone(), lat.clone()))
-                .collect();
             ctx.emit(HiveMetrics {
                 hive,
                 seq: tick.seq,
                 now_ms: tick.now_ms,
-                bees,
-                provenance,
-                executor: delta.executor.clone(),
-                latency,
-                handler_failures: delta.handler_failures,
-                redeliveries: delta.redeliveries,
-                dead_letters: delta.dead_letters,
-                decode_errors: delta.decode_errors,
-                quarantined: delta.quarantined,
-                retransmits: delta.retransmits,
-                dups_suppressed: delta.dups_suppressed,
-                channel_acks: delta.channel_acks,
-                outbox_depth: delta.outbox_depth,
-                snapshot_index: delta.snapshot_index,
-                snapshot_lag: delta.snapshot_lag,
-                snapshot_installs: delta.snapshot_installs,
-                journal_torn_truncations: delta.journal_torn_truncations,
+                bees: bees
+                    .into_iter()
+                    .map(|((app, bee), stats)| BeeStatsSnapshot {
+                        app,
+                        bee: BeeId(bee),
+                        hive,
+                        pinned: pinned.contains(&bee),
+                        cells: bee_cells.get(&bee).copied().unwrap_or(0),
+                        stats,
+                    })
+                    .collect(),
+                provenance: provenance.into_iter().collect(),
+                executor,
+                latency: latency
+                    .into_iter()
+                    .map(|((app, ty), lat)| (app, ty, lat))
+                    .collect(),
+                platform,
             });
+            Ok(())
+        })
+        .build()
+}
+
+/// Builds the per-hive exporter: a pinned local singleton that folds every
+/// [`HiveMetrics`] report reaching this hive into `sink`, the store the
+/// status server renders as `GET /metrics`.
+pub fn exporter_app(sink: Arc<std::sync::Mutex<Analytics>>) -> App {
+    App::builder(EXPORTER_APP)
+        .handle_local::<HiveMetrics>("export", move |report, _ctx| {
+            sink.lock().expect("analytics lock poisoned").ingest(report);
             Ok(())
         })
         .build()

@@ -36,15 +36,9 @@
 //! * `--stats-every SECS` — print instrumentation analytics every N seconds (default 10; 0 = off)
 //! * `--status-addr ADDR` — serve the live introspection plane over HTTP:
 //!   `GET /metrics` (Prometheus), `/healthz`, `/events?n=K` (flight-recorder
-//!   journal), `/trace/<id>` (merged cluster chrome-trace), `/dlq`
-//! * `--metrics-dump PATH` — write Prometheus text exposition to PATH
-//!   periodically (atomic tmp+rename; scrape it with `cat` or node_exporter's
-//!   textfile collector). Same render path as `GET /metrics` — the file dump
-//!   is the fallback for environments that cannot open a port
-//! * `--dump-every SECS` — metrics dump period (default 5)
-//! * `--dlq-dump PATH` — write the dead-letter queue (messages that
-//!   exhausted their redelivery budget or were rejected by quarantine /
-//!   mailbox overflow) to PATH periodically, one line per letter
+//!   journal), `/trace/<id>` (merged cluster chrome-trace), `/dlq` (the
+//!   messages that exhausted their redelivery budget or were rejected by
+//!   quarantine / mailbox overflow)
 //! * `--storage-dir PATH` — durable state directory: registry Raft log +
 //!   snapshots and the reliable-channel outbox journal live here, so a
 //!   SIGKILLed node restarts with its registry mirror, unacked sends and
@@ -77,8 +71,8 @@ use beehive::apps::{
 use beehive::core::optimizer::OptimizerConfig;
 use beehive::core::SystemClock;
 use beehive::core::{
-    collector_app, optimizer_app, render_metrics, Analytics, App, Hive, HiveConfig, HiveId,
-    HiveMetrics, Mapped, StatusContext, StatusServer, TransportPreference,
+    collector_app, exporter_app, optimizer_app, Analytics, Hive, HiveConfig, HiveId, StatusContext,
+    StatusServer, TransportPreference,
 };
 use beehive::net::bind_tcp;
 
@@ -94,9 +88,6 @@ struct Args {
     apps: Vec<String>,
     stats_every: u64,
     status_addr: Option<SocketAddr>,
-    metrics_dump: Option<std::path::PathBuf>,
-    dump_every: u64,
-    dlq_dump: Option<std::path::PathBuf>,
     storage_dir: Option<std::path::PathBuf>,
     snapshot_interval: Option<u64>,
     fsync: beehive::core::FsyncPolicy,
@@ -110,7 +101,7 @@ fn usage() -> ! {
         "usage: beehive-node --id N --listen ADDR [--peer ID=ADDR]... [--join ID=ADDR] \
          [--drain] [--voters K] \
          [--replication R] [--workers N] [--apps a,b,c] [--stats-every SECS] \
-         [--status-addr ADDR] [--metrics-dump PATH] [--dump-every SECS] [--dlq-dump PATH] \
+         [--status-addr ADDR] \
          [--storage-dir PATH] [--snapshot-interval N] [--fsync always|never] \
          [--max-redeliveries N] [--mailbox-capacity N] \
          [--inject-fault APP:MSG:TIMES]"
@@ -140,9 +131,6 @@ fn parse_args() -> Args {
     .collect();
     let mut stats_every = 10;
     let mut status_addr = None;
-    let mut metrics_dump = None;
-    let mut dump_every = 5;
-    let mut dlq_dump = None;
     let mut storage_dir = None;
     let mut snapshot_interval = None;
     let mut fsync = beehive::core::FsyncPolicy::Always;
@@ -180,9 +168,6 @@ fn parse_args() -> Args {
             "--apps" => apps = val().split(',').map(|s| s.trim().to_string()).collect(),
             "--stats-every" => stats_every = val().parse().unwrap_or_else(|_| usage()),
             "--status-addr" => status_addr = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--metrics-dump" => metrics_dump = Some(std::path::PathBuf::from(val())),
-            "--dump-every" => dump_every = val().parse::<u64>().unwrap_or_else(|_| usage()).max(1),
-            "--dlq-dump" => dlq_dump = Some(std::path::PathBuf::from(val())),
             "--storage-dir" => storage_dir = Some(std::path::PathBuf::from(val())),
             "--snapshot-interval" => {
                 snapshot_interval = Some(val().parse::<u64>().unwrap_or_else(|_| usage()).max(1))
@@ -228,9 +213,6 @@ fn parse_args() -> Args {
         apps,
         stats_every,
         status_addr,
-        metrics_dump,
-        dump_every,
-        dlq_dump,
         storage_dir,
         snapshot_interval,
         fsync,
@@ -351,8 +333,8 @@ fn main() {
         args.apps, args.replication
     );
 
-    // SIGTERM → drain; the stop flag remains for embedders and the dump
-    // threads (Ctrl-C still kills the process the blunt way).
+    // SIGTERM → drain; the stop flag remains for embedders and the stats
+    // thread (Ctrl-C still kills the process the blunt way).
     #[cfg(unix)]
     install_sigterm_drain();
     let stop = Arc::new(AtomicBool::new(false));
@@ -368,65 +350,15 @@ fn main() {
         eprintln!("hive {me} will drain immediately after boot (--drain)");
     }
 
-    // Prometheus exposition: a local-singleton exporter app folds the
-    // collector's per-window reports into an Analytics store, shared by the
-    // status server's GET /metrics and the --metrics-dump thread (one render
-    // path, two transports).
-    let analytics = if args.metrics_dump.is_some() || args.status_addr.is_some() {
-        let analytics = Arc::new(std::sync::Mutex::new(Analytics::new()));
-        let sink = analytics.clone();
-        hive.install(
-            App::builder("beehive.exporter")
-                .handle::<HiveMetrics>(
-                    |_m| Mapped::LocalSingleton,
-                    move |m, _ctx| {
-                        sink.lock().unwrap().ingest(m);
-                        Ok(())
-                    },
-                )
-                .build(),
-        );
-        Some(analytics)
-    } else {
-        None
-    };
-
-    // The dump thread renders to the target file (tmp + rename, so scrapers
-    // never see a torn write).
-    if let Some(path) = args.metrics_dump.clone() {
-        let analytics = analytics.clone().expect("exporter installed");
-        let stop2 = stop.clone();
-        let every = args.dump_every;
-        let counters = tcp_counters.clone();
-        std::thread::Builder::new()
-            .name("bh-metrics-dump".into())
-            .spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(std::time::Duration::from_secs(every));
-                    let snap = counters.snapshot();
-                    let text = render_metrics(&analytics.lock().unwrap(), Some(&snap));
-                    let tmp = path.with_extension("prom.tmp");
-                    let ok = std::fs::write(&tmp, &text)
-                        .and_then(|()| std::fs::rename(&tmp, &path))
-                        .is_ok();
-                    if !ok {
-                        eprintln!("[metrics] failed to write {}", path.display());
-                    }
-                }
-            })
-            .expect("spawn metrics dump thread");
-        eprintln!(
-            "metrics exposition -> {} every {every}s",
-            args.metrics_dump.as_ref().unwrap().display()
-        );
-    }
-
     // Live introspection plane: /metrics, /healthz, /events, /trace/<id>,
-    // /dlq over plain HTTP/1.0.
+    // /dlq over plain HTTP/1.0. The exporter app folds the collector's
+    // per-window reports into the store /metrics renders.
     let _status_server = args.status_addr.map(|addr| {
+        let analytics = Arc::new(std::sync::Mutex::new(Analytics::new()));
+        hive.install(exporter_app(analytics.clone()));
         let handle = hive.handle();
         let ctx = StatusContext {
-            analytics: analytics.clone().expect("exporter installed"),
+            analytics,
             transport: Some(tcp_counters.clone()),
             dead_letters: hive.dead_letters(),
             events: hive.events(),
@@ -442,60 +374,6 @@ fn main() {
         eprintln!("status endpoint on http://{}", server.local_addr());
         server
     });
-
-    // Dead-letter dump: a periodic human-readable snapshot of the messages
-    // that exhausted their redelivery budget or were rejected at admission
-    // (quarantine / mailbox overflow). Same tmp+rename discipline as the
-    // metrics dump.
-    if let Some(path) = args.dlq_dump.clone() {
-        let dlq = hive.dead_letters();
-        let stop2 = stop.clone();
-        let every = args.dump_every;
-        std::thread::Builder::new()
-            .name("bh-dlq-dump".into())
-            .spawn(move || {
-                use std::fmt::Write;
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(std::time::Duration::from_secs(every));
-                    let letters = dlq.snapshot();
-                    let mut text = format!(
-                        "# dead letters: {} retained, {} recorded\n",
-                        letters.len(),
-                        dlq.recorded()
-                    );
-                    for l in &letters {
-                        writeln!(
-                            text,
-                            "{}ms app={} bee={} handler={:?} msg={} kind={} attempts={} \
-                             trace={:#x} detail={:?}",
-                            l.recorded_ms,
-                            l.app,
-                            l.bee,
-                            l.handler,
-                            l.msg_type,
-                            l.kind,
-                            l.attempts,
-                            l.trace_id,
-                            l.detail
-                        )
-                        .unwrap();
-                    }
-                    let tmp = path.with_extension("dlq.tmp");
-                    let ok = std::fs::write(&tmp, &text)
-                        .and_then(|()| std::fs::rename(&tmp, &path))
-                        .is_ok();
-                    if !ok {
-                        eprintln!("[dlq] failed to write {}", path.display());
-                    }
-                }
-            })
-            .expect("spawn dlq dump thread");
-        eprintln!(
-            "dead-letter dump -> {} every {}s",
-            args.dlq_dump.as_ref().unwrap().display(),
-            args.dump_every
-        );
-    }
 
     // Periodic analytics printer.
     if args.stats_every > 0 {

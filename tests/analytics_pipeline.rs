@@ -7,7 +7,10 @@
 use std::sync::Arc;
 
 use beehive::apps::learning_switch::{learning_switch_app, LEARNING_SWITCH_APP};
-use beehive::core::{collector_app, Analytics, HiveMetrics};
+use beehive::core::{
+    collector_app, Analytics, Hive, HiveConfig, HiveMetrics, Loopback, PlatformCounters,
+    PlatformKind, SystemClock, Tick, PLATFORM_TABLE,
+};
 use beehive::openflow::driver::PacketInEvent;
 use beehive::openflow::switch::encode_header_as_packet;
 use beehive::prelude::*;
@@ -26,6 +29,19 @@ fn pkt(src: u8, dst: u8) -> Vec<u8> {
     })
 }
 
+/// Captures the local `HiveMetrics` stream the way an aggregator would.
+fn capture_app(sink: Arc<Mutex<Vec<HiveMetrics>>>) -> App {
+    App::builder("capture")
+        .handle::<HiveMetrics>(
+            |_m| Mapped::LocalSingleton,
+            move |m, _c| {
+                sink.lock().push(m.clone());
+                Ok(())
+            },
+        )
+        .build()
+}
+
 #[test]
 fn collector_reports_feed_analytics_with_provenance() {
     let reports: Arc<Mutex<Vec<HiveMetrics>>> = Arc::new(Mutex::new(Vec::new()));
@@ -41,19 +57,7 @@ fn collector_reports_feed_analytics_with_provenance() {
             h.install(learning_switch_app());
             let instr = h.instrumentation();
             h.install(collector_app(instr));
-            // Capture the HiveMetrics stream the way an aggregator would.
-            let r3 = r2.clone();
-            h.install(
-                App::builder("capture")
-                    .handle::<HiveMetrics>(
-                        |_m| Mapped::LocalSingleton,
-                        move |m, _c| {
-                            r3.lock().push(m.clone());
-                            Ok(())
-                        },
-                    )
-                    .build(),
-            );
+            h.install(capture_app(r2.clone()));
         },
     );
     c.elect_registry(120_000).unwrap();
@@ -109,4 +113,106 @@ fn collector_reports_feed_analytics_with_provenance() {
         text.contains("PacketInEvent -> PacketOutCmd"),
         "report: {text}"
     );
+}
+
+/// Ticks a standalone hive's collector once and returns its report as a peer
+/// would decode it from the wire.
+fn collect_window(hive: &mut Hive, reports: &Mutex<Vec<HiveMetrics>>, seq: u64) -> HiveMetrics {
+    hive.emit(Tick {
+        seq,
+        now_ms: seq * 1_000,
+    });
+    hive.step_until_quiescent(100);
+    let report = reports.lock().pop().expect("the collector reported");
+    let bytes = beehive::wire::to_vec(&report).unwrap();
+    beehive::wire::from_slice(&bytes).unwrap()
+}
+
+/// Every row of the platform table, end to end: a distinct value per row is
+/// set on two hives' instrumentation stores over two windows, travels
+/// collector → wire → `Analytics::ingest`, and must come out of the
+/// exposition folded the way its row declares — counters summed over every
+/// window, gauges as of each hive's last window and then summed or maxed
+/// over the hives.
+#[test]
+fn every_platform_row_reaches_the_exposition_folded_as_declared() {
+    let mut analytics = Analytics::new();
+    let zero = analytics.render_prometheus();
+    for row in PLATFORM_TABLE {
+        let (family, ty) = (row.family, row.kind.prometheus_type());
+        assert_eq!(zero.matches(&format!("# TYPE {family} {ty}\n")).count(), 1);
+        assert!(zero.contains(&format!("# HELP {family} {}\n", row.help)));
+    }
+    assert_eq!(
+        sample_lines(&zero),
+        sample_lines_of(&PlatformCounters::default())
+    );
+
+    // value(hive, window, row): distinct everywhere, and larger on hive 1's
+    // first window than on its second, so "last" and "max" cannot pass for
+    // one another.
+    let value = |hive: u64, window: u64, i: usize| 1_000 * hive + 100 * (3 - window) + i as u64;
+    for hive_id in [1u32, 2] {
+        let reports: Arc<Mutex<Vec<HiveMetrics>>> = Arc::new(Mutex::new(Vec::new()));
+        let mut cfg = HiveConfig::standalone(HiveId(hive_id));
+        cfg.tick_interval_ms = 0;
+        let mut hive = Hive::new(
+            cfg,
+            Arc::new(SystemClock::new()),
+            Box::new(Loopback::new(HiveId(hive_id))),
+        );
+        let instr = hive.instrumentation();
+        hive.install(collector_app(instr.clone()));
+        hive.install(capture_app(reports.clone()));
+        for window in [1u64, 2] {
+            {
+                // What the hive's own write sites do between two ticks:
+                // counters count up from zero, gauges are overwritten.
+                let mut instr = instr.lock();
+                for (i, (row, cell)) in instr.platform.rows_mut().enumerate() {
+                    let v = value(hive_id as u64, window, i);
+                    match row.kind {
+                        PlatformKind::Counter => *cell += v,
+                        PlatformKind::GaugeSum | PlatformKind::GaugeMax => *cell = v,
+                    }
+                }
+            }
+            let report = collect_window(&mut hive, &reports, window);
+            assert_eq!(report.hive, HiveId(hive_id));
+            analytics.ingest(&report);
+        }
+    }
+
+    let mut want = PlatformCounters::default();
+    for (i, (row, cell)) in want.rows_mut().enumerate() {
+        let v = |hive, window| value(hive, window, i);
+        *cell = match row.kind {
+            PlatformKind::Counter => v(1, 1) + v(1, 2) + v(2, 1) + v(2, 2),
+            PlatformKind::GaugeSum => v(1, 2) + v(2, 2),
+            PlatformKind::GaugeMax => v(1, 2).max(v(2, 2)),
+        };
+    }
+    assert_eq!(analytics.platform(), want);
+    assert_eq!(
+        sample_lines(&analytics.render_prometheus()),
+        sample_lines_of(&want)
+    );
+}
+
+/// The exposition's sample lines for the platform families.
+fn sample_lines(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|l| PLATFORM_TABLE.iter().any(|row| l.starts_with(row.family)))
+        .collect()
+}
+
+/// The sample lines a cluster-wide reading must render as.
+fn sample_lines_of(reading: &PlatformCounters) -> Vec<String> {
+    reading
+        .rows()
+        .map(|(row, value)| match row.label {
+            Some((k, v)) => format!("{}{{{k}=\"{v}\"}} {value}", row.family),
+            None => format!("{} {value}", row.family),
+        })
+        .collect()
 }

@@ -6,11 +6,10 @@
 
 use std::sync::Arc;
 
-use beehive::core::{collector_app, Analytics, HiveMetrics};
+use beehive::core::{collector_app, exporter_app, Analytics};
 use beehive::net::FabricFaults;
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -214,8 +213,8 @@ fn latency_does_not_break_ordering() {
 /// attempts, and the exposed metrics report matching counts. Quarantine is
 /// disabled so each message exhausts its full redelivery budget.
 fn contained_panic_scenario(workers: usize) {
-    let reports: Arc<Mutex<Vec<HiveMetrics>>> = Arc::new(Mutex::new(Vec::new()));
-    let captured = reports.clone();
+    let analytics = Arc::new(std::sync::Mutex::new(Analytics::new()));
+    let sink = analytics.clone();
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
@@ -229,18 +228,7 @@ fn contained_panic_scenario(workers: usize) {
             h.install(poison_app());
             let instr = h.instrumentation();
             h.install(collector_app(instr));
-            let sink = captured.clone();
-            h.install(
-                App::builder("capture")
-                    .handle::<HiveMetrics>(
-                        |_m| Mapped::LocalSingleton,
-                        move |m, _c| {
-                            sink.lock().push(m.clone());
-                            Ok(())
-                        },
-                    )
-                    .build(),
-            );
+            h.install(exporter_app(sink.clone()));
         },
     );
     for i in 0..3 {
@@ -275,13 +263,9 @@ fn contained_panic_scenario(workers: usize) {
     assert_eq!(counters.redeliveries, 9, "3 messages x 3 redeliveries");
     assert_eq!(counters.dead_letters, 3);
 
-    // The same numbers must flow through collector reports into the
-    // Prometheus exposition.
-    let mut analytics = Analytics::new();
-    for w in reports.lock().iter() {
-        analytics.ingest(w);
-    }
-    let text = analytics.render_prometheus();
+    // The same numbers must flow through collector reports and the
+    // exporter into the Prometheus exposition.
+    let text = analytics.lock().unwrap().render_prometheus();
     assert!(
         text.contains("beehive_handler_failures_total{kind=\"panic\"} 12"),
         "{text}"

@@ -1,13 +1,20 @@
 //! The values whose wire bytes `tests/wire_golden.rs` pins. Built from
 //! public types only, so the same file compiled against an older commit's
-//! crates regenerates `vectors.rs` (see the header of that file).
+//! crates regenerates `vectors.rs` (see the header of that file) — all but
+//! `hive_metrics`, whose platform scalars were fourteen flat fields, in the
+//! same order, before `PlatformCounters` existed.
+
+use std::collections::BTreeMap;
 
 use beehive_core::channel::ChannelFrame;
 use beehive_core::message::WireEnvelope;
+use beehive_core::metrics::ProvenanceKey;
 use beehive_core::outbox::JournalEntry;
 use beehive_core::trace::TraceContext;
 use beehive_core::{
-    BeeId, Cell, ControlMsg, Dst, HiveId, JournalOp, SharedBytes, Source, TxJournal,
+    BeeId, BeeStats, BeeStatsSnapshot, Cell, ControlMsg, Dst, ExecutorStats, HiveId, HiveMetrics,
+    JournalOp, MsgLatency, PlatformCounters, SharedBytes, Source, TxJournal, WorkerStats,
+    COLLECTOR_APP,
 };
 use beehive_openflow::{PacketInEvent, PacketOutCmd, SwitchUpstream};
 use beehive_raft::{Entry, EntryKind, RaftMessage, SnapshotRecord};
@@ -332,4 +339,91 @@ pub fn journal_file_entries() -> Vec<JournalEntry> {
         },
     ]);
     out
+}
+
+/// A collector report with every field populated. The numbers vary with
+/// `hive` and `seq`, so what a reader sums, keeps the last of or maximises
+/// over reports shows in its result; every fifth platform scalar is zero.
+pub fn hive_metrics(hive: u32, seq: u64) -> HiveMetrics {
+    let h = hive as u64;
+    let mut latency = MsgLatency::default();
+    for us in [40, 900, 9_000 * seq, 10_000_000] {
+        latency.queue_wait.observe(us);
+    }
+    for us in [400, 400 * h, 70_000] {
+        latency.runtime.observe(us);
+    }
+    let mut platform = PlatformCounters::default();
+    for (i, (_, value)) in platform.rows_mut().enumerate() {
+        let i = i as u64;
+        *value = if i % 5 == 4 {
+            0
+        } else {
+            100 * h + 10 * seq + i
+        };
+    }
+    HiveMetrics {
+        hive: HiveId(hive),
+        seq,
+        now_ms: 1_000 * seq,
+        bees: vec![
+            BeeStatsSnapshot {
+                app: "te".into(),
+                bee: BeeId::new(HiveId(hive), 1),
+                hive: HiveId(hive),
+                pinned: false,
+                cells: 3,
+                stats: BeeStats {
+                    msgs_in: 10 * seq + h,
+                    msgs_out: 4,
+                    bytes_in: 1_500 * seq,
+                    bytes_out: 256,
+                    handler_nanos: 1_500_000 * h,
+                    errors: seq,
+                    in_by_hive: BTreeMap::from([(1, 4), (2, 6 * seq)]),
+                    in_by_bee: BTreeMap::from([(bee().0, 10)]),
+                    external_in: h,
+                },
+            },
+            BeeStatsSnapshot {
+                app: COLLECTOR_APP.into(),
+                bee: BeeId::new(HiveId(hive), 2),
+                hive: HiveId(hive),
+                pinned: true,
+                cells: 0,
+                stats: BeeStats {
+                    msgs_in: 1,
+                    external_in: 1,
+                    ..Default::default()
+                },
+            },
+        ],
+        provenance: vec![(
+            ProvenanceKey {
+                app: "te".into(),
+                in_type: "beehive_apps::te::StatReply".into(),
+                out_type: "beehive_apps::te::FlowMod".into(),
+            },
+            8 * seq,
+        )],
+        executor: ExecutorStats {
+            rounds: 3 * seq,
+            queued_bees: 7,
+            max_queue_depth: 4 + h,
+            workers: vec![
+                WorkerStats {
+                    batches: 2,
+                    messages: 9,
+                    busy_nanos: 1_000_000 * seq,
+                },
+                WorkerStats {
+                    batches: 1,
+                    messages: 3,
+                    busy_nanos: 500_000,
+                },
+            ],
+        },
+        latency: vec![("te".into(), "beehive_apps::te::StatReply".into(), latency)],
+        platform,
+    }
 }

@@ -1,8 +1,7 @@
 //! The introspection plane end to end: two hives over real TCP, a
 //! cross-hive message chain, and a [`beehive::core::StatusServer`] on hive 1
 //! answering `GET /trace/<id>` by assembling spans from *both* hives into
-//! one merged chrome-trace document — plus a proof that `--metrics-dump`
-//! and `GET /metrics` share one render path.
+//! one merged chrome-trace document.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -11,8 +10,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use beehive::core::{
-    render_metrics, Analytics, DeadLetterStore, EventJournal, Hive, HiveConfig, HiveHandle,
-    StatusContext, StatusServer, TraceCollector, TraceHub, Transport,
+    Analytics, Hive, HiveConfig, HiveHandle, StatusContext, StatusServer, TraceCollector, Transport,
 };
 use beehive::net::ReactorTransport;
 use beehive::prelude::*;
@@ -197,40 +195,4 @@ fn status_server_assembles_a_cross_hive_trace_over_tcp() {
         assert_eq!(hive.events().malformed(), 0);
     }
     drop(server);
-}
-
-#[test]
-fn metrics_dump_and_status_endpoint_share_one_render_path() {
-    // A standalone context: what --metrics-dump writes and what
-    // GET /metrics serves must be the same bytes, modulo the uptime gauge
-    // (which legitimately advances between the two renders).
-    let analytics = Arc::new(std::sync::Mutex::new(Analytics::new()));
-    let clock: Arc<SystemClock> = Arc::new(SystemClock::new());
-    let ctx = StatusContext {
-        analytics: analytics.clone(),
-        transport: None,
-        dead_letters: Arc::new(DeadLetterStore::new(16)),
-        events: Arc::new(EventJournal::new(HiveId(1), 16, clock)),
-        tracer: Arc::new(TraceCollector::new(16)),
-        trace_hub: Arc::new(TraceHub::new()),
-        nudge: None,
-        lifecycle: None,
-    };
-    let server = StatusServer::bind("127.0.0.1:0".parse().unwrap(), ctx).expect("bind");
-
-    let dumped = render_metrics(&analytics.lock().unwrap(), None);
-    let served = http_get(server.local_addr(), "/metrics");
-
-    let strip = |text: &str| -> String {
-        text.lines()
-            .filter(|l| !l.starts_with("beehive_uptime_seconds "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(
-        strip(&dumped),
-        strip(&served),
-        "one render path behind both transports"
-    );
-    assert!(served.contains("beehive_build_info{"), "{served}");
 }

@@ -2,6 +2,7 @@
 //! messages are buffered and forwarded, identities are stable, and the bee
 //! keeps serving afterwards — including migrating back.
 
+use beehive::core::collector_app;
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
 use serde::{Deserialize, Serialize};
@@ -91,6 +92,51 @@ fn migration_preserves_state_and_identity() {
     });
     c.advance(3_000, 50);
     assert_eq!(sum_of(&c, "k"), 15);
+}
+
+/// Per-bee instrumentation metadata (colony size, pinned flag) is written
+/// with every message a bee handles and leaves with the collection window,
+/// so a hive keeps — and clones on every tick — nothing for a bee it no
+/// longer hosts.
+#[test]
+fn a_migrated_bee_leaves_no_instrumentation_behind() {
+    let mut c = SimCluster::new(
+        ClusterConfig {
+            hives: 2,
+            voters: 2,
+            tick_interval_ms: 0, // the test ticks the collector itself
+            ..Default::default()
+        },
+        |h| {
+            h.install(adder());
+            let instr = h.instrumentation();
+            h.install(collector_app(instr));
+        },
+    );
+    c.elect_registry(120_000).expect("leader");
+    c.hive_mut(HiveId(1)).emit(Add {
+        key: "k".into(),
+        value: 10,
+    });
+    c.advance(3_000, 50);
+    let (bee, from) = bee_location(&c, "k");
+    assert_eq!(from, HiveId(1));
+    let instr = c.hive(HiveId(1)).instrumentation();
+    assert_eq!(instr.lock().bee_cells.get(&bee.0), Some(&1));
+
+    c.hive_mut(HiveId(1))
+        .request_migration("adder", bee, from, HiveId(2));
+    c.advance(3_000, 50);
+    assert_eq!(bee_location(&c, "k").1, HiveId(2));
+    c.hive_mut(HiveId(1)).emit(Tick { seq: 1, now_ms: 0 });
+    c.advance(100, 50);
+
+    let instr = instr.lock();
+    assert!(!instr.bee_cells.contains_key(&bee.0));
+    assert!(!instr.pinned.contains(&bee.0));
+    // Only the collector's own bee, which has just handled the tick, is on
+    // record for the window that is now open.
+    assert_eq!((instr.bee_cells.len(), instr.pinned.len()), (1, 1));
 }
 
 #[test]

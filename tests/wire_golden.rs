@@ -16,7 +16,7 @@ mod vectors;
 use beehive_core::channel::{ChannelDelivery, ChannelFrame, ChannelTuning, ReliableChannels};
 use beehive_core::message::WireEnvelope;
 use beehive_core::outbox::{JournalEntry, Outbox};
-use beehive_core::{ControlMsg, HiveId, SharedBytes, TxJournal};
+use beehive_core::{Analytics, ControlMsg, HiveId, HiveMetrics, SharedBytes, TxJournal};
 use beehive_openflow::{PacketInEvent, PacketOutCmd, SwitchUpstream};
 use beehive_raft::{Entry, RaftMessage, SnapshotRecord};
 use beehive_wire::record::fnv1a;
@@ -24,8 +24,8 @@ use beehive_wire::{Error, Serializer, Sink};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use cases::{cases, pattern, LENGTHS};
-use vectors::{Vector, JOURNAL_FILE, VECTORS};
+use cases::{cases, hive_metrics, pattern, LENGTHS};
+use vectors::{Vector, HIVE_METRICS, JOURNAL_FILE, VECTORS};
 
 fn unhex(s: &str) -> Vec<u8> {
     (0..s.len())
@@ -122,6 +122,35 @@ fn decoders_accept_the_parent_commits_bytes() {
             v.name, v.n
         );
     }
+}
+
+/// The report nests its platform scalars in one struct; on the wire they
+/// are the flat fields they used to be.
+#[test]
+fn hive_metrics_keeps_the_parent_commits_bytes() {
+    let want = unhex(HIVE_METRICS);
+    assert_eq!(beehive_wire::to_vec(&hive_metrics(2, 7)).unwrap(), want);
+    assert_eq!(reencode::<HiveMetrics>(&want).unwrap(), want);
+}
+
+/// The `/metrics` exposition is a format too: family order, HELP and TYPE
+/// lines, label spelling and the zero-valued families, for two windows of
+/// hive 1 and one of hive 2. `golden/metrics.prom` is what commit 8fb8c50
+/// rendered for this input.
+#[test]
+fn metrics_exposition_keeps_the_parent_commits_text() {
+    let mut analytics = Analytics::default(); // no start instant: uptime 0
+    for (hive, seq) in [(1, 1), (2, 1), (1, 2)] {
+        analytics.ingest(&hive_metrics(hive, seq));
+    }
+    let want = include_str!("golden/metrics.prom").replace(
+        "git_sha=\"unknown\"",
+        &format!(
+            "git_sha=\"{}\"",
+            option_env!("BEEHIVE_GIT_SHA").unwrap_or("unknown")
+        ),
+    );
+    assert_eq!(analytics.render_prometheus(), want);
 }
 
 #[test]
