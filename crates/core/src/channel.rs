@@ -68,7 +68,8 @@ fn mint_epoch(now_ms: u64) -> u64 {
     now_ms.max(1).max(prev + 1)
 }
 
-/// Tuning knobs, lifted from `HiveConfig`.
+/// Tuning knobs. A hive sets `resend_ms` from `HiveConfig::channel_resend_ms`
+/// and takes the rest from [`ChannelTuning::default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelTuning {
     /// Base retransmission timeout in ms (exponential backoff on top).

@@ -33,7 +33,9 @@ use crate::queen::{BeeStatus, Delivery, Queen};
 use crate::registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState};
 use crate::replication::{replicas_of, ApplyOutcome, ShadowStore};
 use crate::state::BeeState;
-use crate::supervision::{DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, OverflowPolicy};
+use crate::supervision::{
+    DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, OverflowPolicy, QUARANTINE_COOLDOWN_MS,
+};
 use crate::trace::{TraceCollector, TraceHub, TRACE_CAPACITY};
 use crate::transport::{Frame, FrameKind, Transport};
 use beehive_raft::{ConfChange, ConfChangeKind};
@@ -72,7 +74,11 @@ pub struct HiveConfig {
     /// follow as learners. Empty means "standalone": a purely local registry
     /// with no consensus traffic.
     pub registry_voters: Vec<HiveId>,
-    /// Raft tunables for the registry group.
+    /// Raft tunables for the registry group. Its `snapshot_threshold` is the
+    /// registry snapshot interval: how many applied entries may accumulate
+    /// past the last snapshot before the registry state machine is
+    /// serialized and the Raft log compacted behind it; peers and joining
+    /// learners below the compaction horizon catch up via `InstallSnapshot`.
     pub raft: beehive_raft::Config,
     /// How many milliseconds one registry Raft tick lasts.
     pub raft_tick_ms: u64,
@@ -94,14 +100,6 @@ pub struct HiveConfig {
     /// snapshots). `None` keeps it in memory — fine for simulations; set it
     /// in production so a restarted hive rejoins with its Raft state intact.
     pub registry_storage_dir: Option<std::path::PathBuf>,
-    /// Registry snapshot interval: how many applied entries may accumulate
-    /// past the last snapshot before the registry state machine is
-    /// serialized and the Raft log compacted behind it. Lagging peers and
-    /// joining learners below the compaction horizon then catch up via
-    /// `InstallSnapshot` (O(state), not O(history)). `0` defers to
-    /// [`beehive_raft::Config::snapshot_threshold`] (whose own 0 disables
-    /// compaction); nonzero overrides it.
-    pub snapshot_interval: u64,
     /// Fsync policy for the durable files under `registry_storage_dir`:
     /// the registry storage and the channel's outbox journal.
     /// [`FsyncPolicy::Always`] (the default) syncs before every atomic
@@ -132,9 +130,6 @@ pub struct HiveConfig {
     /// Consecutive handler failures on one bee that trip its quarantine
     /// circuit breaker. 0 disables quarantine.
     pub quarantine_threshold: u32,
-    /// How long a quarantined bee rests before the half-open probe (one
-    /// message); a probe success closes the breaker, a failure re-arms it.
-    pub quarantine_cooldown_ms: u64,
     /// Per-bee mailbox bound. 0 (the default) is unbounded; otherwise the
     /// [`HiveConfig::overflow_policy`] decides what a full mailbox does.
     pub mailbox_capacity: usize,
@@ -153,14 +148,6 @@ pub struct HiveConfig {
     /// this delay, backed off exponentially per attempt with deterministic
     /// jitter (same shape as [`HiveConfig::redelivery_backoff_ms`]).
     pub channel_resend_ms: u64,
-    /// How many unacked frames per peer the retransmit scan covers each
-    /// step. The resend buffer itself is unbounded (dropping would lose
-    /// messages); the window only bounds per-step retransmission work.
-    pub channel_window: usize,
-    /// Coalescing delay for standalone ack frames: a receiver with no
-    /// return traffic flushes one cumulative ack after this many ms, so an
-    /// N-message one-way burst produces O(1) ack frames.
-    pub channel_ack_flush_ms: u64,
 }
 
 impl HiveConfig {
@@ -178,20 +165,16 @@ impl HiveConfig {
             orphan_ttl_ms: 10_000,
             replication_factor: 1,
             registry_storage_dir: None,
-            snapshot_interval: 0,
             fsync: beehive_raft::FsyncPolicy::Always,
             workers: 1,
             max_redeliveries: 3,
             redelivery_backoff_ms: 100,
             quarantine_threshold: 10,
-            quarantine_cooldown_ms: 5_000,
             mailbox_capacity: 0,
             overflow_policy: OverflowPolicy::default(),
             dead_letter_capacity: 1024,
             rng_seed: 0,
             channel_resend_ms: 200,
-            channel_window: 1024,
-            channel_ack_flush_ms: 5,
         }
     }
 
@@ -461,13 +444,6 @@ impl Hive {
                 rng_seed: cfg.raft.rng_seed
                     ^ me.wrapping_mul(0xA076_1D64_78BD_642F)
                     ^ cfg.rng_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                // A hive-level snapshot interval overrides the raw raft
-                // threshold (0 = keep whatever the raft config says).
-                snapshot_threshold: if cfg.snapshot_interval > 0 {
-                    cfg.snapshot_interval
-                } else {
-                    cfg.raft.snapshot_threshold
-                },
                 ..cfg.raft.clone()
             };
             let storage: Box<dyn beehive_raft::Storage> = match &cfg.registry_storage_dir {
@@ -487,7 +463,7 @@ impl Hive {
                         ),
                     }
                 }
-                None => Box::new(beehive_raft::MemStorage::new()),
+                None => Box::new(beehive_raft::SharedMemStorage::new()),
             };
             let node = if voters.contains(&me) {
                 let peers: Vec<u64> = voters.iter().copied().filter(|&v| v != me).collect();
@@ -527,8 +503,7 @@ impl Hive {
             cfg.id,
             ChannelTuning {
                 resend_ms: cfg.channel_resend_ms,
-                window: cfg.channel_window,
-                ack_flush_ms: cfg.channel_ack_flush_ms,
+                ..ChannelTuning::default()
             },
             cfg.registry_storage_dir.as_deref(),
             clock.now_ms(),
@@ -1943,7 +1918,7 @@ impl Hive {
             had_success,
             trailing_failures,
             self.cfg.quarantine_threshold,
-            self.cfg.quarantine_cooldown_ms,
+            QUARANTINE_COOLDOWN_MS,
             now,
         );
         if let Some(until) = tripped {

@@ -108,6 +108,10 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// How long a quarantined bee rests before the half-open probe (one
+/// message); a probe success closes the breaker, a failure re-arms it.
+pub const QUARANTINE_COOLDOWN_MS: u64 = 5_000;
+
 /// What to do when a bounded mailbox ([`crate::hive::HiveConfig::mailbox_capacity`])
 /// is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]

@@ -51,8 +51,8 @@ pub use config::Config;
 pub use log::RaftLog;
 pub use node::{Applied, Outbound, ProposeError, RaftNode, Role};
 pub use storage::{
-    FileStorage, FsyncPolicy, HardState, MemStorage, PersistedState, SharedMemStorage,
-    SnapshotRecord, Storage, StorageError,
+    FileStorage, FsyncPolicy, HardState, PersistedState, SharedMemStorage, SnapshotRecord, Storage,
+    StorageError,
 };
 pub use types::{
     ConfChange, ConfChangeKind, Entry, EntryKind, LogIndex, NodeId, RaftMessage, Term,

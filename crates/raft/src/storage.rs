@@ -1,6 +1,6 @@
 //! Durable state: current term, vote, log entries and snapshot.
 //!
-//! [`MemStorage`] is the default for simulations and tests; [`FileStorage`]
+//! [`SharedMemStorage`] is the default for simulations and tests; [`FileStorage`]
 //! persists through `beehive-wire` for single-process durability demos and
 //! restart tests.
 //!
@@ -97,7 +97,7 @@ beehive_wire::wire_struct!(SnapshotRecord {
 });
 
 /// Persistence interface. Implementations must make `save_*` durable before
-/// returning `Ok` (MemStorage trivially so).
+/// returning `Ok` (SharedMemStorage trivially so).
 pub trait Storage: Send + 'static {
     /// Persists term and vote.
     fn save_hard_state(&mut self, hs: &HardState) -> Result<(), StorageError>;
@@ -139,66 +139,10 @@ impl PersistedState {
     }
 }
 
-/// Volatile storage: keeps everything in memory. Restart tests can clone the
-/// inner state and feed it to a new node.
-#[derive(Debug, Default)]
-pub struct MemStorage {
-    state: PersistedState,
-}
-
-impl MemStorage {
-    /// Empty storage.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A copy of the currently persisted state (for restart simulation).
-    pub fn persisted(&self) -> PersistedState {
-        self.state.clone()
-    }
-
-    /// Builds storage pre-loaded with `state` (simulated restart).
-    pub fn from_persisted(state: PersistedState) -> Self {
-        MemStorage { state }
-    }
-}
-
-impl Storage for MemStorage {
-    fn save_hard_state(&mut self, hs: &HardState) -> Result<(), StorageError> {
-        self.state.hard_state = hs.clone();
-        Ok(())
-    }
-
-    fn save_log(
-        &mut self,
-        snapshot_index: LogIndex,
-        snapshot_term: Term,
-        entries: &[Entry],
-    ) -> Result<(), StorageError> {
-        self.state.snapshot_index = snapshot_index;
-        self.state.snapshot_term = snapshot_term;
-        self.state.entries = entries.to_vec();
-        Ok(())
-    }
-
-    fn save_snapshot(&mut self, snap: &SnapshotRecord) -> Result<(), StorageError> {
-        self.state.snapshot = Some(snap.clone());
-        Ok(())
-    }
-
-    fn load(&mut self) -> Result<Option<PersistedState>, StorageError> {
-        if self.state.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(self.state.clone()))
-        }
-    }
-}
-
-/// Memory storage whose persisted state is shared behind an `Arc`, so a test
-/// harness can crash a node (dropping the `RaftNode`) and later restart it
-/// from exactly what it had persisted — including its vote, which matters for
-/// election safety.
+/// Volatile storage: keeps everything in memory. The persisted state is
+/// shared behind an `Arc`, so a test harness can crash a node (dropping the
+/// `RaftNode`) and later restart it from exactly what it had persisted —
+/// including its vote, which matters for election safety.
 #[derive(Debug, Clone, Default)]
 pub struct SharedMemStorage {
     state: std::sync::Arc<parking_lot::Mutex<PersistedState>>,
@@ -413,7 +357,8 @@ mod tests {
 
     #[test]
     fn mem_storage_roundtrip() {
-        let mut s = MemStorage::new();
+        let mut s = SharedMemStorage::new();
+        let mut restarted = s.handle();
         assert!(s.load().unwrap().is_none());
         s.save_hard_state(&HardState {
             term: 3,
@@ -421,7 +366,7 @@ mod tests {
         })
         .unwrap();
         s.save_log(0, 0, &sample_entries()).unwrap();
-        let loaded = s.load().unwrap().unwrap();
+        let loaded = restarted.load().unwrap().unwrap();
         assert_eq!(loaded.hard_state.term, 3);
         assert_eq!(loaded.entries.len(), 2);
     }

@@ -2,8 +2,8 @@
 //! never vote, never campaign and never count toward the quorum.
 
 use beehive_raft::{
-    ConfChange, ConfChangeKind, Config, KvCounter, MemStorage, ProposeError, RaftMessage, RaftNode,
-    Role,
+    ConfChange, ConfChangeKind, Config, KvCounter, ProposeError, RaftMessage, RaftNode, Role,
+    SharedMemStorage,
 };
 
 /// Builds a 3-voter + 1-learner group and hand-delivers messages, giving the
@@ -29,7 +29,7 @@ impl Net {
                     ..Config::default()
                 },
                 KvCounter::default(),
-                Box::new(MemStorage::new()),
+                Box::new(SharedMemStorage::new()),
             ));
         }
         nodes.push(RaftNode::new_learner(
@@ -40,7 +40,7 @@ impl Net {
                 ..Config::default()
             },
             KvCounter::default(),
-            Box::new(MemStorage::new()),
+            Box::new(SharedMemStorage::new()),
         ));
         Net {
             nodes,

@@ -449,23 +449,19 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
     let ccfg = ClusterConfig {
         hives: cfg.hives,
         voters: cfg.voters,
-        tick_interval_ms: 0, // no platform ticks: ChaosOp is the only app traffic
-        raft_tick_ms: 50,
-        bucket_ms: 1000,
-        pending_retry_ms: 500,
-        replication_factor: 1,
-        workers: cfg.workers,
-        max_redeliveries: 3,
-        redelivery_backoff_ms: 50,
-        quarantine_threshold: 0, // chaos handler faults must not trip breakers
-        quarantine_cooldown_ms: 5_000,
-        mailbox_capacity: 0,
-        dead_letter_capacity: 1_000_000,
-        channel_resend_ms: 100, // retransmit within a 250 ms tick
-        channel_window: 1024,
-        channel_ack_flush_ms: 5,
-        seed: schedule.seed,
-        registry_storage_dir: storage.clone(),
+        hive: HiveConfig {
+            tick_interval_ms: 0, // no platform ticks: ChaosOp is the only app traffic
+            pending_retry_ms: 500,
+            workers: cfg.workers,
+            redelivery_backoff_ms: 50,
+            quarantine_threshold: 0, // chaos handler faults must not trip breakers
+            dead_letter_capacity: 1_000_000,
+            channel_resend_ms: 100, // retransmit within a 250 ms tick
+            rng_seed: schedule.seed,
+            registry_storage_dir: storage.clone(),
+            ..ClusterConfig::default().hive
+        },
+        ..ClusterConfig::default()
     };
     let mut cluster = SimCluster::new(ccfg, |h| h.install(chaos_app()));
     cluster.fabric.reseed(schedule.seed ^ 0x5851_F42D_4C95_7F2D);

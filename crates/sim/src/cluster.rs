@@ -6,8 +6,9 @@ use std::sync::Arc;
 use beehive_core::{Hive, HiveConfig, HiveId, LifecycleStage, SimClock};
 use beehive_net::{ClearedFrames, FabricFaults, MemFabric, TrafficMatrix};
 
-/// Parameters for a [`SimCluster`].
-#[derive(Debug, Clone)]
+/// Parameters for a [`SimCluster`]: what the simulator owns, plus the
+/// [`HiveConfig`] every hive is built from.
+#[derive(Clone)]
 pub struct ClusterConfig {
     /// Number of hives (ids 1..=n).
     pub hives: usize,
@@ -15,49 +16,21 @@ pub struct ClusterConfig {
     /// learners. 0 = every hive standalone (no consensus; only valid for
     /// single-hive clusters).
     pub voters: usize,
-    /// Platform tick period (ms). The paper's TE uses 1-second timeouts.
-    pub tick_interval_ms: u64,
-    /// Raft tick duration (ms).
-    pub raft_tick_ms: u64,
     /// Accounting bucket width (ms).
     pub bucket_ms: u64,
-    /// Registry proposal retry (ms).
-    pub pending_retry_ms: u64,
-    /// Colony replication factor (1 = off).
-    pub replication_factor: usize,
-    /// Executor worker threads per hive (1 = sequential). Note: worker
-    /// threads run in real time, so virtual-time determinism across *runs*
-    /// is preserved only per round (results are merged in bee-id order).
-    pub workers: usize,
-    /// Redelivery budget for failed handler invocations.
-    pub max_redeliveries: u32,
-    /// Base redelivery backoff (ms); doubles per attempt.
-    pub redelivery_backoff_ms: u64,
-    /// Consecutive failures before a bee is quarantined (0 = disabled).
-    pub quarantine_threshold: u32,
-    /// Quarantine cooldown before the half-open probe (ms).
-    pub quarantine_cooldown_ms: u64,
-    /// Per-bee mailbox bound (0 = unbounded).
-    pub mailbox_capacity: usize,
-    /// Capacity of each hive's dead-letter ring.
-    pub dead_letter_capacity: usize,
-    /// Base reliable-channel retransmit timeout (ms); doubles per attempt.
-    pub channel_resend_ms: u64,
-    /// Max unacked channel frames retransmitted per peer per poll.
-    pub channel_window: usize,
-    /// Delay before a standalone channel ack flushes (ms), letting one ack
-    /// frame cover a burst.
-    pub channel_ack_flush_ms: u64,
-    /// Seed mixed into each hive's internal randomness
-    /// ([`HiveConfig::rng_seed`]); the chaos harness sets it per run so a
-    /// whole cluster's random choices replay from one number.
-    pub seed: u64,
-    /// Directory for durable registry-Raft state. `None` keeps it in memory
-    /// (a crashed hive then restarts amnesiac); chaos runs set it so
-    /// [`SimCluster::restart`] exercises the durable-restart path. When set,
-    /// every committed registry event is snapshotted (threshold 1) so a
-    /// restarted voter can restore its mirror alone.
-    pub registry_storage_dir: Option<std::path::PathBuf>,
+    /// Template for every hive's configuration: each hive gets a clone with
+    /// its own `id`, `all_hives` and `registry_voters` filled in. Notes for
+    /// simulated runs: `rng_seed` is the one number a whole cluster's random
+    /// choices replay from (the chaos harness sets it per run); `workers > 1`
+    /// threads run in real time, so virtual-time determinism is preserved
+    /// only per round (results are merged in bee-id order); with
+    /// `registry_storage_dir` set, [`SimCluster::restart`] exercises the
+    /// durable-restart path and every committed registry event is
+    /// snapshotted, so a restarted voter can restore its mirror alone
+    /// (without it a crashed hive restarts amnesiac). To set a knob, spread
+    /// from `ClusterConfig::default().hive`, not `HiveConfig::standalone(..)`:
+    /// the simulator's template has `pending_retry_ms: 1000`, not 2000.
+    pub hive: HiveConfig,
 }
 
 impl Default for ClusterConfig {
@@ -65,23 +38,11 @@ impl Default for ClusterConfig {
         ClusterConfig {
             hives: 3,
             voters: 3,
-            tick_interval_ms: 1000,
-            raft_tick_ms: 50,
             bucket_ms: 1000,
-            pending_retry_ms: 1000,
-            replication_factor: 1,
-            workers: 1,
-            max_redeliveries: 3,
-            redelivery_backoff_ms: 100,
-            quarantine_threshold: 10,
-            quarantine_cooldown_ms: 5_000,
-            mailbox_capacity: 0,
-            dead_letter_capacity: 1024,
-            channel_resend_ms: 200,
-            channel_window: 1024,
-            channel_ack_flush_ms: 5,
-            seed: 0,
-            registry_storage_dir: None,
+            hive: HiveConfig {
+                pending_retry_ms: 1000,
+                ..HiveConfig::standalone(HiveId(0))
+            },
         }
     }
 }
@@ -96,33 +57,23 @@ fn build_hive(
     clock: &SimClock,
     fabric: &MemFabric,
 ) -> Hive {
-    let mut hive_cfg = if cfg.voters == 0 {
+    let membership = if cfg.voters == 0 {
         assert_eq!(cfg.hives, 1, "voters=0 only makes sense standalone");
         HiveConfig::standalone(id)
     } else {
         HiveConfig::clustered(id, ids.to_vec(), cfg.voters)
     };
-    hive_cfg.tick_interval_ms = cfg.tick_interval_ms;
-    hive_cfg.raft_tick_ms = cfg.raft_tick_ms;
-    hive_cfg.pending_retry_ms = cfg.pending_retry_ms;
-    hive_cfg.replication_factor = cfg.replication_factor;
-    hive_cfg.workers = cfg.workers;
-    hive_cfg.max_redeliveries = cfg.max_redeliveries;
-    hive_cfg.redelivery_backoff_ms = cfg.redelivery_backoff_ms;
-    hive_cfg.quarantine_threshold = cfg.quarantine_threshold;
-    hive_cfg.quarantine_cooldown_ms = cfg.quarantine_cooldown_ms;
-    hive_cfg.mailbox_capacity = cfg.mailbox_capacity;
-    hive_cfg.dead_letter_capacity = cfg.dead_letter_capacity;
-    hive_cfg.channel_resend_ms = cfg.channel_resend_ms;
-    hive_cfg.channel_window = cfg.channel_window;
-    hive_cfg.channel_ack_flush_ms = cfg.channel_ack_flush_ms;
-    hive_cfg.rng_seed = cfg.seed;
-    if let Some(dir) = &cfg.registry_storage_dir {
-        hive_cfg.registry_storage_dir = Some(dir.clone());
+    let mut hive_cfg = HiveConfig {
+        id,
+        all_hives: membership.all_hives,
+        registry_voters: membership.registry_voters,
+        ..cfg.hive.clone()
+    };
+    if hive_cfg.registry_storage_dir.is_some() {
         // A lone restarted voter can only restore its registry mirror from
         // a snapshot (the commit index is volatile), so snapshot every
         // committed event.
-        hive_cfg.snapshot_interval = 1;
+        hive_cfg.raft.snapshot_threshold = 1;
     }
     Hive::new(
         hive_cfg,

@@ -398,7 +398,7 @@ pub fn check_atomicity(audit: &ClusterAudit, left: &str, right: &str) -> Vec<Vio
                         tick: audit.tick,
                         detail: format!(
                             "hive {} bee {bee} key {key:?}: {left}={lv:?} but {right}={:?}",
-                            h.id,
+                            h.id.0,
                             r.get(*key)
                         ),
                     });
@@ -411,7 +411,7 @@ pub fn check_atomicity(audit: &ClusterAudit, left: &str, right: &str) -> Vec<Vio
                         tick: audit.tick,
                         detail: format!(
                             "hive {} bee {bee} key {key:?}: {right} written without {left}",
-                            h.id
+                            h.id.0
                         ),
                     });
                 }
@@ -431,7 +431,10 @@ pub fn check_traces(audit: &ClusterAudit) -> Vec<Violation> {
         .map(|h| Violation {
             checker: "traces",
             tick: audit.tick,
-            detail: format!("hive {}: {} malformed trace spans", h.id, h.malformed_spans),
+            detail: format!(
+                "hive {}: {} malformed trace spans",
+                h.id.0, h.malformed_spans
+            ),
         })
         .collect()
 }
@@ -450,7 +453,7 @@ pub fn check_events(audit: &ClusterAudit) -> Vec<Violation> {
             tick: audit.tick,
             detail: format!(
                 "hive {}: {} malformed flight-recorder events",
-                h.id, h.malformed_events
+                h.id.0, h.malformed_events
             ),
         })
         .collect()
@@ -474,7 +477,7 @@ pub fn check_snapshots(audit: &ClusterAudit) -> Vec<Violation> {
             tick: audit.tick,
             detail: format!(
                 "hive {}: compaction horizon {} is past the applied fence {}",
-                h.id, h.snapshot_index, h.applied_seq
+                h.id.0, h.snapshot_index, h.applied_seq
             ),
         })
         .collect()

@@ -43,7 +43,10 @@ fn main() {
         ClusterConfig {
             hives: 4,
             voters: 3,
-            replication_factor: 2,
+            hive: HiveConfig {
+                replication_factor: 2,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(telemetry()),

@@ -12,8 +12,10 @@
 
 use std::path::PathBuf;
 
-use beehive_bench::report::{bw_chart, heatmap, summary_row, write_matrix_csv, write_series_csv};
-use beehive_bench::{run_figure4, Figure4Config, Figure4Result, TeVariant};
+use beehive::figure4::report::{
+    bw_chart, heatmap, summary_row, write_matrix_csv, write_series_csv,
+};
+use beehive::figure4::{run_figure4, Figure4Config, Figure4Result, TeVariant};
 
 struct Args {
     panel: String,

@@ -19,6 +19,8 @@ use beehive_apps::te::{
     decoupled_te_apps, naive_te_app, TeConfig, NAIVE_TE_APP, TE_COLLECT_APP, TE_ROUTE_APP,
 };
 
+pub mod report;
+
 /// Which TE design runs (the paper's three configurations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TeVariant {
@@ -144,12 +146,6 @@ pub fn run_figure4(cfg: &Figure4Config) -> Figure4Result {
     let cluster_cfg = ClusterConfig {
         hives: cfg.hives,
         voters: cfg.voters.min(cfg.hives),
-        tick_interval_ms: 1000,
-        raft_tick_ms: 50,
-        bucket_ms: 1000,
-        pending_retry_ms: 1000,
-        replication_factor: 1,
-        workers: 1,
         ..ClusterConfig::default()
     };
 

@@ -4,7 +4,7 @@
 use std::io::Write;
 use std::path::Path;
 
-use crate::scenario::Figure4Result;
+use super::Figure4Result;
 
 /// Renders the message matrix as an ASCII heatmap (log-scaled shades).
 pub fn heatmap(matrix: &[Vec<u64>]) -> String {

@@ -16,6 +16,9 @@
 //! | [`sim`] | `beehive-sim` | Virtual-time cluster/network simulator |
 //! | [`apps`] | `beehive-apps` | TE, discovery, learning switch, routing, NIB, vnet, Kandoo |
 //!
+//! [`figure4`] is the evaluation harness regenerating the paper's Figure 4
+//! (driven by the `figure4` binary).
+//!
 //! See the repository README for a quick start, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for the paper-reproduction results.
 
@@ -26,6 +29,8 @@ pub use beehive_openflow as openflow;
 pub use beehive_raft as raft;
 pub use beehive_sim as sim;
 pub use beehive_wire as wire;
+
+pub mod figure4;
 
 /// Convenient prelude: everything an application author typically needs.
 pub mod prelude {

@@ -50,7 +50,6 @@ fn collector_reports_feed_analytics_with_provenance() {
         ClusterConfig {
             hives: 2,
             voters: 2,
-            tick_interval_ms: 1000,
             ..Default::default()
         },
         move |h| {

@@ -193,6 +193,10 @@ fn failed_transfer_rolls_back_atomically() {
         ClusterConfig {
             hives: 1,
             voters: 1,
+            hive: HiveConfig {
+                max_redeliveries: 0, // count exactly one failed attempt
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(bank()),

@@ -69,7 +69,10 @@ fn routing_survives_partition_and_heal() {
         ClusterConfig {
             hives: 3,
             voters: 3,
-            pending_retry_ms: 500,
+            hive: HiveConfig {
+                pending_retry_ms: 500,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(counter()),
@@ -100,7 +103,10 @@ fn new_keys_route_even_with_heavy_drops() {
         ClusterConfig {
             hives: 3,
             voters: 3,
-            pending_retry_ms: 300,
+            hive: HiveConfig {
+                pending_retry_ms: 300,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(counter()),
@@ -135,7 +141,10 @@ fn registry_leader_partition_recovers() {
         ClusterConfig {
             hives: 3,
             voters: 3,
-            pending_retry_ms: 500,
+            hive: HiveConfig {
+                pending_retry_ms: 500,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(counter()),
@@ -219,8 +228,11 @@ fn contained_panic_scenario(workers: usize) {
         ClusterConfig {
             hives: 1,
             voters: 0,
-            workers,
-            quarantine_threshold: 0,
+            hive: HiveConfig {
+                workers,
+                quarantine_threshold: 0,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         move |h| {
@@ -293,7 +305,10 @@ fn transient_failure_scenario(workers: usize) {
         ClusterConfig {
             hives: 1,
             voters: 0,
-            workers,
+            hive: HiveConfig {
+                workers,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(counter()),
@@ -331,10 +346,12 @@ fn quarantine_probe_scenario(workers: usize) {
         ClusterConfig {
             hives: 1,
             voters: 0,
-            workers,
-            max_redeliveries: 0, // every failure dead-letters immediately
-            quarantine_threshold: 3,
-            quarantine_cooldown_ms: 5_000,
+            hive: HiveConfig {
+                workers,
+                max_redeliveries: 0, // every failure dead-letters immediately
+                quarantine_threshold: 3,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(counter()),
@@ -403,7 +420,10 @@ fn requeued_dead_letters_get_a_fresh_redelivery_budget() {
         ClusterConfig {
             hives: 1,
             voters: 0,
-            quarantine_threshold: 0,
+            hive: HiveConfig {
+                quarantine_threshold: 0,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(counter()),

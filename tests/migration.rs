@@ -104,7 +104,10 @@ fn a_migrated_bee_leaves_no_instrumentation_behind() {
         ClusterConfig {
             hives: 2,
             voters: 2,
-            tick_interval_ms: 0, // the test ticks the collector itself
+            hive: HiveConfig {
+                tick_interval_ms: 0, // the test ticks the collector itself
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| {

@@ -59,7 +59,6 @@ fn optimizer_moves_consumers_next_to_their_producers() {
         ClusterConfig {
             hives: 3,
             voters: 3,
-            tick_interval_ms: 1000,
             ..Default::default()
         },
         |hive| {
@@ -130,7 +129,6 @@ fn optimizer_leaves_balanced_bees_alone() {
         ClusterConfig {
             hives: 2,
             voters: 2,
-            tick_interval_ms: 1000,
             ..Default::default()
         },
         |hive| {

@@ -44,10 +44,12 @@ fn cluster(dir: &std::path::Path) -> SimCluster {
         ClusterConfig {
             hives: 3,
             voters: 3,
-            tick_interval_ms: 0, // no platform ticks: Add is the only app traffic
-            channel_resend_ms: 100,
-            channel_ack_flush_ms: 5,
-            registry_storage_dir: Some(dir.to_path_buf()),
+            hive: HiveConfig {
+                tick_interval_ms: 0, // no platform ticks: Add is the only app traffic
+                channel_resend_ms: 100,
+                registry_storage_dir: Some(dir.to_path_buf()),
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(adder_app()),

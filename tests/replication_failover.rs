@@ -36,7 +36,10 @@ fn replicated_cluster(n: usize, factor: usize) -> SimCluster {
         ClusterConfig {
             hives: n,
             voters: n.min(3),
-            replication_factor: factor,
+            hive: HiveConfig {
+                replication_factor: factor,
+                ..ClusterConfig::default().hive
+            },
             ..Default::default()
         },
         |h| h.install(log_app()),

@@ -171,7 +171,6 @@ fn traces_cross_hives_and_latency_reaches_prometheus() {
         ClusterConfig {
             hives: 2,
             voters: 2,
-            tick_interval_ms: 1000,
             ..Default::default()
         },
         move |h| {
