@@ -139,8 +139,8 @@ pub fn acl_app() -> App {
 mod tests {
     use super::*;
     use beehive_core::feedback::design_feedback;
+    use beehive_core::sync::Mutex;
     use beehive_openflow::switch::encode_header_as_packet;
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn mac(n: u8) -> [u8; 6] {

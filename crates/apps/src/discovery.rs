@@ -107,7 +107,7 @@ pub mod beehive_sim_topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use beehive_core::sync::Mutex;
     use std::sync::Arc;
 
     fn standalone() -> Hive {

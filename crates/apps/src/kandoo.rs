@@ -91,8 +91,8 @@ pub fn kandoo_root_app() -> App {
 mod tests {
     use super::*;
     use beehive_core::feedback::design_feedback;
+    use beehive_core::sync::Mutex;
     use beehive_openflow::driver::FlowStat;
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn standalone() -> Hive {

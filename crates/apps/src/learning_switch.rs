@@ -75,8 +75,8 @@ pub fn learning_switch_app() -> App {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beehive_core::sync::Mutex;
     use beehive_openflow::switch::encode_header_as_packet;
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn pkt(src: [u8; 6], dst: [u8; 6]) -> Vec<u8> {

@@ -181,7 +181,7 @@ pub fn nib_app() -> App {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use beehive_core::sync::Mutex;
     use std::sync::Arc;
 
     fn standalone() -> Hive {

@@ -247,7 +247,7 @@ pub fn path_app() -> App {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use beehive_core::sync::Mutex;
     use std::sync::Arc;
 
     fn standalone() -> Hive {

@@ -272,8 +272,8 @@ pub fn decoupled_te_apps(cfg: TeConfig) -> (App, App) {
 mod tests {
     use super::*;
     use beehive_core::feedback::design_feedback;
+    use beehive_core::sync::Mutex;
     use beehive_openflow::driver::FlowStat;
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn standalone() -> Hive {

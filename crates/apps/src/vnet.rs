@@ -184,7 +184,7 @@ use VnetPacket as Packet;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use beehive_core::sync::Mutex;
     use std::sync::Arc;
 
     const MAC_A: [u8; 6] = [0xA; 6];

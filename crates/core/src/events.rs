@@ -35,11 +35,11 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
 use crate::id::{BeeId, HiveId};
+use crate::sync::Mutex;
 
 /// The lifecycle transition an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

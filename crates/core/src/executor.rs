@@ -26,11 +26,9 @@
 //!   or staged are never checked out.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 
 use crate::app::{App, RcvCtx};
 use crate::cell::{Cell, WHOLE_DICT_KEY};
@@ -41,6 +39,7 @@ use crate::metrics::Instrumentation;
 use crate::queen::CheckedOutBee;
 use crate::state::{BeeState, JournalOp, TxState};
 use crate::supervision::{panic_detail, FailureKind, HandlerFaults};
+use crate::sync::Mutex;
 use crate::trace::{TraceCollector, TraceSpan};
 
 /// A condvar-based parker for the hive thread's idle wait. An `unpark` that
@@ -64,7 +63,10 @@ impl Parker {
     pub(crate) fn park(&self, timeout: Duration) {
         let mut notified = self.notified.lock();
         if !*notified {
-            let _ = self.cv.wait_for(&mut notified, timeout);
+            (notified, _) = self
+                .cv
+                .wait_timeout(notified, timeout)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         *notified = false;
     }
@@ -383,8 +385,8 @@ fn run_job(worker: usize, mut job: BeeJob) -> FinishedJob {
     }
 }
 
-/// The worker pool. Jobs go out over one MPMC channel; results come back on
-/// another. Dropping the executor closes the job channel and joins every
+/// The worker pool. Jobs go out over one channel whose receiving end the
+/// workers share behind a lock; results come back on another. Dropping the executor closes the job channel and joins every
 /// worker.
 pub(crate) struct Executor {
     job_tx: Option<Sender<BeeJob>>,
@@ -396,8 +398,9 @@ impl Executor {
     /// Spawns `workers` threads (named `bh-worker-N`).
     pub(crate) fn new(workers: usize) -> Self {
         assert!(workers >= 1);
-        let (job_tx, job_rx) = unbounded::<BeeJob>();
-        let (res_tx, res_rx) = unbounded::<FinishedJob>();
+        let (job_tx, job_rx) = channel::<BeeJob>();
+        let job_rx = Arc::new(Mutex::new(job_rx));
+        let (res_tx, res_rx) = channel::<FinishedJob>();
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let rx = job_rx.clone();
@@ -408,7 +411,10 @@ impl Executor {
                     // Handler panics are caught per message inside
                     // `run_batch`, so the worker itself never unwinds on
                     // application faults.
-                    while let Ok(job) = rx.recv() {
+                    loop {
+                        // The lock is released before the job runs.
+                        let job = rx.lock().recv();
+                        let Ok(job) = job else { break };
                         if tx.send(run_job(w, job)).is_err() {
                             break;
                         }

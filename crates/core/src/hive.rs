@@ -11,10 +11,8 @@
 //! deployments call [`Hive::run`] on a thread.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::app::App;
 use crate::cell::{Cell, Mapped};
@@ -36,6 +34,7 @@ use crate::state::BeeState;
 use crate::supervision::{
     DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, OverflowPolicy, QUARANTINE_COOLDOWN_MS,
 };
+use crate::sync::Mutex;
 use crate::trace::{TraceCollector, TraceHub, TRACE_CAPACITY};
 use crate::transport::{Frame, FrameKind, Transport};
 use beehive_raft::{ConfChange, ConfChangeKind};
@@ -518,7 +517,7 @@ impl Hive {
         }
         let mut shadows = ShadowStore::new();
         shadows.set_events(events.clone());
-        let (handle_tx, handle_rx) = unbounded();
+        let (handle_tx, handle_rx) = channel();
         let mut msg_registry = MessageRegistry::new();
         msg_registry.register::<Tick>();
         msg_registry.register::<crate::metrics::HiveMetrics>();

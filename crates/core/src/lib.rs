@@ -83,6 +83,7 @@ pub mod registry;
 pub mod replication;
 pub mod state;
 pub mod supervision;
+pub mod sync;
 pub mod trace;
 pub mod transport;
 

@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::analytics::Analytics;
@@ -21,6 +20,7 @@ use crate::app::App;
 use crate::id::{BeeId, HiveId};
 use crate::metrics::{BeeStats, BeeStatsSnapshot, HiveMetrics, Instrumentation, LatencyHistogram};
 use crate::optimizer::{plan_migrations, BeeLoad, OptimizerConfig};
+use crate::sync::Mutex;
 
 /// The periodic platform timer message; the abstraction's `on TimeOut`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

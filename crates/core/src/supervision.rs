@@ -14,11 +14,11 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::id::{AppName, BeeId};
 use crate::message::Envelope;
+use crate::sync::Mutex;
 
 /// Why a message delivery failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -18,11 +18,11 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
 use crate::id::{AppName, BeeId, HiveId};
+use crate::sync::Mutex;
 
 /// Process-wide span/trace id counter. Ids only need to be unique within a
 /// trace's lifetime; mixing in the hive id keeps them unique across hives
@@ -307,7 +307,7 @@ pub fn chrome_trace_merged(spans: &[TraceSpan], trace_id: u64) -> String {
 #[derive(Default)]
 pub struct TraceHub {
     inner: Mutex<HubInner>,
-    cv: parking_lot::Condvar,
+    cv: std::sync::Condvar,
     /// The owning hive's clock. When wired ([`TraceHub::set_clock`]),
     /// [`TraceHub::wait`] measures its timeout in this clock's (possibly
     /// virtual) time instead of reading the wall clock directly, so trace
@@ -446,7 +446,10 @@ impl TraceHub {
                 // wake in short slices to re-check the virtual deadline.
                 remaining = remaining.min(std::time::Duration::from_millis(10));
             }
-            self.cv.wait_for(&mut inner, remaining);
+            (inner, _) = self
+                .cv
+                .wait_timeout(inner, remaining)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
     }
 }

@@ -7,9 +7,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
 use crate::id::HiveId;
+use crate::sync::Mutex;
 
 /// Category of a frame, used by transports for control-channel bandwidth
 /// accounting (Figure 4d–f of the paper break down consumption over time).

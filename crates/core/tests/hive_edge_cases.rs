@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use beehive_core::prelude::*;
+use beehive_core::sync::Mutex;
 use beehive_core::{Dst, Envelope, HiveConfig, Source, TraceContext};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]

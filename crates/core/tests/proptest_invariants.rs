@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use beehive_core::prelude::*;
 use beehive_core::registry::{RegistryCommand, RegistryOp, RegistryState};
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 

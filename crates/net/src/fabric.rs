@@ -6,9 +6,9 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use beehive_core::clock::Clock;
+use beehive_core::sync::Mutex;
 use beehive_core::transport::{Frame, FrameKind, Transport};
 use beehive_core::HiveId;
-use parking_lot::Mutex;
 
 use crate::matrix::TrafficMatrix;
 

@@ -20,8 +20,10 @@ pub mod buffer;
 mod fabric;
 pub mod frame;
 mod matrix;
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 mod reactor;
+#[cfg(target_os = "linux")]
+mod sys;
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -32,13 +34,13 @@ use beehive_core::HiveId;
 
 pub use fabric::{ClearedFrames, FabricFaults, FaultStats, MemEndpoint, MemFabric};
 pub use matrix::{MatrixCell, TrafficMatrix};
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub use reactor::ReactorTransport;
 
 /// Binds the reactor and returns it type-erased, together with the bound
 /// address (useful with port 0) and its counters — everything
 /// `beehive-node` needs before handing the transport to the hive.
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub fn bind_tcp(
     _engine: TransportPreference,
     id: HiveId,

@@ -27,17 +27,18 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use beehive_core::events::{EventJournal, EventKind};
+use beehive_core::sync::Mutex;
 use beehive_core::transport::{Frame, Transport, TransportCounters};
 use beehive_core::HiveId;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::buffer::{ConnectBackoff, EncodedFrame, FlushOutcome, SendRing, DEFERRED_CAP};
 use crate::frame::{byte_to_kind, encode_frame, kind_to_byte, FrameDecoder, KIND_HANDSHAKE};
+use crate::sys;
 
 /// Wakeup callback invoked when a frame lands in the inbox (set after bind
 /// by `Hive::run` via [`Transport::set_waker`]).
@@ -144,7 +145,7 @@ impl ReactorTransport {
         let local_addr = listener.local_addr()?;
         let (wake_rx, wake_tx) = UnixStream::pair()?;
         wake_rx.set_nonblocking(true)?;
-        let (inbox_tx, inbox_rx) = unbounded();
+        let (inbox_tx, inbox_rx) = channel();
 
         let shared = Arc::new(Shared {
             id,
@@ -325,20 +326,20 @@ impl Drop for ReactorTransport {
 fn start_connect(addr: SocketAddr) -> std::io::Result<TcpStream> {
     let (domain, storage, len) = sockaddr_of(addr);
     let fd = unsafe {
-        libc::socket(
+        sys::socket(
             domain,
-            libc::SOCK_STREAM | libc::SOCK_NONBLOCK | libc::SOCK_CLOEXEC,
+            sys::SOCK_STREAM | sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
             0,
         )
     };
     if fd < 0 {
         return Err(std::io::Error::last_os_error());
     }
-    let rc = unsafe { libc::connect(fd, &storage as *const _ as *const libc::sockaddr, len) };
+    let rc = unsafe { sys::connect(fd, &storage as *const _ as *const sys::sockaddr, len) };
     if rc != 0 {
         let err = std::io::Error::last_os_error();
-        if err.raw_os_error() != Some(libc::EINPROGRESS) {
-            unsafe { libc::close(fd) };
+        if err.raw_os_error() != Some(sys::EINPROGRESS) {
+            unsafe { sys::close(fd) };
             return Err(err);
         }
     }
@@ -346,41 +347,36 @@ fn start_connect(addr: SocketAddr) -> std::io::Result<TcpStream> {
 }
 
 /// Converts a [`SocketAddr`] into the raw sockaddr `connect(2)` wants.
-fn sockaddr_of(addr: SocketAddr) -> (libc::c_int, libc::sockaddr_storage, libc::socklen_t) {
-    let mut storage: libc::sockaddr_storage = unsafe { std::mem::zeroed() };
+fn sockaddr_of(addr: SocketAddr) -> (sys::c_int, sys::sockaddr_storage, sys::socklen_t) {
+    let mut storage: sys::sockaddr_storage = unsafe { std::mem::zeroed() };
     match addr {
         SocketAddr::V4(v4) => {
-            let sin = libc::sockaddr_in {
-                sin_family: libc::AF_INET as libc::sa_family_t,
+            let sin = sys::sockaddr_in {
+                sin_family: sys::AF_INET as sys::sa_family_t,
                 sin_port: v4.port().to_be(),
-                sin_addr: libc::in_addr {
-                    s_addr: u32::from_ne_bytes(v4.ip().octets()),
-                },
-                ..unsafe { std::mem::zeroed() }
+                sin_addr: u32::from_ne_bytes(v4.ip().octets()),
+                sin_zero: [0; 8],
             };
-            unsafe { std::ptr::write(&mut storage as *mut _ as *mut libc::sockaddr_in, sin) };
+            unsafe { std::ptr::write(&mut storage as *mut _ as *mut sys::sockaddr_in, sin) };
             (
-                libc::AF_INET,
+                sys::AF_INET,
                 storage,
-                std::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t,
+                std::mem::size_of::<sys::sockaddr_in>() as sys::socklen_t,
             )
         }
         SocketAddr::V6(v6) => {
-            let sin6 = libc::sockaddr_in6 {
-                sin6_family: libc::AF_INET6 as libc::sa_family_t,
+            let sin6 = sys::sockaddr_in6 {
+                sin6_family: sys::AF_INET6 as sys::sa_family_t,
                 sin6_port: v6.port().to_be(),
                 sin6_flowinfo: v6.flowinfo(),
-                sin6_addr: libc::in6_addr {
-                    s6_addr: v6.ip().octets(),
-                },
+                sin6_addr: v6.ip().octets(),
                 sin6_scope_id: v6.scope_id(),
-                ..unsafe { std::mem::zeroed() }
             };
-            unsafe { std::ptr::write(&mut storage as *mut _ as *mut libc::sockaddr_in6, sin6) };
+            unsafe { std::ptr::write(&mut storage as *mut _ as *mut sys::sockaddr_in6, sin6) };
             (
-                libc::AF_INET6,
+                sys::AF_INET6,
                 storage,
-                std::mem::size_of::<libc::sockaddr_in6>() as libc::socklen_t,
+                std::mem::size_of::<sys::sockaddr_in6>() as sys::socklen_t,
             )
         }
     }
@@ -389,14 +385,14 @@ fn sockaddr_of(addr: SocketAddr) -> (libc::c_int, libc::sockaddr_storage, libc::
 /// Reads and clears a socket's pending error (the `SO_ERROR` half of the
 /// non-blocking connect protocol).
 fn take_socket_error(fd: RawFd) -> std::io::Result<()> {
-    let mut err: libc::c_int = 0;
-    let mut len = std::mem::size_of::<libc::c_int>() as libc::socklen_t;
+    let mut err: sys::c_int = 0;
+    let mut len = std::mem::size_of::<sys::c_int>() as sys::socklen_t;
     let rc = unsafe {
-        libc::getsockopt(
+        sys::getsockopt(
             fd,
-            libc::SOL_SOCKET,
-            libc::SO_ERROR,
-            &mut err as *mut _ as *mut libc::c_void,
+            sys::SOL_SOCKET,
+            sys::SO_ERROR,
+            &mut err as *mut _ as *mut sys::c_void,
             &mut len,
         )
     };
@@ -446,30 +442,29 @@ fn reactor_loop(
         flush_established(&shared, &mut out_conns);
 
         let timeout = poll_timeout(&shared, &out_conns);
-        let mut pollfds: Vec<libc::pollfd> =
+        let mut pollfds: Vec<sys::pollfd> =
             Vec::with_capacity(2 + in_conns.len() + out_conns.len());
-        pollfds.push(pollfd(wake_rx.as_raw_fd(), libc::POLLIN));
-        pollfds.push(pollfd(listener.as_raw_fd(), libc::POLLIN));
+        pollfds.push(pollfd(wake_rx.as_raw_fd(), sys::POLLIN));
+        pollfds.push(pollfd(listener.as_raw_fd(), sys::POLLIN));
         for c in &in_conns {
-            pollfds.push(pollfd(c.stream.as_raw_fd(), libc::POLLIN));
+            pollfds.push(pollfd(c.stream.as_raw_fd(), sys::POLLIN));
         }
         let out_order: Vec<HiveId> = out_conns.keys().copied().collect();
         for peer in &out_order {
             let conn = &out_conns[peer];
-            let mut ev = libc::POLLIN; // EOF / reset detection
+            let mut ev = sys::POLLIN; // EOF / reset detection
             let pending = shared
                 .outs
                 .lock()
                 .get(peer)
                 .is_some_and(|po| !po.ring.is_empty());
             if conn.connecting.is_some() || pending {
-                ev |= libc::POLLOUT;
+                ev |= sys::POLLOUT;
             }
             pollfds.push(pollfd(conn.stream.as_raw_fd(), ev));
         }
 
-        let rc =
-            unsafe { libc::poll(pollfds.as_mut_ptr(), pollfds.len() as libc::nfds_t, timeout) };
+        let rc = unsafe { sys::poll(pollfds.as_mut_ptr(), pollfds.len() as sys::nfds_t, timeout) };
         if rc < 0 {
             let err = std::io::Error::last_os_error();
             if err.kind() == std::io::ErrorKind::Interrupted {
@@ -515,7 +510,7 @@ fn reactor_loop(
         let mut idx = 0;
         while idx < polled {
             let revents = pollfds[2 + idx].revents;
-            let fate = if revents & (libc::POLLIN | libc::POLLHUP | libc::POLLERR) != 0 {
+            let fate = if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
                 read_inbound(&shared, &mut in_conns[idx], &inbox_tx, &mut delivered)
             } else {
                 ConnFate::Keep
@@ -546,7 +541,7 @@ fn reactor_loop(
             };
             let mut close = false;
             if let Some(deadline) = conn.connecting {
-                let settled = revents & (libc::POLLOUT | libc::POLLERR | libc::POLLHUP) != 0;
+                let settled = revents & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP) != 0;
                 if settled {
                     match take_socket_error(conn.stream.as_raw_fd()) {
                         Ok(()) => {
@@ -563,7 +558,7 @@ fn reactor_loop(
                     out_conns.remove(peer);
                     continue;
                 }
-            } else if revents & (libc::POLLIN | libc::POLLHUP | libc::POLLERR) != 0 {
+            } else if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
                 // Established outbound sockets never carry inbound frames
                 // (each direction dials its own connection), so readable
                 // means closed or reset.
@@ -594,9 +589,9 @@ fn reactor_loop(
     // Dropping the listener and connection maps closes every socket.
 }
 
-/// Shorthand for a [`libc::pollfd`] entry.
-fn pollfd(fd: RawFd, events: libc::c_short) -> libc::pollfd {
-    libc::pollfd {
+/// Shorthand for a [`sys::pollfd`] entry.
+fn pollfd(fd: RawFd, events: sys::c_short) -> sys::pollfd {
+    sys::pollfd {
         fd,
         events,
         revents: 0,

@@ -10,7 +10,7 @@
 //! Tests share one global lock: the leak checks count process-wide threads
 //! and file descriptors, which concurrent tests would skew.
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};

@@ -319,7 +319,7 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
 mod tests {
     use super::*;
     use crate::switch::SwitchModel;
-    use parking_lot::Mutex;
+    use beehive_core::sync::Mutex;
     use std::sync::Arc;
 
     /// Captures controller-to-switch bytes for inspection.

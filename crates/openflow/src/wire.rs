@@ -6,8 +6,6 @@
 //! plane needs: handshake, liveness, packet punting/injection, flow
 //! programming, flow statistics and port status.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// The protocol version this codec speaks.
 pub const OFP_VERSION: u8 = 0x01;
 
@@ -55,6 +53,68 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// Big-endian appends to the message being encoded.
+trait PutBe {
+    fn put_slice(&mut self, src: &[u8]);
+    fn put_u8(&mut self, v: u8) {
+        self.put_slice(&[v]);
+    }
+    fn put_u16(&mut self, v: u16) {
+        self.put_slice(&v.to_be_bytes());
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.put_slice(&v.to_be_bytes());
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.put_slice(&v.to_be_bytes());
+    }
+}
+
+impl PutBe for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
+/// Read cursor over the message being decoded. Every read is checked
+/// against what is left and fails with [`WireError::Truncated`] past the end.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if self.0.len() < n {
+            return Err(WireError::Truncated);
+        }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
+    }
+    fn advance(&mut self, n: usize) -> Result<(), WireError> {
+        self.take(n).map(drop)
+    }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+    fn get_u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+    fn get_u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_be_bytes(self.array()?))
+    }
+    fn get_u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_be_bytes(self.array()?))
+    }
+    fn get_u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_be_bytes(self.array()?))
+    }
+}
 
 /// An OpenFlow 1.0 flow match (ofp_match, 40 bytes).
 #[derive(
@@ -153,7 +213,7 @@ impl Match {
             && (w & (1 << 21) != 0 || self.nw_tos == pkt.nw_tos)
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u32(self.wildcards);
         buf.put_u16(self.in_port);
         buf.put_slice(&self.dl_src);
@@ -171,27 +231,25 @@ impl Match {
         buf.put_u16(self.tp_dst);
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         if buf.remaining() < 40 {
             return Err(WireError::Truncated);
         }
-        let wildcards = buf.get_u32();
-        let in_port = buf.get_u16();
-        let mut dl_src = [0u8; 6];
-        buf.copy_to_slice(&mut dl_src);
-        let mut dl_dst = [0u8; 6];
-        buf.copy_to_slice(&mut dl_dst);
-        let dl_vlan = buf.get_u16();
-        let dl_vlan_pcp = buf.get_u8();
-        buf.advance(1);
-        let dl_type = buf.get_u16();
-        let nw_tos = buf.get_u8();
-        let nw_proto = buf.get_u8();
-        buf.advance(2);
-        let nw_src = buf.get_u32();
-        let nw_dst = buf.get_u32();
-        let tp_src = buf.get_u16();
-        let tp_dst = buf.get_u16();
+        let wildcards = buf.get_u32()?;
+        let in_port = buf.get_u16()?;
+        let dl_src: [u8; 6] = buf.array()?;
+        let dl_dst: [u8; 6] = buf.array()?;
+        let dl_vlan = buf.get_u16()?;
+        let dl_vlan_pcp = buf.get_u8()?;
+        buf.advance(1)?;
+        let dl_type = buf.get_u16()?;
+        let nw_tos = buf.get_u8()?;
+        let nw_proto = buf.get_u8()?;
+        buf.advance(2)?;
+        let nw_src = buf.get_u32()?;
+        let nw_dst = buf.get_u32()?;
+        let tp_src = buf.get_u16()?;
+        let tp_dst = buf.get_u16()?;
         Ok(Match {
             wildcards,
             in_port,
@@ -228,7 +286,7 @@ pub const OFPP_CONTROLLER: u16 = 0xFFFD;
 pub const OFPP_FLOOD: u16 = 0xFFFB;
 
 impl Action {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Action::Output { port, max_len } => {
                 buf.put_u16(OFPAT_OUTPUT);
@@ -239,11 +297,12 @@ impl Action {
         }
     }
 
-    fn decode_list(mut buf: &[u8]) -> Result<Vec<Action>, WireError> {
+    fn decode_list(buf: &[u8]) -> Result<Vec<Action>, WireError> {
+        let mut buf = Reader(buf);
         let mut actions = Vec::new();
         while buf.remaining() >= 4 {
-            let ty = buf.get_u16();
-            let len = buf.get_u16() as usize;
+            let ty = buf.get_u16()?;
+            let len = buf.get_u16()? as usize;
             if len < 4 || buf.remaining() < len - 4 {
                 return Err(WireError::BadLength);
             }
@@ -252,13 +311,13 @@ impl Action {
                     if len != 8 {
                         return Err(WireError::BadLength);
                     }
-                    let port = buf.get_u16();
-                    let max_len = buf.get_u16();
+                    let port = buf.get_u16()?;
+                    let max_len = buf.get_u16()?;
                     actions.push(Action::Output { port, max_len });
                 }
                 _ => {
                     // Skip unknown action types (forward compatible).
-                    buf.advance(len - 4);
+                    buf.advance(len - 4)?;
                 }
             }
         }
@@ -321,7 +380,7 @@ pub struct PhyPort {
 }
 
 impl PhyPort {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.port_no);
         buf.put_slice(&self.hw_addr);
         let mut name = [0u8; 16];
@@ -333,16 +392,14 @@ impl PhyPort {
         buf.put_slice(&[0u8; 24]);
     }
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+    fn decode(buf: &mut Reader<'_>) -> Result<Self, WireError> {
         if buf.remaining() < 48 {
             return Err(WireError::Truncated);
         }
-        let port_no = buf.get_u16();
-        let mut hw_addr = [0u8; 6];
-        buf.copy_to_slice(&mut hw_addr);
-        let mut name = [0u8; 16];
-        buf.copy_to_slice(&mut name);
-        buf.advance(24);
+        let port_no = buf.get_u16()?;
+        let hw_addr: [u8; 6] = buf.array()?;
+        let name: [u8; 16] = buf.array()?;
+        buf.advance(24)?;
         let end = name.iter().position(|&b| b == 0).unwrap_or(16);
         let name = String::from_utf8_lossy(&name[..end]).into_owned();
         Ok(PhyPort {
@@ -524,7 +581,7 @@ impl OfMessage {
 
     /// Encodes into OpenFlow 1.0 wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
         // Header placeholder; length patched at the end.
         let (ty, xid) = match self {
             OfMessage::Hello { xid } => (OFPT_HELLO, *xid),
@@ -676,23 +733,23 @@ impl OfMessage {
 
         let len = buf.len() as u16;
         buf[2..4].copy_from_slice(&len.to_be_bytes());
-        buf.to_vec()
+        buf
     }
 
     /// Decodes one OpenFlow 1.0 message. The slice must contain exactly one
     /// message (as framed by the header's length field).
     pub fn decode(bytes: &[u8]) -> Result<OfMessage, WireError> {
-        let mut buf = bytes;
+        let mut buf = Reader(bytes);
         if buf.remaining() < 8 {
             return Err(WireError::Truncated);
         }
-        let version = buf.get_u8();
+        let version = buf.get_u8()?;
         if version != OFP_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let ty = buf.get_u8();
-        let length = buf.get_u16() as usize;
-        let xid = buf.get_u32();
+        let ty = buf.get_u8()?;
+        let length = buf.get_u16()? as usize;
+        let xid = buf.get_u32()?;
         if length != bytes.len() {
             return Err(WireError::BadLength);
         }
@@ -701,23 +758,23 @@ impl OfMessage {
             OFPT_HELLO => Ok(OfMessage::Hello { xid }),
             OFPT_ECHO_REQUEST => Ok(OfMessage::EchoRequest {
                 xid,
-                data: buf.to_vec(),
+                data: buf.0.to_vec(),
             }),
             OFPT_ECHO_REPLY => Ok(OfMessage::EchoReply {
                 xid,
-                data: buf.to_vec(),
+                data: buf.0.to_vec(),
             }),
             OFPT_FEATURES_REQUEST => Ok(OfMessage::FeaturesRequest { xid }),
             OFPT_FEATURES_REPLY => {
                 if buf.remaining() < 24 {
                     return Err(WireError::Truncated);
                 }
-                let datapath_id = buf.get_u64();
-                let n_buffers = buf.get_u32();
-                let n_tables = buf.get_u8();
-                buf.advance(3);
-                let capabilities = buf.get_u32();
-                buf.advance(4);
+                let datapath_id = buf.get_u64()?;
+                let n_buffers = buf.get_u32()?;
+                let n_tables = buf.get_u8()?;
+                buf.advance(3)?;
+                let capabilities = buf.get_u32()?;
+                buf.advance(4)?;
                 let mut ports = Vec::new();
                 while buf.remaining() >= 48 {
                     ports.push(PhyPort::decode(&mut buf)?);
@@ -735,41 +792,40 @@ impl OfMessage {
                 if buf.remaining() < 10 {
                     return Err(WireError::Truncated);
                 }
-                let buffer_id = buf.get_u32();
-                let total_len = buf.get_u16();
-                let in_port = buf.get_u16();
-                let reason = match buf.get_u8() {
+                let buffer_id = buf.get_u32()?;
+                let total_len = buf.get_u16()?;
+                let in_port = buf.get_u16()?;
+                let reason = match buf.get_u8()? {
                     0 => PacketInReason::NoMatch,
                     _ => PacketInReason::Action,
                 };
-                buf.advance(1);
+                buf.advance(1)?;
                 Ok(OfMessage::PacketIn {
                     xid,
                     buffer_id,
                     total_len,
                     in_port,
                     reason,
-                    data: buf.to_vec(),
+                    data: buf.0.to_vec(),
                 })
             }
             OFPT_PACKET_OUT => {
                 if buf.remaining() < 8 {
                     return Err(WireError::Truncated);
                 }
-                let buffer_id = buf.get_u32();
-                let in_port = buf.get_u16();
-                let actions_len = buf.get_u16() as usize;
+                let buffer_id = buf.get_u32()?;
+                let in_port = buf.get_u16()?;
+                let actions_len = buf.get_u16()? as usize;
                 if buf.remaining() < actions_len {
                     return Err(WireError::Truncated);
                 }
-                let actions = Action::decode_list(&buf[..actions_len])?;
-                buf.advance(actions_len);
+                let actions = Action::decode_list(buf.take(actions_len)?)?;
                 Ok(OfMessage::PacketOut {
                     xid,
                     buffer_id,
                     in_port,
                     actions,
-                    data: buf.to_vec(),
+                    data: buf.0.to_vec(),
                 })
             }
             OFPT_FLOW_MOD => {
@@ -777,13 +833,13 @@ impl OfMessage {
                 if buf.remaining() < 24 {
                     return Err(WireError::Truncated);
                 }
-                let cookie = buf.get_u64();
-                let command = FlowModCommand::from_u16(buf.get_u16())?;
-                let idle_timeout = buf.get_u16();
-                let hard_timeout = buf.get_u16();
-                let priority = buf.get_u16();
-                buf.advance(8); // buffer_id + out_port + flags
-                let actions = Action::decode_list(buf)?;
+                let cookie = buf.get_u64()?;
+                let command = FlowModCommand::from_u16(buf.get_u16()?)?;
+                let idle_timeout = buf.get_u16()?;
+                let hard_timeout = buf.get_u16()?;
+                let priority = buf.get_u16()?;
+                buf.advance(8)?; // buffer_id + out_port + flags
+                let actions = Action::decode_list(buf.0)?;
                 Ok(OfMessage::FlowMod {
                     xid,
                     match_,
@@ -799,8 +855,8 @@ impl OfMessage {
                 if buf.remaining() < 4 {
                     return Err(WireError::Truncated);
                 }
-                let stats_type = buf.get_u16();
-                buf.advance(2);
+                let stats_type = buf.get_u16()?;
+                buf.advance(2)?;
                 if stats_type != OFPST_FLOW {
                     return Err(WireError::Unsupported("stats type"));
                 }
@@ -808,8 +864,8 @@ impl OfMessage {
                 if buf.remaining() < 4 {
                     return Err(WireError::Truncated);
                 }
-                let table_id = buf.get_u8();
-                buf.advance(3);
+                let table_id = buf.get_u8()?;
+                buf.advance(3)?;
                 Ok(OfMessage::FlowStatsRequest {
                     xid,
                     match_,
@@ -820,34 +876,33 @@ impl OfMessage {
                 if buf.remaining() < 4 {
                     return Err(WireError::Truncated);
                 }
-                let stats_type = buf.get_u16();
-                buf.advance(2);
+                let stats_type = buf.get_u16()?;
+                buf.advance(2)?;
                 if stats_type != OFPST_FLOW {
                     return Err(WireError::Unsupported("stats type"));
                 }
                 let mut flows = Vec::new();
                 while buf.remaining() >= FLOW_STATS_FIXED {
-                    let entry_len = buf.get_u16() as usize;
+                    let entry_len = buf.get_u16()? as usize;
                     if entry_len < FLOW_STATS_FIXED || buf.remaining() < entry_len - 2 {
                         return Err(WireError::BadLength);
                     }
-                    let table_id = buf.get_u8();
-                    buf.advance(1);
+                    let table_id = buf.get_u8()?;
+                    buf.advance(1)?;
                     let match_ = Match::decode(&mut buf)?;
-                    let duration_sec = buf.get_u32();
-                    buf.advance(4); // nsec
-                    let priority = buf.get_u16();
-                    buf.advance(4); // idle + hard
-                    buf.advance(6); // pad
-                    let cookie = buf.get_u64();
-                    let packet_count = buf.get_u64();
-                    let byte_count = buf.get_u64();
+                    let duration_sec = buf.get_u32()?;
+                    buf.advance(4)?; // nsec
+                    let priority = buf.get_u16()?;
+                    buf.advance(4)?; // idle + hard
+                    buf.advance(6)?; // pad
+                    let cookie = buf.get_u64()?;
+                    let packet_count = buf.get_u64()?;
+                    let byte_count = buf.get_u64()?;
                     let actions_len = entry_len - FLOW_STATS_FIXED;
                     if buf.remaining() < actions_len {
                         return Err(WireError::Truncated);
                     }
-                    let actions = Action::decode_list(&buf[..actions_len])?;
-                    buf.advance(actions_len);
+                    let actions = Action::decode_list(buf.take(actions_len)?)?;
                     flows.push(FlowStatsEntry {
                         table_id,
                         match_,
@@ -865,8 +920,8 @@ impl OfMessage {
                 if buf.remaining() < 8 {
                     return Err(WireError::Truncated);
                 }
-                let reason = buf.get_u8();
-                buf.advance(7);
+                let reason = buf.get_u8()?;
+                buf.advance(7)?;
                 let desc = PhyPort::decode(&mut buf)?;
                 Ok(OfMessage::PortStatus { xid, reason, desc })
             }
@@ -874,13 +929,13 @@ impl OfMessage {
                 if buf.remaining() < 4 {
                     return Err(WireError::Truncated);
                 }
-                let err_type = buf.get_u16();
-                let code = buf.get_u16();
+                let err_type = buf.get_u16()?;
+                let code = buf.get_u16()?;
                 Ok(OfMessage::Error {
                     xid,
                     err_type,
                     code,
-                    data: buf.to_vec(),
+                    data: buf.0.to_vec(),
                 })
             }
             other => Err(WireError::BadType(other)),

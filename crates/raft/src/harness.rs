@@ -6,11 +6,9 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::config::Config;
 use crate::node::{Outbound, ProposeError, RaftNode};
+use crate::rng::SeededRng;
 use crate::storage::SharedMemStorage;
 use crate::types::{NodeId, RaftMessage};
 use crate::StateMachine;
@@ -54,7 +52,7 @@ pub struct Cluster<SM: StateMachine> {
     down: HashSet<NodeId>,
     queue: VecDeque<InFlight>,
     now: u64,
-    rng: StdRng,
+    rng: SeededRng,
     cfg: Config,
     make_sm: Box<dyn Fn() -> SM>,
     /// Pairs (a, b) that cannot communicate (both directions).
@@ -92,7 +90,7 @@ impl<SM: StateMachine> Cluster<SM> {
             down: HashSet::new(),
             queue: VecDeque::new(),
             now: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SeededRng::seed_from_u64(seed),
             cfg,
             make_sm: Box::new(make_sm),
             partitions: HashSet::new(),
@@ -189,7 +187,7 @@ impl<SM: StateMachine> Cluster<SM> {
             .collect();
         let peers: Vec<NodeId> = ids.iter().copied().filter(|&p| p != id).collect();
         let node_cfg = Config {
-            rng_seed: self.rng.gen(),
+            rng_seed: self.rng.next_u64(),
             ..self.cfg.clone()
         };
         let storage = self.storages.get(&id).expect("storage for node").handle();

@@ -42,6 +42,7 @@
 mod config;
 mod log;
 mod node;
+mod rng;
 mod storage;
 mod types;
 
@@ -50,6 +51,7 @@ pub mod harness;
 pub use config::Config;
 pub use log::RaftLog;
 pub use node::{Applied, Outbound, ProposeError, RaftNode, Role};
+pub use rng::{SeededRng, UniformInt};
 pub use storage::{
     FileStorage, FsyncPolicy, HardState, PersistedState, SharedMemStorage, SnapshotRecord, Storage,
     StorageError,

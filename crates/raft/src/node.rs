@@ -2,11 +2,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::config::Config;
 use crate::log::RaftLog;
+use crate::rng::SeededRng;
 use crate::storage::{HardState, SnapshotRecord, Storage, StorageError};
 
 use crate::types::{
@@ -102,7 +100,7 @@ pub struct RaftNode<SM: StateMachine> {
     /// Whether this node itself is a learner.
     is_learner: bool,
     cfg: Config,
-    rng: StdRng,
+    rng: SeededRng,
 
     role: Role,
     term: Term,
@@ -185,7 +183,7 @@ impl<SM: StateMachine> RaftNode<SM> {
         debug_assert!(!peers.contains(&id), "peers must not include self");
         debug_assert!(!learners.contains(&id), "learners must not include self");
         let mut node = RaftNode {
-            rng: StdRng::seed_from_u64(cfg.rng_seed ^ id.wrapping_mul(0x9E3779B97F4A7C15)),
+            rng: SeededRng::seed_from_u64(cfg.rng_seed ^ id.wrapping_mul(0x9E3779B97F4A7C15)),
             id,
             peers,
             learners,

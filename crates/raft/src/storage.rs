@@ -145,7 +145,7 @@ impl PersistedState {
 /// including its vote, which matters for election safety.
 #[derive(Debug, Clone, Default)]
 pub struct SharedMemStorage {
-    state: std::sync::Arc<parking_lot::Mutex<PersistedState>>,
+    state: std::sync::Arc<std::sync::Mutex<PersistedState>>,
 }
 
 impl SharedMemStorage {
@@ -163,13 +163,19 @@ impl SharedMemStorage {
 
     /// Snapshot of the persisted contents.
     pub fn persisted(&self) -> PersistedState {
-        self.state.lock().clone()
+        self.state().clone()
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, PersistedState> {
+        self.state
+            .lock()
+            .expect("every holder of the storage lock only assigns or clones")
     }
 }
 
 impl Storage for SharedMemStorage {
     fn save_hard_state(&mut self, hs: &HardState) -> Result<(), StorageError> {
-        self.state.lock().hard_state = hs.clone();
+        self.state().hard_state = hs.clone();
         Ok(())
     }
 
@@ -179,7 +185,7 @@ impl Storage for SharedMemStorage {
         snapshot_term: Term,
         entries: &[Entry],
     ) -> Result<(), StorageError> {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.snapshot_index = snapshot_index;
         st.snapshot_term = snapshot_term;
         st.entries = entries.to_vec();
@@ -187,12 +193,12 @@ impl Storage for SharedMemStorage {
     }
 
     fn save_snapshot(&mut self, snap: &SnapshotRecord) -> Result<(), StorageError> {
-        self.state.lock().snapshot = Some(snap.clone());
+        self.state().snapshot = Some(snap.clone());
         Ok(())
     }
 
     fn load(&mut self) -> Result<Option<PersistedState>, StorageError> {
-        let st = self.state.lock();
+        let st = self.state();
         if st.is_empty() {
             Ok(None)
         } else {

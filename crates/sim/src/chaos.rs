@@ -20,8 +20,7 @@ use std::collections::BTreeMap;
 
 use beehive_core::prelude::*;
 use beehive_net::FabricFaults;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use beehive_raft::SeededRng;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterConfig, SimCluster};
@@ -197,7 +196,7 @@ impl FaultSchedule {
     /// Derives a schedule from one seed. The same `(seed, cfg)` pair always
     /// yields the same schedule.
     pub fn generate(seed: u64, cfg: &ChaosConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA24B_AED4_963E_E407);
+        let mut rng = SeededRng::seed_from_u64(seed ^ 0xA24B_AED4_963E_E407);
         let n = rng.gen_range(cfg.min_windows..=cfg.max_windows.max(cfg.min_windows));
         let last_start = cfg.ticks.saturating_sub(1).max(4);
         let mut windows = Vec::new();
@@ -469,7 +468,7 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
         .elect_registry(120_000)
         .expect("chaos cluster failed to elect a registry leader");
 
-    let mut wl = StdRng::seed_from_u64(schedule.seed ^ 0xD6E8_FEB8_6659_FD93);
+    let mut wl = SeededRng::seed_from_u64(schedule.seed ^ 0xD6E8_FEB8_6659_FD93);
     let mut emits = 0u64;
     let mut ledger = CrashLedger::default();
     // Membership-churn runtime state: the hive a churn window booted, and

@@ -5,11 +5,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use beehive_core::sync::Mutex;
 use beehive_core::{HiveHandle, HiveId};
 use beehive_openflow::{
     driver::SwitchUpstream, switch::SwitchModel, wire::OfMessage, FlowModCommand, Match, SwitchIo,
 };
-use parking_lot::Mutex;
 
 use crate::workload::FlowSpec;
 
@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(fleet.flow_count(1), 5);
         fleet.advance_traffic(&flows, 2);
 
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         hive.install(
             App::builder("sink")
@@ -287,7 +287,7 @@ mod tests {
         let (mut hive, fleet) = one_hive_fleet();
         fleet.connect_all();
         settle(&mut hive, &fleet);
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
         let s2 = seen.clone();
         hive.install(
             App::builder("ps-sink")

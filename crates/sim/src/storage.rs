@@ -20,10 +20,10 @@
 
 use std::sync::Arc;
 
+use beehive_core::sync::Mutex;
 use beehive_raft::{
     Entry, HardState, LogIndex, PersistedState, SnapshotRecord, Storage, StorageError, Term,
 };
-use parking_lot::Mutex;
 
 /// Which durable operation an armed fault should strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,8 +2,7 @@
 //! 10% of these flows have a rate more than a user-defined re-routing
 //! threshold (δ)".
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use beehive_raft::SeededRng;
 use serde::{Deserialize, Serialize};
 
 /// One fixed-rate flow pinned to a switch.
@@ -70,7 +69,7 @@ impl Default for WorkloadConfig {
 /// Generates the per-switch flow population. Deterministic in `cfg.seed`;
 /// exactly `⌈flows_per_switch × elephant_fraction⌉` elephants per switch.
 pub fn generate_flows(switches: &[u64], cfg: &WorkloadConfig) -> Vec<FlowSpec> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = SeededRng::seed_from_u64(cfg.seed);
     let elephants_per_switch =
         ((cfg.flows_per_switch as f64) * cfg.elephant_fraction).ceil() as usize;
     let mut flows = Vec::with_capacity(switches.len() * cfg.flows_per_switch);

@@ -10,7 +10,7 @@ use beehive::apps::discovery::LinkDiscovered;
 use beehive::apps::routing::{path_app, rib_app, PathRequest, RouteQuery, RouteReply, RIB_APP};
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster, Topology};
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 use std::sync::Arc;
 
 fn main() {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use beehive::apps::vnet::{vnet_app, AttachPort, CreateVnet, TunnelSetup, VnetPacket, VNET_APP};
 use beehive::prelude::*;
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 
 fn mac(n: u8) -> [u8; 6] {
     [0xEE, 0, 0, 0, 0, n]

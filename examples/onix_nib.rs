@@ -12,7 +12,7 @@ use std::sync::Arc;
 use beehive::apps::nib::{nib_app, EdgeAdd, NodeKind, NodeQuery, NodeReply, NodeUpdate, NIB_APP};
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 
 fn attrs(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
     pairs

@@ -15,7 +15,7 @@ use beehive::openflow::driver::PacketInEvent;
 use beehive::openflow::switch::encode_header_as_packet;
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 
 fn mac(n: u8) -> [u8; 6] {
     [0, 0, 0, 0, 0, n]

@@ -10,7 +10,7 @@ use beehive::apps::vnet::{vnet_app, AttachPort, CreateVnet, TunnelSetup, VnetPac
 use beehive::openflow::driver::{driver_app, FlowStat, InstallRule, StatReply};
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster, SwitchFleet, Topology};
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 
 #[test]
 fn kandoo_two_tier_on_three_hives() {

@@ -12,8 +12,7 @@ use std::collections::BTreeMap;
 
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use beehive_raft::SeededRng;
 use serde::{Deserialize, Serialize};
 
 /// A little bank again — deposits touch one account, transfers touch two
@@ -106,7 +105,7 @@ fn bank() -> App {
 }
 
 fn workload(seed: u64, n: usize) -> Vec<DoOp> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SeededRng::seed_from_u64(seed);
     let accounts = ["a", "b", "c", "d", "e"];
     (0..n as u64)
         .map(|seq| {

@@ -17,7 +17,7 @@ use beehive::core::{
 };
 use beehive::net::ReactorTransport;
 use beehive::prelude::*;
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]

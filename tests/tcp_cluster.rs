@@ -9,7 +9,7 @@ use std::sync::Arc;
 use beehive::core::{Hive, HiveConfig, HiveHandle, TransportPreference};
 use beehive::net::bind_tcp;
 use beehive::prelude::*;
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -14,7 +14,7 @@ use beehive::core::{
 };
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
-use parking_lot::Mutex;
+use beehive_core::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
