@@ -295,6 +295,38 @@ enum RegBackend {
     Raft(Box<beehive_raft::RaftNode<RegistryState>>),
 }
 
+/// Where a hive's queued messages sit ([`Hive::queued_messages`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueuedMessages {
+    /// Accepted, not yet routed.
+    pub dispatch: u64,
+    /// Addressed to a bee this hive does not (yet) host.
+    pub orphans: u64,
+    /// Failed once, waiting for redelivery.
+    pub retry: u64,
+    /// Waiting for a registry proposal to name their owner.
+    pub pending_routes: u64,
+    /// In a bee's mailbox.
+    pub mailboxes: u64,
+}
+
+impl QueuedMessages {
+    /// All of them.
+    pub fn total(&self) -> u64 {
+        self.dispatch + self.orphans + self.retry + self.pending_routes + self.mailboxes
+    }
+}
+
+impl std::fmt::Display for QueuedMessages {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "dispatch={} orphans={} retry={} pending_routes={} mailboxes={}",
+            self.dispatch, self.orphans, self.retry, self.pending_routes, self.mailboxes
+        )
+    }
+}
+
 struct PendingRoute {
     app_name: AppName,
     cells_key: Vec<Cell>,
@@ -951,32 +983,29 @@ impl Hive {
     }
 
     /// Counts messages queued anywhere inside this hive whose wire type name
-    /// ends with `type_suffix`: the dispatch queue, orphan buffer,
-    /// redelivery retry queue, registry-route waiting rooms and every bee
-    /// mailbox. Excludes the cross-thread handle channel
-    /// ([`HiveHandle::emit`]) — conservation audits must emit via
-    /// [`Hive::emit`] or run a `step` first (which drains the channel).
-    pub fn queued_messages(&self, type_suffix: &str) -> u64 {
+    /// ends with `type_suffix`, by the queue holding them. Excludes the
+    /// cross-thread handle channel ([`HiveHandle::emit`]) — conservation
+    /// audits must emit via [`Hive::emit`] or run a `step` first (which
+    /// drains the channel).
+    pub fn queued_messages(&self, type_suffix: &str) -> QueuedMessages {
         let hit = |env: &Envelope| u64::from(env.msg.type_name().ends_with(type_suffix));
-        let mut n = 0u64;
-        n += self.dispatch_queue.iter().map(hit).sum::<u64>();
-        n += self.orphans.iter().map(|(env, _)| hit(env)).sum::<u64>();
-        n += self
-            .retry_queue
-            .iter()
-            .map(|(env, _)| hit(env))
-            .sum::<u64>();
+        let mut q = QueuedMessages {
+            dispatch: self.dispatch_queue.iter().map(hit).sum(),
+            orphans: self.orphans.iter().map(|(env, _)| hit(env)).sum(),
+            retry: self.retry_queue.iter().map(|(env, _)| hit(env)).sum(),
+            ..QueuedMessages::default()
+        };
         for p in self.pending_routes.values() {
-            n += p.waiting.iter().map(|(_, env)| hit(env)).sum::<u64>();
+            q.pending_routes += p.waiting.iter().map(|(_, env)| hit(env)).sum::<u64>();
         }
         for queen in &self.queens {
             for id in queen.bee_ids() {
                 if let Some(b) = queen.bee(id) {
-                    n += b.mailbox.iter().map(|(_, env)| hit(env)).sum::<u64>();
+                    q.mailboxes += b.mailbox.iter().map(|(_, env)| hit(env)).sum::<u64>();
                 }
             }
         }
-        n
+        q
     }
 
     /// Active bees of `app` with their colonies, sorted by bee id — the
@@ -1261,8 +1290,10 @@ impl Hive {
     /// Records registry Raft term and leader changes into the event journal,
     /// tracks snapshot/compaction progress for the instrumentation gauges,
     /// and fail-stops the hive if the registry node latched a storage fault.
-    /// Pure observation of already-deterministic state, so it cannot perturb
-    /// simulated replay.
+    /// A freshly installed snapshot also releases the pending routes it
+    /// answers (see [`Hive::release_routes_resolved_by_snapshot`]).
+    /// Everything here derives from already-deterministic state, so it
+    /// cannot perturb simulated replay.
     fn poll_raft_events(&mut self) {
         let RegBackend::Raft(node) = &self.registry else {
             return;
@@ -1292,11 +1323,12 @@ impl Hive {
         let snap_index = node.snapshot_index();
         let installs = node.snapshots_installed();
         let lag = node.snapshot_lag();
+        let installed = installs > self.last_snapshot_installs;
         if snap_index != self.last_snapshot_index
             || installs != self.last_snapshot_installs
             || lag != self.last_snapshot_lag
         {
-            if installs > self.last_snapshot_installs {
+            if installed {
                 self.events.record(
                     EventKind::SnapshotInstall,
                     format!("registry snapshot installed through index {snap_index}"),
@@ -1309,6 +1341,53 @@ impl Hive {
             self.last_snapshot_index = snap_index;
             self.last_snapshot_installs = installs;
             self.last_snapshot_lag = lag;
+        }
+        if installed {
+            self.release_routes_resolved_by_snapshot();
+        }
+    }
+
+    /// A registry follower that catches up by `InstallSnapshot` never sees
+    /// the `Routed` echoes of the entries the snapshot covered — and a slow
+    /// follower of a leader that compacts at every commit is served nothing
+    /// but snapshots, re-proposals included. So after an install, release
+    /// (oldest first) every pending route whose cells the mirror now
+    /// resolves; a later echo of the same command finds nothing to release.
+    fn release_routes_resolved_by_snapshot(&mut self) {
+        let mut seqs: Vec<u64> = self.pending_routes.keys().copied().collect();
+        seqs.sort_unstable();
+        for seq in seqs {
+            let Some(p) = self.pending_routes.get(&seq) else {
+                continue;
+            };
+            if let Some((bee, hive)) = self.registry_view().lookup_exact(&p.app_name, &p.cells_key)
+            {
+                self.release_pending_route(seq, bee, hive);
+            }
+        }
+    }
+
+    /// Resolves this hive's pending route `seq` to `bee` on `hive` and
+    /// re-routes every message that waited on it. The proposal's own message
+    /// now takes the fast path; messages that queued behind it because
+    /// their cells merely intersected re-evaluate their own mapping (their
+    /// cell set may extend beyond this colony).
+    fn release_pending_route(&mut self, seq: u64, bee: BeeId, hive: HiveId) {
+        let Some(p) = self.pending_routes.remove(&seq) else {
+            return;
+        };
+        self.inflight
+            .remove(&(p.app_name.clone(), p.cells_key.clone()));
+        let Some(&ai) = self.app_idx.get(&p.app_name) else {
+            return;
+        };
+        for (h, env) in p.waiting {
+            match self.apps[ai].map(h, env.msg.as_ref()) {
+                Mapped::Cells(cells) => self.route_cells(ai, Some(h), cells, Some(env)),
+                // Non-cell mappings never buffer here, but fall back to
+                // direct delivery defensively.
+                _ => self.deliver_or_relay(ai, bee, hive, h, env),
+            }
         }
     }
 
@@ -2687,27 +2766,8 @@ impl Hive {
                     }
                 }
 
-                // Resolve our own pending route: re-route every buffered
-                // message. The proposal's own message now takes the fast
-                // path; messages that queued behind it because their cells
-                // merely intersected re-evaluate their own mapping (their
-                // cell set may extend beyond this colony).
                 if cmd.origin == self.cfg.id {
-                    if let Some(p) = self.pending_routes.remove(&cmd.seq) {
-                        self.inflight.remove(&(app.clone(), p.cells_key.clone()));
-                        if let Some(ai) = app_idx {
-                            for (h, env) in p.waiting {
-                                match self.apps[ai].map(h, env.msg.as_ref()) {
-                                    Mapped::Cells(cells) => {
-                                        self.route_cells(ai, Some(h), cells, Some(env));
-                                    }
-                                    // Non-cell mappings never buffer here, but
-                                    // fall back to direct delivery defensively.
-                                    _ => self.deliver_or_relay(ai, bee, hive, h, env),
-                                }
-                            }
-                        }
-                    }
+                    self.release_pending_route(cmd.seq, bee, hive);
                 }
             }
             RegistryEvent::Moved { app, bee, from, to } => {

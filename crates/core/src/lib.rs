@@ -99,7 +99,7 @@ pub use clock::{Clock, SimClock, SystemClock};
 pub use control::{ControlMsg, MembershipOp};
 pub use error::{Error, Result};
 pub use events::{Event, EventJournal, EventKind};
-pub use hive::{Hive, HiveConfig, HiveCounters, HiveHandle};
+pub use hive::{Hive, HiveConfig, HiveCounters, HiveHandle, QueuedMessages};
 pub use id::{AppName, BeeId, HiveId};
 pub use introspect::{render_metrics, StatusContext, StatusServer};
 pub use lifecycle::{Lifecycle, LifecycleStage};

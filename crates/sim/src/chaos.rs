@@ -704,11 +704,18 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
         && violations.is_empty()
         && (queued > 0 || audit.in_flight_app > 0 || audit.in_transit() != 0)
     {
+        let stuck: Vec<String> = cluster
+            .hives()
+            .map(|h| (h.id(), h.queued_messages("ChaosOp")))
+            .filter(|(_, q)| q.total() > 0)
+            .map(|(id, q)| format!("hive-{}: {q}", id.0))
+            .collect();
         violations.push(Violation {
             checker: "drain",
             tick: audit.tick,
             detail: format!(
-                "lossless schedule did not drain: {queued} queued, {} in flight, {} in transit",
+                "lossless schedule did not drain: {queued} queued [{}], {} in flight, {} in transit",
+                stuck.join("; "),
                 audit.in_flight_app,
                 audit.in_transit()
             ),

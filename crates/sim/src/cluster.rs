@@ -395,6 +395,53 @@ mod tests {
         assert_eq!(count, 3, "all three increments applied");
     }
 
+    /// With `registry_storage_dir` set the leader compacts at every commit,
+    /// so the slower follower is served nothing but snapshots and never
+    /// sees the `Routed` echo of its own proposals: the installed snapshot
+    /// itself has to release them. Nothing here runs long enough for a
+    /// `pending_retry_ms` re-proposal to paper over a stuck route.
+    #[test]
+    fn routes_answered_by_a_snapshot_release_before_any_retry() {
+        let dir =
+            std::env::temp_dir().join(format!("beehive-sim-snaproute-{}", std::process::id()));
+        let base = ClusterConfig::default();
+        let retry_ms = base.hive.pending_retry_ms;
+        let mut c = SimCluster::new(
+            ClusterConfig {
+                hive: HiveConfig {
+                    tick_interval_ms: 0,
+                    registry_storage_dir: Some(dir.clone()),
+                    ..base.hive.clone()
+                },
+                ..base
+            },
+            |h| h.install(counter_app()),
+        );
+        c.elect_registry(60_000).unwrap();
+
+        const ROUNDS: u64 = 8;
+        let mut emitted = 0;
+        for round in 0..ROUNDS {
+            for id in c.ids() {
+                let key = format!("r{round}h{}", id.0);
+                c.hive_mut(id).emit(Inc { key });
+                emitted += 1;
+            }
+            c.advance(50, 50);
+        }
+        c.advance(retry_ms - ROUNDS * 50 - 100, 50);
+
+        let installs: u64 = c.hives().map(|h| h.registry_snapshot_installs()).sum();
+        assert!(installs > 0, "no follower was served a snapshot");
+        for h in c.hives() {
+            let q = h.queued_messages("Inc");
+            assert_eq!(q.total(), 0, "hive-{} still holds messages: {q}", h.id().0);
+        }
+        let handled: u64 = c.hives().map(|h| h.counters().handled_ok).sum();
+        assert_eq!(handled, emitted);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn learners_serve_local_lookups() {
         // 5 hives, 3 voters: hives 4 and 5 are learners but must still route.

@@ -99,7 +99,7 @@ impl CrashLedger {
         self.dead += c.dead_letters;
         self.orphans += c.dropped_orphans;
         self.nobee += c.lost_no_bee;
-        self.queued += hive.queued_messages(suffix);
+        self.queued += hive.queued_messages(suffix).total();
         let ch = hive.channel_stats();
         self.chan_sent += ch.sent;
         self.chan_delivered += ch.delivered;
@@ -233,7 +233,7 @@ pub fn gather(
             dead: c.dead_letters,
             orphans: c.dropped_orphans,
             nobee: c.lost_no_bee,
-            queued: hive.queued_messages(suffix),
+            queued: hive.queued_messages(suffix).total(),
             chan_sent: ch.sent,
             chan_delivered: ch.delivered,
             chan_expired: ch.expired,
