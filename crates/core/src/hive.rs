@@ -50,17 +50,6 @@ const TRACE_QUERY_TIMEOUT_MS: u64 = 2_000;
 /// gets — and that ack can be lost (the classic removed-server blind spot).
 const MAX_REMOVE_ATTEMPTS: u32 = 8;
 
-/// FNV-1a 64-bit over raw bytes — the same digest the chaos harness uses;
-/// tiny, dependency-free and byte-stable across platforms.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Configuration of a hive.
 #[derive(Clone)]
 pub struct HiveConfig {
@@ -977,7 +966,7 @@ impl Hive {
     /// registry-agreement invariant the chaos harness audits.
     pub fn registry_digest(&self) -> u64 {
         match beehive_wire::to_vec(self.registry_view()) {
-            Ok(bytes) => fnv1a(&bytes),
+            Ok(bytes) => beehive_wire::record::fnv1a(&bytes),
             Err(_) => 0,
         }
     }
