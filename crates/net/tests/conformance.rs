@@ -4,24 +4,28 @@
 //! membership drain rely on is asserted here against the reactor (real
 //! sockets) and, where it applies, the in-memory fabric the simulator runs
 //! on: per-peer FIFO order, waker delivery, deferred-queue reconnect-flush
-//! ordering, eviction priorities under overflow, counter monotonicity, and
-//! clean shutdown without leaked threads or sockets.
+//! ordering, eviction priorities under overflow and counter monotonicity.
+//! Clean shutdown without leaked threads or sockets is `leak.rs`: it counts
+//! process-wide, so it is the only test of its binary.
 //!
-//! Tests share one global lock: the leak checks count process-wide threads
-//! and file descriptors, which concurrent tests would skew.
+//! Tests here share one global lock and run one at a time.
 
 #![cfg(target_os = "linux")]
+
+mod common;
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use beehive_core::transport::{Frame, FrameKind, Transport};
 use beehive_core::{HiveId, SystemClock};
 use beehive_net::buffer::DEFERRED_CAP;
 use beehive_net::{MemFabric, ReactorTransport};
+
+use common::{bind, recv_blocking, tcp_pair, wait_until};
 
 /// Serializes every test in this file (see module docs).
 fn serial() -> MutexGuard<'static, ()> {
@@ -29,40 +33,6 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-fn bind(id: HiveId) -> ReactorTransport {
-    ReactorTransport::bind(id, "127.0.0.1:0".parse().unwrap(), HashMap::new()).unwrap()
-}
-
-fn tcp_pair() -> (ReactorTransport, ReactorTransport) {
-    let (mut a, mut b) = (bind(HiveId(1)), bind(HiveId(2)));
-    a.add_peer(HiveId(2), b.local_addr());
-    b.add_peer(HiveId(1), a.local_addr());
-    (a, b)
-}
-
-fn recv_blocking(t: &dyn Transport, timeout_ms: u64) -> Option<(HiveId, Frame)> {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    while Instant::now() < deadline {
-        if let Some(x) = t.try_recv() {
-            return Some(x);
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    None
-}
-
-/// Polls `cond` until it holds or `timeout_ms` elapses.
-fn wait_until(timeout_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    cond()
 }
 
 /// A listener's address with the listener closed: connects to it are
@@ -257,46 +227,6 @@ fn counters_are_monotone_and_agree() {
         cb.snapshot().received(FrameKind::App)
     );
     assert_eq!(ca.snapshot().sent(FrameKind::App), (100, 100 * 10));
-}
-
-// ---------------------------------------------------------------------------
-// Contract 6: dropping a transport releases every thread and socket it
-// created — no leaked reactor loops or fds.
-// ---------------------------------------------------------------------------
-
-fn count_threads() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
-}
-
-fn count_fds() -> usize {
-    std::fs::read_dir("/proc/self/fd").map_or(0, |d| d.count())
-}
-
-#[test]
-fn clean_shutdown_leaks_nothing() {
-    let _guard = serial();
-    let threads_before = count_threads();
-    let fds_before = count_fds();
-    {
-        let (a, b) = tcp_pair();
-        // Real traffic so both directions have live connections.
-        a.send(HiveId(2), Frame::app(vec![1]));
-        recv_blocking(&b, 5000).expect("frame arrives");
-        b.send(HiveId(1), Frame::raft(vec![2]));
-        recv_blocking(&a, 5000).expect("reply arrives");
-    }
-    assert!(
-        wait_until(5000, || count_threads() <= threads_before),
-        "leaked threads: {} before, {} after",
-        threads_before,
-        count_threads()
-    );
-    assert!(
-        wait_until(5000, || count_fds() <= fds_before),
-        "leaked fds: {} before, {} after",
-        fds_before,
-        count_fds()
-    );
 }
 
 // ---------------------------------------------------------------------------
