@@ -27,7 +27,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use crate::app::{App, RcvCtx};
@@ -39,7 +39,7 @@ use crate::metrics::Instrumentation;
 use crate::queen::CheckedOutBee;
 use crate::state::{BeeState, JournalOp, TxState};
 use crate::supervision::{panic_detail, FailureKind, HandlerFaults};
-use crate::sync::Mutex;
+use crate::sync::{wait_timeout, Mutex};
 use crate::trace::{TraceCollector, TraceSpan};
 
 /// A condvar-based parker for the hive thread's idle wait. An `unpark` that
@@ -63,10 +63,7 @@ impl Parker {
     pub(crate) fn park(&self, timeout: Duration) {
         let mut notified = self.notified.lock();
         if !*notified {
-            (notified, _) = self
-                .cv
-                .wait_timeout(notified, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
+            notified = wait_timeout(&self.cv, notified, timeout);
         }
         *notified = false;
     }
@@ -386,8 +383,8 @@ fn run_job(worker: usize, mut job: BeeJob) -> FinishedJob {
 }
 
 /// The worker pool. Jobs go out over one channel whose receiving end the
-/// workers share behind a lock; results come back on another. Dropping the executor closes the job channel and joins every
-/// worker.
+/// workers share behind a lock; results come back on another. Dropping the
+/// executor closes the job channel and joins every worker.
 pub(crate) struct Executor {
     job_tx: Option<Sender<BeeJob>>,
     res_rx: Receiver<FinishedJob>,

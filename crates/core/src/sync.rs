@@ -7,7 +7,8 @@
 //! counters, journals, queues and maps — is changed one call at a time,
 //! each leaving it valid.
 
-use std::sync::{MutexGuard, PoisonError};
+use std::sync::{Condvar, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// A mutex whose [`Mutex::lock`] never fails: a poisoned lock is recovered.
 #[derive(Debug, Default)]
@@ -30,6 +31,19 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// Waits on `cv` for at most `timeout` (spurious wake-ups included; callers
+/// re-check their condition), with the same poisoning policy as
+/// [`Mutex::lock`].
+pub(crate) fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
 use crate::id::{AppName, BeeId, HiveId};
-use crate::sync::Mutex;
+use crate::sync::{wait_timeout, Mutex};
 
 /// Process-wide span/trace id counter. Ids only need to be unique within a
 /// trace's lifetime; mixing in the hive id keeps them unique across hives
@@ -446,10 +446,7 @@ impl TraceHub {
                 // wake in short slices to re-check the virtual deadline.
                 remaining = remaining.min(std::time::Duration::from_millis(10));
             }
-            (inner, _) = self
-                .cv
-                .wait_timeout(inner, remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            inner = wait_timeout(&self.cv, inner, remaining);
         }
     }
 }
