@@ -950,7 +950,9 @@ mod tests {
         assert_eq!(st.outbox_depth, 1, "peer 3's buffer is untouched");
         // No retransmissions toward the retired peer ever again.
         assert!(a.poll(100_000).retransmits.iter().all(|(p, _)| p.0 == 3));
-        // Idempotent.
+        // Idempotent. (The poll above retransmitted toward peer 3, so the
+        // comparison is against the stats after it.)
+        let st = a.stats();
         assert!(a.retire_peer(HiveId(2)).is_empty());
         assert_eq!(a.stats(), st);
     }

@@ -32,7 +32,7 @@ use crate::registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState}
 use crate::replication::{replicas_of, ApplyOutcome, ShadowStore};
 use crate::state::BeeState;
 use crate::supervision::{
-    DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, OverflowPolicy, QUARANTINE_COOLDOWN_MS,
+    DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, QUARANTINE_COOLDOWN_MS,
 };
 use crate::sync::Mutex;
 use crate::trace::{TraceCollector, TraceHub, TRACE_CAPACITY};
@@ -118,11 +118,10 @@ pub struct HiveConfig {
     /// Consecutive handler failures on one bee that trip its quarantine
     /// circuit breaker. 0 disables quarantine.
     pub quarantine_threshold: u32,
-    /// Per-bee mailbox bound. 0 (the default) is unbounded; otherwise the
-    /// [`HiveConfig::overflow_policy`] decides what a full mailbox does.
+    /// Per-bee mailbox bound. 0 (the default) is unbounded; otherwise a full
+    /// mailbox rejects the incoming message to the dead-letter queue and
+    /// keeps its backlog.
     pub mailbox_capacity: usize,
-    /// What to do when a bounded mailbox is full.
-    pub overflow_policy: OverflowPolicy,
     /// Capacity of the dead-letter ring ([`DeadLetterStore`]). Old letters
     /// are overwritten; the recorded total keeps counting.
     pub dead_letter_capacity: usize,
@@ -159,7 +158,6 @@ impl HiveConfig {
             redelivery_backoff_ms: 100,
             quarantine_threshold: 10,
             mailbox_capacity: 0,
-            overflow_policy: OverflowPolicy::default(),
             dead_letter_capacity: 1024,
             rng_seed: 0,
             channel_resend_ms: 200,
@@ -211,9 +209,6 @@ pub struct HiveCounters {
     pub redeliveries: u64,
     /// Messages recorded in the dead-letter queue (all failure kinds).
     pub dead_letters: u64,
-    /// Oldest-queued messages shed by bounded mailboxes under
-    /// [`OverflowPolicy::Shed`].
-    pub shed_messages: u64,
     /// Times a bee's quarantine circuit breaker opened (or re-armed after a
     /// failed half-open probe).
     pub quarantines: u64,
@@ -1840,14 +1835,7 @@ impl Hive {
     /// fast-path, bounded mailboxes) and schedules the bee if mail queued.
     fn deliver_checked(&mut self, app_idx: usize, bee: BeeId, hidx: u16, env: Envelope) {
         let now = self.clock.now_ms();
-        match self.queens[app_idx].offer(
-            bee,
-            hidx,
-            env,
-            now,
-            self.cfg.mailbox_capacity,
-            self.cfg.overflow_policy,
-        ) {
+        match self.queens[app_idx].offer(bee, hidx, env, now, self.cfg.mailbox_capacity) {
             Delivery::Delivered => self.run_queue.push_back((app_idx, bee)),
             Delivery::NoBee(_) => self.counters.lost_no_bee += 1,
             Delivery::Quarantined(env) => self.dead_letter(
@@ -1859,19 +1847,6 @@ impl Hive {
                 "bee quarantined".to_string(),
                 now,
             ),
-            Delivery::Shed(shed) => {
-                self.counters.shed_messages += 1;
-                self.run_queue.push_back((app_idx, bee));
-                self.dead_letter(
-                    app_idx,
-                    bee,
-                    "",
-                    shed,
-                    FailureKind::MailboxOverflow,
-                    "mailbox over capacity: oldest message shed".to_string(),
-                    now,
-                );
-            }
             Delivery::Rejected(env) => self.dead_letter(
                 app_idx,
                 bee,

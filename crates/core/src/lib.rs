@@ -117,9 +117,7 @@ pub use queen::Delivery;
 pub use registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState};
 pub use replication::{replicas_of, ShadowStore};
 pub use state::{BeeState, Dict, JournalOp, Savepoint, SharedBytes, TxJournal, TxState};
-pub use supervision::{
-    backoff_delay_ms, DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, OverflowPolicy,
-};
+pub use supervision::{backoff_delay_ms, DeadLetter, DeadLetterStore, FailureKind, HandlerFaults};
 pub use trace::{
     chrome_trace, chrome_trace_merged, TraceCollector, TraceContext, TraceHub, TraceSpan,
 };
@@ -138,6 +136,6 @@ pub mod prelude {
     pub use crate::impl_message;
     pub use crate::message::{cast, Message, TypedMessage};
     pub use crate::platform::Tick;
-    pub use crate::supervision::{DeadLetter, DeadLetterStore, FailureKind, OverflowPolicy};
+    pub use crate::supervision::{DeadLetter, DeadLetterStore, FailureKind};
     pub use crate::transport::Loopback;
 }

@@ -9,7 +9,6 @@ use crate::events::{EventJournal, EventKind};
 use crate::id::{AppName, BeeId, HiveId};
 use crate::message::Envelope;
 use crate::state::BeeState;
-use crate::supervision::OverflowPolicy;
 
 /// Lifecycle of a local bee.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,11 +103,8 @@ pub enum Delivery {
     NoBee(Envelope),
     /// The bee is quarantined: dead-letter fast, without queueing.
     Quarantined(Envelope),
-    /// Mailbox full under [`OverflowPolicy::Shed`]: the incoming message
-    /// was queued and the *oldest* queued message was shed (returned).
-    Shed(Envelope),
-    /// Mailbox full under [`OverflowPolicy::DeadLetter`]: the incoming
-    /// message was rejected (returned) and the backlog preserved.
+    /// Mailbox full: the incoming message was rejected (returned) and the
+    /// backlog preserved.
     Rejected(Envelope),
 }
 
@@ -283,8 +279,7 @@ impl Queen {
     }
 
     /// Policy-aware delivery for new traffic: applies the quarantine
-    /// circuit breaker and the bounded-mailbox overflow policy
-    /// (`capacity == 0` = unbounded).
+    /// circuit breaker and the mailbox bound (`capacity == 0` = unbounded).
     pub fn offer(
         &mut self,
         id: BeeId,
@@ -292,7 +287,6 @@ impl Queen {
         env: Envelope,
         now_ms: u64,
         capacity: usize,
-        policy: OverflowPolicy,
     ) -> Delivery {
         let Some(bee) = self.bees.get_mut(&id) else {
             return Delivery::NoBee(env);
@@ -301,17 +295,7 @@ impl Queen {
             return Delivery::Quarantined(env);
         }
         if capacity > 0 && bee.mailbox.len() >= capacity {
-            match policy {
-                OverflowPolicy::Shed => {
-                    let (_, shed) = bee
-                        .mailbox
-                        .pop_front()
-                        .expect("mailbox full implies nonempty");
-                    bee.mailbox.push_back((handler, env));
-                    return Delivery::Shed(shed);
-                }
-                OverflowPolicy::DeadLetter => return Delivery::Rejected(env),
-            }
+            return Delivery::Rejected(env);
         }
         bee.mailbox.push_back((handler, env));
         Delivery::Delivered
@@ -799,7 +783,7 @@ mod tests {
         // While open: no checkout, offers dead-letter fast.
         q.deliver(bid(1), 0, env());
         assert!(q.check_out(bid(1), 50).is_none(), "quarantined");
-        let d = q.offer(bid(1), 0, env(), 50, 0, OverflowPolicy::DeadLetter);
+        let d = q.offer(bid(1), 0, env(), 50, 0);
         assert!(matches!(d, Delivery::Quarantined(_)));
         // Cooldown expired: half-open probe checks out exactly one message.
         q.deliver(bid(1), 0, env());
@@ -822,23 +806,19 @@ mod tests {
     fn offer_applies_mailbox_bounds() {
         let mut q = Queen::new("a".into());
         q.ensure_bee(bid(1), [Cell::new("S", "k")]);
-        // Capacity 2, DeadLetter: third offer is rejected, backlog intact.
+        // Capacity 2: third offer is rejected, backlog intact.
         for _ in 0..2 {
-            let d = q.offer(bid(1), 0, env(), 0, 2, OverflowPolicy::DeadLetter);
+            let d = q.offer(bid(1), 0, env(), 0, 2);
             assert!(matches!(d, Delivery::Delivered));
         }
-        let d = q.offer(bid(1), 0, env(), 0, 2, OverflowPolicy::DeadLetter);
+        let d = q.offer(bid(1), 0, env(), 0, 2);
         assert!(matches!(d, Delivery::Rejected(_)));
         assert_eq!(q.bee(bid(1)).unwrap().mailbox.len(), 2);
-        // Shed: the oldest message is returned, the new one is queued.
-        let d = q.offer(bid(1), 0, env(), 0, 2, OverflowPolicy::Shed);
-        assert!(matches!(d, Delivery::Shed(_)));
-        assert_eq!(q.bee(bid(1)).unwrap().mailbox.len(), 2);
         // Capacity 0 = unbounded.
-        let d = q.offer(bid(1), 0, env(), 0, 0, OverflowPolicy::Shed);
+        let d = q.offer(bid(1), 0, env(), 0, 0);
         assert!(matches!(d, Delivery::Delivered));
         // Unknown bee hands the envelope back.
-        let d = q.offer(bid(9), 0, env(), 0, 0, OverflowPolicy::Shed);
+        let d = q.offer(bid(9), 0, env(), 0, 0);
         assert!(matches!(d, Delivery::NoBee(_)));
     }
 

@@ -992,7 +992,7 @@ mod cow_equivalence {
 
     use std::collections::{BTreeMap, HashMap};
 
-    use proptest::prelude::*;
+    use beehive_raft::prop::{for_all, Gen};
 
     use super::*;
 
@@ -1122,19 +1122,25 @@ mod cow_equivalence {
         Keys(u8),
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (
-                0..4u8,
-                0..8u8,
-                proptest::collection::vec(any::<u8>(), 0..16)
-            )
-                .prop_map(|(d, k, v)| Op::Put(d, k, v)),
-            (0..4u8, 0..8u8).prop_map(|(d, k)| Op::Del(d, k)),
-            (0..4u8, 0..8u8).prop_map(|(d, k)| Op::Get(d, k)),
-            (0..4u8, 0..8u8).prop_map(|(d, k)| Op::Contains(d, k)),
-            (0..4u8).prop_map(Op::Keys),
-        ]
+    /// A value of up to 15 bytes.
+    fn value(g: &mut Gen) -> Vec<u8> {
+        g.vec(0..16, |g| g.range(..))
+    }
+
+    /// An entry of the state a case starts from: dict, key, value.
+    fn seed_entry(g: &mut Gen) -> (u8, u8, Vec<u8>) {
+        (g.range(0..4), g.range(0..8), value(g))
+    }
+
+    fn arb_op(g: &mut Gen) -> Op {
+        let (d, k) = (g.range(0..4), g.range(0..8));
+        match g.range(0..5u8) {
+            0 => Op::Put(d, k, value(g)),
+            1 => Op::Del(d, k),
+            2 => Op::Get(d, k),
+            3 => Op::Contains(d, k),
+            _ => Op::Keys(d),
+        }
     }
 
     fn seed_states(seed: &[(u8, u8, Vec<u8>)]) -> (BeeState, RefState) {
@@ -1148,117 +1154,123 @@ mod cow_equivalence {
         (s, r)
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Cases per property.
+    const CASES: u64 = 256;
 
-        /// Random op sequences + commit/rollback behave exactly like the
-        /// clone-based engine: same read results, same journal, same final
-        /// state.
-        #[test]
-        fn cow_engine_matches_clone_engine(
-            seed in proptest::collection::vec(
-                (0..4u8, 0..8u8, proptest::collection::vec(any::<u8>(), 0..16)), 0..16),
-            ops in proptest::collection::vec(op_strategy(), 0..48),
-            commit in any::<bool>(),
-        ) {
-            let (mut s, mut r) = seed_states(&seed);
-            let r_before = r.clone();
-            let mut tx = TxState::begin(&mut s);
-            let mut rtx = RefTx::default();
+    /// Random op sequences + commit/rollback behave exactly like the
+    /// clone-based engine: same read results, same journal, same final
+    /// state.
+    #[test]
+    fn cow_engine_matches_clone_engine() {
+        for_all(
+            CASES,
+            |g| (g.vec(0..16, seed_entry), g.vec(0..48, arb_op), g.bool()),
+            |(seed, ops, commit)| {
+                let (mut s, mut r) = seed_states(&seed);
+                let r_before = r.clone();
+                let mut tx = TxState::begin(&mut s);
+                let mut rtx = RefTx::default();
 
-            for op in &ops {
-                match op {
-                    Op::Put(d, k, v) => {
-                        let (dn, kn) = (format!("d{d}"), format!("k{k}"));
-                        tx.put_raw(&dn, kn.clone(), v.clone());
-                        rtx.put_raw(&dn, &kn, v.clone());
-                    }
-                    Op::Del(d, k) => {
-                        let (dn, kn) = (format!("d{d}"), format!("k{k}"));
-                        tx.del(&dn, &kn);
-                        rtx.del(&dn, &kn);
-                    }
-                    Op::Get(d, k) => {
-                        let (dn, kn) = (format!("d{d}"), format!("k{k}"));
-                        let got = tx.get_raw(&dn, &kn).map(|v| v.to_vec());
-                        prop_assert_eq!(got, rtx.get_raw(&r, &dn, &kn));
-                    }
-                    Op::Contains(d, k) => {
-                        let (dn, kn) = (format!("d{d}"), format!("k{k}"));
-                        prop_assert_eq!(tx.contains(&dn, &kn), rtx.contains(&r, &dn, &kn));
-                    }
-                    Op::Keys(d) => {
-                        let dn = format!("d{d}");
-                        prop_assert_eq!(tx.keys(&dn), rtx.keys(&r, &dn));
-                    }
-                }
-            }
-
-            if commit {
-                let j = tx.commit();
-                let rj = rtx.commit(&mut r);
-                prop_assert_eq!(journal_to_ref(&j), rj);
-                prop_assert_eq!(observe(&s), r);
-            } else {
-                let j = tx.rollback();
-                prop_assert!(j.is_empty());
-                prop_assert_eq!(observe(&s), r_before);
-            }
-        }
-
-        /// Savepoint semantics: a batch of messages where each either takes
-        /// its journal or rolls back must (a) leave the base equal to a
-        /// fresh replica built by replaying only the taken journals, and
-        /// (b) leave no trace of rolled-back messages.
-        #[test]
-        fn savepoints_match_replayed_journals(
-            seed in proptest::collection::vec(
-                (0..4u8, 0..8u8, proptest::collection::vec(any::<u8>(), 0..16)), 0..8),
-            batch in proptest::collection::vec(
-                (proptest::collection::vec(op_strategy(), 1..12), any::<bool>()), 1..8),
-        ) {
-            let (mut s, _) = seed_states(&seed);
-            let mut replica = s.clone();
-            let mut journals: Vec<TxJournal> = Vec::new();
-
-            let mut tx = TxState::begin(&mut s);
-            for (ops, ok) in &batch {
-                let sp = tx.savepoint();
-                for op in ops {
+                for op in &ops {
                     match op {
                         Op::Put(d, k, v) => {
-                            tx.put_raw(&format!("d{d}"), format!("k{k}"), v.clone())
+                            let (dn, kn) = (format!("d{d}"), format!("k{k}"));
+                            tx.put_raw(&dn, kn.clone(), v.clone());
+                            rtx.put_raw(&dn, &kn, v.clone());
                         }
-                        Op::Del(d, k) => tx.del(&format!("d{d}"), &format!("k{k}")),
+                        Op::Del(d, k) => {
+                            let (dn, kn) = (format!("d{d}"), format!("k{k}"));
+                            tx.del(&dn, &kn);
+                            rtx.del(&dn, &kn);
+                        }
                         Op::Get(d, k) => {
-                            let _ = tx.get_raw(&format!("d{d}"), &format!("k{k}"));
+                            let (dn, kn) = (format!("d{d}"), format!("k{k}"));
+                            let got = tx.get_raw(&dn, &kn).map(|v| v.to_vec());
+                            assert_eq!(got, rtx.get_raw(&r, &dn, &kn));
                         }
                         Op::Contains(d, k) => {
-                            let _ = tx.contains(&format!("d{d}"), &format!("k{k}"));
+                            let (dn, kn) = (format!("d{d}"), format!("k{k}"));
+                            assert_eq!(tx.contains(&dn, &kn), rtx.contains(&r, &dn, &kn));
                         }
                         Op::Keys(d) => {
-                            let _ = tx.keys(&format!("d{d}"));
+                            let dn = format!("d{d}");
+                            assert_eq!(tx.keys(&dn), rtx.keys(&r, &dn));
                         }
                     }
                 }
-                if *ok {
-                    journals.push(tx.take_journal_since(&sp));
-                } else {
-                    tx.rollback_to(&sp);
-                }
-            }
-            let rest = tx.commit();
-            prop_assert!(rest.is_empty());
 
-            for j in &journals {
-                j.replay(&mut replica);
-            }
-            // Replay applies Put/Del via dict_mut exactly like a committed
-            // journal on a replica; primary and replica must agree on
-            // observable dict contents. (Empty dicts created by rolled-back
-            // deletes were un-created on the primary; replicas never saw
-            // them at all.)
-            prop_assert_eq!(observe(&s), observe(&replica));
-        }
+                if commit {
+                    let j = tx.commit();
+                    let rj = rtx.commit(&mut r);
+                    assert_eq!(journal_to_ref(&j), rj);
+                    assert_eq!(observe(&s), r);
+                } else {
+                    let j = tx.rollback();
+                    assert!(j.is_empty());
+                    assert_eq!(observe(&s), r_before);
+                }
+            },
+        );
+    }
+
+    /// Savepoint semantics: a batch of messages where each either takes
+    /// its journal or rolls back must (a) leave the base equal to a
+    /// fresh replica built by replaying only the taken journals, and
+    /// (b) leave no trace of rolled-back messages.
+    #[test]
+    fn savepoints_match_replayed_journals() {
+        for_all(
+            CASES,
+            |g| {
+                (
+                    g.vec(0..8, seed_entry),
+                    g.vec(1..8, |g| (g.vec(1..12, arb_op), g.bool())),
+                )
+            },
+            |(seed, batch)| {
+                let (mut s, _) = seed_states(&seed);
+                let mut replica = s.clone();
+                let mut journals: Vec<TxJournal> = Vec::new();
+
+                let mut tx = TxState::begin(&mut s);
+                for (ops, ok) in &batch {
+                    let sp = tx.savepoint();
+                    for op in ops {
+                        match op {
+                            Op::Put(d, k, v) => {
+                                tx.put_raw(&format!("d{d}"), format!("k{k}"), v.clone())
+                            }
+                            Op::Del(d, k) => tx.del(&format!("d{d}"), &format!("k{k}")),
+                            Op::Get(d, k) => {
+                                let _ = tx.get_raw(&format!("d{d}"), &format!("k{k}"));
+                            }
+                            Op::Contains(d, k) => {
+                                let _ = tx.contains(&format!("d{d}"), &format!("k{k}"));
+                            }
+                            Op::Keys(d) => {
+                                let _ = tx.keys(&format!("d{d}"));
+                            }
+                        }
+                    }
+                    if *ok {
+                        journals.push(tx.take_journal_since(&sp));
+                    } else {
+                        tx.rollback_to(&sp);
+                    }
+                }
+                let rest = tx.commit();
+                assert!(rest.is_empty());
+
+                for j in &journals {
+                    j.replay(&mut replica);
+                }
+                // Replay applies Put/Del via dict_mut exactly like a committed
+                // journal on a replica; primary and replica must agree on
+                // observable dict contents. (Empty dicts created by rolled-back
+                // deletes were un-created on the primary; replicas never saw
+                // them at all.)
+                assert_eq!(observe(&s), observe(&replica));
+            },
+        );
     }
 }

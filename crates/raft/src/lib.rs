@@ -47,6 +47,7 @@ mod storage;
 mod types;
 
 pub mod harness;
+pub mod prop;
 
 pub use config::Config;
 pub use log::RaftLog;

@@ -12,9 +12,14 @@ pub struct SeededRng {
     s: [u64; 4],
 }
 
-/// An unsigned integer type [`SeededRng::gen_range`] can draw.
+/// An integer type [`SeededRng::gen_range`] can draw.
 pub trait UniformInt: Copy + PartialOrd {
-    /// Widening conversion.
+    /// The least value.
+    const MIN: Self;
+    /// The greatest value.
+    const MAX: Self;
+    /// Conversion that keeps differences: `b.to_u64() - a.to_u64()`,
+    /// wrapping, is the distance from `a` up to `b`.
     fn to_u64(self) -> u64;
     /// Truncating conversion back; inverse of `to_u64` on its image.
     fn from_u64(v: u64) -> Self;
@@ -23,6 +28,8 @@ pub trait UniformInt: Copy + PartialOrd {
 macro_rules! uniform_int {
     ($($ty:ty),*) => {$(
         impl UniformInt for $ty {
+            const MIN: Self = <$ty>::MIN;
+            const MAX: Self = <$ty>::MAX;
             fn to_u64(self) -> u64 {
                 self as u64
             }
@@ -32,7 +39,25 @@ macro_rules! uniform_int {
         }
     )*};
 }
-uniform_int!(u32, u64, usize);
+uniform_int!(u8, u16, u32, u64, usize, i32);
+
+/// The least value of `range` and how many values it holds, 0 standing for
+/// all 2^64. An open end is the type's own bound. Panics on an empty range.
+pub(crate) fn span_of<T: UniformInt>(range: impl RangeBounds<T>) -> (T, u64) {
+    let lo = match range.start_bound() {
+        Bound::Included(&lo) => lo,
+        Bound::Unbounded => T::MIN,
+        Bound::Excluded(_) => panic!("gen_range: range needs an inclusive lower bound"),
+    };
+    let distance = |hi: T| hi.to_u64().wrapping_sub(lo.to_u64());
+    let span = match range.end_bound() {
+        Bound::Excluded(&hi) if lo < hi => distance(hi),
+        Bound::Included(&hi) if lo <= hi => distance(hi).wrapping_add(1),
+        Bound::Unbounded => distance(T::MAX).wrapping_add(1),
+        _ => panic!("gen_range: empty range"),
+    };
+    (lo, span)
+}
 
 impl SeededRng {
     /// The generator for `seed`.
@@ -64,8 +89,12 @@ impl SeededRng {
         result
     }
 
-    /// Uniform draw from `[0, span)` by widening multiply with rejection.
-    fn below(&mut self, span: u64) -> u64 {
+    /// Uniform draw from `[0, span)` by widening multiply with rejection;
+    /// `span == 0` stands for all 2^64 values.
+    pub(crate) fn below(&mut self, span: u64) -> u64 {
+        if span == 0 {
+            return self.next_u64();
+        }
         let zone = u64::MAX - (u64::MAX - span + 1) % span;
         loop {
             let wide = u128::from(self.next_u64()) * u128::from(span);
@@ -75,22 +104,10 @@ impl SeededRng {
         }
     }
 
-    /// Uniform draw from `lo..hi` or `lo..=hi`. Panics on an empty range.
+    /// Uniform draw from `lo..hi`, `lo..=hi` or, for the whole type, `..`.
+    /// Panics on an empty range.
     pub fn gen_range<T: UniformInt>(&mut self, range: impl RangeBounds<T>) -> T {
-        let (Bound::Included(&lo), end) = (range.start_bound(), range.end_bound()) else {
-            panic!("gen_range: range needs a lower bound");
-        };
-        let span = match end {
-            Bound::Excluded(&hi) if lo < hi => hi.to_u64().wrapping_sub(lo.to_u64()),
-            Bound::Included(&hi) if lo <= hi => {
-                hi.to_u64().wrapping_sub(lo.to_u64()).wrapping_add(1)
-            }
-            _ => panic!("gen_range: empty range"),
-        };
-        if span == 0 {
-            // `lo..=hi` covers all 2^64 values.
-            return T::from_u64(self.next_u64());
-        }
+        let (lo, span) = span_of(range);
         T::from_u64(lo.to_u64().wrapping_add(self.below(span)))
     }
 

@@ -8,8 +8,8 @@
 //! 2. **State machine safety** — committed prefixes agree on all nodes.
 
 use beehive_raft::harness::Cluster;
+use beehive_raft::prop::{for_all, Gen};
 use beehive_raft::{Config, KvCounter};
-use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -22,16 +22,17 @@ enum Op {
     Restart(u8),
 }
 
-fn arb_op(n: u8) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (1u16..120).prop_map(Op::Ticks),
-        4 => any::<u8>().prop_map(Op::Propose),
-        1 => (0u8..80).prop_map(Op::Drop),
-        1 => (1..=n, 1..=n).prop_map(|(a, b)| Op::Partition(a, b)),
-        1 => Just(Op::Heal),
-        1 => (1..=n).prop_map(Op::Crash),
-        1 => (1..=n).prop_map(Op::Restart),
-    ]
+/// Ticks and proposals four times as often as each fault.
+fn arb_op(g: &mut Gen, n: u8) -> Op {
+    match g.range(0..13u8) {
+        0..=3 => Op::Ticks(g.range(1..120)),
+        4..=7 => Op::Propose(g.range(..)),
+        8 => Op::Drop(g.range(0..80)),
+        9 => Op::Partition(g.range(1..=n), g.range(1..=n)),
+        10 => Op::Heal,
+        11 => Op::Crash(g.range(1..=n)),
+        _ => Op::Restart(g.range(1..=n)),
+    }
 }
 
 fn run_script(n: usize, seed: u64, pre_vote: bool, ops: Vec<Op>) -> Cluster<KvCounter> {
@@ -84,62 +85,85 @@ fn run_script(n: usize, seed: u64, pre_vote: bool, ops: Vec<Op>) -> Cluster<KvCo
     c
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+#[test]
+fn safety_holds_under_random_fault_scripts() {
+    for_all(
+        24,
+        |g| {
+            (
+                g.range(3usize..=5),
+                g.range::<u64>(..),
+                g.bool(),
+                g.vec(1..40, |g| arb_op(g, 5)),
+            )
+        },
+        |(n, seed, pre_vote, ops)| {
+            let ops: Vec<Op> = ops
+                .into_iter()
+                .map(|op| match op {
+                    // Clamp node ids to the actual cluster size.
+                    Op::Partition(a, b) => Op::Partition(a.min(n as u8), b.min(n as u8)),
+                    Op::Crash(id) => Op::Crash(id.min(n as u8)),
+                    Op::Restart(id) => Op::Restart(id.min(n as u8)),
+                    other => other,
+                })
+                .collect();
+            let mut c = run_script(n, seed, pre_vote, ops);
+            c.run_ticks(3000);
+            c.assert_committed_logs_agree();
+            c.assert_at_most_one_leader_per_term();
 
-    #[test]
-    fn safety_holds_under_random_fault_scripts(
-        n in 3usize..=5,
-        seed in any::<u64>(),
-        pre_vote in any::<bool>(),
-        ops in proptest::collection::vec(arb_op(5), 1..40),
-    ) {
-        let ops: Vec<Op> = ops
-            .into_iter()
-            .map(|op| match op {
-                // Clamp node ids to the actual cluster size.
-                Op::Partition(a, b) => Op::Partition(a.min(n as u8), b.min(n as u8)),
-                Op::Crash(id) => Op::Crash(id.min(n as u8)),
-                Op::Restart(id) => Op::Restart(id.min(n as u8)),
-                other => other,
-            })
-            .collect();
-        let mut c = run_script(n, seed, pre_vote, ops);
-        c.run_ticks(3000);
-        c.assert_committed_logs_agree();
-        c.assert_at_most_one_leader_per_term();
+            // After recovery the cluster must be able to make progress.
+            let leader = c.run_until_leader(5000).expect("liveness after heal");
+            let before = c.node(leader).unwrap().state_machine().applied;
+            c.propose(leader, vec![1]).unwrap();
+            assert!(
+                c.run_until(2000, |c| {
+                    c.nodes().all(|nd| nd.state_machine().applied > before)
+                }),
+                "cluster failed to commit after recovery"
+            );
 
-        // After recovery the cluster must be able to make progress.
-        let leader = c.run_until_leader(5000).expect("liveness after heal");
-        let before = c.node(leader).unwrap().state_machine().applied;
-        c.propose(leader, vec![1]).unwrap();
-        prop_assert!(c.run_until(2000, |c| {
-            c.nodes().all(|nd| nd.state_machine().applied > before)
-        }), "cluster failed to commit after recovery");
+            // And all applied state machines agree.
+            let totals: Vec<u64> = c.nodes().map(|nd| nd.state_machine().total).collect();
+            assert!(
+                totals.windows(2).all(|w| w[0] == w[1]),
+                "divergent totals {:?}",
+                totals
+            );
+        },
+    );
+}
 
-        // And all applied state machines agree.
-        let totals: Vec<u64> = c.nodes().map(|nd| nd.state_machine().total).collect();
-        prop_assert!(totals.windows(2).all(|w| w[0] == w[1]), "divergent totals {:?}", totals);
-    }
-
-    #[test]
-    fn logs_agree_under_pure_drop_noise(
-        seed in any::<u64>(),
-        drop_pct in 0u8..45,
-        proposals in proptest::collection::vec(any::<u8>(), 1..12),
-    ) {
-        let mut c = Cluster::new(3, Config::default(), seed, KvCounter::default);
-        c.faults.drop_rate = drop_pct as f64 / 100.0;
-        for v in &proposals {
-            if let Some(l) = c.leader() {
-                let _ = c.propose(l, vec![*v]);
+#[test]
+fn logs_agree_under_pure_drop_noise() {
+    for_all(
+        24,
+        |g| {
+            (
+                g.range::<u64>(..),
+                g.range(0u8..45),
+                g.vec(1..12, |g| g.range::<u8>(..)),
+            )
+        },
+        |(seed, drop_pct, proposals)| {
+            let mut c = Cluster::new(3, Config::default(), seed, KvCounter::default);
+            c.faults.drop_rate = drop_pct as f64 / 100.0;
+            for v in &proposals {
+                if let Some(l) = c.leader() {
+                    let _ = c.propose(l, vec![*v]);
+                }
+                c.run_ticks(40);
             }
-            c.run_ticks(40);
-        }
-        c.faults.drop_rate = 0.0;
-        c.run_ticks(2000);
-        c.assert_committed_logs_agree();
-        let applied: Vec<u64> = c.nodes().map(|n| n.state_machine().applied).collect();
-        prop_assert!(applied.windows(2).all(|w| w[0] == w[1]), "applied counts diverge {:?}", applied);
-    }
+            c.faults.drop_rate = 0.0;
+            c.run_ticks(2000);
+            c.assert_committed_logs_agree();
+            let applied: Vec<u64> = c.nodes().map(|n| n.state_machine().applied).collect();
+            assert!(
+                applied.windows(2).all(|w| w[0] == w[1]),
+                "applied counts diverge {:?}",
+                applied
+            );
+        },
+    );
 }

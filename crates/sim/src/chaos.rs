@@ -768,31 +768,23 @@ pub fn run_seed(seed: u64, cfg: &ChaosConfig) -> RunReport {
     run(&FaultSchedule::generate(seed, cfg), cfg)
 }
 
-/// Greedy schedule minimization (ddmin-lite): repeatedly drop any window
-/// whose removal keeps the run violating, until no single removal does.
-/// Returns the original schedule if it does not violate at all.
+/// Greedy schedule minimization: [`beehive_raft::prop::minimize`] over the
+/// fault windows, dropping any window whose removal keeps the run
+/// violating until no single removal does. Returns the original schedule if
+/// it does not violate at all.
 pub fn minimize(schedule: &FaultSchedule, cfg: &ChaosConfig) -> FaultSchedule {
-    let mut best = schedule.clone();
-    if run(&best, cfg).violations.is_empty() {
-        return best;
+    let with = |windows: &[FaultWindow]| FaultSchedule {
+        windows: windows.to_vec(),
+        ..*schedule
+    };
+    let violates = |windows: &[FaultWindow]| !run(&with(windows), cfg).violations.is_empty();
+    if !violates(&schedule.windows) {
+        return schedule.clone();
     }
-    loop {
-        let mut improved = false;
-        let mut i = 0;
-        while i < best.windows.len() {
-            let mut candidate = best.clone();
-            candidate.windows.remove(i);
-            if !run(&candidate, cfg).violations.is_empty() {
-                best = candidate;
-                improved = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !improved {
-            return best;
-        }
-    }
+    with(&beehive_raft::prop::minimize(
+        schedule.windows.clone(),
+        violates,
+    ))
 }
 
 /// A failing seed with its minimized repro.

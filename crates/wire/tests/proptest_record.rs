@@ -3,8 +3,11 @@
 //! the scan must never panic, never over-read, and must recover exactly the
 //! longest valid prefix when the damage is a torn tail.
 
+use beehive_raft::prop::{for_all, Gen};
 use beehive_wire::record::{encode_record, fnv1a, scan_records, RECORD_HEADER_LEN};
-use proptest::prelude::*;
+
+/// Cases per property.
+const CASES: u64 = 256;
 
 fn journal(payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -22,89 +25,117 @@ fn prefix_len(payloads: &[Vec<u8>], n: usize) -> usize {
         .sum()
 }
 
-fn payloads_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 0..8)
+/// `least..8` payloads of up to 47 bytes each.
+fn payloads(g: &mut Gen, least: usize) -> Vec<Vec<u8>> {
+    g.vec(least..8, |g| g.vec(0..48, |g| g.range(..)))
 }
 
-proptest! {
-    /// Encoding then scanning recovers every payload with no torn tail.
-    #[test]
-    fn roundtrip(payloads in payloads_strategy()) {
-        let buf = journal(&payloads);
-        let scan = scan_records(&buf).unwrap();
-        prop_assert_eq!(&scan.payloads, &payloads);
-        prop_assert!(scan.torn.is_none());
-        prop_assert_eq!(scan.valid_len(), buf.len());
-    }
+/// Encoding then scanning recovers every payload with no torn tail.
+#[test]
+fn roundtrip() {
+    for_all(
+        CASES,
+        |g| payloads(g, 0),
+        |payloads| {
+            let buf = journal(&payloads);
+            let scan = scan_records(&buf).unwrap();
+            assert_eq!(&scan.payloads, &payloads);
+            assert!(scan.torn.is_none());
+            assert_eq!(scan.valid_len(), buf.len());
+        },
+    );
+}
 
-    /// Truncating a valid journal at ANY byte recovers exactly the records
-    /// that fit wholly within the cut (the longest valid prefix), reports a
-    /// torn tail iff the cut landed mid-record, and never errors: a
-    /// truncated valid journal has no interior corruption.
-    #[test]
-    fn truncation_recovers_longest_valid_prefix(
-        payloads in payloads_strategy(),
-        cut_seed in any::<prop::sample::Index>(),
-    ) {
-        let buf = journal(&payloads);
-        let cut = if buf.is_empty() { 0 } else { cut_seed.index(buf.len() + 1) };
-        let scan = scan_records(&buf[..cut]).unwrap();
-        let whole = (0..=payloads.len())
-            .rev()
-            .find(|&n| prefix_len(&payloads, n) <= cut)
-            .unwrap();
-        prop_assert_eq!(&scan.payloads[..], &payloads[..whole]);
-        let at_boundary = prefix_len(&payloads, whole) == cut;
-        prop_assert_eq!(scan.torn.is_none(), at_boundary);
-        if let Some(torn) = scan.torn {
-            prop_assert_eq!(torn.valid_len, prefix_len(&payloads, whole));
-        }
-    }
-
-    /// Flipping one bit anywhere in a valid journal never panics, and every
-    /// successful scan still yields an unmodified prefix of the original
-    /// payloads — damage is either truncated (tail) or rejected (interior),
-    /// never silently decoded into different data.
-    #[test]
-    fn single_bit_flip_never_panics_or_diverges(
-        payloads in payloads_strategy().prop_filter("need bytes", |p| !p.is_empty()),
-        pos_seed in any::<prop::sample::Index>(),
-        bit in 0u8..8,
-    ) {
-        let mut buf = journal(&payloads);
-        let pos = pos_seed.index(buf.len());
-        buf[pos] ^= 1 << bit;
-        if let Ok(scan) = scan_records(&buf) {
-            prop_assert!(scan.payloads.len() <= payloads.len());
-            for (got, want) in scan.payloads.iter().zip(payloads.iter()) {
-                // FNV-1a is not cryptographic, but a single-bit flip always
-                // changes the hash, so a surviving record is untouched.
-                prop_assert_eq!(got, want);
+/// Truncating a valid journal at ANY byte recovers exactly the records
+/// that fit wholly within the cut (the longest valid prefix), reports a
+/// torn tail iff the cut landed mid-record, and never errors: a
+/// truncated valid journal has no interior corruption.
+#[test]
+fn truncation_recovers_longest_valid_prefix() {
+    for_all(
+        CASES,
+        |g| {
+            let payloads = payloads(g, 0);
+            let cut = g.range(0..=prefix_len(&payloads, payloads.len()));
+            (payloads, cut)
+        },
+        |(payloads, cut)| {
+            let buf = journal(&payloads);
+            let scan = scan_records(&buf[..cut]).unwrap();
+            let whole = (0..=payloads.len())
+                .rev()
+                .find(|&n| prefix_len(&payloads, n) <= cut)
+                .unwrap();
+            assert_eq!(&scan.payloads[..], &payloads[..whole]);
+            let at_boundary = prefix_len(&payloads, whole) == cut;
+            assert_eq!(scan.torn.is_none(), at_boundary);
+            if let Some(torn) = scan.torn {
+                assert_eq!(torn.valid_len, prefix_len(&payloads, whole));
             }
-            prop_assert!(scan.valid_len() <= buf.len());
-        }
-    }
+        },
+    );
+}
 
-    /// Arbitrary garbage: the scan terminates without panicking and never
-    /// claims more valid bytes than exist.
-    #[test]
-    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        if let Ok(scan) = scan_records(&bytes) {
-            prop_assert!(scan.valid_len() <= bytes.len());
-        }
-    }
+/// Flipping one bit anywhere in a valid journal never panics, and every
+/// successful scan still yields an unmodified prefix of the original
+/// payloads — damage is either truncated (tail) or rejected (interior),
+/// never silently decoded into different data.
+#[test]
+fn single_bit_flip_never_panics_or_diverges() {
+    for_all(
+        CASES,
+        |g| {
+            // At least one record, so there is a byte to damage.
+            let payloads = payloads(g, 1);
+            let pos = g.range(0..prefix_len(&payloads, payloads.len()));
+            (payloads, pos, g.range(0u8..8))
+        },
+        |(payloads, pos, bit)| {
+            let mut buf = journal(&payloads);
+            buf[pos] ^= 1 << bit;
+            if let Ok(scan) = scan_records(&buf) {
+                assert!(scan.payloads.len() <= payloads.len());
+                for (got, want) in scan.payloads.iter().zip(payloads.iter()) {
+                    // FNV-1a is not cryptographic, but a single-bit flip always
+                    // changes the hash, so a surviving record is untouched.
+                    assert_eq!(got, want);
+                }
+                assert!(scan.valid_len() <= buf.len());
+            }
+        },
+    );
+}
 
-    /// FNV-1a changes under any single-bit flip of the hashed bytes (the
-    /// property the bit-flip test above leans on).
-    #[test]
-    fn fnv1a_detects_single_bit_flips(
-        bytes in prop::collection::vec(any::<u8>(), 1..64),
-        pos_seed in any::<prop::sample::Index>(),
-        bit in 0u8..8,
-    ) {
-        let mut flipped = bytes.clone();
-        let pos = pos_seed.index(bytes.len());
-        flipped[pos] ^= 1 << bit;
-        prop_assert_ne!(fnv1a(&bytes), fnv1a(&flipped));
-    }
+/// Arbitrary garbage: the scan terminates without panicking and never
+/// claims more valid bytes than exist.
+#[test]
+fn arbitrary_bytes_never_panic() {
+    for_all(
+        CASES,
+        |g| g.vec(0..256, |g| g.range::<u8>(..)),
+        |bytes| {
+            if let Ok(scan) = scan_records(&bytes) {
+                assert!(scan.valid_len() <= bytes.len());
+            }
+        },
+    );
+}
+
+/// FNV-1a changes under any single-bit flip of the hashed bytes (the
+/// property the bit-flip test above leans on).
+#[test]
+fn fnv1a_detects_single_bit_flips() {
+    for_all(
+        CASES,
+        |g| {
+            let bytes: Vec<u8> = g.vec(1..64, |g| g.range(..));
+            let pos = g.range(0..bytes.len());
+            (bytes, pos, g.range(0u8..8))
+        },
+        |(bytes, pos, bit)| {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 1 << bit;
+            assert_ne!(fnv1a(&bytes), fnv1a(&flipped));
+        },
+    );
 }

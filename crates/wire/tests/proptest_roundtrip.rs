@@ -1,7 +1,7 @@
 //! Property tests: arbitrary values must round-trip through the wire format,
 //! and decoding must never panic on arbitrary input.
 
-use proptest::prelude::*;
+use beehive_raft::prop::{for_all, Gen};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -23,95 +23,144 @@ struct WireStruct {
     maybe: Option<Box<WireStruct>>,
 }
 
-fn arb_enum() -> impl Strategy<Value = WireEnum> {
-    prop_oneof![
-        Just(WireEnum::A),
-        any::<u64>().prop_map(WireEnum::B),
-        (".{0,20}", proptest::option::of(any::<i32>())).prop_map(|(s, o)| WireEnum::C(s, o)),
-        (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..64))
-            .prop_map(|(flag, data)| WireEnum::D { flag, data }),
-    ]
-}
+/// Cases per property.
+const CASES: u64 = 256;
 
-fn arb_struct(depth: u32) -> BoxedStrategy<WireStruct> {
-    let leaf = (
-        any::<u64>(),
-        ".{0,16}",
-        proptest::collection::vec(".{0,8}", 0..4),
-        proptest::collection::btree_map(".{0,8}", any::<f64>(), 0..4),
-        arb_enum(),
-    )
-        .prop_map(|(id, name, tags, weights, variant)| WireStruct {
-            id,
-            name,
-            tags,
-            weights,
-            variant,
-            maybe: None,
-        });
-    if depth == 0 {
-        leaf.boxed()
-    } else {
-        (leaf, proptest::option::of(arb_struct(depth - 1)))
-            .prop_map(|(mut s, inner)| {
-                s.maybe = inner.map(Box::new);
-                s
-            })
-            .boxed()
+fn arb_enum(g: &mut Gen) -> WireEnum {
+    match g.range(0..4u8) {
+        0 => WireEnum::A,
+        1 => WireEnum::B(g.range(..)),
+        2 => WireEnum::C(g.string(0..=20), g.option(|g| g.range(..))),
+        _ => WireEnum::D {
+            flag: g.bool(),
+            data: g.vec(0..64, |g| g.range(..)),
+        },
     }
 }
 
-proptest! {
-    #[test]
-    fn u64_roundtrip(v in any::<u64>()) {
-        let buf = beehive_wire::to_vec(&v).unwrap();
-        prop_assert_eq!(beehive_wire::from_slice::<u64>(&buf).unwrap(), v);
+/// A struct nested up to `depth` levels below the top one.
+fn arb_struct(g: &mut Gen, depth: u32) -> WireStruct {
+    WireStruct {
+        id: g.range(..),
+        name: g.string(0..=16),
+        tags: g.vec(0..4, |g| g.string(0..=8)),
+        weights: g
+            .vec(0..4, |g| (g.string(0..=8), g.f64()))
+            .into_iter()
+            .collect(),
+        variant: arb_enum(g),
+        maybe: if depth == 0 {
+            None
+        } else {
+            g.option(|g| Box::new(arb_struct(g, depth - 1)))
+        },
     }
+}
 
-    #[test]
-    fn string_roundtrip(s in ".{0,256}") {
-        let buf = beehive_wire::to_vec(&s).unwrap();
-        prop_assert_eq!(beehive_wire::from_slice::<String>(&buf).unwrap(), s);
-    }
+#[test]
+fn u64_roundtrip() {
+    for_all(
+        CASES,
+        |g| g.range::<u64>(..),
+        |v| {
+            let buf = beehive_wire::to_vec(&v).unwrap();
+            assert_eq!(beehive_wire::from_slice::<u64>(&buf).unwrap(), v);
+        },
+    );
+}
 
-    #[test]
-    fn float_roundtrip(v in any::<f64>()) {
-        let buf = beehive_wire::to_vec(&v).unwrap();
-        let back: f64 = beehive_wire::from_slice(&buf).unwrap();
-        prop_assert_eq!(v.to_bits(), back.to_bits());
-    }
+#[test]
+fn string_roundtrip() {
+    for_all(
+        CASES,
+        |g| g.string(0..=256),
+        |s| {
+            let buf = beehive_wire::to_vec(&s).unwrap();
+            assert_eq!(beehive_wire::from_slice::<String>(&buf).unwrap(), s);
+        },
+    );
+}
 
-    #[test]
-    fn vec_roundtrip(v in proptest::collection::vec(any::<i32>(), 0..128)) {
-        let buf = beehive_wire::to_vec(&v).unwrap();
-        prop_assert_eq!(beehive_wire::from_slice::<Vec<i32>>(&buf).unwrap(), v);
-    }
+#[test]
+fn float_roundtrip() {
+    for_all(
+        CASES,
+        |g| g.f64(),
+        |v| {
+            let buf = beehive_wire::to_vec(&v).unwrap();
+            let back: f64 = beehive_wire::from_slice(&buf).unwrap();
+            assert_eq!(v.to_bits(), back.to_bits());
+        },
+    );
+}
 
-    #[test]
-    fn struct_roundtrip(s in arb_struct(2)) {
-        let buf = beehive_wire::to_vec(&s).unwrap();
-        let back: WireStruct = beehive_wire::from_slice(&buf).unwrap();
-        prop_assert_eq!(back, s);
-    }
+#[test]
+fn vec_roundtrip() {
+    for_all(
+        CASES,
+        |g| g.vec(0..128, |g| g.range::<i32>(..)),
+        |v| {
+            let buf = beehive_wire::to_vec(&v).unwrap();
+            assert_eq!(beehive_wire::from_slice::<Vec<i32>>(&buf).unwrap(), v);
+        },
+    );
+}
 
-    #[test]
-    fn encoded_len_agrees(s in arb_struct(1)) {
-        let buf = beehive_wire::to_vec(&s).unwrap();
-        prop_assert_eq!(beehive_wire::encoded_len(&s).unwrap(), buf.len());
-    }
+#[test]
+fn struct_roundtrip() {
+    for_all(
+        CASES,
+        |g| arb_struct(g, 2),
+        |s| {
+            let buf = beehive_wire::to_vec(&s).unwrap();
+            let back: WireStruct = beehive_wire::from_slice(&buf).unwrap();
+            assert_eq!(back, s);
+        },
+    );
+}
 
-    #[test]
-    fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        // Any of these may fail, but none may panic.
-        let _ = beehive_wire::from_slice::<WireStruct>(&bytes);
-        let _ = beehive_wire::from_slice::<Vec<String>>(&bytes);
-        let _ = beehive_wire::from_slice::<WireEnum>(&bytes);
-        let _ = beehive_wire::from_slice::<BTreeMap<u64, Vec<u8>>>(&bytes);
-    }
+#[test]
+fn encoded_len_agrees() {
+    for_all(
+        CASES,
+        |g| arb_struct(g, 1),
+        |s| {
+            let buf = beehive_wire::to_vec(&s).unwrap();
+            assert_eq!(beehive_wire::encoded_len(&s).unwrap(), buf.len());
+        },
+    );
+}
 
-    #[test]
-    fn map_roundtrip(m in proptest::collection::btree_map(any::<u32>(), ".{0,8}", 0..32)) {
-        let buf = beehive_wire::to_vec(&m).unwrap();
-        prop_assert_eq!(beehive_wire::from_slice::<BTreeMap<u32, String>>(&buf).unwrap(), m);
-    }
+#[test]
+fn decode_never_panics() {
+    for_all(
+        CASES,
+        |g| g.vec(0..256, |g| g.range::<u8>(..)),
+        |bytes| {
+            // Any of these may fail, but none may panic.
+            let _ = beehive_wire::from_slice::<WireStruct>(&bytes);
+            let _ = beehive_wire::from_slice::<Vec<String>>(&bytes);
+            let _ = beehive_wire::from_slice::<WireEnum>(&bytes);
+            let _ = beehive_wire::from_slice::<BTreeMap<u64, Vec<u8>>>(&bytes);
+        },
+    );
+}
+
+#[test]
+fn map_roundtrip() {
+    for_all(
+        CASES,
+        |g| -> BTreeMap<u32, String> {
+            g.vec(0..32, |g| (g.range(..), g.string(0..=8)))
+                .into_iter()
+                .collect()
+        },
+        |m| {
+            let buf = beehive_wire::to_vec(&m).unwrap();
+            assert_eq!(
+                beehive_wire::from_slice::<BTreeMap<u32, String>>(&buf).unwrap(),
+                m
+            );
+        },
+    );
 }
