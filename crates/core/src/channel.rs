@@ -25,12 +25,15 @@
 //!   dedup state instead of suppressing the new incarnation's low sequences.
 //!
 //! When the hive has a storage directory, a durable outbox journal
-//! ([`crate::outbox`]) underlies the channel: sends are journaled *before*
-//! they reach the transport and deliveries *before* the handler runs, so a
-//! crash-restart replays unacked envelopes and suppresses redeliveries of
-//! already-handled ones. The only messages a crash can still lose are those
-//! sitting in the dispatcher queue mid-handler at crash time — exactly what
-//! the chaos crash ledger budgets for.
+//! ([`crate::outbox`]) underlies the channel. The channel only *stages* its
+//! records; the hive writes them with one [`ReliableChannels::commit`] before
+//! a step's first handler runs and before the step's frames reach the
+//! transport, so sends are on disk before they are on the wire and
+//! deliveries before their handler runs. A crash-restart therefore replays
+//! unacked envelopes and suppresses redeliveries of already-handled ones.
+//! The only messages a crash can still lose are those sitting in the
+//! dispatcher queue mid-handler at crash time — exactly what the chaos crash
+//! ledger budgets for.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::Path;
@@ -344,7 +347,8 @@ impl ReliableChannels {
             torn_truncations: restored.torn_truncations,
         };
         if fresh {
-            ch.journal_append(JournalEntry::Epoch { epoch });
+            ch.journal_stage(JournalEntry::Epoch { epoch });
+            ch.commit();
         }
         for (peer, s) in restored.send {
             let mut ps = PeerSend {
@@ -423,10 +427,10 @@ impl ReliableChannels {
         self.events = Some(events);
     }
 
-    /// Sequences `env_bytes` toward `to`, journals it, buffers it for
-    /// resend, and returns the encoded [`ChannelFrame`] to put on the wire.
-    /// A cumulative ack for `to` is piggybacked, cancelling any pending
-    /// standalone ack toward that peer.
+    /// Sequences `env_bytes` toward `to`, stages its journal record, buffers
+    /// it for resend, and returns the encoded [`ChannelFrame`] to put on the
+    /// wire once the record is committed. A cumulative ack for `to` is
+    /// piggybacked, cancelling any pending standalone ack toward that peer.
     pub fn wrap(&mut self, to: HiveId, env_bytes: Vec<u8>, now_ms: u64) -> Vec<u8> {
         let (ack_epoch, ack) = self.piggyback_ack(to);
         let s = self.send.entry(to.0).or_insert_with(|| PeerSend {
@@ -436,13 +440,13 @@ impl ReliableChannels {
         let seq = s.next_seq;
         s.next_seq += 1;
         let bytes = ChannelFrame::encode(self.epoch, seq, ack_epoch, ack, &env_bytes);
-        // Buffer before journaling: the append may trigger a compaction,
+        // Buffer before journaling: the record may trigger a compaction,
         // and the compaction snapshot is taken from in-memory state — it
         // must already contain this entry, or the rewritten journal keeps
         // the advanced next_seq while losing the payload. The record is
         // encoded out of the buffer, so the envelope is never cloned.
-        // Journal-before-wire still holds, since the bytes only leave once
-        // we return.
+        // Journal-before-wire holds because the hive commits before it hands
+        // the frame to the transport.
         s.unacked.push_back(Unacked {
             seq,
             env: env_bytes,
@@ -451,8 +455,8 @@ impl ReliableChannels {
         });
         if let Some(journal) = self.journal.as_mut() {
             let env = &s.unacked.back().expect("just pushed").env;
-            let appended = journal.append_send(SendRef { to: to.0, seq, env });
-            self.after_append(appended);
+            let staged = journal.stage_send(SendRef { to: to.0, seq, env });
+            self.after_stage(staged);
         }
         bytes
     }
@@ -487,7 +491,7 @@ impl ReliableChannels {
             r.last_delivered = 0;
             r.seen_ahead.clear();
             r.retired += retired;
-            self.journal_append(JournalEntry::RecvReset {
+            self.journal_stage(JournalEntry::RecvReset {
                 from: from.0,
                 epoch: frame.epoch,
                 retired,
@@ -513,7 +517,7 @@ impl ReliableChannels {
             now_ms,
             self.tuning.ack_flush_ms,
         );
-        self.journal_append(JournalEntry::Delivered {
+        self.journal_stage(JournalEntry::Delivered {
             from: from.0,
             epoch: frame.epoch,
             seq: frame.seq,
@@ -538,7 +542,7 @@ impl ReliableChannels {
         while s.unacked.front().is_some_and(|u| u.seq <= upto) {
             s.unacked.pop_front();
         }
-        self.journal_append(JournalEntry::Acked { to: from.0, upto });
+        self.journal_stage(JournalEntry::Acked { to: from.0, upto });
     }
 
     /// Scans for due retransmissions (first `window` unacked entries per
@@ -634,7 +638,7 @@ impl ReliableChannels {
         self.retired_sent += sent;
         self.retired_delivered += delivered;
         self.expired += expired;
-        self.journal_append(JournalEntry::PeerRetired {
+        self.journal_stage(JournalEntry::PeerRetired {
             peer: peer.0,
             sent,
             delivered,
@@ -668,21 +672,39 @@ impl ReliableChannels {
         r.ack_due = Some(r.ack_due.map_or(candidate, |d| d.min(candidate)));
     }
 
-    /// Appends to the journal if one is open.
-    fn journal_append(&mut self, entry: JournalEntry) {
-        if let Some(journal) = self.journal.as_mut() {
-            let appended = journal.append(&entry);
-            self.after_append(appended);
+    /// Writes every journal record staged since the last commit with one
+    /// `write(2)`. The hive calls this before a step's first handler runs
+    /// and before it hands the step's frames to the transport. A failed
+    /// write degrades the channel to in-memory operation (logged once).
+    pub fn commit(&mut self) {
+        let Some(journal) = self.journal.as_mut() else {
+            return;
+        };
+        if let Err(e) = journal.commit() {
+            eprintln!(
+                "beehive: hive {} outbox write failed ({e}); channel degrading to memory",
+                self.id.0
+            );
+            self.journal = None;
         }
     }
 
-    /// Follows up one journal append: an IO failure degrades the channel to
-    /// in-memory operation (logged once); enough appends since the last
-    /// compaction rewrite the journal as a snapshot of the in-memory state.
-    fn after_append(&mut self, appended: std::io::Result<()>) {
-        if let Err(e) = appended {
+    /// Stages a journal record if a journal is open.
+    fn journal_stage(&mut self, entry: JournalEntry) {
+        if let Some(journal) = self.journal.as_mut() {
+            let staged = journal.stage(&entry);
+            self.after_stage(staged);
+        }
+    }
+
+    /// Follows up one staged record: a failure degrades the channel to
+    /// in-memory operation (logged once); enough records since the last
+    /// compaction rewrite the journal as a snapshot of the in-memory state,
+    /// which supersedes whatever is still staged.
+    fn after_stage(&mut self, staged: std::io::Result<()>) {
+        if let Err(e) = staged {
             eprintln!(
-                "beehive: hive {} outbox append failed ({e}); channel degrading to memory",
+                "beehive: hive {} outbox record could not be staged ({e}); channel degrading to memory",
                 self.id.0
             );
             self.journal = None;
@@ -967,6 +989,7 @@ mod tests {
             let _ = a.wrap(HiveId(3), vec![6], 100);
             let dropped = a.retire_peer(HiveId(2));
             assert_eq!(dropped.len(), 1);
+            a.commit();
         }
         let a = ReliableChannels::new(HiveId(1), tuning, Some(&dir), 9_000);
         let st = a.stats();
@@ -998,6 +1021,7 @@ mod tests {
             let _ = a.wrap(HiveId(2), vec![22], 300);
             let e = a.epoch();
             a.on_ack(HiveId(2), e, 1);
+            a.commit();
             // Crash here: seq 2 journaled but unacked.
         }
         let mut a = ReliableChannels::new(HiveId(1), tuning, Some(&dir), 9_000);
@@ -1035,6 +1059,7 @@ mod tests {
                 deliver(&mut b, 1, &f2, 50),
                 ChannelDelivery::Deliver(_)
             ));
+            b.commit();
             // Crash before any ack reaches hive 1.
         }
         let mut b = ReliableChannels::new(HiveId(2), tuning, Some(&dir), 7_000);
@@ -1081,6 +1106,7 @@ mod tests {
             for i in 0..n {
                 let _ = a.wrap(HiveId(2), vec![(i % 251) as u8], 10);
             }
+            a.commit();
             // Crash with everything unacked.
         }
         let mut a = ReliableChannels::new(HiveId(1), tuning, Some(&dir), 20);
@@ -1098,6 +1124,32 @@ mod tests {
     }
 
     #[test]
+    fn staged_records_reach_the_journal_only_on_commit() {
+        let dir = tmp_dir("staged");
+        let tuning = ChannelTuning::default();
+        let path = dir.join("hive-1.outbox");
+        let mut a = ReliableChannels::new(HiveId(1), tuning, Some(&dir), 10);
+        // The epoch is committed at creation.
+        let at_boot = std::fs::metadata(&path).unwrap().len();
+        assert!(at_boot > 0);
+        let _ = a.wrap(HiveId(2), vec![1], 10);
+        let _ = a.wrap(HiveId(2), vec![2], 10);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), at_boot);
+        a.commit();
+        let committed = std::fs::metadata(&path).unwrap().len();
+        assert!(committed > at_boot);
+        // A crash before the next commit loses the staged send — whose
+        // frame the hive never handed to the transport either.
+        let _ = a.wrap(HiveId(2), vec![3], 10);
+        drop(a);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
+        let a = ReliableChannels::new(HiveId(1), tuning, Some(&dir), 20);
+        assert_eq!(a.stats().sent, 2);
+        assert_eq!(a.stats().outbox_depth, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn journal_compaction_keeps_channel_state_equivalent() {
         let dir = tmp_dir("compact");
         let tuning = ChannelTuning::default();
@@ -1110,6 +1162,7 @@ mod tests {
                 if i % 2 == 0 {
                     a.on_ack(HiveId(2), e, i / 2 + 1);
                 }
+                a.commit();
             }
         }
         let a = ReliableChannels::new(HiveId(1), tuning, Some(&dir), 99_999);

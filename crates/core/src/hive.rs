@@ -385,6 +385,9 @@ pub struct Hive {
     /// Last outbox-depth gauge pushed into instrumentation (skip the lock
     /// when nothing changed).
     last_outbox_depth: u64,
+    /// Frames of every kind sent since the last [`Hive::flush_io`], in send
+    /// order; the transport receives them in one [`Transport::send_all`].
+    frames_out: Vec<(HiveId, Frame)>,
     /// The worker pool when `cfg.workers > 1`; `None` = sequential.
     executor: Option<Executor>,
     /// Parker for [`Hive::run`]'s idle wait, shared with every
@@ -573,6 +576,7 @@ impl Hive {
             decode_error_logged: HashMap::new(),
             channels,
             last_outbox_depth: 0,
+            frames_out: Vec::new(),
             executor,
             parker: Arc::new(Parker::new()),
             events,
@@ -749,6 +753,7 @@ impl Hive {
                 }
             }
         }
+        self.flush_io();
     }
 
     /// This hive's dead-letter queue.
@@ -887,6 +892,7 @@ impl Hive {
             return;
         };
         self.route_cells(app_idx, None, cells, None);
+        self.flush_io();
     }
 
     /// Requests a live migration of `bee` (of `app`, currently on `from`)
@@ -902,6 +908,7 @@ impl Hive {
         } else {
             self.send_control(from, &msg);
         }
+        self.flush_io();
     }
 
     /// Fails over every bee this hive shadows whose registry record still
@@ -937,6 +944,7 @@ impl Hive {
                 to: self.cfg.id,
             });
         }
+        self.flush_io();
         n
     }
 
@@ -1201,7 +1209,7 @@ impl Hive {
         if self.channels.has_pending() {
             let chan_work = self.channels.poll(now);
             for (to, bytes) in chan_work.retransmits {
-                self.transport.send(to, Frame::app(bytes));
+                self.frames_out.push((to, Frame::app(bytes)));
                 work += 1;
             }
             for (to, ack_epoch, upto) in chan_work.acks {
@@ -1229,6 +1237,10 @@ impl Hive {
                 }
             }
         }
+
+        // The journal records staged so far (the `Delivered` records of this
+        // step's frames among them) reach the disk before any handler runs.
+        self.flush_io();
 
         // 8. Main dispatch/run loop. Applied registry events are drained
         // inside the loop so locally applied (or freshly committed) routing
@@ -1268,7 +1280,22 @@ impl Hive {
             instr.platform.outbox_depth = outbox_depth;
             self.last_outbox_depth = outbox_depth;
         }
+        self.flush_io();
         work
+    }
+
+    /// Hands the I/O staged since the last call over at once: the channel's
+    /// journal records in one write, then every queued frame in one
+    /// [`Transport::send_all`]. Records are written first, so a `Send` is on
+    /// disk before its frame is on the wire. Runs before a step's first
+    /// handler, at the end of the step, before the transport's peer set
+    /// changes, and at the end of the public calls that send.
+    fn flush_io(&mut self) {
+        self.channels.commit();
+        if !self.frames_out.is_empty() {
+            self.transport
+                .send_all(std::mem::take(&mut self.frames_out));
+        }
     }
 
     /// Records registry Raft term and leader changes into the event journal,
@@ -1825,7 +1852,7 @@ impl Hive {
                 // carries a piggybacked cumulative ack toward `to`.
                 let now = self.clock.now_ms();
                 let framed = self.channels.wrap(to, bytes, now);
-                self.transport.send(to, Frame::app(framed));
+                self.frames_out.push((to, Frame::app(framed)));
             }
             Err(_) => self.note_decode_error(None),
         }
@@ -2009,7 +2036,7 @@ impl Hive {
             return;
         }
         match msg.encode() {
-            Ok(bytes) => self.transport.send(to, Frame::control(bytes)),
+            Ok(bytes) => self.frames_out.push((to, Frame::control(bytes))),
             Err(_) => self.note_decode_error(None),
         }
     }
@@ -2018,7 +2045,7 @@ impl Hive {
         for o in outs {
             let to = HiveId::from_raft(o.to);
             match beehive_wire::to_vec(&o.msg) {
-                Ok(bytes) => self.transport.send(to, Frame::raft(bytes)),
+                Ok(bytes) => self.frames_out.push((to, Frame::raft(bytes))),
                 Err(_) => self.note_decode_error(None),
             }
         }
@@ -2151,6 +2178,7 @@ impl Hive {
                         self.pending_membership = None;
                     }
                 } else {
+                    self.flush_io();
                     self.transport.connect_peer(peer, &cc.addr);
                     if !self.cfg.all_hives.contains(&peer) {
                         self.cfg.all_hives.push(peer);
@@ -2217,6 +2245,7 @@ impl Hive {
         // Drop the connection; frames still parked in the transport's
         // deferred queue are duplicates of unacked channel entries (already
         // dead-lettered above), so they are only counted.
+        self.flush_io();
         let held = self.transport.disconnect_peer(peer);
         if !held.is_empty() {
             self.events.record_full(

@@ -11,10 +11,15 @@
 //! of double-applied.
 //!
 //! The format is a flat sequence of checksummed
-//! `[u32 length][u64 fnv1a][beehive-wire bytes]` records
-//! ([`beehive_wire::record`]). Appends go straight to the file descriptor
-//! (no userspace buffering), so a SIGKILLed process loses at most the
-//! record being written. Recovery follows the durability contract
+//! `[u32 length][u64 checksum][beehive-wire bytes]` records
+//! ([`beehive_wire::record`]). Records are *staged*: serialized in place
+//! into one reusable buffer, then written by [`Outbox::commit`] with a single
+//! `write(2)` (group commit). The hive commits once before a step's first
+//! handler runs and once before the step's frames reach the transport, so a
+//! SIGKILLed process loses at most the step's unwritten batch — and none of
+//! that batch's frames or handler runs has left the process yet (a `Send`
+//! is on disk before its frame is on the wire, a `Delivered` before its
+//! handler sees the message). Recovery follows the durability contract
 //! (DESIGN.md §3.15): a torn tail — a crash mid-append — is truncated off
 //! and counted, while interior corruption (a flipped bit inside a verified
 //! prefix) fails the open with `InvalidData` so the hive halts instead of
@@ -30,7 +35,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use beehive_raft::FsyncPolicy;
-use beehive_wire::record::{encode_record, scan_records};
+use beehive_wire::record::{begin_record, scan_records, seal_record};
 use serde::ser::{Serialize, SerializeStructVariant, Serializer};
 
 /// One durable record of the channel journal.
@@ -285,6 +290,9 @@ impl OutboxState {
 pub struct Outbox {
     path: PathBuf,
     file: File,
+    /// Framed records staged since the last [`Outbox::commit`]; the
+    /// allocation is reused from commit to commit.
+    staged: Vec<u8>,
     appends_since_compact: u64,
     fsync: FsyncPolicy,
 }
@@ -365,6 +373,7 @@ impl Outbox {
             Outbox {
                 path,
                 file,
+                staged: Vec::new(),
                 appends_since_compact: 0,
                 fsync,
             },
@@ -372,59 +381,78 @@ impl Outbox {
         ))
     }
 
-    /// Appends one record. The write goes straight to the file descriptor
-    /// (no userspace buffering), so a killed process loses at most the
-    /// record being written.
-    pub fn append(&mut self, entry: &JournalEntry) -> io::Result<()> {
-        self.append_record(entry)
+    /// Stages one record: serialized in place behind the records already
+    /// staged. Nothing reaches the file until [`Outbox::commit`].
+    pub fn stage(&mut self, entry: &JournalEntry) -> io::Result<()> {
+        self.stage_record(entry)
     }
 
-    /// [`Outbox::append`] of a `Send` entry whose envelope stays where it is.
-    pub fn append_send(&mut self, send: SendRef<'_>) -> io::Result<()> {
-        self.append_record(&send)
+    /// [`Outbox::stage`] of a `Send` entry whose envelope stays where it is.
+    pub fn stage_send(&mut self, send: SendRef<'_>) -> io::Result<()> {
+        self.stage_record(&send)
     }
 
-    fn append_record<T: Serialize>(&mut self, entry: &T) -> io::Result<()> {
-        let mut rec = Vec::new();
-        encode_entry(entry, &mut rec)?;
-        self.file.write_all(&rec)?;
+    fn stage_record<T: Serialize>(&mut self, entry: &T) -> io::Result<()> {
+        encode_entry(entry, &mut self.staged)?;
         self.appends_since_compact += 1;
         Ok(())
     }
 
-    /// Number of records appended since the journal was last compacted (or
-    /// opened). The channel layer compacts once this grows large.
+    /// Writes every staged record with one `write(2)` straight to the file
+    /// descriptor (no userspace buffering), so a killed process loses at
+    /// most the batch being written. The staging buffer is emptied either
+    /// way: after a failed write the journal is no longer trusted.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.staged);
+        self.staged.clear();
+        written
+    }
+
+    /// Stages one record and commits it: one `write(2)` per call.
+    pub fn append(&mut self, entry: &JournalEntry) -> io::Result<()> {
+        self.stage(entry)?;
+        self.commit()
+    }
+
+    /// Number of records staged or appended since the journal was last
+    /// compacted (or opened). The channel layer compacts once this grows
+    /// large.
     pub fn appends_since_compact(&self) -> u64 {
         self.appends_since_compact
     }
 
     /// Atomically replaces the journal with a snapshot (tmp + rename):
     /// the `state` entries, then one `Send` record per still-unacked
-    /// envelope. Returns the size in bytes of the rewritten journal.
+    /// envelope. Records still staged are dropped, not written: the
+    /// snapshot is taken from in-memory state that already includes them.
+    /// Returns the size in bytes of the rewritten journal.
     pub fn compact<'a>(
         &mut self,
         state: &[JournalEntry],
         unacked: impl IntoIterator<Item = SendRef<'a>>,
     ) -> io::Result<u64> {
         let tmp = self.path.with_extension("outbox.tmp");
-        let mut buf = Vec::new();
+        // The snapshot is built in the staging buffer, whose records it
+        // supersedes.
+        let buf = &mut self.staged;
+        buf.clear();
         for entry in state {
-            encode_entry(entry, &mut buf)?;
+            encode_entry(entry, buf)?;
         }
         for send in unacked {
-            encode_entry(&send, &mut buf)?;
+            encode_entry(&send, buf)?;
         }
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&buf)?;
-            if self.fsync == FsyncPolicy::Always {
-                f.sync_data()?;
-            }
-        }
+        let len = buf.len() as u64;
+        let written = write_file(&tmp, buf, self.fsync);
+        buf.clear();
+        written?;
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.appends_since_compact = 0;
-        Ok(buf.len() as u64)
+        Ok(len)
     }
 
     /// The journal's path (diagnostics).
@@ -433,11 +461,26 @@ impl Outbox {
     }
 }
 
-/// Appends `entry` to `out` as one checksummed record.
+/// Creates (or truncates) `path` holding exactly `bytes`, synced under
+/// [`FsyncPolicy::Always`].
+fn write_file(path: &Path, bytes: &[u8], fsync: FsyncPolicy) -> io::Result<()> {
+    let mut f = File::create(path)?;
+    f.write_all(bytes)?;
+    if fsync == FsyncPolicy::Always {
+        f.sync_data()?;
+    }
+    Ok(())
+}
+
+/// Appends `entry` to `out` as one checksummed record, serialized in place
+/// (reserve the header, serialize, backfill length and checksum).
 fn encode_entry<T: Serialize>(entry: &T, out: &mut Vec<u8>) -> io::Result<()> {
-    let bytes = beehive_wire::to_vec(entry)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    encode_record(&bytes, out);
+    let start = begin_record(out);
+    if let Err(e) = entry.serialize(&mut beehive_wire::Serializer::with_sink(&mut *out)) {
+        out.truncate(start);
+        return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+    }
+    seal_record(out, start);
     Ok(())
 }
 
@@ -642,6 +685,55 @@ mod tests {
     }
 
     #[test]
+    fn staged_records_are_written_together_and_superseded_by_compaction() {
+        let path = tmp_journal("stage");
+        let (mut ob, _) = Outbox::open(&path).unwrap();
+        ob.stage(&JournalEntry::Epoch { epoch: 4 }).unwrap();
+        ob.stage_send(SendRef {
+            to: 2,
+            seq: 1,
+            env: &[5, 6],
+        })
+        .unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0, "staged only");
+        ob.commit().unwrap();
+        let mut twin = Vec::new();
+        encode_entry(&JournalEntry::Epoch { epoch: 4 }, &mut twin).unwrap();
+        encode_entry(
+            &JournalEntry::Send {
+                to: 2,
+                seq: 1,
+                env: vec![5, 6],
+            },
+            &mut twin,
+        )
+        .unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), twin);
+        // A compaction's snapshot already includes what is staged: the
+        // staged record is dropped, not appended after the snapshot.
+        ob.stage(&JournalEntry::Acked { to: 2, upto: 1 }).unwrap();
+        ob.compact(
+            &[
+                JournalEntry::Epoch { epoch: 4 },
+                JournalEntry::SendState {
+                    to: 2,
+                    next_seq: 2,
+                    acked: 1,
+                },
+            ],
+            [],
+        )
+        .unwrap();
+        ob.commit().unwrap();
+        drop(ob);
+        let (_ob, state) = Outbox::open(&path).unwrap();
+        assert_eq!(state.epoch, Some(4));
+        assert_eq!(state.send[&2].acked, 1);
+        assert!(state.send[&2].unacked.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn fsync_never_still_compacts_and_truncates() {
         let path = tmp_journal("nosync");
         {
@@ -656,12 +748,13 @@ mod tests {
                 }],
             )
             .unwrap();
-            ob.append_send(SendRef {
+            ob.stage_send(SendRef {
                 to: 2,
                 seq: 2,
                 env: &[4],
             })
             .unwrap();
+            ob.commit().unwrap();
         }
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();

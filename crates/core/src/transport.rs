@@ -233,8 +233,8 @@ impl TransportSnapshot {
 /// on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportPreference {
-    /// Non-blocking reactor: one event loop owns all peer sockets, sends
-    /// are enqueues onto per-peer rings, flushes are vectored writes.
+    /// Non-blocking reactor: the caller writes what a socket takes without
+    /// blocking, one event loop owns connects, reads and the backlog.
     Reactor,
 }
 
@@ -246,6 +246,14 @@ pub trait Transport: Send {
     /// silently on partition (Beehive's protocols tolerate loss by retrying
     /// above Raft or by Raft itself).
     fn send(&self, to: HiveId, frame: Frame);
+    /// Queues a batch of frames, in order — what one hive step sends. The
+    /// default is a [`Transport::send`] per frame; a transport that can
+    /// hand the batch over more cheaply than frame by frame overrides it.
+    fn send_all(&self, frames: Vec<(HiveId, Frame)>) {
+        for (to, frame) in frames {
+            self.send(to, frame);
+        }
+    }
     /// Non-blocking receive of the next inbound frame.
     fn try_recv(&self) -> Option<(HiveId, Frame)>;
     /// All other hives reachable through this transport.

@@ -2,10 +2,11 @@
 //! frame ring with vectored batched flushes ([`SendRing`]) and the
 //! dead-peer connect backoff schedule ([`ConnectBackoff`]).
 //!
-//! The ring is the reactor's whole send path: a hive `send()` is an encode
-//! plus a queue push under a briefly-held lock, and the reactor later
-//! coalesces up to [`FLUSH_BATCH`] queued frames into a single
-//! `writev`-style syscall. While a peer is down the same ring doubles as
+//! The ring is the reactor's whole send path: a hive's `send_all()` encodes
+//! its frames, pushes them under a briefly-held lock and flushes the ring
+//! itself, coalescing up to [`FLUSH_BATCH`] queued frames into a single
+//! non-blocking `writev`-style syscall; whatever the socket does not take
+//! waits for the reactor. While a peer is down the same ring doubles as
 //! the deferred queue, bounded at [`DEFERRED_CAP`] with the eviction
 //! priorities the reliable-delivery layer depends on (App first — the
 //! channel retransmits those — then Raft, Control only as a last resort).

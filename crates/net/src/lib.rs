@@ -7,9 +7,10 @@
 //!   destination, traffic category and time bucket), optional latency, drops
 //!   and partitions. This is what the simulator and the Figure-4 evaluation
 //!   run on.
-//! * [`ReactorTransport`]: the TCP transport for real deployments — one
-//!   non-blocking event loop per hive owns every peer socket, sends are
-//!   lock-cheap ring enqueues, flushes are vectored batched writes. It is
+//! * [`ReactorTransport`]: the TCP transport for real deployments — the
+//!   sender writes what a non-blocking socket takes with vectored batched
+//!   writes, and one event loop per hive owns connects, reads and the
+//!   backlog. It is
 //!   built from the framing codec in [`frame`] and the outbound
 //!   ring/backoff machinery in [`buffer`].
 //!

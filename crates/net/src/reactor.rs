@@ -1,16 +1,22 @@
-//! Non-blocking reactor transport: one event loop per hive owns every peer
-//! socket.
+//! Non-blocking reactor transport: the caller writes what the socket takes
+//! without blocking; one event loop per hive owns connects, reads and the
+//! backlog.
 //!
-//! All wire I/O runs on a single `poll(2)` loop, off the hive thread:
-//!
-//! * **Sends are lock-cheap enqueues.** [`Transport::send`] encodes the
-//!   frame outside any lock, pushes it onto the peer's [`SendRing`], and
-//!   pokes the loop through a wake pipe. The hive thread never touches a
-//!   socket.
-//! * **Flushes are batched.** The loop drains each ring with
-//!   `writev`-style vectored writes, coalescing up to
-//!   [`crate::buffer::FLUSH_BATCH`] frames — app envelopes, channel acks
-//!   and Raft traffic mixed — into one syscall.
+//! * **Sends write inline.** [`Transport::send_all`] (and `send`, a batch
+//!   of one) encodes the frames outside any lock, pushes them onto their
+//!   peers' [`SendRing`]s under one lock, and writes each touched ring down
+//!   its established connection right away with `writev`-style vectored
+//!   writes of up to [`crate::buffer::FLUSH_BATCH`] frames — app envelopes,
+//!   channel acks and Raft traffic mixed. The sockets are non-blocking, so a
+//!   slow peer cannot stall the caller: what the kernel does not take stays
+//!   queued, and only then — or on a write error, or with no connection yet
+//!   — is the loop poked through its wake pipe.
+//! * **The loop owns the rest.** A single `poll(2)` loop accepts, reads
+//!   every inbound connection, settles non-blocking connects, flushes the
+//!   backlog a socket pushed back on (on `POLLOUT`), and replays a ring
+//!   after a reconnect. An established stream lives in its peer's shared
+//!   `PeerOut`, so each socket has exactly one handle, written by whoever
+//!   holds the lock and closed only by the loop (or with the peer's entry).
 //! * **Decoding is streaming.** Each connection reads into one reusable
 //!   [`FrameDecoder`] buffer and slices complete frames out, whatever the
 //!   TCP segmentation.
@@ -53,7 +59,8 @@ type SharedEvents = Arc<Mutex<Option<Arc<EventJournal>>>>;
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Default poll timeout when nothing is scheduled: a liveness backstop, not
-/// a latency floor (the wake pipe interrupts it for every send).
+/// a latency floor (the wake pipe interrupts it whenever a sender leaves
+/// work behind).
 const IDLE_POLL_MS: i32 = 500;
 
 /// Records a peer lifecycle event if a journal is wired.
@@ -76,8 +83,31 @@ struct PeerOut {
     counted: usize,
     /// Dead-peer reconnect backoff (None = healthy or never attempted).
     backoff: Option<ConnectBackoff>,
-    /// Whether an established outbound connection exists right now.
-    connected: bool,
+    /// The established outbound connection, if any: the socket's only
+    /// handle. Whoever holds the `outs` lock may write to it — the sender
+    /// what the socket takes without blocking, the reactor the backlog.
+    /// Only the reactor installs it, and only the reactor (or the removal
+    /// of the whole entry by `disconnect_peer`) closes it.
+    stream: Option<TcpStream>,
+}
+
+impl PeerOut {
+    /// Writes the ring down the established connection until it drains or
+    /// the socket pushes back, counting every frame handed to the kernel.
+    /// `None` when there is no connection.
+    fn flush(&mut self, counters: &TransportCounters) -> Option<std::io::Result<FlushOutcome>> {
+        let PeerOut {
+            ring,
+            counted,
+            stream,
+            ..
+        } = self;
+        let stream = stream.as_mut()?;
+        Some(ring.flush(stream, |kind, acct_len| {
+            counters.record_out(kind, acct_len);
+            *counted = counted.saturating_sub(1);
+        }))
+    }
 }
 
 /// State shared between [`ReactorTransport`] (the hive-facing API) and the
@@ -86,7 +116,7 @@ struct Shared {
     id: HiveId,
     peers: Mutex<HashMap<HiveId, SocketAddr>>,
     outs: Mutex<HashMap<HiveId, PeerOut>>,
-    /// Peers whose outbound connection the reactor must close
+    /// Peers whose in-flight connect the reactor must abandon
     /// (`disconnect_peer` ran on the hive side).
     closing: Mutex<Vec<HiveId>>,
     counters: Arc<TransportCounters>,
@@ -106,6 +136,37 @@ impl Shared {
             let _ = self.wake_tx.lock().write(&[1]);
         }
     }
+
+    /// Queues one frame on `to`'s ring: evicts by priority when a peer
+    /// without a connection has a full ring, and counts the frame deferred
+    /// when it lands inside an open backoff window.
+    fn enqueue(&self, po: &mut PeerOut, to: HiveId, frame: EncodedFrame) {
+        if po.stream.is_none() && po.ring.len() >= DEFERRED_CAP {
+            if let Some((idx, kind)) = po.ring.evict_lowest() {
+                if idx < po.counted {
+                    po.counted -= 1;
+                }
+                self.counters.record_deferred_evicted();
+                emit(
+                    &self.events,
+                    EventKind::DeferredEvict,
+                    to,
+                    &format!(
+                        "deferred queue full ({DEFERRED_CAP}); evicted oldest {} frame",
+                        kind.label()
+                    ),
+                );
+            }
+        }
+        po.ring.push(frame);
+        // Inside an open backoff window a frame is deferred the moment it is
+        // queued, without probing the peer; outside one it only becomes
+        // deferred if the connect the reactor is about to attempt fails.
+        if po.stream.is_none() && po.backoff.is_some_and(|b| b.active()) {
+            po.counted += 1;
+            self.counters.record_deferred();
+        }
+    }
 }
 
 /// An inbound connection owned by the reactor thread.
@@ -116,11 +177,11 @@ struct InConn {
     peer: Option<HiveId>,
 }
 
-/// An outbound connection owned by the reactor thread.
-struct OutConn {
+/// An outbound connect in flight, owned by the reactor thread until it
+/// settles; an established stream moves into its peer's [`PeerOut`].
+struct Connecting {
     stream: TcpStream,
-    /// `Some(deadline)` while the non-blocking connect is still in flight.
-    connecting: Option<Instant>,
+    deadline: Instant,
 }
 
 /// Non-blocking reactor [`Transport`]. See the module docs.
@@ -198,46 +259,54 @@ impl Transport for ReactorTransport {
     }
 
     fn send(&self, to: HiveId, frame: Frame) {
-        if to == self.shared.id {
-            return; // hives never send to themselves over TCP
+        self.send_all(vec![(to, frame)]);
+    }
+
+    /// Queues the batch, then writes each touched peer's ring down its
+    /// established connection on the calling thread — non-blocking, up to
+    /// [`crate::buffer::FLUSH_BATCH`] frames per `writev`. The reactor is
+    /// woken only for what the caller could not finish: a socket that
+    /// pushed back, a write error, or a peer with no connection yet.
+    fn send_all(&self, frames: Vec<(HiveId, Frame)>) {
+        let me = self.shared.id;
+        // Encode outside the lock: the critical section is queue pushes and
+        // the writes the sockets take without blocking.
+        let encoded: Vec<(HiveId, EncodedFrame)> = frames
+            .into_iter()
+            .filter(|(to, _)| *to != me) // hives never send to themselves over TCP
+            .map(|(to, frame)| {
+                let encoded = EncodedFrame {
+                    kind: Some(frame.kind),
+                    bytes: encode_frame(me, kind_to_byte(frame.kind), &frame.bytes),
+                    acct_len: frame.wire_len(),
+                };
+                (to, encoded)
+            })
+            .collect();
+        if encoded.is_empty() {
+            return;
         }
-        // Encode outside the lock: the critical section is a queue push.
-        let encoded = EncodedFrame {
-            kind: Some(frame.kind),
-            bytes: encode_frame(self.shared.id, kind_to_byte(frame.kind), &frame.bytes),
-            acct_len: frame.wire_len(),
-        };
+        let mut touched: Vec<HiveId> = Vec::new();
+        let mut wake = false;
         {
             let mut outs = self.shared.outs.lock();
-            let po = outs.entry(to).or_default();
-            if !po.connected && po.ring.len() >= DEFERRED_CAP {
-                if let Some((idx, kind)) = po.ring.evict_lowest() {
-                    if idx < po.counted {
-                        po.counted -= 1;
-                    }
-                    self.shared.counters.record_deferred_evicted();
-                    emit(
-                        &self.shared.events,
-                        EventKind::DeferredEvict,
-                        to,
-                        &format!(
-                            "deferred queue full ({DEFERRED_CAP}); evicted oldest {} frame",
-                            kind.label()
-                        ),
-                    );
+            for (to, frame) in encoded {
+                self.shared.enqueue(outs.entry(to).or_default(), to, frame);
+                if !touched.contains(&to) {
+                    touched.push(to);
                 }
             }
-            po.ring.push(encoded);
-            // Inside an open backoff window a frame is deferred the moment
-            // it is queued, without probing the peer; outside one it only
-            // becomes deferred if the connect the reactor is about to
-            // attempt fails.
-            if !po.connected && po.backoff.is_some_and(|b| b.active()) {
-                po.counted += 1;
-                self.shared.counters.record_deferred();
+            for to in touched {
+                let po = outs.get_mut(&to).expect("queued above");
+                wake |= !matches!(
+                    po.flush(&self.shared.counters),
+                    Some(Ok(FlushOutcome::Drained))
+                );
             }
         }
-        self.shared.wake();
+        if wake {
+            self.shared.wake();
+        }
     }
 
     fn try_recv(&self) -> Option<(HiveId, Frame)> {
@@ -415,8 +484,8 @@ enum ConnFate {
     Close,
 }
 
-/// The event loop: accepts, reads, connects and flushes every peer socket
-/// of one hive.
+/// The event loop: accepts, reads and connects every peer socket of one
+/// hive, and flushes whatever the senders left queued.
 fn reactor_loop(
     shared: Arc<Shared>,
     listener: TcpListener,
@@ -424,44 +493,48 @@ fn reactor_loop(
     inbox_tx: Sender<(HiveId, Frame)>,
 ) {
     let mut in_conns: Vec<InConn> = Vec::new();
-    let mut out_conns: HashMap<HiveId, OutConn> = HashMap::new();
+    let mut connecting: HashMap<HiveId, Connecting> = HashMap::new();
 
     while !shared.shutdown.load(Ordering::SeqCst) {
-        // Close outbound connections for peers the hive disconnected.
+        // Abandon connects toward peers the hive disconnected.
         for peer in shared.closing.lock().drain(..) {
-            out_conns.remove(&peer);
+            connecting.remove(&peer);
         }
 
         // Start connects for peers with queued frames and no connection,
         // unless an open backoff window says not to bother yet.
-        start_pending_connects(&shared, &mut out_conns);
+        start_pending_connects(&shared, &mut connecting);
 
-        // Opportunistic flush: the common case is a send() wake with the
-        // socket writable, where the writev below succeeds without a
-        // POLLOUT round trip.
-        flush_established(&shared, &mut out_conns);
+        // Backlog flush: whatever a sender left queued when its socket
+        // pushed back, or a reconnect left to replay.
+        flush_established(&shared);
 
-        let timeout = poll_timeout(&shared, &out_conns);
+        let timeout = poll_timeout(&shared, &connecting);
         let mut pollfds: Vec<sys::pollfd> =
-            Vec::with_capacity(2 + in_conns.len() + out_conns.len());
+            Vec::with_capacity(2 + in_conns.len() + connecting.len());
         pollfds.push(pollfd(wake_rx.as_raw_fd(), sys::POLLIN));
         pollfds.push(pollfd(listener.as_raw_fd(), sys::POLLIN));
         for c in &in_conns {
             pollfds.push(pollfd(c.stream.as_raw_fd(), sys::POLLIN));
         }
-        let out_order: Vec<HiveId> = out_conns.keys().copied().collect();
-        for peer in &out_order {
-            let conn = &out_conns[peer];
-            let mut ev = sys::POLLIN; // EOF / reset detection
-            let pending = shared
-                .outs
-                .lock()
-                .get(peer)
-                .is_some_and(|po| !po.ring.is_empty());
-            if conn.connecting.is_some() || pending {
-                ev |= sys::POLLOUT;
+        let connect_order: Vec<HiveId> = connecting.keys().copied().collect();
+        for peer in &connect_order {
+            let fd = connecting[peer].stream.as_raw_fd();
+            pollfds.push(pollfd(fd, sys::POLLOUT | sys::POLLIN));
+        }
+        // Established connections: POLLIN detects EOF / reset (each
+        // direction dials its own connection, so nothing else arrives on
+        // them), POLLOUT only while a backlog waits.
+        let mut established: Vec<HiveId> = Vec::new();
+        for (peer, po) in shared.outs.lock().iter() {
+            if let Some(stream) = &po.stream {
+                let mut ev = sys::POLLIN;
+                if !po.ring.is_empty() {
+                    ev |= sys::POLLOUT;
+                }
+                pollfds.push(pollfd(stream.as_raw_fd(), ev));
+                established.push(*peer);
             }
-            pollfds.push(pollfd(conn.stream.as_raw_fd(), ev));
         }
 
         let rc = unsafe { sys::poll(pollfds.as_mut_ptr(), pollfds.len() as sys::nfds_t, timeout) };
@@ -527,58 +600,53 @@ fn reactor_loop(
             }
         }
 
-        // Outbound connections: settle in-flight connects, detect EOF.
-        let out_base = 2 + polled;
-        for (i, peer) in out_order.iter().enumerate() {
-            let Some(conn) = out_conns.get_mut(peer) else {
+        // Settle in-flight connects: an established stream moves into its
+        // peer's `PeerOut`.
+        let connect_base = 2 + polled;
+        for (i, peer) in connect_order.iter().enumerate() {
+            let revents = pollfds[connect_base + i].revents;
+            let Some(conn) = connecting.get(peer) else {
                 continue;
             };
-            let pfd_idx = out_base + i;
-            let revents = if pfd_idx < pollfds.len() {
-                pollfds[pfd_idx].revents
-            } else {
-                0
+            let settled = revents & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP) != 0;
+            if settled {
+                let conn = connecting.remove(peer).expect("present");
+                match take_socket_error(conn.stream.as_raw_fd()) {
+                    Ok(()) => on_connect_established(&shared, *peer, conn.stream),
+                    Err(_) => on_connect_failed(&shared, *peer),
+                }
+            } else if Instant::now() >= conn.deadline {
+                connecting.remove(peer);
+                on_connect_failed(&shared, *peer);
+            }
+        }
+
+        // Established connections: readable means closed or reset.
+        let established_base = connect_base + connect_order.len();
+        for (i, peer) in established.iter().enumerate() {
+            let revents = pollfds[established_base + i].revents;
+            if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) == 0 {
+                continue;
+            }
+            let mut outs = shared.outs.lock();
+            let Some(stream) = outs.get_mut(peer).and_then(|po| po.stream.as_mut()) else {
+                continue;
             };
-            let mut close = false;
-            if let Some(deadline) = conn.connecting {
-                let settled = revents & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP) != 0;
-                if settled {
-                    match take_socket_error(conn.stream.as_raw_fd()) {
-                        Ok(()) => {
-                            conn.connecting = None;
-                            on_connect_established(&shared, *peer, &conn.stream);
-                        }
-                        Err(_) => close = true,
-                    }
-                } else if Instant::now() >= deadline {
-                    close = true;
-                }
-                if close {
-                    on_connect_failed(&shared, *peer);
-                    out_conns.remove(peer);
-                    continue;
-                }
-            } else if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
-                // Established outbound sockets never carry inbound frames
-                // (each direction dials its own connection), so readable
-                // means closed or reset.
-                let mut probe = [0u8; 64];
-                match conn.stream.read(&mut probe) {
-                    Ok(0) => close = true,
-                    Ok(_) => {} // stray bytes: ignore
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(_) => close = true,
-                }
-                if close {
-                    on_connect_lost(&shared, *peer);
-                    out_conns.remove(peer);
-                    continue;
-                }
+            let mut probe = [0u8; 64];
+            let close = match stream.read(&mut probe) {
+                Ok(0) => true,
+                Ok(_) => false, // stray bytes: ignore
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
+                Err(_) => true,
+            };
+            drop(outs);
+            if close {
+                on_connect_lost(&shared, *peer);
             }
         }
 
         // Flush whatever became writable or was enqueued meanwhile.
-        flush_established(&shared, &mut out_conns);
+        flush_established(&shared);
 
         if delivered {
             if let Some(wake) = shared.waker.lock().clone() {
@@ -586,7 +654,8 @@ fn reactor_loop(
             }
         }
     }
-    // Dropping the listener and connection maps closes every socket.
+    // Dropping the listener and the connection maps closes the reactor's
+    // sockets; established streams close with the last `Shared`.
 }
 
 /// Shorthand for a [`sys::pollfd`] entry.
@@ -600,19 +669,17 @@ fn pollfd(fd: RawFd, events: sys::c_short) -> sys::pollfd {
 
 /// Computes how long the loop may sleep: the nearest backoff expiry of a
 /// peer with queued frames, or the nearest connect deadline.
-fn poll_timeout(shared: &Shared, out_conns: &HashMap<HiveId, OutConn>) -> i32 {
+fn poll_timeout(shared: &Shared, connecting: &HashMap<HiveId, Connecting>) -> i32 {
     let now = Instant::now();
     let mut nearest: Option<Duration> = None;
     let mut consider = |d: Duration| {
         nearest = Some(nearest.map_or(d, |n| n.min(d)));
     };
-    for conn in out_conns.values() {
-        if let Some(deadline) = conn.connecting {
-            consider(deadline.saturating_duration_since(now));
-        }
+    for conn in connecting.values() {
+        consider(conn.deadline.saturating_duration_since(now));
     }
     for (peer, po) in shared.outs.lock().iter() {
-        if po.ring.is_empty() || po.connected || out_conns.contains_key(peer) {
+        if po.ring.is_empty() || po.stream.is_some() || connecting.contains_key(peer) {
             continue;
         }
         match po.backoff {
@@ -628,15 +695,15 @@ fn poll_timeout(shared: &Shared, out_conns: &HashMap<HiveId, OutConn>) -> i32 {
 
 /// Starts non-blocking connects for every peer with queued frames, no
 /// connection, and no open backoff window.
-fn start_pending_connects(shared: &Arc<Shared>, out_conns: &mut HashMap<HiveId, OutConn>) {
+fn start_pending_connects(shared: &Arc<Shared>, connecting: &mut HashMap<HiveId, Connecting>) {
     let pending: Vec<HiveId> = shared
         .outs
         .lock()
         .iter()
         .filter(|(peer, po)| {
             !po.ring.is_empty()
-                && !po.connected
-                && !out_conns.contains_key(peer)
+                && po.stream.is_none()
+                && !connecting.contains_key(peer)
                 && !po.backoff.is_some_and(|b| b.active())
         })
         .map(|(peer, _)| *peer)
@@ -646,11 +713,11 @@ fn start_pending_connects(shared: &Arc<Shared>, out_conns: &mut HashMap<HiveId, 
         let started = addr.and_then(|a| start_connect(a).ok());
         match started {
             Some(stream) => {
-                out_conns.insert(
+                connecting.insert(
                     peer,
-                    OutConn {
+                    Connecting {
                         stream,
-                        connecting: Some(Instant::now() + CONNECT_TIMEOUT),
+                        deadline: Instant::now() + CONNECT_TIMEOUT,
                     },
                 );
             }
@@ -662,14 +729,14 @@ fn start_pending_connects(shared: &Arc<Shared>, out_conns: &mut HashMap<HiveId, 
 }
 
 /// A non-blocking connect settled successfully: reset backoff, queue the
-/// handshake ahead of the backlog, and mark the peer writable.
-fn on_connect_established(shared: &Arc<Shared>, peer: HiveId, stream: &TcpStream) {
+/// handshake ahead of the backlog, and hand the stream to the peer's
+/// `PeerOut` (dropped if the peer was disconnected meanwhile).
+fn on_connect_established(shared: &Arc<Shared>, peer: HiveId, stream: TcpStream) {
     stream.set_nodelay(true).ok();
     shared.counters.record_connect_success(peer);
     let mut outs = shared.outs.lock();
     if let Some(po) = outs.get_mut(&peer) {
         po.backoff = None;
-        po.connected = true;
         po.ring.reset_progress();
         // Identify ourselves before any queued traffic. Unaccounted and
         // never surrendered.
@@ -678,6 +745,7 @@ fn on_connect_established(shared: &Arc<Shared>, peer: HiveId, stream: &TcpStream
             bytes: encode_frame(shared.id, KIND_HANDSHAKE, &[]),
             acct_len: 0,
         });
+        po.stream = Some(stream);
     }
     drop(outs);
     emit(
@@ -695,7 +763,6 @@ fn on_connect_failed(shared: &Arc<Shared>, peer: HiveId) {
     let Some(po) = outs.get_mut(&peer) else {
         return;
     };
-    po.connected = false;
     let window_ms = ConnectBackoff::bump(&mut po.backoff, peer);
     let newly_deferred = po.ring.len() - po.counted;
     po.counted = po.ring.len();
@@ -712,13 +779,14 @@ fn on_connect_failed(shared: &Arc<Shared>, peer: HiveId) {
     );
 }
 
-/// An established outbound connection died: forget partial-write progress
-/// so the torn frame retransmits whole on the next connect (no backoff —
-/// the peer was just alive, so the reconnect is attempted immediately).
+/// An established outbound connection died: close it and forget
+/// partial-write progress so the torn frame retransmits whole on the next
+/// connect (no backoff — the peer was just alive, so the reconnect is
+/// attempted immediately).
 fn on_connect_lost(shared: &Arc<Shared>, peer: HiveId) {
     let mut outs = shared.outs.lock();
     if let Some(po) = outs.get_mut(&peer) {
-        po.connected = false;
+        po.stream = None;
         po.ring.reset_progress();
     }
     drop(outs);
@@ -731,38 +799,15 @@ fn on_connect_lost(shared: &Arc<Shared>, peer: HiveId) {
 }
 
 /// Vector-flushes every established outbound connection with queued frames.
-fn flush_established(shared: &Arc<Shared>, out_conns: &mut HashMap<HiveId, OutConn>) {
+fn flush_established(shared: &Arc<Shared>) {
     let mut lost: Vec<HiveId> = Vec::new();
-    {
-        let mut outs = shared.outs.lock();
-        for (peer, conn) in out_conns.iter_mut() {
-            if conn.connecting.is_some() {
-                continue;
-            }
-            let Some(po) = outs.get_mut(peer) else {
-                continue;
-            };
-            if po.ring.is_empty() {
-                continue;
-            }
-            let PeerOut {
-                ref mut ring,
-                ref mut counted,
-                ..
-            } = *po;
-            let counters = &shared.counters;
-            match ring.flush(&mut conn.stream, |kind, acct_len| {
-                counters.record_out(kind, acct_len);
-                *counted = counted.saturating_sub(1);
-            }) {
-                Ok(FlushOutcome::Drained) | Ok(FlushOutcome::WouldBlock) => {}
-                Err(_) => lost.push(*peer),
-            }
+    for (peer, po) in shared.outs.lock().iter_mut() {
+        if !po.ring.is_empty() && matches!(po.flush(&shared.counters), Some(Err(_))) {
+            lost.push(*peer);
         }
     }
     for peer in lost {
         on_connect_lost(shared, peer);
-        out_conns.remove(&peer);
     }
 }
 

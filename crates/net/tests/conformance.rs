@@ -3,8 +3,10 @@
 //! Every behavioural contract `hive.rs`, the reliable channel and
 //! membership drain rely on is asserted here against the reactor (real
 //! sockets) and, where it applies, the in-memory fabric the simulator runs
-//! on: per-peer FIFO order, waker delivery, deferred-queue reconnect-flush
-//! ordering, eviction priorities under overflow and counter monotonicity.
+//! on: per-peer FIFO order (frame by frame and in `send_all` batches),
+//! caller-side writes that hand a full socket to the reactor, waker
+//! delivery, deferred-queue reconnect-flush ordering, eviction priorities
+//! under overflow and counter monotonicity.
 //! Clean shutdown without leaked threads or sockets is `leak.rs`: it counts
 //! process-wide, so it is the only test of its binary.
 //!
@@ -18,11 +20,12 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use beehive_core::transport::{Frame, FrameKind, Transport};
 use beehive_core::{HiveId, SystemClock};
 use beehive_net::buffer::DEFERRED_CAP;
+use beehive_net::frame::{byte_to_kind, FrameDecoder, KIND_HANDSHAKE};
 use beehive_net::{MemFabric, ReactorTransport};
 
 use common::{bind, recv_blocking, tcp_pair, wait_until};
@@ -48,19 +51,33 @@ fn dead_addr() -> SocketAddr {
 // Contract 1: per-peer FIFO order, mixed frame kinds, across a burst.
 // ---------------------------------------------------------------------------
 
+/// How a FIFO check hands its frames to the sender.
+#[derive(Clone, Copy)]
+enum Feed {
+    /// One `send` per frame.
+    OneByOne,
+    /// `send_all` batches of 1, 2, 3, ... frames, kinds mixed inside each.
+    Batches,
+}
+
 /// Sends `n` frames (kinds rotating App/Raft/Control) and asserts the
 /// receiver observes exactly that sequence.
-fn assert_fifo(sender: &dyn Transport, receiver: &dyn Transport, to: HiveId, n: u32) {
+fn assert_fifo(sender: &dyn Transport, receiver: &dyn Transport, to: HiveId, n: u32, feed: Feed) {
     let kinds = [FrameKind::App, FrameKind::Raft, FrameKind::Control];
-    for i in 0..n {
-        let kind = kinds[(i % 3) as usize];
-        sender.send(
-            to,
-            Frame {
-                kind,
-                bytes: i.to_le_bytes().to_vec(),
-            },
-        );
+    let frame = |i: u32| Frame {
+        kind: kinds[(i % 3) as usize],
+        bytes: i.to_le_bytes().to_vec(),
+    };
+    match feed {
+        Feed::OneByOne => (0..n).for_each(|i| sender.send(to, frame(i))),
+        Feed::Batches => {
+            let (mut next, mut size) = (0, 1);
+            while next < n {
+                let end = (next + size).min(n);
+                sender.send_all((next..end).map(|i| (to, frame(i))).collect());
+                (next, size) = (end, size + 1);
+            }
+        }
     }
     for i in 0..n {
         let (_, f) =
@@ -76,16 +93,131 @@ fn fifo_order_per_peer_fabric() {
     let fabric = MemFabric::new(vec![HiveId(1), HiveId(2)], Arc::new(SystemClock::new()));
     let a = fabric.endpoint(HiveId(1));
     let b = fabric.endpoint(HiveId(2));
-    assert_fifo(&a, &b, HiveId(2), 120);
+    assert_fifo(&a, &b, HiveId(2), 120, Feed::OneByOne);
+    assert_fifo(&a, &b, HiveId(2), 120, Feed::Batches);
 }
 
 #[test]
 fn fifo_order_per_peer_reactor() {
     let _guard = serial();
     let (a, b) = tcp_pair();
-    assert_fifo(&a, &b, HiveId(2), 120);
+    assert_fifo(&a, &b, HiveId(2), 120, Feed::OneByOne);
+    assert_fifo(&a, &b, HiveId(2), 120, Feed::Batches);
     // And the reverse direction on the same pair.
-    assert_fifo(&b, &a, HiveId(1), 40);
+    assert_fifo(&b, &a, HiveId(1), 40, Feed::OneByOne);
+    assert_fifo(&b, &a, HiveId(1), 40, Feed::Batches);
+}
+
+// ---------------------------------------------------------------------------
+// Contract 1b: a batch larger than the socket buffers toward a peer that is
+// not reading. `send_all` writes what the socket takes and returns without
+// blocking; the reactor finishes the write once the peer drains. Nothing is
+// lost or reordered, and a connected peer's backlog is not `deferred`.
+// ---------------------------------------------------------------------------
+
+/// Reads frames off a raw socket until `want` data frames (handshakes
+/// skipped) arrived or `timeout_ms` elapsed.
+fn read_frames(
+    stream: &mut std::net::TcpStream,
+    decoder: &mut FrameDecoder,
+    want: usize,
+    timeout_ms: u64,
+) -> Vec<(FrameKind, Vec<u8>)> {
+    stream
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
+    let mut got = Vec::new();
+    while got.len() < want && Instant::now() < deadline {
+        match decoder.read_from(stream) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                continue
+            }
+            Err(e) => panic!("raw peer read failed: {e}"),
+        }
+        while let Some(f) = decoder.next_frame().expect("well-formed stream") {
+            if f.kind != KIND_HANDSHAKE {
+                got.push((byte_to_kind(f.kind).expect("known kind"), f.payload));
+            }
+        }
+    }
+    got
+}
+
+#[test]
+fn send_all_hands_a_full_socket_to_the_reactor() {
+    let _guard = serial();
+    // The peer is a raw listener the test reads from only when it wants to.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut a = bind(HiveId(1));
+    a.add_peer(HiveId(2), listener.local_addr().unwrap());
+    let counters = a.counters();
+
+    // Establish the connection with one frame, so the batch below meets a
+    // connected peer and the caller writes it itself.
+    a.send(HiveId(2), Frame::app(vec![0xAA]));
+    let (mut raw, _) = listener.accept().unwrap();
+    let mut decoder = FrameDecoder::new();
+    let first = read_frames(&mut raw, &mut decoder, 1, 5000);
+    assert_eq!(first, vec![(FrameKind::App, vec![0xAA])]);
+    let handed = || -> u64 {
+        let s = counters.snapshot();
+        FrameKind::ALL.iter().map(|&k| s.sent(k).0).sum()
+    };
+    assert!(wait_until(2000, || handed() == 1));
+
+    // 16 MiB in one batch, kinds mixed: several times what loopback buffers
+    // hold while nobody reads.
+    const FRAMES: u32 = 256;
+    const LEN: usize = 64 * 1024;
+    let kinds = [FrameKind::App, FrameKind::Raft, FrameKind::Control];
+    let payload = |i: u32| {
+        let mut p = vec![(i % 251) as u8; LEN];
+        p[..4].copy_from_slice(&i.to_le_bytes());
+        p
+    };
+    let batch: Vec<(HiveId, Frame)> = (0..FRAMES)
+        .map(|i| {
+            (
+                HiveId(2),
+                Frame {
+                    kind: kinds[(i % 3) as usize],
+                    bytes: payload(i),
+                },
+            )
+        })
+        .collect();
+    let started = Instant::now();
+    a.send_all(batch);
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "send_all blocked for {:?}",
+        started.elapsed()
+    );
+    assert!(
+        handed() < 1 + u64::from(FRAMES),
+        "the socket took the whole batch; nothing exercised the hand-over"
+    );
+
+    // The peer drains; the reactor writes the rest.
+    let rest = read_frames(&mut raw, &mut decoder, FRAMES as usize, 20_000);
+    assert_eq!(rest.len(), FRAMES as usize, "frames lost");
+    for (i, (kind, bytes)) in rest.into_iter().enumerate() {
+        let i = i as u32;
+        assert_eq!(kind, kinds[(i % 3) as usize], "frame {i} wrong kind");
+        assert!(bytes == payload(i), "frame {i} out of order or corrupt");
+    }
+    assert!(wait_until(2000, || handed() == 1 + u64::from(FRAMES)));
+    let s = counters.snapshot();
+    assert_eq!(s.deferred, 0, "a connected peer's backlog is not deferred");
+    assert_eq!(s.deferred_evicted, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ impl Sink for Vec<u8> {
     }
 }
 
+/// A borrowed sink: serialize onto the end of a buffer the caller keeps.
+impl<S: Sink + ?Sized> Sink for &mut S {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        (**self).put(bytes);
+    }
+}
+
 /// The wire-format serializer, writing into a [`Sink`] (a `Vec<u8>` unless
 /// built by [`Serializer::with_sink`]).
 pub struct Serializer<W = Vec<u8>> {

@@ -4,7 +4,7 @@
 //! longest valid prefix when the damage is a torn tail.
 
 use beehive_raft::prop::{for_all, Gen};
-use beehive_wire::record::{encode_record, fnv1a, scan_records, RECORD_HEADER_LEN};
+use beehive_wire::record::{encode_record, record_checksum, scan_records, RECORD_HEADER_LEN};
 
 /// Cases per property.
 const CASES: u64 = 256;
@@ -96,8 +96,8 @@ fn single_bit_flip_never_panics_or_diverges() {
             if let Ok(scan) = scan_records(&buf) {
                 assert!(scan.payloads.len() <= payloads.len());
                 for (got, want) in scan.payloads.iter().zip(payloads.iter()) {
-                    // FNV-1a is not cryptographic, but a single-bit flip always
-                    // changes the hash, so a surviving record is untouched.
+                    // The record checksum is not cryptographic, but a single-bit
+                    // flip always changes it, so a surviving record is untouched.
                     assert_eq!(got, want);
                 }
                 assert!(scan.valid_len() <= buf.len());
@@ -121,21 +121,22 @@ fn arbitrary_bytes_never_panic() {
     );
 }
 
-/// FNV-1a changes under any single-bit flip of the hashed bytes (the
-/// property the bit-flip test above leans on).
+/// The record checksum changes under any single-bit flip of the summed
+/// bytes (the property the bit-flip test above leans on), whether the flip
+/// lands in a whole word or in the zero-padded tail.
 #[test]
-fn fnv1a_detects_single_bit_flips() {
+fn record_checksum_detects_single_bit_flips() {
     for_all(
         CASES,
         |g| {
-            let bytes: Vec<u8> = g.vec(1..64, |g| g.range(..));
+            let bytes: Vec<u8> = g.vec(1..200, |g| g.range(..));
             let pos = g.range(0..bytes.len());
             (bytes, pos, g.range(0u8..8))
         },
         |(bytes, pos, bit)| {
             let mut flipped = bytes.clone();
             flipped[pos] ^= 1 << bit;
-            assert_ne!(fnv1a(&bytes), fnv1a(&flipped));
+            assert_ne!(record_checksum(&bytes), record_checksum(&flipped));
         },
     );
 }

@@ -19,7 +19,7 @@ use beehive_core::outbox::{JournalEntry, Outbox};
 use beehive_core::{Analytics, ControlMsg, HiveId, HiveMetrics, SharedBytes, TxJournal};
 use beehive_openflow::{PacketInEvent, PacketOutCmd, SwitchUpstream};
 use beehive_raft::{Entry, RaftMessage, SnapshotRecord};
-use beehive_wire::record::fnv1a;
+use beehive_wire::record::{fnv1a, record_checksum, RECORD_HEADER_LEN};
 use beehive_wire::{Error, Serializer, Sink};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -153,10 +153,31 @@ fn metrics_exposition_keeps_the_parent_commits_text() {
     assert_eq!(analytics.render_prometheus(), want);
 }
 
+/// `JOURNAL_FILE`'s records with each checksum recomputed by today's record
+/// codec. The payloads are the pinned bytes; the checksum changed from
+/// byte-wise FNV-1a to the word-wise record sum, and DESIGN.md §3.15 rules
+/// out a reader for an older record checksum.
+fn journal_file_resealed() -> Vec<u8> {
+    let mut file = unhex(JOURNAL_FILE);
+    let mut at = 0;
+    while at < file.len() {
+        let len = u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
+        let payload = at + RECORD_HEADER_LEN..at + RECORD_HEADER_LEN + len;
+        let sum = record_checksum(&file[payload.clone()]);
+        file[at + 4..at + RECORD_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+        at = payload.end;
+    }
+    file
+}
+
 #[test]
 fn old_format_outbox_journal_replays_to_the_same_state() {
     let path = std::env::temp_dir().join(format!("beehive-golden-{}.outbox", std::process::id()));
+    // Under its old checksums the file is refused, not guessed at.
     std::fs::write(&path, unhex(JOURNAL_FILE)).unwrap();
+    let refused = Outbox::open(&path).unwrap_err();
+    assert_eq!(refused.kind(), std::io::ErrorKind::InvalidData);
+    std::fs::write(&path, journal_file_resealed()).unwrap();
     let (_outbox, state) = Outbox::open(&path).unwrap();
     let _ = std::fs::remove_file(&path);
 
@@ -196,7 +217,7 @@ fn old_format_outbox_journal_replays_to_the_same_state() {
     }
     let written = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
-    assert_eq!(written, unhex(JOURNAL_FILE));
+    assert_eq!(written, journal_file_resealed());
 }
 
 /// Counts the primitives the serializer writes: one `put` per integer,
@@ -320,6 +341,7 @@ fn wrap_frames_and_journals_what_the_owned_types_encode_to() {
     let mut ch = ReliableChannels::new(HiveId(1), ChannelTuning::default(), Some(&dir), 5);
     let epoch = ch.epoch();
     let framed = ch.wrap(HiveId(2), env.clone(), 5);
+    ch.commit();
     assert_eq!(
         framed,
         beehive_wire::to_vec(&ChannelFrame {
