@@ -10,10 +10,10 @@
 //! clock for post-mortem correlation across machines, and the causal
 //! `trace_id` when one is in scope.
 //!
-//! The ring follows the same shape as [`crate::trace::TraceCollector`] and
-//! [`crate::supervision::DeadLetterStore`]: writers claim a slot with one
-//! atomic fetch-add and take only that slot's mutex, so recording is O(1)
-//! and emit sites never contend unless they collide on a wrapped slot.
+//! The journal holds one [`Ring`], like [`crate::trace::TraceCollector`]
+//! and [`crate::supervision::DeadLetterStore`]; `seq` and `virt_ms` are
+//! stamped under the ring's lock, so retained events are in `seq` order
+//! and recording is O(1).
 //! Recording is observation-only: it reads the clock and never schedules
 //! work, so enabling it cannot perturb deterministic simulation replay (the
 //! chaos digests are byte-identical with and without the recorder — and the
@@ -25,21 +25,19 @@
 //! ([`crate::introspect`]) serves the in-memory ring live at `/events`.
 //!
 //! The `wall_ms` stamp is taken from the OS clock and is deliberately
-//! excluded from every determinism audit. Under concurrent emitters (TCP
-//! reader threads) `virt_ms` may be non-monotonic *across threads*; within
-//! a single-threaded hive step — the only regime the chaos checker audits —
-//! it is non-decreasing in `seq` order.
+//! excluded from every determinism audit. `virt_ms` is non-decreasing in
+//! `seq` order for any monotonic clock, concurrent emitters (the hive and
+//! its reactor thread) included.
 
 use std::fmt;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
 use crate::id::{BeeId, HiveId};
-use crate::sync::Mutex;
+use crate::sync::{Mutex, Ring};
 
 /// The lifecycle transition an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -170,7 +168,7 @@ impl fmt::Display for EventKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Journal-local sequence, strictly increasing from 1 (survives ring
-    /// wrap: overwritten events keep counting).
+    /// wrap: evicted events keep counting).
     pub seq: u64,
     /// The hive that recorded this event.
     pub hive: HiveId,
@@ -232,10 +230,10 @@ impl Event {
     }
 }
 
-///// JSON string escaping (same policy as the chrome-trace export): quotes,
-/// backslashes and all control characters are escaped (`\u00xx`), so
-/// newlines in panic payloads stay inside one event line and the JSONL sink
-/// stays line-oriented.
+/// The platform's JSON string escaping (events, the chrome-trace export,
+/// the dead-letter dump): quotes, backslashes and all control characters
+/// are escaped (`\u00xx`), so newlines in panic payloads stay inside one
+/// event line and the JSONL sink stays line-oriented.
 pub(crate) fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
@@ -249,18 +247,15 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
     }
 }
 
-/// Events a hive's [`EventJournal`] retains; older ones are overwritten, the
+/// Events a hive's [`EventJournal`] retains; older ones are evicted, the
 /// recorded total keeps counting.
 pub const EVENT_CAPACITY: usize = 4096;
 
-/// A fixed-capacity ring of recent [`Event`]s with an optional JSONL sink.
+/// A bounded ring of recent [`Event`]s with an optional JSONL sink.
 pub struct EventJournal {
     hive: HiveId,
     clock: Arc<dyn Clock>,
-    slots: Vec<Mutex<Option<Event>>>,
-    head: AtomicUsize,
-    next_seq: AtomicU64,
-    recorded: AtomicU64,
+    ring: Ring<Event>,
     sink: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
 }
 
@@ -268,14 +263,10 @@ impl EventJournal {
     /// A journal for `hive` retaining up to `capacity` events (minimum 1),
     /// stamping virtual time from `clock`.
     pub fn new(hive: HiveId, capacity: usize, clock: Arc<dyn Clock>) -> Self {
-        let capacity = capacity.max(1);
         EventJournal {
             hive,
             clock,
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicUsize::new(0),
-            next_seq: AtomicU64::new(1),
-            recorded: AtomicU64::new(0),
+            ring: Ring::new(capacity),
             sink: Mutex::new(None),
         }
     }
@@ -287,12 +278,12 @@ impl EventJournal {
 
     /// Number of events the ring can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
-    /// Total events ever recorded (including overwritten ones).
+    /// Total events ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Opens (appending) a JSONL post-mortem sink at `path`: every event
@@ -323,35 +314,37 @@ impl EventJournal {
         peer: Option<HiveId>,
         detail: impl Into<String>,
     ) {
-        let event = Event {
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-            hive: self.hive,
-            virt_ms: self.clock.now_ms(),
-            wall_ms: std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-            trace_id,
-            kind,
-            app: app.to_string(),
-            bee,
-            peer,
-            detail: detail.into(),
-        };
-        if let Some(sink) = self.sink.lock().as_mut() {
-            let _ = writeln!(sink, "{}", event.to_json());
-            let _ = sink.flush();
-        }
-        let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        *self.slots[slot].lock() = Some(event);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
+        let (app, detail) = (app.to_string(), detail.into());
+        // `seq` and `virt_ms` are read together under the ring's lock: two
+        // emitting threads cannot interleave between them, so `virt_ms`
+        // never regresses in `seq` order (and sink lines follow `seq`).
+        self.ring.push_with(|seq| {
+            let event = Event {
+                seq,
+                hive: self.hive,
+                virt_ms: self.clock.now_ms(),
+                wall_ms: std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map(|d| d.as_millis() as u64)
+                    .unwrap_or(0),
+                trace_id,
+                kind,
+                app,
+                bee,
+                peer,
+                detail,
+            };
+            if let Some(sink) = self.sink.lock().as_mut() {
+                let _ = writeln!(sink, "{}", event.to_json());
+                let _ = sink.flush();
+            }
+            event
+        });
     }
 
     /// All retained events in `seq` order (oldest first).
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut events: Vec<Event> = self.slots.iter().filter_map(|s| s.lock().clone()).collect();
-        events.sort_by_key(|e| e.seq);
-        events
+        self.ring.snapshot()
     }
 
     /// The most recent `n` retained events, oldest of them first.
@@ -554,20 +547,72 @@ mod tests {
         j.record(EventKind::BeeSpawned, "a");
         j.record(EventKind::BeeRetired, "b");
         assert_eq!(j.malformed(), 0);
-        // Corrupt a slot directly: duplicate seq and regressed time.
-        {
-            let mut slot = j.slots[1].lock();
-            let e = slot.as_mut().unwrap();
-            e.seq = 1;
-            e.virt_ms = 0;
+        // `record` cannot produce a bad event, so hand-made ones go straight
+        // into the ring: a repeated seq, then a regressed time, then a
+        // foreign hive stamp.
+        let good = j.snapshot()[1].clone();
+        j.ring.push(Event {
+            seq: 2,
+            ..good.clone()
+        });
+        assert_eq!(j.malformed(), 1);
+        j.ring.push(Event {
+            seq: 4,
+            virt_ms: 0,
+            ..good.clone()
+        });
+        assert_eq!(j.malformed(), 2);
+        j.ring.push(Event {
+            seq: 5,
+            hive: HiveId(99),
+            ..good
+        });
+        assert_eq!(j.malformed(), 3);
+    }
+
+    /// A clock whose first reading stalls: it reports that it started, then
+    /// waits for a release (at most 200 ms) before reading the time.
+    struct StallingClock {
+        now: SimClock,
+        entered: Mutex<Option<std::sync::mpsc::Sender<()>>>,
+        release: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+    }
+
+    impl Clock for StallingClock {
+        fn now_ms(&self) -> u64 {
+            let release = self.release.lock().take();
+            if let Some(release) = release {
+                let _ = self.entered.lock().take().map(|tx| tx.send(()));
+                let _ = release.recv_timeout(std::time::Duration::from_millis(200));
+            }
+            self.now.now_ms()
         }
-        assert!(j.malformed() >= 1);
-        // A foreign hive stamp is also malformed.
-        {
-            let mut slot = j.slots[0].lock();
-            slot.as_mut().unwrap().hive = HiveId(99);
-        }
-        assert!(j.malformed() >= 2);
+    }
+
+    #[test]
+    fn a_second_emitter_cannot_land_between_seq_and_time() {
+        // One thread reads the clock for its event; meanwhile another
+        // thread records and the clock moves on. Stamped apart, the first
+        // event would get seq 1 but the later time.
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let clock = Arc::new(StallingClock {
+            now: SimClock::new(),
+            entered: Mutex::new(Some(entered_tx)),
+            release: Mutex::new(Some(release_rx)),
+        });
+        let j = Arc::new(EventJournal::new(HiveId(3), 8, clock.clone()));
+        let first = {
+            let j = j.clone();
+            std::thread::spawn(move || j.record(EventKind::PeerConnect, "stalled"))
+        };
+        entered_rx.recv().unwrap();
+        j.record(EventKind::PeerDisconnect, "second");
+        clock.now.advance(10);
+        let _ = release_tx.send(());
+        first.join().unwrap();
+        assert_eq!(j.recorded(), 2);
+        assert_eq!(j.malformed(), 0, "{:?}", j.snapshot());
     }
 
     #[test]

@@ -32,7 +32,8 @@ use crate::registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState}
 use crate::replication::{replicas_of, ApplyOutcome, ShadowStore};
 use crate::state::BeeState;
 use crate::supervision::{
-    DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, QUARANTINE_COOLDOWN_MS,
+    DeadLetter, DeadLetterStore, FailureKind, HandlerFaults, DEAD_LETTER_CAPACITY,
+    QUARANTINE_COOLDOWN_MS,
 };
 use crate::sync::Mutex;
 use crate::trace::{TraceCollector, TraceHub, TRACE_CAPACITY};
@@ -122,9 +123,6 @@ pub struct HiveConfig {
     /// mailbox rejects the incoming message to the dead-letter queue and
     /// keeps its backlog.
     pub mailbox_capacity: usize,
-    /// Capacity of the dead-letter ring ([`DeadLetterStore`]). Old letters
-    /// are overwritten; the recorded total keeps counting.
-    pub dead_letter_capacity: usize,
     /// Seed mixed into this hive's internal randomness (today: the registry
     /// Raft election jitter). Two clusters built with the same ids and the
     /// same seeds make identical random choices — the hook deterministic
@@ -158,7 +156,6 @@ impl HiveConfig {
             redelivery_backoff_ms: 100,
             quarantine_threshold: 10,
             mailbox_capacity: 0,
-            dead_letter_capacity: 1024,
             rng_seed: 0,
             channel_resend_ms: 200,
         }
@@ -515,7 +512,7 @@ impl Hive {
             None
         };
         let tracer = Arc::new(TraceCollector::new(TRACE_CAPACITY));
-        let dead_letters = Arc::new(DeadLetterStore::new(cfg.dead_letter_capacity));
+        let dead_letters = Arc::new(DeadLetterStore::new(DEAD_LETTER_CAPACITY));
         transport.set_events(events.clone());
         let mut channels = ReliableChannels::with_fsync(
             cfg.id,

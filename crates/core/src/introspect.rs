@@ -33,7 +33,7 @@ use crate::events::EventJournal;
 use crate::lifecycle::{Lifecycle, LifecycleStage};
 use crate::metrics::PlatformCounters;
 use crate::supervision::DeadLetterStore;
-use crate::trace::{chrome_trace_merged, TraceCollector, TraceHub};
+use crate::trace::{chrome_trace, TraceCollector, TraceHub};
 use crate::transport::{FrameKind, TransportCounters, TransportSnapshot};
 
 /// `/healthz` reports degraded when the summed channel outbox depth exceeds
@@ -306,7 +306,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &StatusContext) -> std::io::Resu
         _ => {
             if let Some(id) = path.strip_prefix("/trace/").and_then(parse_trace_id) {
                 let spans = collect_trace(ctx, id);
-                let body = chrome_trace_merged(&spans, id);
+                let body = chrome_trace(&spans, id);
                 respond(&mut stream, "200 OK", "application/json", &body)
             } else {
                 respond(&mut stream, "404 Not Found", "text/plain", "not found\n")
@@ -499,7 +499,7 @@ mod tests {
         let server = StatusServer::bind("127.0.0.1:0".parse().unwrap(), ctx).unwrap();
         let (head, body) = http_get(server.local_addr(), "/trace/42");
         assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-        assert!(body.trim_start().starts_with('['), "{body}");
+        assert!(body.starts_with("{\"traceEvents\":["), "{body}");
         assert!(body.contains("\"ph\":\"X\""), "{body}");
         assert!(body.contains("\"pid\":1"), "{body}");
         // Hex form resolves to the same trace.

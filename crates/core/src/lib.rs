@@ -118,9 +118,7 @@ pub use registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState};
 pub use replication::{replicas_of, ShadowStore};
 pub use state::{BeeState, Dict, JournalOp, Savepoint, SharedBytes, TxJournal, TxState};
 pub use supervision::{backoff_delay_ms, DeadLetter, DeadLetterStore, FailureKind, HandlerFaults};
-pub use trace::{
-    chrome_trace, chrome_trace_merged, TraceCollector, TraceContext, TraceHub, TraceSpan,
-};
+pub use trace::{chrome_trace, TraceCollector, TraceContext, TraceHub, TraceSpan};
 pub use transport::{
     Frame, FrameKind, Loopback, Transport, TransportCounters, TransportPreference,
     TransportSnapshot,

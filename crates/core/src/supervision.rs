@@ -13,13 +13,12 @@
 //! incoming message to the dead-letter queue.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
 use crate::id::{AppName, BeeId};
 use crate::message::Envelope;
-use crate::sync::Mutex;
+use crate::sync::{Mutex, Ring};
 
 /// Why a message delivery failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -139,82 +138,61 @@ pub struct DeadLetter {
     pub envelope: Envelope,
 }
 
+/// Letters a hive's [`DeadLetterStore`] retains; older ones are evicted, the
+/// recorded total keeps counting.
+pub const DEAD_LETTER_CAPACITY: usize = 1024;
+
 /// A bounded ring of recent [`DeadLetter`]s, one per hive.
 ///
-/// Same design as [`crate::trace::TraceCollector`]: writers claim a slot with
-/// one atomic fetch-add and lock only that slot, so executor workers and the
-/// hive thread never contend except on a full wrap. `recorded` counts every
-/// letter ever stored, including overwritten ones — that is the number the
-/// `beehive_dead_letters_total` counter reports.
+/// `recorded` counts every letter ever stored, including evicted ones —
+/// that is the number the `beehive_dead_letters_total` counter reports.
+#[derive(Debug)]
 pub struct DeadLetterStore {
-    slots: Vec<Mutex<Option<DeadLetter>>>,
-    head: AtomicUsize,
-    recorded: AtomicU64,
+    ring: Ring<DeadLetter>,
 }
 
 impl DeadLetterStore {
     /// A store retaining up to `capacity` letters (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         DeadLetterStore {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicUsize::new(0),
-            recorded: AtomicU64::new(0),
+            ring: Ring::new(capacity),
         }
     }
 
     /// Number of letters the ring can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
-    /// Total letters ever recorded (including overwritten ones).
+    /// Total letters ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Letters currently retained.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.lock().is_some()).count()
+        self.ring.len()
     }
 
     /// Whether the ring holds no letters.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.is_empty()
     }
 
-    /// Records a letter, overwriting the oldest if the ring is full.
+    /// Records a letter, evicting the oldest if the ring is full.
     pub fn record(&self, letter: DeadLetter) {
-        let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        *self.slots[slot].lock() = Some(letter);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
+        self.ring.push(letter);
     }
 
     /// Clones the retained letters, oldest first.
     pub fn snapshot(&self) -> Vec<DeadLetter> {
-        let mut letters: Vec<DeadLetter> =
-            self.slots.iter().filter_map(|s| s.lock().clone()).collect();
-        letters.sort_by_key(|l| l.recorded_ms);
-        letters
+        self.ring.snapshot()
     }
 
     /// Removes and returns the retained letters, oldest first. The
     /// `recorded` total is unaffected (it is a monotonic counter).
     pub fn drain(&self) -> Vec<DeadLetter> {
-        let mut letters: Vec<DeadLetter> =
-            self.slots.iter().filter_map(|s| s.lock().take()).collect();
-        letters.sort_by_key(|l| l.recorded_ms);
-        letters
-    }
-}
-
-impl fmt::Debug for DeadLetterStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DeadLetterStore")
-            .field("capacity", &self.capacity())
-            .field("len", &self.len())
-            .field("recorded", &self.recorded())
-            .finish()
+        self.ring.drain()
     }
 }
 
@@ -283,61 +261,6 @@ impl HandlerFaults {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::HiveId;
-    use crate::message::{Dst, Message, Source};
-    use crate::trace::TraceContext;
-    use std::sync::Arc;
-
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct Probe;
-    crate::impl_message!(Probe);
-
-    fn letter(ms: u64, kind: FailureKind) -> DeadLetter {
-        let msg: Arc<dyn Message> = Arc::new(Probe);
-        DeadLetter {
-            app: "a".into(),
-            bee: BeeId::new(HiveId(1), 1),
-            handler: "h".into(),
-            msg_type: msg.type_name().to_string(),
-            kind,
-            detail: "boom".into(),
-            attempts: 4,
-            trace_id: 7,
-            recorded_ms: ms,
-            envelope: Envelope {
-                msg,
-                src: Source::External(HiveId(1)),
-                dst: Dst::Broadcast,
-                trace: TraceContext::root(HiveId(1)),
-                deliveries: 3,
-            },
-        }
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_but_counts_all() {
-        let store = DeadLetterStore::new(2);
-        for i in 1..=3 {
-            store.record(letter(i, FailureKind::Error));
-        }
-        assert_eq!(store.recorded(), 3);
-        let snap = store.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].recorded_ms, 2);
-        assert_eq!(snap[1].recorded_ms, 3);
-    }
-
-    #[test]
-    fn drain_empties_retention_not_the_counter() {
-        let store = DeadLetterStore::new(4);
-        store.record(letter(1, FailureKind::Panic));
-        store.record(letter(2, FailureKind::Error));
-        let drained = store.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(store.is_empty());
-        assert_eq!(store.recorded(), 2);
-        assert!(store.snapshot().is_empty());
-    }
 
     #[test]
     fn failure_kind_classification() {

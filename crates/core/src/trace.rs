@@ -10,19 +10,20 @@
 //! pipeline of Figure 2) can be reassembled end to end.
 //!
 //! Each hive records one [`TraceSpan`] per handler invocation into a
-//! fixed-capacity ring-buffer [`TraceCollector`]; old spans are overwritten,
-//! never reallocated, so recording stays O(1) and allocation-free on the hot
-//! path apart from the app/type strings. [`chrome_trace`] renders the spans
-//! of one trace id as a `chrome://tracing` / Perfetto-compatible JSON array.
+//! bounded [`TraceCollector`] (a [`Ring`]); the oldest span is evicted at
+//! capacity, so recording stays O(1). [`chrome_trace`] renders the spans of
+//! one trace id, gathered from one hive or many, as one `chrome://tracing` /
+//! Perfetto-compatible JSON document.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
+use crate::events::escape_json;
 use crate::id::{AppName, BeeId, HiveId};
-use crate::sync::{wait_timeout, Mutex};
+use crate::sync::{wait_timeout, Mutex, Ring};
 
 /// Process-wide span/trace id counter. Ids only need to be unique within a
 /// trace's lifetime; mixing in the hive id keeps them unique across hives
@@ -117,53 +118,43 @@ pub struct TraceSpan {
     pub ok: bool,
 }
 
-/// Spans a hive's [`TraceCollector`] retains; older ones are overwritten.
+/// Spans a hive's [`TraceCollector`] retains; older ones are evicted.
 pub const TRACE_CAPACITY: usize = 4096;
 
-/// A fixed-capacity ring buffer of recent [`TraceSpan`]s.
-///
-/// Writers claim a slot with one atomic fetch-add and then take only that
-/// slot's mutex, so concurrent executor workers never contend unless they
-/// collide on the same slot after a full wrap.
+/// A bounded ring of recent [`TraceSpan`]s.
+#[derive(Debug)]
 pub struct TraceCollector {
-    slots: Vec<Mutex<Option<TraceSpan>>>,
-    head: AtomicUsize,
-    recorded: AtomicU64,
+    ring: Ring<TraceSpan>,
 }
 
 impl TraceCollector {
     /// A collector retaining up to `capacity` spans (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         TraceCollector {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            head: AtomicUsize::new(0),
-            recorded: AtomicU64::new(0),
+            ring: Ring::new(capacity),
         }
     }
 
-    /// Number of spans the buffer can hold.
+    /// Number of spans the ring can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
-    /// Total spans ever recorded (including overwritten ones).
+    /// Total spans ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
-    /// Records a span, overwriting the oldest if the buffer is full.
+    /// Records a span, evicting the oldest if the ring is full.
     pub fn record(&self, span: TraceSpan) {
-        let slot = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        *self.slots[slot].lock() = Some(span);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
+        self.ring.push(span);
     }
 
-    /// All retained spans, ordered by (start time, span id).
+    /// All retained spans, ordered by (start time, span id). Executor
+    /// workers record out of start order, so the order is restored here.
     pub fn snapshot(&self) -> Vec<TraceSpan> {
-        let mut spans: Vec<TraceSpan> =
-            self.slots.iter().filter_map(|s| s.lock().clone()).collect();
-        spans.sort_by(|a, b| (a.start_ms, a.span_id).cmp(&(b.start_ms, b.span_id)));
+        let mut spans = self.ring.snapshot();
+        spans.sort_by_key(|s| (s.start_ms, s.span_id));
         spans
     }
 
@@ -173,54 +164,43 @@ impl TraceCollector {
         spans.retain(|s| s.trace_id == trace_id);
         spans
     }
-
-    /// Renders this collector's view of one trace as chrome-trace JSON.
-    /// Cross-hive traces should merge `spans_for` from every hive and call
-    /// [`chrome_trace`] instead.
-    pub fn chrome_trace(&self, trace_id: u64) -> String {
-        chrome_trace(&self.spans_for(trace_id), trace_id)
-    }
 }
 
-impl fmt::Debug for TraceCollector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TraceCollector")
-            .field("capacity", &self.capacity())
-            .field("recorded", &self.recorded())
-            .finish()
-    }
-}
-
-/// Minimal JSON string escaping for the chrome-trace export.
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders spans of one trace as a `chrome://tracing`-compatible JSON array
-/// of complete ("X") events: one event per handler invocation, pid = hive,
-/// tid = bee, timestamps in microseconds of the recording hive's clock. The
-/// causal chain is carried in each event's `args` (`span`, `parent`). Load
-/// the output in `chrome://tracing` or <https://ui.perfetto.dev>.
+/// Renders the spans of one trace — from one hive or gathered from many —
+/// as a `chrome://tracing` document in Chrome's JSON Object Format,
+/// `{"traceEvents":[…]}`.
+///
+/// Each hive gets a named process lane (a `process_name` metadata event,
+/// pid = hive); each handler invocation is one complete ("X") event with
+/// tid = bee and timestamps in microseconds of the recording hive's clock.
+/// Hive clocks are not comparable, so the cross-lane link is the causal
+/// chain in each event's `args` (`span`, `parent`), not the time axis.
+/// Spans are deduplicated by (hive, span id) and ordered by (start, span).
+/// Load the output in `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace(spans: &[TraceSpan], trace_id: u64) -> String {
-    let mut out = String::from("[");
-    let mut first = true;
-    for s in spans.iter().filter(|s| s.trace_id == trace_id) {
-        if !first {
+    let mut spans: Vec<&TraceSpan> = spans.iter().filter(|s| s.trace_id == trace_id).collect();
+    spans.sort_by_key(|s| (s.hive, s.span_id, s.start_ms));
+    spans.dedup_by_key(|s| (s.hive, s.span_id));
+    let mut hives: Vec<HiveId> = spans.iter().map(|s| s.hive).collect();
+    hives.dedup();
+    spans.sort_by_key(|s| (s.start_ms, s.span_id));
+
+    let mut out = String::from("{\"traceEvents\":[");
+    for (i, h) in hives.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
+        out.push_str("\n  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
+        out.push_str(&h.0.to_string());
+        out.push_str(",\"args\":{\"name\":\"hive-");
+        out.push_str(&h.0.to_string());
+        out.push_str("\"}}");
+    }
+    for s in &spans {
+        out.push(',');
         push_span_event(s, &mut out);
     }
-    out.push_str("\n]\n");
+    out.push_str("\n]}\n");
     out
 }
 
@@ -251,46 +231,6 @@ fn push_span_event(s: &TraceSpan, out: &mut String) {
     out.push_str("}}");
 }
 
-/// Renders a *cluster* trace — spans gathered from several hives — as one
-/// chrome-trace JSON array with a named process lane per hive. Per-hive
-/// clocks are not comparable, so timestamps stay in each hive's own
-/// timebase; the causal chain (`args.span` / `args.parent`) is the
-/// cross-lane link, not the time axis. Spans are deduplicated by
-/// `(hive, span_id)` and ordered by (start, span) within the whole array.
-pub fn chrome_trace_merged(spans: &[TraceSpan], trace_id: u64) -> String {
-    let mut spans: Vec<&TraceSpan> = spans.iter().filter(|s| s.trace_id == trace_id).collect();
-    spans.sort_by(|a, b| (a.hive, a.span_id, a.start_ms).cmp(&(b.hive, b.span_id, b.start_ms)));
-    spans.dedup_by_key(|s| (s.hive, s.span_id));
-    spans.sort_by(|a, b| (a.start_ms, a.span_id).cmp(&(b.start_ms, b.span_id)));
-
-    let mut hives: Vec<HiveId> = spans.iter().map(|s| s.hive).collect();
-    hives.sort();
-    hives.dedup();
-
-    let mut out = String::from("[");
-    let mut first = true;
-    for h in &hives {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("\n  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
-        out.push_str(&h.0.to_string());
-        out.push_str(",\"args\":{\"name\":\"hive-");
-        out.push_str(&h.0.to_string());
-        out.push_str("\"}}");
-    }
-    for s in &spans {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        push_span_event(s, &mut out);
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 /// Coordinates cross-hive trace assembly between a hive's step loop and
 /// outside callers (the HTTP status server, tests).
 ///
@@ -303,7 +243,8 @@ pub fn chrome_trace_merged(spans: &[TraceSpan], trace_id: u64) -> String {
 /// [`TraceHub::add_reply`]. The query completes when every peer answered or
 /// when the hive [`TraceHub::expire`]s it — assembly is best-effort by
 /// design (an unreachable hive must not wedge introspection), so a result
-/// may be partial.
+/// may be partial. Results are the spans as they arrived, local first;
+/// [`chrome_trace`] deduplicates and orders them.
 #[derive(Default)]
 pub struct TraceHub {
     inner: Mutex<HubInner>,
@@ -400,8 +341,7 @@ impl TraceHub {
     pub fn try_result(&self, query_id: u64) -> Option<Vec<TraceSpan>> {
         let mut inner = self.inner.lock();
         if inner.pending.get(&query_id).is_some_and(|p| p.done) {
-            let p = inner.pending.remove(&query_id).unwrap();
-            return Some(finish_spans(p.spans));
+            return inner.pending.remove(&query_id).map(|p| p.spans);
         }
         None
     }
@@ -433,12 +373,11 @@ impl TraceHub {
             };
             let now = std::time::Instant::now();
             if done || virtual_expired || now >= wall_deadline {
-                let spans = inner
+                return inner
                     .pending
                     .remove(&query_id)
                     .map(|p| p.spans)
                     .unwrap_or_default();
-                return finish_spans(spans);
             }
             let mut remaining = wall_deadline.saturating_duration_since(now);
             if clock.is_some() {
@@ -459,14 +398,6 @@ impl fmt::Debug for TraceHub {
             .field("pending", &inner.pending.len())
             .finish()
     }
-}
-
-/// Dedupes by `(hive, span_id)` and restores global (start, span) order.
-fn finish_spans(mut spans: Vec<TraceSpan>) -> Vec<TraceSpan> {
-    spans.sort_by(|a, b| (a.hive, a.span_id, a.start_ms).cmp(&(b.hive, b.span_id, b.start_ms)));
-    spans.dedup_by_key(|s| (s.hive, s.span_id));
-    spans.sort_by(|a, b| (a.start_ms, a.span_id).cmp(&(b.start_ms, b.span_id)));
-    spans
 }
 
 #[cfg(test)]
@@ -516,39 +447,18 @@ mod tests {
     }
 
     #[test]
-    fn ring_overwrites_oldest() {
-        let c = TraceCollector::new(3);
-        for i in 1..=5u64 {
-            c.record(span(9, i, 0, i));
-        }
-        assert_eq!(c.recorded(), 5);
-        let spans = c.snapshot();
-        assert_eq!(spans.len(), 3);
-        let ids: Vec<u64> = spans.iter().map(|s| s.span_id).collect();
-        assert_eq!(ids, vec![3, 4, 5]);
-    }
-
-    #[test]
-    fn spans_for_filters_by_trace() {
+    fn spans_for_filters_by_trace_in_start_order() {
         let c = TraceCollector::new(8);
-        c.record(span(1, 10, 0, 1));
-        c.record(span(2, 20, 0, 2));
+        // Recorded out of start order, as parallel workers do.
         c.record(span(1, 11, 10, 3));
+        c.record(span(2, 20, 0, 2));
+        c.record(span(1, 10, 0, 1));
         let spans = c.spans_for(1);
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.trace_id == 1));
         assert_eq!(spans[1].parent_span, spans[0].span_id);
-    }
-
-    #[test]
-    fn chrome_trace_escapes_and_links() {
-        let spans = vec![span(7, 1, 0, 10), span(7, 2, 1, 11), span(8, 3, 0, 12)];
-        let json = chrome_trace(&spans, 7);
-        // The quoted type name is escaped, trace 8 is excluded.
-        assert!(json.contains("Stat\\\"Reply\\\""));
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert!(json.contains("\"span\":2,\"parent\":1"));
-        assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
+        let starts: Vec<u64> = c.snapshot().iter().map(|s| s.start_ms).collect();
+        assert_eq!(starts, vec![1, 2, 3]);
     }
 
     fn span_on(hive: u32, trace: u64, span_id: u64, parent: u64, start: u64) -> TraceSpan {
@@ -560,20 +470,30 @@ mod tests {
     }
 
     #[test]
-    fn merged_trace_gets_one_named_lane_per_hive_and_dedupes() {
+    fn chrome_trace_is_one_object_with_a_lane_per_hive() {
         let spans = vec![
-            span_on(1, 7, 10, 0, 5),
             span_on(2, 7, 11, 10, 6),
+            span_on(1, 7, 10, 0, 5),
             span_on(2, 7, 11, 10, 6), // duplicate reply
             span_on(2, 9, 99, 0, 7),  // other trace
         ];
-        let json = chrome_trace_merged(&spans, 7);
+        let json = chrome_trace(&spans, 7);
+        assert!(json.starts_with("{\"traceEvents\":["), "{json}");
+        assert!(json.trim_end().ends_with("]}"), "{json}");
         assert_eq!(json.matches("\"ph\":\"M\"").count(), 2, "{json}");
         assert!(json.contains("\"name\":\"hive-1\""));
         assert!(json.contains("\"name\":\"hive-2\""));
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2, "{json}");
         assert!(json.contains("\"span\":11,\"parent\":10"));
         assert!(!json.contains("\"span\":99"));
+        // Events in start order; the quoted type name is escaped.
+        assert!(json.find("\"span\":10").unwrap() < json.find("\"span\":11").unwrap());
+        assert!(json.contains("Stat\\\"Reply\\\""));
+        assert_eq!(
+            chrome_trace(&[], 7),
+            "{\"traceEvents\":[\n]}\n",
+            "an unknown trace is an empty document"
+        );
     }
 
     #[test]

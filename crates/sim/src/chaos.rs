@@ -9,8 +9,8 @@
 //! outbox journal's tail before every revival, injected handler faults,
 //! forced migrations — and the interleaved workload. Every run folds its per-tick audits into a
 //! [`Digest`]; two runs of the same seed must produce byte-identical
-//! digests, which is both the determinism proof and the property CI's
-//! `chaos-smoke` job asserts.
+//! digests, which is both the determinism proof and the property
+//! `tests/chaos_smoke.rs` pins against a golden file.
 //!
 //! On a violation, [`minimize`] greedily drops schedule windows while the
 //! failure persists, leaving a minimal replayable repro
@@ -454,10 +454,12 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
             workers: cfg.workers,
             redelivery_backoff_ms: 50,
             quarantine_threshold: 0, // chaos handler faults must not trip breakers
-            dead_letter_capacity: 1_000_000,
-            channel_resend_ms: 100, // retransmit within a 250 ms tick
+            channel_resend_ms: 100,  // retransmit within a 250 ms tick
             rng_seed: schedule.seed,
             registry_storage_dir: storage.clone(),
+            // A simulated crash drops the `Hive`, not the page cache, so a
+            // sync changes nothing the simulator can observe.
+            fsync: beehive_core::FsyncPolicy::Never,
             ..ClusterConfig::default().hive
         },
         ..ClusterConfig::default()

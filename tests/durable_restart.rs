@@ -10,6 +10,9 @@ use beehive::net::ReactorTransport;
 use beehive::prelude::*;
 use serde::{Deserialize, Serialize};
 
+mod common;
+use common::HiveThread;
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Put {
     key: String,
@@ -78,11 +81,7 @@ fn restarted_hive_recovers_registry_from_disk() {
         let hive = build_hive(HiveId(i), addr(i), peers_of(i), all.clone(), &dir);
         handles.push(hive.handle());
         let s = stop.clone();
-        threads.push(std::thread::spawn(move || {
-            let mut hive = hive;
-            hive.run(&s);
-            hive
-        }));
+        threads.push(HiveThread::spawn(hive, move |hive| hive.run(&s)));
     }
     std::thread::sleep(std::time::Duration::from_millis(600));
 
@@ -97,7 +96,7 @@ fn restarted_hive_recovers_registry_from_disk() {
 
     // Stop the whole cluster (simulating a full restart) …
     stop.store(true, Ordering::Relaxed);
-    let hives: Vec<Hive> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let hives: Vec<Hive> = threads.into_iter().map(HiveThread::join).collect();
     let bees_before: usize = hives
         .iter()
         .map(|h| h.registry_view().bee_count())

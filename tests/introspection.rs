@@ -16,6 +16,9 @@ use beehive::net::ReactorTransport;
 use beehive::prelude::*;
 use serde::{Deserialize, Serialize};
 
+mod common;
+use common::HiveThread;
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Hop {
     stage: u8,
@@ -110,10 +113,7 @@ fn status_server_assembles_a_cross_hive_trace_over_tcp() {
             });
         }
         let stop2 = stop.clone();
-        threads.push(std::thread::spawn(move || {
-            hive.run(&stop2);
-            hive
-        }));
+        threads.push(HiveThread::spawn(hive, move |hive| hive.run(&stop2)));
     }
     let server = StatusServer::bind("127.0.0.1:0".parse().unwrap(), status_ctx.unwrap())
         .expect("bind status server");
@@ -190,7 +190,7 @@ fn status_server_assembles_a_cross_hive_trace_over_tcp() {
     for h in &handles {
         h.nudge();
     }
-    let hives: Vec<Hive> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let hives: Vec<Hive> = threads.into_iter().map(HiveThread::join).collect();
     for hive in &hives {
         assert_eq!(hive.events().malformed(), 0);
     }

@@ -20,6 +20,9 @@ use beehive::prelude::*;
 use beehive_core::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
+mod common;
+use common::HiveThread;
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Count {
     key: String,
@@ -152,9 +155,8 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
         let drain = Arc::new(AtomicBool::new(false));
         drains.push(drain.clone());
         let stop2 = stop.clone();
-        threads.push(std::thread::spawn(move || {
-            hive.run_elastic(&stop2, &drain);
-            hive
+        threads.push(HiveThread::spawn(hive, move |hive| {
+            hive.run_elastic(&stop2, &drain)
         }));
     }
     let server = status_server.expect("hive 1 serves status");
@@ -191,9 +193,8 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
     let drain4 = Arc::new(AtomicBool::new(false));
     drains.push(drain4.clone());
     let stop2 = stop.clone();
-    threads.push(std::thread::spawn(move || {
-        hive4.run_elastic(&stop2, &drain4);
-        hive4
+    threads.push(HiveThread::spawn(hive4, move |hive| {
+        hive.run_elastic(&stop2, &drain4)
     }));
 
     // The staircase: learner added, log caught up, promoted to voter.
@@ -241,7 +242,7 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
 
     // The drained hive exits on its own: zero owned cells, outbox acked,
     // configuration entry removed.
-    let hive1: Hive = threads.remove(0).join().expect("hive 1 thread");
+    let hive1: Hive = threads.remove(0).join();
     assert_eq!(hive1.lifecycle().stage(), LifecycleStage::Departed);
     assert!(
         hive1
@@ -279,7 +280,7 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
     for h in &handles[1..] {
         h.nudge();
     }
-    let survivors: Vec<Hive> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let survivors: Vec<Hive> = threads.into_iter().map(HiveThread::join).collect();
 
     // Ownership exclusivity after churn: every key-cell owned exactly once
     // across the survivors, and nothing rendered malformed anywhere.

@@ -12,6 +12,9 @@ use beehive::prelude::*;
 use beehive_core::sync::Mutex;
 use serde::{Deserialize, Serialize};
 
+mod common;
+use common::HiveThread;
+
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Count {
     key: String,
@@ -112,10 +115,7 @@ fn three_hives_over_tcp_route_consistently() {
         hive.install(counter(answers.clone()));
         handles.push(hive.handle());
         let stop2 = stop.clone();
-        threads.push(std::thread::spawn(move || {
-            hive.run(&stop2);
-            hive
-        }));
+        threads.push(HiveThread::spawn(hive, move |hive| hive.run(&stop2)));
     }
 
     // Give the registry group a moment to elect.
@@ -141,7 +141,7 @@ fn three_hives_over_tcp_route_consistently() {
         }
     }
     stop.store(true, Ordering::Relaxed);
-    let hives: Vec<Hive> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let hives: Vec<Hive> = threads.into_iter().map(HiveThread::join).collect();
 
     assert_eq!(value, 6, "all six increments must reach the single bee");
     let total_bees: usize = hives.iter().map(|h| h.local_bee_count("counter")).sum();
