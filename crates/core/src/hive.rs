@@ -51,6 +51,11 @@ const TRACE_QUERY_TIMEOUT_MS: u64 = 2_000;
 /// gets — and that ack can be lost (the classic removed-server blind spot).
 const MAX_REMOVE_ATTEMPTS: u32 = 8;
 
+/// Maximum units of work per [`Hive::step`] call. A step that reaches it
+/// returns and leaves the rest queued for the next call, so one flood of
+/// messages cannot starve the timers and I/O the step loop also serves.
+pub const STEP_BUDGET: usize = 100_000;
+
 /// Configuration of a hive.
 #[derive(Clone)]
 pub struct HiveConfig {
@@ -59,9 +64,9 @@ pub struct HiveConfig {
     /// All hives in the cluster (including this one). Leave it at just `id`
     /// for a standalone hive.
     pub all_hives: Vec<HiveId>,
-    /// The subset of hives that vote in the registry Raft group; the rest
-    /// follow as learners. Empty means "standalone": a purely local registry
-    /// with no consensus traffic.
+    /// The subset of hives that vote in the registry Raft group at boot; the
+    /// rest follow as learners, and committed membership changes move them
+    /// from there. Never empty: a standalone hive is a group of one.
     pub registry_voters: Vec<HiveId>,
     /// Raft tunables for the registry group. Its `snapshot_threshold` is the
     /// registry snapshot interval: how many applied entries may accumulate
@@ -74,8 +79,6 @@ pub struct HiveConfig {
     /// Period of the platform [`Tick`] message (the paper's `TimeOut`),
     /// 0 disables ticks.
     pub tick_interval_ms: u64,
-    /// Maximum units of work per [`Hive::step`] call.
-    pub step_budget: usize,
     /// Registry proposals unanswered for this long are resubmitted.
     pub pending_retry_ms: u64,
     /// Messages for bees the registry doesn't know yet are retried for this
@@ -136,16 +139,15 @@ pub struct HiveConfig {
 }
 
 impl HiveConfig {
-    /// A standalone single-hive configuration.
+    /// A standalone hive: the only voter of its registry group.
     pub fn standalone(id: HiveId) -> Self {
         HiveConfig {
             id,
             all_hives: vec![id],
-            registry_voters: Vec::new(),
+            registry_voters: vec![id],
             raft: beehive_raft::Config::default(),
             raft_tick_ms: 50,
             tick_interval_ms: 1000,
-            step_budget: 100_000,
             pending_retry_ms: 2_000,
             orphan_ttl_ms: 10_000,
             replication_factor: 1,
@@ -268,14 +270,6 @@ impl HiveHandle {
     }
 }
 
-enum RegBackend {
-    Local {
-        state: RegistryState,
-        applied: Vec<(RegistryCommand, RegistryEvent)>,
-    },
-    Raft(Box<beehive_raft::RaftNode<RegistryState>>),
-}
-
 /// Where a hive's queued messages sit ([`Hive::queued_messages`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueuedMessages {
@@ -331,7 +325,7 @@ pub struct Hive {
     app_idx: HashMap<AppName, usize>,
     msg_registry: MessageRegistry,
     queens: Vec<Queen>,
-    registry: RegBackend,
+    registry: Box<beehive_raft::RaftNode<RegistryState>>,
     instr: Arc<Mutex<Instrumentation>>,
     tracer: Arc<TraceCollector>,
     counters: HiveCounters,
@@ -425,6 +419,12 @@ pub struct Hive {
     last_transfer_ms: u64,
 }
 
+/// Whether `node` is the only member of its registry group: its sole voter,
+/// with no learners to replicate to.
+fn is_lone_voter(node: &beehive_raft::RaftNode<RegistryState>) -> bool {
+    node.voters() == [node.id()] && node.learners().is_empty()
+}
+
 impl Hive {
     /// Creates a hive. Install applications with [`Hive::install`] before
     /// stepping.
@@ -434,6 +434,10 @@ impl Hive {
             transport.local(),
             "transport endpoint must match hive id"
         );
+        assert!(
+            !cfg.registry_voters.is_empty(),
+            "registry_voters must name at least one hive"
+        );
         // The flight recorder comes up first so durable-storage faults found
         // while restoring state land in the journal before the hive halts.
         let events = Arc::new(EventJournal::new(cfg.id, EVENT_CAPACITY, clock.clone()));
@@ -441,71 +445,61 @@ impl Hive {
             events.record(EventKind::StorageFault, detail.clone());
             panic!("hive {}: fatal storage fault: {detail}", cfg.id.0);
         };
-        let registry = if cfg.registry_voters.is_empty() {
-            RegBackend::Local {
-                state: RegistryState::new(),
-                applied: Vec::new(),
-            }
-        } else {
-            let me = cfg.id.as_raft();
-            let voters: Vec<u64> = cfg.registry_voters.iter().map(|h| h.as_raft()).collect();
-            let learners: Vec<u64> = cfg
-                .all_hives
-                .iter()
-                .map(|h| h.as_raft())
-                .filter(|id| !voters.contains(id))
-                .collect();
-            let raft_cfg = beehive_raft::Config {
-                rng_seed: cfg.raft.rng_seed
-                    ^ me.wrapping_mul(0xA076_1D64_78BD_642F)
-                    ^ cfg.rng_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ..cfg.raft.clone()
-            };
-            let storage: Box<dyn beehive_raft::Storage> = match &cfg.registry_storage_dir {
-                Some(dir) => {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        storage_fatal(
-                            &events,
-                            format!("create registry storage dir {}: {e}", dir.display()),
-                        );
-                    }
-                    let path = dir.join(format!("hive-{}.raft", cfg.id.0));
-                    match beehive_raft::FileStorage::open_with(&path, cfg.fsync) {
-                        Ok(s) => Box::new(s),
-                        Err(e) => storage_fatal(
-                            &events,
-                            format!("open registry storage {}: {e}", path.display()),
-                        ),
-                    }
-                }
-                None => Box::new(beehive_raft::SharedMemStorage::new()),
-            };
-            let node = if voters.contains(&me) {
-                let peers: Vec<u64> = voters.iter().copied().filter(|&v| v != me).collect();
-                let peer_learners: Vec<u64> = learners.clone();
-                beehive_raft::RaftNode::with_membership(
-                    me,
-                    peers,
-                    peer_learners,
-                    false,
-                    raft_cfg,
-                    RegistryState::new(),
-                    storage,
-                )
-            } else {
-                beehive_raft::RaftNode::new_learner(
-                    me,
-                    voters,
-                    raft_cfg,
-                    RegistryState::new(),
-                    storage,
-                )
-            };
-            if let Some(e) = node.storage_fault() {
-                storage_fatal(&events, format!("registry state unusable at boot: {e}"));
-            }
-            RegBackend::Raft(Box::new(node))
+        let me = cfg.id.as_raft();
+        let voters: Vec<u64> = cfg.registry_voters.iter().map(|h| h.as_raft()).collect();
+        let learners: Vec<u64> = cfg
+            .all_hives
+            .iter()
+            .map(|h| h.as_raft())
+            .filter(|id| !voters.contains(id))
+            .collect();
+        let raft_cfg = beehive_raft::Config {
+            rng_seed: cfg.raft.rng_seed
+                ^ me.wrapping_mul(0xA076_1D64_78BD_642F)
+                ^ cfg.rng_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ..cfg.raft.clone()
         };
+        let storage: Box<dyn beehive_raft::Storage> = match &cfg.registry_storage_dir {
+            Some(dir) => {
+                if let Err(e) = std::fs::create_dir_all(dir) {
+                    storage_fatal(
+                        &events,
+                        format!("create registry storage dir {}: {e}", dir.display()),
+                    );
+                }
+                let path = dir.join(format!("hive-{}.raft", cfg.id.0));
+                match beehive_raft::FileStorage::open_with(&path, cfg.fsync) {
+                    Ok(s) => Box::new(s),
+                    Err(e) => storage_fatal(
+                        &events,
+                        format!("open registry storage {}: {e}", path.display()),
+                    ),
+                }
+            }
+            None => Box::new(beehive_raft::SharedMemStorage::new()),
+        };
+        let mut registry = Box::new(if voters.contains(&me) {
+            let peers: Vec<u64> = voters.iter().copied().filter(|&v| v != me).collect();
+            beehive_raft::RaftNode::with_membership(
+                me,
+                peers,
+                learners,
+                false,
+                raft_cfg,
+                RegistryState::new(),
+                storage,
+            )
+        } else {
+            beehive_raft::RaftNode::new_learner(me, voters, raft_cfg, RegistryState::new(), storage)
+        });
+        // A group of one elects itself at once: every proposal then commits
+        // and applies inside `propose`, and a restarted node replays its log.
+        if is_lone_voter(&registry) {
+            registry.campaign();
+        }
+        if let Some(e) = registry.storage_fault() {
+            storage_fatal(&events, format!("registry state unusable at boot: {e}"));
+        }
         let executor = if cfg.workers > 1 {
             Some(Executor::new(cfg.workers))
         } else {
@@ -593,17 +587,16 @@ impl Hive {
         // Trace-hub waits measure against the hive's own clock (virtual in
         // simulation), with the wall clock only as a safety net.
         hive.trace_hub.set_clock(hive.clock.clone());
-        if let RegBackend::Raft(node) = &hive.registry {
-            // Restored durable state: start the fence at the snapshot point,
-            // and the term/leader watermarks at the restored values so the
-            // journal only records genuine changes from here on.
-            hive.applied_seq = node.last_applied();
-            hive.last_raft_term = node.term();
-            hive.last_raft_leader = node.leader_hint();
-            hive.last_snapshot_index = node.snapshot_index();
-            hive.last_snapshot_installs = node.snapshots_installed();
-            hive.last_snapshot_lag = node.snapshot_lag();
-        }
+        // Restored durable state: start the fence at the applied point, and
+        // the term/leader watermarks at the booted values so the journal only
+        // records genuine changes from here on.
+        let node = &hive.registry;
+        hive.applied_seq = node.last_applied();
+        hive.last_raft_term = node.term();
+        hive.last_raft_leader = node.leader_hint();
+        hive.last_snapshot_index = node.snapshot_index();
+        hive.last_snapshot_installs = node.snapshots_installed();
+        hive.last_snapshot_lag = node.snapshot_lag();
         let torn = hive.channels.torn_truncations();
         if torn > 0 {
             hive.instr.lock().platform.journal_torn_truncations += torn;
@@ -695,9 +688,6 @@ impl Hive {
     /// join request so every peer can connect back (empty for simulated
     /// fabrics).
     pub fn begin_join(&mut self, advertise_addr: &str) {
-        if !matches!(self.registry, RegBackend::Raft(_)) {
-            return; // a standalone hive has nothing to join
-        }
         self.advertise_addr = advertise_addr.to_string();
         self.lifecycle.set(LifecycleStage::Joining);
         self.pending_membership = Some((MembershipOp::JoinRequest, 0, 0));
@@ -791,40 +781,28 @@ impl Hive {
         &self.counters
     }
 
-    /// Read-only view of the registry mirror. In Raft mode this is the local
-    /// applied state (may lag the leader slightly).
+    /// Read-only view of the registry mirror: the local applied state (on a
+    /// follower it may lag the leader slightly).
     pub fn registry_view(&self) -> &RegistryState {
-        match &self.registry {
-            RegBackend::Local { state, .. } => state,
-            RegBackend::Raft(node) => node.state_machine(),
-        }
+        self.registry.state_machine()
     }
 
-    /// Whether this hive currently leads the registry group (standalone
-    /// hives trivially do).
+    /// Whether this hive currently leads the registry group (a standalone
+    /// hive, the group's only voter, leads from construction on).
     pub fn is_registry_leader(&self) -> bool {
-        match &self.registry {
-            RegBackend::Local { .. } => true,
-            RegBackend::Raft(node) => node.is_leader(),
-        }
+        self.registry.is_leader()
     }
 
-    /// Index the registry log has been compacted through (0 in local mode or
-    /// before the first snapshot).
+    /// Index the registry log has been compacted through (0 before the first
+    /// snapshot).
     pub fn registry_snapshot_index(&self) -> u64 {
-        match &self.registry {
-            RegBackend::Local { .. } => 0,
-            RegBackend::Raft(node) => node.snapshot_index(),
-        }
+        self.registry.snapshot_index()
     }
 
     /// Number of snapshots this hive has had installed by a peer (catch-up
     /// below the compaction horizon).
     pub fn registry_snapshot_installs(&self) -> u64 {
-        match &self.registry {
-            RegBackend::Local { .. } => 0,
-            RegBackend::Raft(node) => node.snapshots_installed(),
-        }
+        self.registry.snapshots_installed()
     }
 
     /// Torn tail records truncated off the outbox journal when this
@@ -1063,7 +1041,7 @@ impl Hive {
 
     /// Performs one scheduling round: ingests external input and transport
     /// frames, drives the registry, fires timers, dispatches messages and
-    /// runs bees — up to the configured budget. Returns the number of work
+    /// runs bees — up to [`STEP_BUDGET`]. Returns the number of work
     /// units performed (0 = fully quiescent).
     pub fn step(&mut self) -> usize {
         let now = self.clock.now_ms();
@@ -1094,10 +1072,8 @@ impl Hive {
                 FrameKind::Raft => {
                     match beehive_wire::from_slice::<beehive_raft::RaftMessage>(&frame.bytes) {
                         Ok(msg) => {
-                            if let RegBackend::Raft(node) = &mut self.registry {
-                                let outs = node.step(from.as_raft(), msg);
-                                self.send_raft(outs);
-                            }
+                            let outs = self.registry.step(from.as_raft(), msg);
+                            self.send_raft(outs);
                         }
                         Err(_) => self.note_decode_error(Some(from)),
                     }
@@ -1110,18 +1086,14 @@ impl Hive {
         }
 
         // 3. Registry Raft ticks.
-        if let RegBackend::Raft(_) = self.registry {
-            if self.last_raft_tick_ms == 0 {
-                self.last_raft_tick_ms = now;
-            }
-            while now.saturating_sub(self.last_raft_tick_ms) >= self.cfg.raft_tick_ms {
-                self.last_raft_tick_ms += self.cfg.raft_tick_ms;
-                if let RegBackend::Raft(node) = &mut self.registry {
-                    let outs = node.tick();
-                    self.send_raft(outs);
-                }
-                work += 1;
-            }
+        if self.last_raft_tick_ms == 0 {
+            self.last_raft_tick_ms = now;
+        }
+        while now.saturating_sub(self.last_raft_tick_ms) >= self.cfg.raft_tick_ms {
+            self.last_raft_tick_ms += self.cfg.raft_tick_ms;
+            let outs = self.registry.tick();
+            self.send_raft(outs);
+            work += 1;
         }
 
         // 3b. Registry Raft term/leader watch: frames (phase 2) and ticks
@@ -1242,7 +1214,7 @@ impl Hive {
         // 8. Main dispatch/run loop. Applied registry events are drained
         // inside the loop so locally applied (or freshly committed) routing
         // decisions release their buffered messages within the same step.
-        while work < self.cfg.step_budget {
+        while work < STEP_BUDGET {
             work += self.drain_applied();
             if let Some(env) = self.dispatch_queue.pop_front() {
                 self.dispatch(env, now);
@@ -1303,9 +1275,7 @@ impl Hive {
     /// Everything here derives from already-deterministic state, so it
     /// cannot perturb simulated replay.
     fn poll_raft_events(&mut self) {
-        let RegBackend::Raft(node) = &self.registry else {
-            return;
-        };
+        let node = &self.registry;
         if let Some(e) = node.storage_fault() {
             let detail = format!("registry storage fault: {e}");
             self.events.record(EventKind::StorageFault, detail.clone());
@@ -1431,24 +1401,13 @@ impl Hive {
     }
 
     fn drain_applied(&mut self) -> usize {
-        let applied = match &mut self.registry {
-            RegBackend::Local { applied, .. } => {
-                // Local mode: the fence is a simple event counter.
-                let taken = std::mem::take(applied);
-                self.applied_seq += taken.len() as u64;
-                taken
-            }
-            RegBackend::Raft(node) => {
-                let out: Vec<_> = node.take_applied().into_iter().map(|a| a.output).collect();
-                // Raft mode: the fence is the applied LOG INDEX — durable
-                // across restarts (a snapshot restores last_applied) and
-                // identical on every hive for the same committed prefix.
-                self.applied_seq = node.last_applied();
-                out
-            }
-        };
+        let applied = self.registry.take_applied();
+        // The fence is the applied LOG INDEX — durable across restarts (a
+        // snapshot restores last_applied) and identical on every hive for the
+        // same committed prefix.
+        self.applied_seq = self.registry.last_applied();
         let n = applied.len();
-        for (cmd, event) in applied {
+        for (cmd, event) in applied.into_iter().map(|a| a.output) {
             self.on_registry_event(cmd, event);
         }
         n
@@ -1509,14 +1468,11 @@ impl Hive {
     /// honored promptly even without a wakeup.
     fn idle_park_ms(&self, now: u64) -> u64 {
         const MAX_PARK_MS: u64 = 25;
-        let mut park = MAX_PARK_MS;
-        if matches!(self.registry, RegBackend::Raft(_)) {
-            let next = self
-                .cfg
+        let mut park = MAX_PARK_MS.min(
+            self.cfg
                 .raft_tick_ms
-                .saturating_sub(now.saturating_sub(self.last_raft_tick_ms));
-            park = park.min(next);
-        }
+                .saturating_sub(now.saturating_sub(self.last_raft_tick_ms)),
+        );
         if self.cfg.tick_interval_ms > 0 {
             let next = self
                 .cfg
@@ -2053,26 +2009,18 @@ impl Hive {
     // ------------------------------------------------------------------
 
     fn submit_cmd(&mut self, cmd: RegistryCommand) {
-        match &mut self.registry {
-            RegBackend::Local { state, applied } => {
-                let ev = state.apply_command(&cmd);
-                applied.push((cmd, ev));
+        if self.registry.is_leader() {
+            if let Ok((_token, outs)) = self.registry.propose_now(cmd.encode()) {
+                self.send_raft(outs);
             }
-            RegBackend::Raft(node) => {
-                if node.is_leader() {
-                    if let Ok((_token, outs)) = node.propose_now(cmd.encode()) {
-                        self.send_raft(outs);
-                    }
-                } else if let Some(leader) = node.leader_hint() {
-                    let to = HiveId::from_raft(leader);
-                    if to != self.cfg.id {
-                        self.counters.forwarded_commands += 1;
-                        self.send_control(to, &ControlMsg::RegistryForward(cmd));
-                    }
-                }
-                // No leader known: the pending-retry timer will resubmit.
+        } else if let Some(leader) = self.registry.leader_hint() {
+            let to = HiveId::from_raft(leader);
+            if to != self.cfg.id {
+                self.counters.forwarded_commands += 1;
+                self.send_control(to, &ControlMsg::RegistryForward(cmd));
             }
         }
+        // No leader known: the pending-retry timer will resubmit.
     }
 
     /// Submits a non-routing registry op and tracks it for retry until its
@@ -2130,10 +2078,7 @@ impl Hive {
     /// undelivered envelopes) and advances this hive's own join/drain
     /// lifecycle. Returns the number of changes applied.
     fn drain_conf_changes(&mut self) -> usize {
-        let changes = match &mut self.registry {
-            RegBackend::Raft(node) => node.take_conf_changes(),
-            RegBackend::Local { .. } => Vec::new(),
-        };
+        let changes = self.registry.take_conf_changes();
         let n = changes.len();
         for cc in changes {
             self.apply_membership_change(cc);
@@ -2184,10 +2129,6 @@ impl Hive {
                 }
             }
             ConfChangeKind::PromoteVoter => {
-                if !self.cfg.registry_voters.contains(&peer) {
-                    self.cfg.registry_voters.push(peer);
-                    self.cfg.registry_voters.sort();
-                }
                 if peer == me {
                     self.pending_membership = None;
                     if self.lifecycle.stage() == LifecycleStage::Joining {
@@ -2196,7 +2137,6 @@ impl Hive {
                 }
             }
             ConfChangeKind::DemoteLearner => {
-                self.cfg.registry_voters.retain(|&h| h != peer);
                 if peer == me {
                     // Next drain step (RemoveRequest) fires from
                     // `poll_drain`.
@@ -2204,7 +2144,6 @@ impl Hive {
                 }
             }
             ConfChangeKind::RemoveNode => {
-                self.cfg.registry_voters.retain(|&h| h != peer);
                 if peer == me {
                     self.pending_membership = None;
                     self.lifecycle.set(LifecycleStage::Departed);
@@ -2340,49 +2279,44 @@ impl Hive {
             Propose(ConfChangeKind),
             Drop,
         }
-        let action = match &self.registry {
-            // Standalone registries have no membership to change.
-            RegBackend::Local { .. } => Action::Drop,
-            RegBackend::Raft(raft) => {
-                if raft.is_leader() {
-                    let id = node.as_raft();
-                    let is_voter = raft.voters().contains(&id);
-                    let is_learner = raft.learners().contains(&id);
-                    match op {
-                        MembershipOp::JoinRequest if !is_voter && !is_learner => {
-                            Action::Propose(ConfChangeKind::AddLearner)
-                        }
-                        MembershipOp::PromoteRequest if is_learner => {
-                            Action::Propose(ConfChangeKind::PromoteVoter)
-                        }
-                        MembershipOp::DemoteRequest if is_voter => {
-                            Action::Propose(ConfChangeKind::DemoteLearner)
-                        }
-                        MembershipOp::RemoveRequest if is_voter || is_learner => {
-                            Action::Propose(ConfChangeKind::RemoveNode)
-                        }
-                        // A retry that outran its own commit: the node is
-                        // already gone from the configuration — re-ack so a
-                        // lost ack cannot strand the drained hive.
-                        MembershipOp::RemoveRequest => Action::AckDeparted,
-                        // Join/promote/demote retries that already applied
-                        // need no answer: the requester observes the
-                        // committed conf change through its own log.
-                        _ => Action::Drop,
-                    }
-                } else {
-                    match raft.leader_hint() {
-                        Some(l) => {
-                            let to = HiveId::from_raft(l);
-                            if to != self.cfg.id && to != from {
-                                Action::Forward(to)
-                            } else {
-                                Action::Drop
-                            }
-                        }
-                        None => Action::Drop,
+        let raft = &self.registry;
+        let action = if raft.is_leader() {
+            let id = node.as_raft();
+            let is_voter = raft.voters().contains(&id);
+            let is_learner = raft.learners().contains(&id);
+            match op {
+                MembershipOp::JoinRequest if !is_voter && !is_learner => {
+                    Action::Propose(ConfChangeKind::AddLearner)
+                }
+                MembershipOp::PromoteRequest if is_learner => {
+                    Action::Propose(ConfChangeKind::PromoteVoter)
+                }
+                MembershipOp::DemoteRequest if is_voter => {
+                    Action::Propose(ConfChangeKind::DemoteLearner)
+                }
+                MembershipOp::RemoveRequest if is_voter || is_learner => {
+                    Action::Propose(ConfChangeKind::RemoveNode)
+                }
+                // A retry that outran its own commit: the node is already
+                // gone from the configuration — re-ack so a lost ack cannot
+                // strand the drained hive.
+                MembershipOp::RemoveRequest => Action::AckDeparted,
+                // Join/promote/demote retries that already applied need no
+                // answer: the requester observes the committed conf change
+                // through its own log.
+                _ => Action::Drop,
+            }
+        } else {
+            match raft.leader_hint() {
+                Some(l) => {
+                    let to = HiveId::from_raft(l);
+                    if to != self.cfg.id && to != from {
+                        Action::Forward(to)
+                    } else {
+                        Action::Drop
                     }
                 }
+                None => Action::Drop,
             }
         };
         match action {
@@ -2406,14 +2340,11 @@ impl Hive {
                     addr,
                     kind,
                 };
-                let outs = match &mut self.registry {
-                    RegBackend::Raft(raft) => match raft.propose_conf_change(&cc) {
-                        Ok((_token, outs)) => outs,
-                        // Another change in flight (or a just-lost
-                        // leadership): drop — the requester retries.
-                        Err(_) => Vec::new(),
-                    },
-                    RegBackend::Local { .. } => Vec::new(),
+                let outs = match self.registry.propose_conf_change(&cc) {
+                    Ok((_token, outs)) => outs,
+                    // Another change in flight (or a just-lost leadership):
+                    // drop — the requester retries.
+                    Err(_) => Vec::new(),
                 };
                 self.send_raft(outs);
             }
@@ -2435,12 +2366,9 @@ impl Hive {
                     // caught up (commit_index > 0 distinguishes a
                     // replicating learner from one the cluster does not
                     // know about yet): ask for promotion.
-                    let caught_up = match &self.registry {
-                        RegBackend::Raft(node) => {
-                            node.commit_index() > 0 && node.last_applied() >= node.commit_index()
-                        }
-                        RegBackend::Local { .. } => false,
-                    };
+                    let node = &self.registry;
+                    let caught_up =
+                        node.commit_index() > 0 && node.last_applied() >= node.commit_index();
                     if caught_up {
                         self.pending_membership = Some((MembershipOp::PromoteRequest, 0, 0));
                         self.events.record(
@@ -2468,41 +2396,33 @@ impl Hive {
         if self.channels.stats().outbox_depth > 0 {
             return;
         }
-        // A standalone hive has no configuration entry to leave.
-        let RegBackend::Raft(_) = self.registry else {
+        // A group of one has nobody to hand its configuration entry to.
+        if is_lone_voter(&self.registry) {
             self.lifecycle.set(LifecycleStage::Departed);
             self.events.record(
                 EventKind::MembershipChange,
                 "standalone drain complete".to_string(),
             );
             return;
-        };
+        }
         let me = self.cfg.id.as_raft();
-        let (is_leader, is_voter, transfer_to) = match &self.registry {
-            RegBackend::Raft(node) => {
-                let voters = node.voters();
-                let transfer_to = voters
-                    .iter()
-                    .copied()
-                    .filter(|&v| v != me)
-                    .find(|&v| !self.draining_peers.contains(&HiveId::from_raft(v)));
-                (node.is_leader(), voters.contains(&me), transfer_to)
-            }
-            RegBackend::Local { .. } => unreachable!("guarded above"),
-        };
+        let voters = self.registry.voters();
+        let transfer_to = voters
+            .iter()
+            .copied()
+            .filter(|&v| v != me)
+            .find(|&v| !self.draining_peers.contains(&HiveId::from_raft(v)));
+        let is_voter = voters.contains(&me);
         // Step 3: a draining leader hands leadership to a surviving voter
         // before demoting itself (a leader cannot safely leave its own
         // quorum).
-        if is_leader {
+        if self.registry.is_leader() {
             if let Some(to) = transfer_to {
                 if now.saturating_sub(self.last_transfer_ms) >= self.cfg.pending_retry_ms
                     || self.last_transfer_ms == 0
                 {
                     self.last_transfer_ms = now;
-                    let outs = match &mut self.registry {
-                        RegBackend::Raft(node) => node.transfer_leadership(to),
-                        RegBackend::Local { .. } => Vec::new(),
-                    };
+                    let outs = self.registry.transfer_leadership(to);
                     self.send_raft(outs);
                     self.events.record_full(
                         EventKind::MembershipChange,
@@ -2653,11 +2573,7 @@ impl Hive {
             addr: self.advertise_addr.clone(),
             op,
         };
-        let leader = match &self.registry {
-            RegBackend::Raft(node) => node.leader_hint(),
-            RegBackend::Local { .. } => None,
-        };
-        match leader {
+        match self.registry.leader_hint() {
             Some(l) if HiveId::from_raft(l) != self.cfg.id => {
                 self.send_control(HiveId::from_raft(l), &msg);
             }

@@ -142,8 +142,8 @@ pub struct BeeRecord {
     pub colony: BTreeSet<Cell>,
 }
 
-/// The registry state machine. Also usable directly (without Raft) as the
-/// single-hive local registry.
+/// The registry state machine. Every hive replicates it through its
+/// registry Raft group, a standalone hive through a group of one.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RegistryState {
     /// `(app, cell) → bee` ownership index.

@@ -1,12 +1,13 @@
 //! Edge cases of the hive runtime: orphan expiry, ambiguous handlers, step
-//! budgets, rollback atomicity, ticks, singleton pinning, instrumentation
-//! content and feedback plumbing.
+//! budgets, rollback atomicity, ticks, singleton pinning, a lone hive's
+//! drain, instrumentation content and feedback plumbing.
 
 use std::sync::Arc;
 
+use beehive_core::hive::STEP_BUDGET;
 use beehive_core::prelude::*;
 use beehive_core::sync::Mutex;
-use beehive_core::{Dst, Envelope, HiveConfig, Source, TraceContext};
+use beehive_core::{Dst, Envelope, HiveConfig, LifecycleStage, Source, TraceContext};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -150,25 +151,22 @@ fn ambiguous_unicast_is_dropped_and_counted() {
 
 #[test]
 fn step_budget_bounds_work_per_call() {
-    let mut cfg = HiveConfig::standalone(HiveId(1));
-    cfg.tick_interval_ms = 0;
-    cfg.step_budget = 10;
-    let mut hive = Hive::new(
-        cfg,
-        Arc::new(SystemClock::new()),
-        Box::new(Loopback::new(HiveId(1))),
-    );
+    let mut hive = standalone(0);
     hive.install(counter());
-    for i in 0..100 {
-        hive.emit(Ping {
-            key: format!("k{i}"),
-        });
+    // One key: one bee and one registry command, so the budget alone
+    // bounds the first step.
+    let n = STEP_BUDGET + 100;
+    for _ in 0..n {
+        hive.emit(Ping { key: "k".into() });
     }
     let w1 = hive.step();
-    assert!(w1 <= 10 + 2, "budget respected (got {w1})");
+    assert!(w1 <= STEP_BUDGET + 2, "budget respected (got {w1})");
     // Everything still completes across steps.
     hive.step_until_quiescent(1_000);
-    assert_eq!(hive.local_bee_count("counter"), 100);
+    assert_eq!(hive.local_bee_count("counter"), 1);
+    let (bee, _) = hive.local_bees("counter")[0];
+    let count: u64 = hive.peek_state("counter", bee, "c", "k").unwrap();
+    assert_eq!(count, n as u64);
 }
 
 #[test]
@@ -280,6 +278,33 @@ fn singletons_are_per_hive_and_never_in_registry() {
         0,
         "singletons stay out of the registry"
     );
+}
+
+#[test]
+#[should_panic(expected = "registry_voters")]
+fn a_hive_without_registry_voters_is_rejected() {
+    let mut cfg = HiveConfig::standalone(HiveId(1));
+    cfg.registry_voters.clear();
+    Hive::new(
+        cfg,
+        Arc::new(SystemClock::new()),
+        Box::new(Loopback::new(HiveId(1))),
+    );
+}
+
+#[test]
+fn a_lone_hive_with_no_colonies_drains_out_on_its_own() {
+    let mut hive = standalone(0);
+    hive.install(counter());
+    assert!(hive.is_registry_leader(), "a group of one leads at once");
+    hive.begin_drain();
+    hive.step();
+    assert_eq!(hive.lifecycle().stage(), LifecycleStage::Departed);
+    assert!(hive
+        .events()
+        .snapshot()
+        .iter()
+        .any(|e| e.detail == "standalone drain complete"));
 }
 
 #[test]

@@ -480,6 +480,21 @@ impl<SM: StateMachine> RaftNode<SM> {
         }
     }
 
+    /// Starts an election now instead of waiting out the election timeout.
+    /// A lone voter wins it at once, so its proposals commit and apply
+    /// inside [`RaftNode::propose`]. Does nothing on a node with a latched
+    /// storage fault, a learner, or a removed node.
+    pub fn campaign(&mut self) -> Vec<Outbound> {
+        if self.fatal.is_some() || self.is_learner || self.removed {
+            return Vec::new();
+        }
+        let out = self.start_election();
+        if self.fatal.is_some() {
+            return Vec::new();
+        }
+        out
+    }
+
     /// Proposes a command. Returns a token that will come back in
     /// [`Applied::token`] when the entry commits and applies locally.
     pub fn propose(&mut self, data: Vec<u8>) -> Result<u64, ProposeError> {

@@ -12,9 +12,8 @@ use beehive_net::{ClearedFrames, FabricFaults, MemFabric, TrafficMatrix};
 pub struct ClusterConfig {
     /// Number of hives (ids 1..=n).
     pub hives: usize,
-    /// Number of registry Raft voters (first k hives); the rest are
-    /// learners. 0 = every hive standalone (no consensus; only valid for
-    /// single-hive clusters).
+    /// Number of registry Raft voters (first k hives, at least one); the
+    /// rest are learners.
     pub voters: usize,
     /// Accounting bucket width (ms).
     pub bucket_ms: u64,
@@ -57,12 +56,7 @@ fn build_hive(
     clock: &SimClock,
     fabric: &MemFabric,
 ) -> Hive {
-    let membership = if cfg.voters == 0 {
-        assert_eq!(cfg.hives, 1, "voters=0 only makes sense standalone");
-        HiveConfig::standalone(id)
-    } else {
-        HiveConfig::clustered(id, ids.to_vec(), cfg.voters)
-    };
+    let membership = HiveConfig::clustered(id, ids.to_vec(), cfg.voters);
     let mut hive_cfg = HiveConfig {
         id,
         all_hives: membership.all_hives,
@@ -474,7 +468,7 @@ mod tests {
         let mut c = SimCluster::new(
             ClusterConfig {
                 hives: 1,
-                voters: 0,
+                voters: 1,
                 ..Default::default()
             },
             |h| h.install(counter_app()),

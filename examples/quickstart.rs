@@ -72,7 +72,8 @@ fn host_tracker() -> App {
 }
 
 fn main() {
-    // 2. A standalone hive: local registry, loopback transport, real clock.
+    // 2. A standalone hive: a one-voter registry group, loopback transport,
+    //    real clock.
     let mut hive = Hive::new(
         beehive::core::HiveConfig::standalone(HiveId(1)),
         Arc::new(SystemClock::new()),

@@ -271,11 +271,8 @@ fn main() {
     // existing members — everyone but us — are the voters.
     let default_voters = if args.join { all.len() - 1 } else { all.len() };
     let voters = args.voters.unwrap_or(default_voters).min(all.len());
-    let mut cfg = if all.len() == 1 {
-        HiveConfig::standalone(me)
-    } else {
-        HiveConfig::clustered(me, all.clone(), voters)
-    };
+    // Without `--peer` this is a standalone hive: a registry group of one.
+    let mut cfg = HiveConfig::clustered(me, all, voters);
     cfg.replication_factor = args.replication;
     cfg.workers = args.workers;
     if let Some(dir) = &args.storage_dir {

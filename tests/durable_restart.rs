@@ -135,3 +135,52 @@ fn restarted_hive_recovers_registry_from_disk() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A standalone hive is a one-voter registry group, so with a storage dir it
+/// journals its registry like any voter: rebuilt on the same directory, it
+/// comes back with every colony it created.
+#[test]
+fn restarted_standalone_hive_keeps_its_registry() {
+    let dir = std::env::temp_dir().join(format!("bh-durable-standalone-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let boot = || {
+        let mut cfg = HiveConfig::standalone(HiveId(1));
+        cfg.tick_interval_ms = 0;
+        cfg.registry_storage_dir = Some(dir.clone());
+        let mut hive = Hive::new(
+            cfg,
+            Arc::new(SystemClock::new()),
+            Box::new(Loopback::new(HiveId(1))),
+        );
+        hive.install(kv());
+        hive
+    };
+
+    let mut hive = boot();
+    for i in 0..3u64 {
+        hive.emit(Put {
+            key: format!("key{i}"),
+            value: i,
+        });
+    }
+    hive.step_until_quiescent(1000);
+    let bees = hive.registry_view().bees().count();
+    assert_eq!(bees, 3, "one colony per key");
+    let digest = hive.registry_digest();
+    drop(hive);
+
+    let mut revived = boot();
+    revived.step_until_quiescent(1000);
+    assert_eq!(
+        revived.registry_view().bees().count(),
+        bees,
+        "colonies survive the restart"
+    );
+    assert_eq!(
+        revived.registry_digest(),
+        digest,
+        "registry digest survives the restart"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

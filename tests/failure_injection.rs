@@ -227,7 +227,7 @@ fn contained_panic_scenario(workers: usize) {
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
-            voters: 0,
+            voters: 1,
             hive: HiveConfig {
                 workers,
                 quarantine_threshold: 0,
@@ -304,7 +304,7 @@ fn transient_failure_scenario(workers: usize) {
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
-            voters: 0,
+            voters: 1,
             hive: HiveConfig {
                 workers,
                 ..ClusterConfig::default().hive
@@ -345,7 +345,7 @@ fn quarantine_probe_scenario(workers: usize) {
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
-            voters: 0,
+            voters: 1,
             hive: HiveConfig {
                 workers,
                 max_redeliveries: 0, // every failure dead-letters immediately
@@ -419,7 +419,7 @@ fn requeued_dead_letters_get_a_fresh_redelivery_budget() {
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
-            voters: 0,
+            voters: 1,
             hive: HiveConfig {
                 quarantine_threshold: 0,
                 ..ClusterConfig::default().hive
