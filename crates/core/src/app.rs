@@ -14,7 +14,7 @@ use std::sync::Arc;
 use crate::cell::{Cell, Mapped};
 use crate::control::ControlMsg;
 use crate::error::Result;
-use crate::id::{AppName, BeeId, HiveId};
+use crate::id::{AppName, BeeId, HiveId, Name};
 use crate::message::{cast, Dst, Envelope, Message, MessageRegistry, Source, TypedMessage};
 use crate::state::TxState;
 use crate::trace::TraceContext;
@@ -73,7 +73,7 @@ impl HandlerDef {
 
 /// A control application.
 pub struct App {
-    name: AppName,
+    name: Name,
     handlers: Vec<HandlerDef>,
     /// msg type → handler indices.
     by_type: HashMap<&'static str, Vec<u16>>,
@@ -92,7 +92,7 @@ impl App {
     }
 
     /// The application's name.
-    pub fn name(&self) -> &AppName {
+    pub fn name(&self) -> &Name {
         &self.name
     }
 
@@ -279,7 +279,7 @@ impl AppBuilder {
             }
         }
         App {
-            name: self.name,
+            name: self.name.into(),
             handlers: self.handlers,
             by_type,
             monolithic,
@@ -292,7 +292,7 @@ impl AppBuilder {
 /// messages, and platform operations. Created by the hive per invocation.
 pub struct RcvCtx<'a> {
     pub(crate) hive: HiveId,
-    pub(crate) app: AppName,
+    pub(crate) app: Name,
     pub(crate) bee: BeeId,
     pub(crate) src: Source,
     pub(crate) now_ms: u64,
@@ -354,7 +354,7 @@ impl RcvCtx<'_> {
     pub fn put<T: serde::Serialize>(
         &mut self,
         dict: &str,
-        key: impl Into<String>,
+        key: impl AsRef<str> + Into<Name>,
         value: &T,
     ) -> Result<()> {
         self.tx.put(dict, key, value)

@@ -6,6 +6,7 @@
 //! guaranteed to be processed by the same bee (paper §3).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Reserved key representing "the whole dictionary". Produced only by the
@@ -53,6 +54,61 @@ impl Cell {
     }
 }
 
+/// A cell seen through borrowed strings. A `BTreeSet<Cell>` (or a map keyed
+/// by cells) can be searched for a `(dict, key)` pair of `&str`s through it
+/// without building a [`Cell`]: `set.contains(&("S", "sw1") as &dyn CellRef)`.
+pub trait CellRef {
+    /// Dictionary name.
+    fn dict(&self) -> &str;
+    /// Entry key.
+    fn key(&self) -> &str;
+}
+
+impl CellRef for Cell {
+    fn dict(&self) -> &str {
+        &self.dict
+    }
+    fn key(&self) -> &str {
+        &self.key
+    }
+}
+
+impl CellRef for (&str, &str) {
+    fn dict(&self) -> &str {
+        self.0
+    }
+    fn key(&self) -> &str {
+        self.1
+    }
+}
+
+impl<'a> Borrow<dyn CellRef + 'a> for Cell {
+    fn borrow(&self) -> &(dyn CellRef + 'a) {
+        self
+    }
+}
+
+/// Orders like [`Cell`]'s derived `Ord`: by dictionary, then key.
+impl Ord for dyn CellRef + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.dict(), self.key()).cmp(&(other.dict(), other.key()))
+    }
+}
+
+impl PartialOrd for dyn CellRef + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for dyn CellRef + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.dict() == other.dict() && self.key() == other.key()
+    }
+}
+
+impl Eq for dyn CellRef + '_ {}
+
 impl fmt::Display for Cell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {})", self.dict, self.key)
@@ -95,25 +151,30 @@ impl Mapped {
 
     /// Canonicalizes cells: any cell in a monolithic dictionary collapses to
     /// the whole-dictionary cell, and duplicates are removed (order-stable).
+    /// Works in place: a mapping that is already canonical allocates
+    /// nothing.
     pub fn canonicalize(self, is_monolithic: impl Fn(&str) -> bool) -> Mapped {
         match self {
-            Mapped::Cells(cells) => {
-                let mut seen = std::collections::BTreeSet::new();
-                let mut out = Vec::with_capacity(cells.len());
-                for c in cells {
-                    let c = if is_monolithic(&c.dict) {
-                        Cell::whole(&c.dict)
-                    } else {
-                        c
-                    };
-                    if seen.insert(c.clone()) {
-                        out.push(c);
+            Mapped::Cells(mut cells) => {
+                for c in cells.iter_mut() {
+                    if !c.is_whole() && is_monolithic(&c.dict) {
+                        *c = Cell::whole(std::mem::take(&mut c.dict));
                     }
                 }
-                if out.is_empty() {
+                // Keep each cell's first occurrence. Mappings are a few
+                // cells, so a scan of the kept prefix beats building a set.
+                let mut kept = 0;
+                for i in 0..cells.len() {
+                    if !cells[..kept].contains(&cells[i]) {
+                        cells.swap(kept, i);
+                        kept += 1;
+                    }
+                }
+                cells.truncate(kept);
+                if cells.is_empty() {
                     Mapped::Skip
                 } else {
-                    Mapped::Cells(out)
+                    Mapped::Cells(cells)
                 }
             }
             other => other,
@@ -174,6 +235,17 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_set_of_cells_is_searched_by_borrowed_strings() {
+        let set: std::collections::BTreeSet<Cell> = [Cell::new("S", "sw1"), Cell::whole("T")]
+            .into_iter()
+            .collect();
+        assert!(set.contains(&("S", "sw1") as &dyn CellRef));
+        assert!(set.contains(&("T", WHOLE_DICT_KEY) as &dyn CellRef));
+        assert!(!set.contains(&("S", "sw2") as &dyn CellRef));
+        assert!(!set.contains(&("T", "x") as &dyn CellRef));
     }
 
     #[test]

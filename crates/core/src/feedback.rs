@@ -180,7 +180,7 @@ pub fn design_feedback(app: &App) -> FeedbackReport {
         items.push(FeedbackItem::MonolithicDict { dict, handlers });
     }
     FeedbackReport {
-        app: app.name().clone(),
+        app: app.name().to_string(),
         items,
     }
 }

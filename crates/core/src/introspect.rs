@@ -483,14 +483,14 @@ mod tests {
     #[test]
     fn trace_endpoint_falls_back_to_local_spans_without_a_hive() {
         let ctx = test_ctx();
-        ctx.tracer.record(crate::trace::TraceSpan {
+        ctx.tracer.record(crate::trace::SpanRecord {
             trace_id: 42,
             span_id: 1,
             parent_span: 0,
             hive: HiveId(1),
             app: "te".into(),
             bee: crate::id::BeeId::new(HiveId(1), 1),
-            msg_type: "M".into(),
+            msg_type: "M",
             start_ms: 5,
             queue_wait_us: 1,
             runtime_ns: 1_000,

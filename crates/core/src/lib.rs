@@ -100,7 +100,7 @@ pub use control::{ControlMsg, MembershipOp};
 pub use error::{Error, Result};
 pub use events::{Event, EventJournal, EventKind};
 pub use hive::{Hive, HiveConfig, HiveCounters, HiveHandle, QueuedMessages};
-pub use id::{AppName, BeeId, HiveId};
+pub use id::{AppName, BeeId, HiveId, Name};
 pub use introspect::{render_metrics, StatusContext, StatusServer};
 pub use lifecycle::{Lifecycle, LifecycleStage};
 pub use message::{cast, Dst, Envelope, Message, MessageRegistry, Source, TypedMessage};
@@ -118,7 +118,7 @@ pub use registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState};
 pub use replication::{replicas_of, ShadowStore};
 pub use state::{BeeState, Dict, JournalOp, Savepoint, SharedBytes, TxJournal, TxState};
 pub use supervision::{backoff_delay_ms, DeadLetter, DeadLetterStore, FailureKind, HandlerFaults};
-pub use trace::{chrome_trace, TraceCollector, TraceContext, TraceHub, TraceSpan};
+pub use trace::{chrome_trace, SpanRecord, TraceCollector, TraceContext, TraceHub, TraceSpan};
 pub use transport::{
     Frame, FrameKind, Loopback, Transport, TransportCounters, TransportPreference,
     TransportSnapshot,

@@ -1,9 +1,12 @@
 //! Asynchronous messages — the only way Beehive functions communicate.
 //!
 //! A message is any `'static` serde-serializable struct wired up with the
-//! [`crate::impl_message!`] macro. Local deliveries pass `Arc<dyn Message>` without
-//! serializing; remote deliveries encode through `beehive-wire` and are
-//! revived on the receiving hive by its [`MessageRegistry`].
+//! [`crate::impl_message!`] macro. A local delivery passes the
+//! `Arc<dyn Message>` and is never encoded; the byte statistics still need
+//! its wire size, which [`Message::encoded_len`] computes with a counting
+//! pass that writes and allocates nothing. Remote deliveries encode through
+//! `beehive-wire` and are revived on the receiving hive by its
+//! [`MessageRegistry`].
 
 use std::any::Any;
 use std::collections::HashMap;

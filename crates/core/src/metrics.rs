@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::id::{AppName, BeeId, HiveId};
+use crate::id::{AppName, BeeId, HiveId, Name};
 use crate::supervision::FailureKind;
 
 /// Counters for a single bee.
@@ -420,18 +420,25 @@ impl PlatformCounters {
 }
 
 /// A hive's local instrumentation store.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// It is written once per handled message, so its keys clone without
+/// allocating: applications by their interned [`Name`], message types by
+/// the `&'static str` [`crate::message::Message::type_name`] returns. The
+/// collector turns them into strings when it takes a window into a
+/// [`HiveMetrics`] report.
+#[derive(Debug, Clone, Default)]
 pub struct Instrumentation {
     /// Stats per (app, bee).
-    pub bees: BTreeMap<(AppName, u64), BeeStats>,
+    pub bees: BTreeMap<(Name, u64), BeeStats>,
     /// How many cells each bee instrumented in this window owns. Rewritten
     /// with every message the bee handles, so it is taken with the window.
     pub bee_cells: BTreeMap<u64, u64>,
-    /// Provenance counters: how often `in_type` produced `out_type`.
-    pub provenance: BTreeMap<ProvenanceKey, u64>,
+    /// Provenance counters: how often, within an app, an input type
+    /// produced an output type, keyed `(app, in_type, out_type)`.
+    pub provenance: BTreeMap<(Name, &'static str, &'static str), u64>,
     /// Deliveries per (app, message type) — the denominators for
     /// [`Instrumentation::provenance_ratios`].
-    pub in_type_counts: BTreeMap<(AppName, String), u64>,
+    pub in_type_counts: BTreeMap<(Name, &'static str), u64>,
     /// The bees instrumented in this window that are pinned to this hive
     /// (local singletons). Per window, like `bee_cells`.
     pub pinned: std::collections::BTreeSet<u64>,
@@ -443,15 +450,15 @@ pub struct Instrumentation {
     /// Parallel-executor counters (empty when running sequentially).
     pub executor: ExecutorStats,
     /// Queue-wait / handler-runtime histograms per (app, message type).
-    pub latency: BTreeMap<(AppName, String), MsgLatency>,
+    pub latency: BTreeMap<(Name, &'static str), MsgLatency>,
     /// The hive-wide scalars (counters are deltas, gauges current state).
     pub platform: PlatformCounters,
 }
 
 impl Instrumentation {
     /// Mutable stats for a bee.
-    pub fn bee(&mut self, app: &str, bee: BeeId) -> &mut BeeStats {
-        self.bees.entry((app.to_string(), bee.0)).or_default()
+    pub fn bee(&mut self, app: impl Into<Name>, bee: BeeId) -> &mut BeeStats {
+        self.bees.entry((app.into(), bee.0)).or_default()
     }
 
     /// Records one bee-to-bee message for the cumulative matrix.
@@ -460,20 +467,23 @@ impl Instrumentation {
     }
 
     /// Records a typed delivery (denominator for provenance ratios).
-    pub fn record_in_type(&mut self, app: &str, in_type: &str) {
+    pub fn record_in_type(&mut self, app: impl Into<Name>, in_type: &'static str) {
         *self
             .in_type_counts
-            .entry((app.to_string(), in_type.to_string()))
+            .entry((app.into(), in_type))
             .or_insert(0) += 1;
     }
 
     /// Records one handler invocation's latencies for `(app, in_type)`:
     /// `wait_us` in local queues before the handler, `runtime_us` inside it.
-    pub fn record_latency(&mut self, app: &str, in_type: &str, wait_us: u64, runtime_us: u64) {
-        let lat = self
-            .latency
-            .entry((app.to_string(), in_type.to_string()))
-            .or_default();
+    pub fn record_latency(
+        &mut self,
+        app: impl Into<Name>,
+        in_type: &'static str,
+        wait_us: u64,
+        runtime_us: u64,
+    ) {
+        let lat = self.latency.entry((app.into(), in_type)).or_default();
         lat.queue_wait.observe(wait_us);
         lat.runtime.observe(runtime_us);
     }
@@ -491,14 +501,15 @@ impl Instrumentation {
     }
 
     /// Records that processing one `in_type` message emitted one `out_type`.
-    pub fn record_provenance(&mut self, app: &str, in_type: &str, out_type: &str) {
+    pub fn record_provenance(
+        &mut self,
+        app: impl Into<Name>,
+        in_type: &'static str,
+        out_type: &'static str,
+    ) {
         *self
             .provenance
-            .entry(ProvenanceKey {
-                app: app.to_string(),
-                in_type: in_type.to_string(),
-                out_type: out_type.to_string(),
-            })
+            .entry((app.into(), in_type, out_type))
             .or_insert(0) += 1;
     }
 
@@ -550,14 +561,19 @@ impl Instrumentation {
     pub fn provenance_ratios(&self) -> Vec<(ProvenanceKey, f64)> {
         self.provenance
             .iter()
-            .map(|(k, &count)| {
+            .map(|((app, in_type, out_type), &count)| {
                 let denom = self
                     .in_type_counts
-                    .get(&(k.app.clone(), k.in_type.clone()))
+                    .get(&(app.clone(), *in_type))
                     .copied()
                     .unwrap_or(0)
                     .max(1);
-                (k.clone(), count as f64 / denom as f64)
+                let key = ProvenanceKey {
+                    app: app.to_string(),
+                    in_type: in_type.to_string(),
+                    out_type: out_type.to_string(),
+                };
+                (key, count as f64 / denom as f64)
             })
             .collect()
     }
@@ -676,11 +692,8 @@ mod tests {
         delta.bee_cells.insert(1, 5);
         delta.executor.record_batch(0, 2, 100);
         base.merge_delta(delta);
-        assert_eq!(base.bees[&("te".to_string(), bee.0)].msgs_in, 2);
-        assert_eq!(
-            base.in_type_counts[&("te".to_string(), "PacketIn".to_string())],
-            2
-        );
+        assert_eq!(base.bees[&("te".into(), bee.0)].msgs_in, 2);
+        assert_eq!(base.in_type_counts[&("te".into(), "PacketIn")], 2);
         assert_eq!(base.bee_cells[&1], 5);
         assert_eq!(base.executor.workers[0].messages, 2);
     }
@@ -719,7 +732,7 @@ mod tests {
         inst.record_latency("te", "StatReply", 200, 900);
         inst.record_latency("te", "StatReply", 70_000, 3_000);
         let taken = inst.take();
-        let lat = &taken.latency[&("te".to_string(), "StatReply".to_string())];
+        let lat = &taken.latency[&("te".into(), "StatReply")];
         assert_eq!(lat.queue_wait.count, 2);
         assert_eq!(lat.runtime.count, 2);
         assert!(
@@ -728,12 +741,7 @@ mod tests {
         );
         let mut agg = Instrumentation::default();
         agg.merge_delta(taken);
-        assert_eq!(
-            agg.latency[&("te".to_string(), "StatReply".to_string())]
-                .runtime
-                .count,
-            2
-        );
+        assert_eq!(agg.latency[&("te".into(), "StatReply")].runtime.count, 2);
     }
 
     /// The collector drains with `take` and the aggregator folds with
@@ -763,7 +771,7 @@ mod tests {
         store.record_latency("te", "PacketIn", 100, 1_000);
         agg.merge_delta(store.take());
 
-        let key = ("te".to_string(), bee.0);
+        let key = ("te".into(), bee.0);
         assert_eq!(agg.bees[&key].msgs_in, 5, "3 + 2, no replay of cycle 1");
         assert_eq!(agg.bees[&key].bytes_in, 50);
         assert_eq!(agg.bees[&key].in_by_hive[&2], 5);
@@ -772,7 +780,7 @@ mod tests {
             1,
             "provenance from cycle 1 reported exactly once"
         );
-        let lat = &agg.latency[&("te".to_string(), "PacketIn".to_string())];
+        let lat = &agg.latency[&("te".into(), "PacketIn")];
         assert_eq!(lat.queue_wait.count, 2, "one sample per cycle");
         assert_eq!(lat.runtime.count, 2);
         // Metadata is rewritten with every handled message, so it leaves

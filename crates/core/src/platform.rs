@@ -18,7 +18,9 @@ use serde::{Deserialize, Serialize};
 use crate::analytics::Analytics;
 use crate::app::App;
 use crate::id::{BeeId, HiveId};
-use crate::metrics::{BeeStats, BeeStatsSnapshot, HiveMetrics, Instrumentation, LatencyHistogram};
+use crate::metrics::{
+    BeeStats, BeeStatsSnapshot, HiveMetrics, Instrumentation, LatencyHistogram, ProvenanceKey,
+};
 use crate::optimizer::{plan_migrations, BeeLoad, OptimizerConfig};
 use crate::sync::Mutex;
 
@@ -71,7 +73,7 @@ pub fn collector_app(instr: Arc<Mutex<Instrumentation>>) -> App {
                 bees: bees
                     .into_iter()
                     .map(|((app, bee), stats)| BeeStatsSnapshot {
-                        app,
+                        app: app.into(),
                         bee: BeeId(bee),
                         hive,
                         pinned: pinned.contains(&bee),
@@ -79,11 +81,21 @@ pub fn collector_app(instr: Arc<Mutex<Instrumentation>>) -> App {
                         stats,
                     })
                     .collect(),
-                provenance: provenance.into_iter().collect(),
+                provenance: provenance
+                    .into_iter()
+                    .map(|((app, in_type, out_type), n)| {
+                        let key = ProvenanceKey {
+                            app: app.into(),
+                            in_type: in_type.into(),
+                            out_type: out_type.into(),
+                        };
+                        (key, n)
+                    })
+                    .collect(),
                 executor,
                 latency: latency
                     .into_iter()
-                    .map(|((app, ty), lat)| (app, ty, lat))
+                    .map(|((app, ty), lat)| (app.into(), ty.into(), lat))
                     .collect(),
                 platform,
             });

@@ -199,11 +199,15 @@ impl RegistryState {
     /// Fast-path lookup used by dispatchers: `Some((bee, hive))` when a
     /// single bee already owns **all** of `cells`.
     pub fn lookup_exact(&self, app: &str, cells: &[Cell]) -> Option<(BeeId, HiveId)> {
-        let owners = self.owners_of(app, cells);
-        if owners.len() != 1 {
-            return None;
+        let mut owner = None;
+        for c in cells {
+            match (owner, self.owner(app, c)) {
+                (None, found) => owner = found,
+                (Some(bee), Some(other)) if other != bee => return None,
+                _ => {}
+            }
         }
-        let bee = owners[0];
+        let bee = owner?;
         let record = self.bees.get(&bee)?;
         if cells.iter().all(|c| record.colony.contains(c)) {
             Some((bee, record.hive))

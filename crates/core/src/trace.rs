@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
 use crate::events::escape_json;
-use crate::id::{AppName, BeeId, HiveId};
+use crate::id::{AppName, BeeId, HiveId, Name};
 use crate::sync::{wait_timeout, Mutex, Ring};
 
 /// Process-wide span/trace id counter. Ids only need to be unique within a
@@ -118,13 +118,62 @@ pub struct TraceSpan {
     pub ok: bool,
 }
 
+/// One handler invocation as a [`TraceCollector`] keeps it: the same
+/// fields as [`TraceSpan`], with the application and the message type held
+/// by shared reference, so recording one copies no string. Reading the
+/// collector turns records into spans.
+#[derive(Debug, Clone)]
+pub struct SpanRecord {
+    /// Trace this span belongs to.
+    pub trace_id: u64,
+    /// This message's span id.
+    pub span_id: u64,
+    /// Span id of the causing message (0 for roots).
+    pub parent_span: u64,
+    /// Hive the handler ran on.
+    pub hive: HiveId,
+    /// Application.
+    pub app: Name,
+    /// Bee that ran the handler.
+    pub bee: BeeId,
+    /// Wire name of the handled message type.
+    pub msg_type: &'static str,
+    /// Local-clock ms when the handler started.
+    pub start_ms: u64,
+    /// Microseconds the envelope waited in local queues.
+    pub queue_wait_us: u64,
+    /// Wall nanoseconds spent inside the handler.
+    pub runtime_ns: u64,
+    /// Whether the handler committed.
+    pub ok: bool,
+}
+
+impl SpanRecord {
+    /// The span this record describes.
+    pub fn to_span(&self) -> TraceSpan {
+        TraceSpan {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_span: self.parent_span,
+            hive: self.hive,
+            app: self.app.to_string(),
+            bee: self.bee,
+            msg_type: self.msg_type.to_string(),
+            start_ms: self.start_ms,
+            queue_wait_us: self.queue_wait_us,
+            runtime_ns: self.runtime_ns,
+            ok: self.ok,
+        }
+    }
+}
+
 /// Spans a hive's [`TraceCollector`] retains; older ones are evicted.
 pub const TRACE_CAPACITY: usize = 4096;
 
-/// A bounded ring of recent [`TraceSpan`]s.
+/// A bounded ring of recent handler invocations.
 #[derive(Debug)]
 pub struct TraceCollector {
-    ring: Ring<TraceSpan>,
+    ring: Ring<SpanRecord>,
 }
 
 impl TraceCollector {
@@ -146,22 +195,30 @@ impl TraceCollector {
     }
 
     /// Records a span, evicting the oldest if the ring is full.
-    pub fn record(&self, span: TraceSpan) {
+    pub fn record(&self, span: SpanRecord) {
         self.ring.push(span);
     }
 
     /// All retained spans, ordered by (start time, span id). Executor
     /// workers record out of start order, so the order is restored here.
     pub fn snapshot(&self) -> Vec<TraceSpan> {
-        let mut spans = self.ring.snapshot();
-        spans.sort_by_key(|s| (s.start_ms, s.span_id));
-        spans
+        self.spans_where(|_| true)
     }
 
     /// The retained spans of one trace, in start order.
     pub fn spans_for(&self, trace_id: u64) -> Vec<TraceSpan> {
-        let mut spans = self.snapshot();
-        spans.retain(|s| s.trace_id == trace_id);
+        self.spans_where(|s| s.trace_id == trace_id)
+    }
+
+    fn spans_where(&self, keep: impl Fn(&SpanRecord) -> bool) -> Vec<TraceSpan> {
+        let mut spans: Vec<TraceSpan> = self
+            .ring
+            .snapshot()
+            .iter()
+            .filter(|s| keep(s))
+            .map(SpanRecord::to_span)
+            .collect();
+        spans.sort_by_key(|s| (s.start_ms, s.span_id));
         spans
     }
 }
@@ -446,13 +503,34 @@ mod tests {
         assert_eq!(w.parent_span, ctx.parent_span);
     }
 
+    fn record(trace: u64, span_id: u64, parent: u64, start: u64) -> SpanRecord {
+        SpanRecord {
+            trace_id: trace,
+            span_id,
+            parent_span: parent,
+            hive: HiveId(1),
+            app: "te".into(),
+            bee: BeeId::new(HiveId(1), 1),
+            msg_type: "mod::Stat\"Reply\"",
+            start_ms: start,
+            queue_wait_us: 5,
+            runtime_ns: 2_000,
+            ok: true,
+        }
+    }
+
+    #[test]
+    fn a_record_reads_back_as_the_span_it_describes() {
+        assert_eq!(record(1, 11, 10, 3).to_span(), span(1, 11, 10, 3));
+    }
+
     #[test]
     fn spans_for_filters_by_trace_in_start_order() {
         let c = TraceCollector::new(8);
         // Recorded out of start order, as parallel workers do.
-        c.record(span(1, 11, 10, 3));
-        c.record(span(2, 20, 0, 2));
-        c.record(span(1, 10, 0, 1));
+        c.record(record(1, 11, 10, 3));
+        c.record(record(2, 20, 0, 2));
+        c.record(record(1, 10, 0, 1));
         let spans = c.spans_for(1);
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.trace_id == 1));

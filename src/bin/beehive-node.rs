@@ -398,7 +398,7 @@ fn main() {
     eprintln!("hive {me} running; SIGTERM to drain, Ctrl-C to stop");
     hive.run_elastic(&stop, &DRAIN);
     stop.store(true, Ordering::Relaxed);
-    let app_names: Vec<String> = hive.apps().iter().map(|a| a.name().clone()).collect();
+    let app_names: Vec<String> = hive.apps().iter().map(|a| a.name().to_string()).collect();
     let owned_cells: usize = app_names
         .iter()
         .flat_map(|name| hive.local_bees(name))
