@@ -2,17 +2,15 @@
 //! merged instrumentation data is further used to find the optimal placement
 //! of bees and is also utilized for application analytics.").
 //!
-//! Builds human-readable reports from [`HiveMetrics`] windows: per-app load
-//! distribution, message provenance ("packet out messages are emitted …
-//! upon receiving 80% of packet in's"), and hive load balance.
+//! Folds [`HiveMetrics`] windows into the store the status server renders
+//! as `GET /metrics`: per-app load distribution, message provenance ("packet
+//! out messages are emitted … upon receiving 80% of packet in's"), hive load
+//! balance and the platform scalars.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::id::HiveId;
 use crate::metrics::{
     ExecutorStats, HiveMetrics, LatencyHistogram, MsgLatency, PlatformCounters, ProvenanceKey,
     LATENCY_BUCKETS_US,
@@ -32,8 +30,8 @@ pub struct Analytics {
     provenance: BTreeMap<ProvenanceKey, u64>,
     /// Messages processed per hive.
     msgs_per_hive: BTreeMap<u32, u64>,
-    /// Per (app, bee) message counts (for skew analysis).
-    per_bee: BTreeMap<(String, u64), u64>,
+    /// Every (app, bee) observed: [`AppLoad::bees`] counts each once.
+    bees_seen: BTreeSet<(String, u64)>,
     /// Parallel-executor counters per hive (empty for sequential hives).
     executor_per_hive: BTreeMap<u32, ExecutorStats>,
     /// Queue-wait / runtime histograms per (app, message type).
@@ -86,12 +84,8 @@ impl Analytics {
             load.handler_nanos += snap.stats.handler_nanos;
             load.errors += snap.stats.errors;
             *self.msgs_per_hive.entry(snap.hive.0).or_insert(0) += snap.stats.msgs_in;
-            match self.per_bee.entry((snap.app.clone(), snap.bee.0)) {
-                Entry::Vacant(first) => {
-                    first.insert(snap.stats.msgs_in);
-                    load.bees += 1;
-                }
-                Entry::Occupied(mut seen) => *seen.get_mut() += snap.stats.msgs_in,
+            if self.bees_seen.insert((snap.app.clone(), snap.bee.0)) {
+                load.bees += 1;
             }
         }
         for (key, count) in &report.provenance {
@@ -123,28 +117,6 @@ impl Analytics {
     /// The load of one app.
     pub fn app(&self, name: &str) -> Option<AppLoad> {
         self.per_app.get(name).copied()
-    }
-
-    /// Message skew for an app: the share of its messages processed by its
-    /// busiest bee (1.0 = fully centralized, 1/n = perfectly balanced).
-    pub fn skew(&self, app: &str) -> Option<f64> {
-        let counts: Vec<u64> = self
-            .per_bee
-            .iter()
-            .filter(|((a, _), _)| a == app)
-            .map(|(_, &c)| c)
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        counts.iter().max().map(|&m| m as f64 / total as f64)
-    }
-
-    /// Parallel-executor counters per hive (hives that ran sequentially for
-    /// the whole window are absent).
-    pub fn executor_per_hive(&self) -> impl Iterator<Item = (HiveId, &ExecutorStats)> {
-        self.executor_per_hive.iter().map(|(&h, s)| (HiveId(h), s))
     }
 
     /// Latency histograms per (app, message type).
@@ -341,18 +313,6 @@ impl Analytics {
         out
     }
 
-    /// Hive balance: (busiest hive, its share of all messages).
-    pub fn hot_hive(&self) -> Option<(HiveId, f64)> {
-        let total: u64 = self.msgs_per_hive.values().sum();
-        if total == 0 {
-            return None;
-        }
-        self.msgs_per_hive
-            .iter()
-            .max_by_key(|(_, &c)| c)
-            .map(|(&h, &c)| (HiveId(h), c as f64 / total as f64))
-    }
-
     /// Provenance ratios: for each `(app, in_type, out_type)`, emissions per
     /// delivered input of that type (requires the denominators shipped in
     /// the same reports via `BeeStats::msgs_in`; we use per-app totals when
@@ -477,80 +437,10 @@ pub struct ProvenanceRow {
     pub per_app_input_ratio: f64,
 }
 
-impl fmt::Display for Analytics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "application analytics:")?;
-        for (app, load) in &self.per_app {
-            writeln!(
-                f,
-                "  {app}: {} msgs, {} bytes, {:.1} ms in handlers, {} errors, {} bees{}",
-                load.msgs,
-                load.bytes,
-                load.handler_nanos as f64 / 1e6,
-                load.errors,
-                load.bees,
-                self.skew(app)
-                    .map(|s| format!(", top-bee share {:.0}%", s * 100.0))
-                    .unwrap_or_default()
-            )?;
-        }
-        if let Some((hive, share)) = self.hot_hive() {
-            writeln!(
-                f,
-                "  busiest hive: {hive} ({:.0}% of messages)",
-                share * 100.0
-            )?;
-        }
-        let platform = self.platform();
-        if !platform.is_zero() {
-            write!(f, "  platform:")?;
-            for (row, value) in platform.rows().filter(|(_, value)| *value != 0) {
-                write!(f, " {}={value}", row.field)?;
-            }
-            writeln!(f)?;
-        }
-        for (hive, ex) in self.executor_per_hive() {
-            let busy_ms: u64 = ex.workers.iter().map(|w| w.busy_nanos).sum::<u64>() / 1_000_000;
-            writeln!(
-                f,
-                "  executor on {hive}: {} rounds, {} bees fanned out (max depth {}), {} workers, {} ms busy",
-                ex.rounds,
-                ex.queued_bees,
-                ex.max_queue_depth,
-                ex.workers.len(),
-                busy_ms,
-            )?;
-        }
-        for ((app, ty), lat) in &self.latency {
-            let (Some(wait), Some(run)) = (lat.queue_wait.p99_us(), lat.runtime.p99_us()) else {
-                continue;
-            };
-            writeln!(
-                f,
-                "  latency {app}/{}: p99 wait {wait}us, p99 run {run}us ({} msgs)",
-                short_type(ty),
-                lat.runtime.count,
-            )?;
-        }
-        let rows = self.provenance_rows();
-        if !rows.is_empty() {
-            writeln!(f, "  provenance:")?;
-            for r in rows {
-                writeln!(
-                    f,
-                    "    {}: {} -> {} ({} emissions, {:.2} per input)",
-                    r.app, r.in_type, r.out_type, r.emissions, r.per_app_input_ratio
-                )?;
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::BeeId;
+    use crate::id::{BeeId, HiveId};
     use crate::metrics::{BeeStats, BeeStatsSnapshot};
 
     fn report(hive: u32, app: &str, bee: u32, msgs: u64) -> HiveMetrics {
@@ -592,11 +482,12 @@ mod tests {
         r.executor.record_batch(0, 10, 1_000);
         a.ingest(&r);
         a.ingest(&report(2, "ls", 2, 10)); // sequential hive: no executor row
-        let rows: Vec<_> = a.executor_per_hive().collect();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, HiveId(1));
-        assert_eq!(rows[0].1.rounds, 1);
-        assert!(a.to_string().contains("executor on"));
+        let text = a.render_prometheus();
+        let rounds: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("beehive_executor_rounds_total{"))
+            .collect();
+        assert_eq!(rounds, ["beehive_executor_rounds_total{hive=\"1\"} 1"]);
     }
 
     #[test]
@@ -612,22 +503,13 @@ mod tests {
     }
 
     #[test]
-    fn skew_detects_imbalance() {
-        let mut a = Analytics::new();
-        a.ingest(&report(1, "ls", 1, 90));
-        a.ingest(&report(2, "ls", 2, 10));
-        assert!((a.skew("ls").unwrap() - 0.9).abs() < 1e-9);
-        assert_eq!(a.skew("nope"), None);
-    }
-
-    #[test]
-    fn hot_hive_share() {
+    fn messages_per_hive_render() {
         let mut a = Analytics::new();
         a.ingest(&report(1, "ls", 1, 75));
         a.ingest(&report(2, "ls", 2, 25));
-        let (h, share) = a.hot_hive().unwrap();
-        assert_eq!(h, HiveId(1));
-        assert!((share - 0.75).abs() < 1e-9);
+        let text = a.render_prometheus();
+        assert!(text.contains("beehive_hive_messages_total{hive=\"1\"} 75\n"));
+        assert!(text.contains("beehive_hive_messages_total{hive=\"2\"} 25\n"));
     }
 
     #[test]
@@ -672,8 +554,6 @@ mod tests {
             "beehive_queue_wait_seconds_bucket{app=\"te\",msg=\"StatReply\",le=\"0.00005\"} 4"
         ));
         assert!(text.contains("beehive_app_messages_total{app=\"te\"} 6"));
-        // The Display report cites p99s too.
-        assert!(a.to_string().contains("p99"), "{a}");
     }
 
     #[test]
@@ -686,7 +566,5 @@ mod tests {
         assert_eq!(rows[0].in_type, "PacketIn");
         assert_eq!(rows[0].out_type, "PacketOut");
         assert!((rows[0].per_app_input_ratio - 0.8).abs() < 1e-9);
-        let text = a.to_string();
-        assert!(text.contains("PacketIn -> PacketOut"));
     }
 }

@@ -172,25 +172,6 @@ pub struct ChannelStats {
     pub expired: u64,
 }
 
-/// Increments since the last [`ReliableChannels::take_delta`], pushed into
-/// the hive's [`crate::metrics::Instrumentation`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChannelDelta {
-    /// New retransmissions.
-    pub retransmits: u64,
-    /// New duplicates suppressed.
-    pub dups_suppressed: u64,
-    /// New standalone acks emitted.
-    pub acks_sent: u64,
-}
-
-impl ChannelDelta {
-    /// True when nothing happened since the last take.
-    pub fn is_empty(&self) -> bool {
-        self.retransmits == 0 && self.dups_suppressed == 0 && self.acks_sent == 0
-    }
-}
-
 /// One unacked envelope in a peer's resend buffer.
 #[derive(Debug)]
 struct Unacked {
@@ -247,7 +228,6 @@ pub struct ReliableChannels {
     retired_delivered: u64,
     /// Unacked envelopes abandoned by [`ReliableChannels::retire_peer`].
     expired: u64,
-    delta: ChannelDelta,
     /// Flight-recorder journal for epoch-mint and compaction events.
     /// `None` for bare channels (unit tests).
     events: Option<Arc<EventJournal>>,
@@ -340,7 +320,6 @@ impl ReliableChannels {
             retired_sent: restored.retired_sent,
             retired_delivered: restored.retired_delivered,
             expired: restored.expired,
-            delta: ChannelDelta::default(),
             events: None,
             minted_fresh: fresh,
             storage_fault,
@@ -479,7 +458,6 @@ impl ReliableChannels {
             // Ghost from a dead incarnation (fabric delay across an
             // amnesiac restart): never deliver, never ack.
             self.dups_suppressed += 1;
-            self.delta.dups_suppressed += 1;
             return ChannelDelivery::Duplicate;
         }
         if frame.epoch > r.epoch {
@@ -500,7 +478,6 @@ impl ReliableChannels {
         let r = self.recv.get_mut(&from.0).expect("present");
         if frame.seq <= r.last_delivered || r.seen_ahead.contains(&frame.seq) {
             self.dups_suppressed += 1;
-            self.delta.dups_suppressed += 1;
             // Re-ack so the sender stops retransmitting.
             Self::schedule_ack(r, now_ms, self.tuning.ack_flush_ms);
             return ChannelDelivery::Duplicate;
@@ -563,7 +540,6 @@ impl ReliableChannels {
                 u.sent_ms = now_ms;
                 u.attempts = u.attempts.saturating_add(1);
                 self.retransmits += 1;
-                self.delta.retransmits += 1;
                 work.retransmits.push((
                     HiveId(peer),
                     ChannelFrame::encode(self.epoch, u.seq, ack_epoch, ack, &u.env),
@@ -574,7 +550,6 @@ impl ReliableChannels {
             if r.ack_due.is_some_and(|due| due <= now_ms) {
                 r.ack_due = None;
                 self.acks_sent += 1;
-                self.delta.acks_sent += 1;
                 work.acks.push((HiveId(peer), r.epoch, r.last_delivered));
             }
         }
@@ -645,12 +620,6 @@ impl ReliableChannels {
             expired,
         });
         undelivered
-    }
-
-    /// Drains the increments accumulated since the last call (pushed into
-    /// `Instrumentation` once per step).
-    pub fn take_delta(&mut self) -> ChannelDelta {
-        std::mem::take(&mut self.delta)
     }
 
     /// The cumulative ack to piggyback toward `to`, clearing any pending

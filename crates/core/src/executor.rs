@@ -261,7 +261,7 @@ pub(crate) fn run_batch(
         tx = tx_back;
         effects.outbox = outbox;
         let mut done = MsgEffects::default();
-        let failure_kind = match outcome {
+        let ok = match outcome {
             Ok(()) => {
                 let journal = tx.journal_since(&sp);
                 if !env.pinned {
@@ -287,7 +287,7 @@ pub(crate) fn run_batch(
                 done.emitted = effects.outbox.len() - emitted_from;
                 done.control_out = control_out;
                 effects.retire = retire;
-                None
+                true
             }
             Err((kind, detail)) => {
                 tx.rollback_to(&sp);
@@ -300,10 +300,9 @@ pub(crate) fn run_batch(
                     detail,
                 });
                 effects.retire = false;
-                Some(kind)
+                false
             }
         };
-        let ok = failure_kind.is_none();
         let emitted = &effects.outbox[emitted_from..];
 
         let wait_us = now_ms.saturating_sub(envelope.trace.enqueued_ms) * 1_000;
@@ -320,9 +319,6 @@ pub(crate) fn run_batch(
             }
             for out in emitted {
                 stats.record_out(out.msg.encoded_len());
-            }
-            if let Some(kind) = failure_kind {
-                instr.record_failure(kind);
             }
             for out in emitted {
                 instr.record_provenance(app_name, in_type, out.msg.type_name());

@@ -24,7 +24,7 @@ use crate::executor::{run_batch, BatchEffects, BatchEnv, BeeJob, Executor, Parke
 use crate::id::{AppName, BeeId, HiveId};
 use crate::lifecycle::{Lifecycle, LifecycleStage};
 use crate::message::{Dst, Envelope, Message, MessageRegistry, WireEnvelope};
-use crate::metrics::Instrumentation;
+use crate::metrics::{Instrumentation, PlatformCounters};
 use crate::optimizer::{plan_migrations, BeeLoad, OptimizerConfig};
 use crate::platform::Tick;
 use crate::queen::{BeeStatus, Delivery, Queen};
@@ -229,6 +229,10 @@ pub struct HiveCounters {
     pub lost_no_bee: u64,
 }
 
+/// A bee's dictionaries as [`Hive::audit_dicts`] dumps them: dict name →
+/// `(key, encoded value)` pairs, both in sorted order.
+pub type DictDump = Vec<(String, Vec<(String, Vec<u8>)>)>;
+
 /// A handle for injecting messages into a hive from other threads (drivers,
 /// IO loops, tests).
 #[derive(Clone)]
@@ -373,9 +377,9 @@ pub struct Hive {
     /// acks, retransmission and receiver dedup, journaled to the storage dir
     /// when one is configured (see [`crate::channel`]).
     channels: ReliableChannels,
-    /// Last outbox-depth gauge pushed into instrumentation (skip the lock
-    /// when nothing changed).
-    last_outbox_depth: u64,
+    /// The platform reading last published into `instr` (see
+    /// [`Hive::platform_reading`]): the store is locked only when it moved.
+    published: PlatformCounters,
     /// Frames of every kind sent since the last [`Hive::flush_io`], in send
     /// order; the transport receives them in one [`Transport::send_all`].
     frames_out: Vec<(HiveId, Frame)>,
@@ -399,11 +403,9 @@ pub struct Hive {
     /// Last observed registry Raft term/leader, for change events.
     last_raft_term: u64,
     last_raft_leader: Option<u64>,
-    /// Last observed registry snapshot index / install count / lag, for
-    /// change events and the instrumentation gauges.
-    last_snapshot_index: u64,
+    /// Registry snapshots installed as of the last poll, for the
+    /// `SnapshotInstall` event and the routes an install resolves.
     last_snapshot_installs: u64,
-    last_snapshot_lag: u64,
     /// Shared membership-lifecycle cell: written by the step loop, read by
     /// the status server (`/healthz`) and signal handlers (see
     /// [`crate::lifecycle`]).
@@ -569,7 +571,7 @@ impl Hive {
             quarantine_timers: Vec::new(),
             decode_error_logged: HashMap::new(),
             channels,
-            last_outbox_depth: 0,
+            published: PlatformCounters::default(),
             frames_out: Vec::new(),
             executor,
             effects: BatchEffects::default(),
@@ -579,9 +581,7 @@ impl Hive {
             trace_query_deadlines: Vec::new(),
             last_raft_term: 0,
             last_raft_leader: None,
-            last_snapshot_index: 0,
             last_snapshot_installs: 0,
-            last_snapshot_lag: 0,
             lifecycle: Arc::new(Lifecycle::default()),
             pending_membership: None,
             draining_peers: HashSet::new(),
@@ -598,13 +598,7 @@ impl Hive {
         hive.applied_seq = node.last_applied();
         hive.last_raft_term = node.term();
         hive.last_raft_leader = node.leader_hint();
-        hive.last_snapshot_index = node.snapshot_index();
         hive.last_snapshot_installs = node.snapshots_installed();
-        hive.last_snapshot_lag = node.snapshot_lag();
-        let torn = hive.channels.torn_truncations();
-        if torn > 0 {
-            hive.instr.lock().platform.journal_torn_truncations += torn;
-        }
         hive
     }
 
@@ -905,7 +899,7 @@ impl Hive {
         // A migration staged here whose source died before the MoveBee
         // committed is also recoverable: we hold a full state snapshot, and
         // adopting it is exactly the move the dead source was proposing.
-        for ((app, bee), _) in &self.staged {
+        for (app, bee) in self.staged.keys() {
             if self.registry_view().hive_of(*bee) == Some(dead)
                 && !candidates.iter().any(|(_, b, _)| b == bee)
             {
@@ -1000,7 +994,7 @@ impl Hive {
     /// A bee's full dictionary contents in deterministic order: dict name →
     /// `(key, encoded value)` pairs (both BTreeMap-backed, so already
     /// sorted). Audit API for the equivalence and atomicity checkers.
-    pub fn audit_dicts(&self, app: &str, bee: BeeId) -> Vec<(String, Vec<(String, Vec<u8>)>)> {
+    pub fn audit_dicts(&self, app: &str, bee: BeeId) -> DictDump {
         let Some(&i) = self.app_idx.get(app) else {
             return Vec::new();
         };
@@ -1173,7 +1167,6 @@ impl Hive {
                 }
             }
             self.quarantine_timers = still;
-            self.instr.lock().platform.quarantined = self.quarantine_timers.len() as u64;
         }
 
         // 6d. Reliable-channel maintenance: re-send unacked application
@@ -1241,20 +1234,39 @@ impl Hive {
             }
         }
 
-        // 9. Channel metrics delta → instrumentation (locked only when
-        // something actually changed this step).
-        let delta = self.channels.take_delta();
-        let outbox_depth = self.channels.stats().outbox_depth;
-        if !delta.is_empty() || outbox_depth != self.last_outbox_depth {
-            let mut instr = self.instr.lock();
-            instr.platform.retransmits += delta.retransmits;
-            instr.platform.dups_suppressed += delta.dups_suppressed;
-            instr.platform.channel_acks += delta.acks_sent;
-            instr.platform.outbox_depth = outbox_depth;
-            self.last_outbox_depth = outbox_depth;
+        // 9. The step's platform reading → instrumentation (locked only
+        // when it moved).
+        let reading = self.platform_reading();
+        if reading != self.published {
+            self.instr.lock().platform = reading;
+            self.published = reading;
         }
         self.flush_io();
         work
+    }
+
+    /// The platform scalars as the components that count them see them now:
+    /// one line per [`PLATFORM_TABLE`](crate::metrics::PLATFORM_TABLE) row.
+    fn platform_reading(&self) -> PlatformCounters {
+        let channel = self.channels.stats();
+        let node = &self.registry;
+        PlatformCounters {
+            // `HiveCounters::handler_errors` counts panics too.
+            handler_errors: self.counters.handler_errors - self.counters.handler_panics,
+            handler_panics: self.counters.handler_panics,
+            redeliveries: self.counters.redeliveries,
+            dead_letters: self.counters.dead_letters,
+            decode_errors: self.counters.decode_errors,
+            quarantined: self.quarantine_timers.len() as u64,
+            retransmits: channel.retransmits,
+            dups_suppressed: channel.dups_suppressed,
+            channel_acks: channel.acks_sent,
+            outbox_depth: channel.outbox_depth,
+            snapshot_index: node.snapshot_index(),
+            snapshot_lag: node.snapshot_lag(),
+            snapshot_installs: node.snapshots_installed(),
+            journal_torn_truncations: self.channels.torn_truncations(),
+        }
     }
 
     /// Hands the I/O staged since the last call over at once: the channel's
@@ -1271,11 +1283,11 @@ impl Hive {
         }
     }
 
-    /// Records registry Raft term and leader changes into the event journal,
-    /// tracks snapshot/compaction progress for the instrumentation gauges,
-    /// and fail-stops the hive if the registry node latched a storage fault.
-    /// A freshly installed snapshot also releases the pending routes it
-    /// answers (see [`Hive::release_routes_resolved_by_snapshot`]).
+    /// Records registry Raft term and leader changes and snapshot installs
+    /// into the event journal, and fail-stops the hive if the registry node
+    /// latched a storage fault. A freshly installed snapshot also releases
+    /// the pending routes it answers (see
+    /// [`Hive::release_routes_resolved_by_snapshot`]).
     /// Everything here derives from already-deterministic state, so it
     /// cannot perturb simulated replay.
     fn poll_raft_events(&mut self) {
@@ -1302,29 +1314,16 @@ impl Hive {
             self.events
                 .record_full(EventKind::RaftLeaderChange, 0, "", None, peer, detail);
         }
-        let snap_index = node.snapshot_index();
         let installs = node.snapshots_installed();
-        let lag = node.snapshot_lag();
-        let installed = installs > self.last_snapshot_installs;
-        if snap_index != self.last_snapshot_index
-            || installs != self.last_snapshot_installs
-            || lag != self.last_snapshot_lag
-        {
-            if installed {
-                self.events.record(
-                    EventKind::SnapshotInstall,
-                    format!("registry snapshot installed through index {snap_index}"),
-                );
-            }
-            let mut instr = self.instr.lock();
-            instr.platform.snapshot_index = snap_index;
-            instr.platform.snapshot_lag = lag;
-            instr.platform.snapshot_installs += installs - self.last_snapshot_installs;
-            self.last_snapshot_index = snap_index;
+        if installs > self.last_snapshot_installs {
+            self.events.record(
+                EventKind::SnapshotInstall,
+                format!(
+                    "registry snapshot installed through index {}",
+                    node.snapshot_index()
+                ),
+            );
             self.last_snapshot_installs = installs;
-            self.last_snapshot_lag = lag;
-        }
-        if installed {
             self.release_routes_resolved_by_snapshot();
         }
     }
@@ -1864,7 +1863,6 @@ impl Hive {
         now: u64,
     ) {
         self.counters.dead_letters += 1;
-        self.instr.lock().platform.dead_letters += 1;
         self.events.record_full(
             EventKind::DeadLettered,
             env.trace.trace_id,
@@ -1916,7 +1914,6 @@ impl Hive {
         }
         env.deliveries += 1;
         self.counters.redeliveries += 1;
-        self.instr.lock().platform.redeliveries += 1;
         // Exponential backoff (capped at 64× base) with deterministic jitter
         // derived from the bee id, so colliding retries spread out without a
         // random source and the schedule replays identically across runs.
@@ -1966,7 +1963,6 @@ impl Hive {
                 format!("breaker tripped; cooldown until {until}ms"),
             );
             self.quarantine_timers.push((app_idx, bee, until));
-            self.instr.lock().platform.quarantined = self.quarantine_timers.len() as u64;
         }
     }
 
@@ -1975,7 +1971,6 @@ impl Hive {
     fn note_decode_error(&mut self, peer: Option<HiveId>) {
         const LOG_WINDOW_MS: u64 = 5_000;
         self.counters.decode_errors += 1;
-        self.instr.lock().platform.decode_errors += 1;
         let Some(peer) = peer else {
             return;
         };
@@ -2230,7 +2225,6 @@ impl Hive {
             format!("undeliverable: hive-{} departed the cluster", peer.0),
         );
         self.counters.dead_letters += 1;
-        self.instr.lock().platform.dead_letters += 1;
         self.dead_letters.record(DeadLetter {
             app,
             bee,

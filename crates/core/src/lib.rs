@@ -92,14 +92,13 @@ pub use app::{App, AppBuilder, HandlerResult, MapSpec, RcvCtx};
 pub use beehive_raft::{FsyncPolicy, StorageError};
 pub use cell::{Cell, Mapped};
 pub use channel::{
-    ChannelDelivery, ChannelDelta, ChannelFrame, ChannelStats, ChannelTuning, ChannelWork,
-    ReliableChannels,
+    ChannelDelivery, ChannelFrame, ChannelStats, ChannelTuning, ChannelWork, ReliableChannels,
 };
 pub use clock::{Clock, SimClock, SystemClock};
 pub use control::{ControlMsg, MembershipOp};
 pub use error::{Error, Result};
 pub use events::{Event, EventJournal, EventKind};
-pub use hive::{Hive, HiveConfig, HiveCounters, HiveHandle, QueuedMessages};
+pub use hive::{DictDump, Hive, HiveConfig, HiveCounters, HiveHandle, QueuedMessages};
 pub use id::{AppName, BeeId, HiveId, Name};
 pub use introspect::{render_metrics, StatusContext, StatusServer};
 pub use lifecycle::{Lifecycle, LifecycleStage};

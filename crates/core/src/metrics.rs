@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::id::{AppName, BeeId, HiveId, Name};
-use crate::supervision::FailureKind;
 
 /// Counters for a single bee.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -272,7 +271,9 @@ pub struct ProvenanceKey {
 /// How one platform scalar behaves over time and across hives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlatformKind {
-    /// A delta since the hive's previous report: added at every hop.
+    /// A count that only grows at its owner. A report carries its change
+    /// since the hive's previous report, and those changes add up at every
+    /// hop.
     Counter,
     /// Current state of one hive (the last report wins); the cluster figure
     /// is the sum over hives.
@@ -311,10 +312,12 @@ pub struct PlatformRow {
 /// per row, in row order, and [`PLATFORM_TABLE`] the matching descriptions.
 macro_rules! platform_counters {
     ($($field:ident: $kind:ident, $family:literal, $label:expr, $help:literal;)+) => {
-        /// The hive-wide platform scalars, carried whole from the hive's
-        /// [`Instrumentation`] through [`HiveMetrics`] to the analytics
-        /// store. Adding one is a row in this table plus the site that
-        /// counts it; field order is wire order.
+        /// The hive-wide platform scalars: a reading of the counters and
+        /// gauges the hive's components keep, carried whole from the
+        /// hive's [`Instrumentation`] through [`HiveMetrics`] to the
+        /// analytics store. Adding one is a row in this table, the count
+        /// at the component that owns it and one line in the hive's
+        /// reading; field order is wire order.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
         pub struct PlatformCounters {
             $(#[doc = $help] pub $field: u64,)+
@@ -381,8 +384,8 @@ impl PlatformCounters {
         *self == PlatformCounters::default()
     }
 
-    /// Folds a later reading of the same hive into this one: counters add,
-    /// gauges are replaced.
+    /// Folds the hive's next window into this one: counters add, gauges
+    /// are replaced.
     pub fn absorb(&mut self, later: &PlatformCounters) {
         for ((row, mine), (_, theirs)) in self.rows_mut().zip(later.rows()) {
             match row.kind {
@@ -392,19 +395,19 @@ impl PlatformCounters {
         }
     }
 
-    /// Returns the current reading and starts the next window: counters
-    /// restart from zero, gauges keep describing the hive's state.
-    pub fn take(&mut self) -> PlatformCounters {
-        let taken = *self;
-        for (row, cell) in self.rows_mut() {
+    /// What this reading reports after `earlier`, a reading of the same
+    /// hive: counters by how much they grew, gauges as they are now.
+    pub fn since(&self, earlier: &PlatformCounters) -> PlatformCounters {
+        let mut window = *self;
+        for ((row, cell), (_, before)) in window.rows_mut().zip(earlier.rows()) {
             if row.kind == PlatformKind::Counter {
-                *cell = 0;
+                *cell = cell.saturating_sub(before);
             }
         }
-        taken
+        window
     }
 
-    /// The cluster figure over one reading per hive.
+    /// The cluster figure over one folded window per hive.
     pub fn fold<'a>(hives: impl IntoIterator<Item = &'a PlatformCounters>) -> PlatformCounters {
         let mut cluster = PlatformCounters::default();
         for hive in hives {
@@ -451,8 +454,12 @@ pub struct Instrumentation {
     pub executor: ExecutorStats,
     /// Queue-wait / handler-runtime histograms per (app, message type).
     pub latency: BTreeMap<(Name, &'static str), MsgLatency>,
-    /// The hive-wide scalars (counters are deltas, gauges current state).
+    /// The hive-wide scalars. In the hive's store, the latest reading the
+    /// hive published (counters since boot, gauges as of the publish); in a
+    /// window [`Instrumentation::take`] returned, what that window reports.
     pub platform: PlatformCounters,
+    /// The reading the previous window was taken at.
+    reported: PlatformCounters,
 }
 
 impl Instrumentation {
@@ -486,18 +493,6 @@ impl Instrumentation {
         let lat = self.latency.entry((app.into(), in_type)).or_default();
         lat.queue_wait.observe(wait_us);
         lat.runtime.observe(runtime_us);
-    }
-
-    /// Records one handler failure of `kind`. Admission failures
-    /// (quarantine, mailbox overflow) don't run a handler and are visible
-    /// through `dead_letters` instead.
-    pub fn record_failure(&mut self, kind: FailureKind) {
-        match kind {
-            FailureKind::Error => self.platform.handler_errors += 1,
-            FailureKind::Panic => self.platform.handler_panics += 1,
-            FailureKind::Quarantined | FailureKind::MailboxOverflow | FailureKind::PeerDeparted => {
-            }
-        }
     }
 
     /// Records that processing one `in_type` message emitted one `out_type`.
@@ -537,20 +532,17 @@ impl Instrumentation {
         }
         self.pinned.extend(delta.pinned);
         self.executor.merge(&delta.executor);
-        // Gauges are only ever set on this store, so its reading is the later
-        // one.
-        let mut platform = delta.platform;
-        platform.absorb(&self.platform);
-        self.platform = platform;
     }
 
     /// Takes the window, leaving the store empty but for what describes no
-    /// window: the cumulative message matrix and the platform gauges.
+    /// window: the cumulative message matrix and the platform reading. The
+    /// window's `platform` is the reading since the previous window's.
     pub fn take(&mut self) -> Instrumentation {
         let mut taken = std::mem::take(self);
         std::mem::swap(&mut self.msg_matrix, &mut taken.msg_matrix);
         self.platform = taken.platform;
-        taken.platform = self.platform.take();
+        self.reported = taken.platform;
+        taken.platform = taken.platform.since(&taken.reported);
         taken
     }
 
@@ -813,9 +805,9 @@ mod tests {
         assert_eq!(merged, direct);
     }
 
-    /// Every table row gets a distinct value; `take`, the worker check-in
-    /// and the per-hive and cross-hive folds must then treat each row as its
-    /// kind declares.
+    /// Every table row gets a distinct value; the windows `take` cuts from
+    /// the published readings and the per-hive and cross-hive folds must
+    /// then treat each row as its kind declares.
     #[test]
     fn platform_rows_fold_as_the_table_declares() {
         let reading = |base: u64| {
@@ -825,36 +817,37 @@ mod tests {
             }
             p
         };
+        // Two publishes a window apart: counters grow, gauges move.
+        let first = reading(100);
+        let mut second = reading(200);
+        for ((row, cell), (_, was)) in second.rows_mut().zip(first.rows()) {
+            if row.kind == PlatformKind::Counter {
+                *cell += was;
+            }
+        }
         let mut inst = Instrumentation {
-            platform: reading(100),
+            platform: first,
             ..Default::default()
         };
-        let taken = inst.take();
-        assert_eq!(taken.platform, reading(100));
-        for ((row, left), (_, was)) in inst.platform.rows().zip(taken.platform.rows()) {
+        assert_eq!(
+            inst.take().platform,
+            first,
+            "the first window is the reading"
+        );
+        inst.platform = second;
+        assert_eq!(inst.take().platform, reading(200), "counters by growth");
+        assert_eq!(inst.platform, second, "the store keeps the reading");
+
+        // No publish in between: counters report nothing new, gauges stay,
+        // and a worker's check-in leaves the reading alone.
+        inst.merge_delta(Instrumentation::default());
+        for ((row, value), (_, now)) in inst.take().platform.rows().zip(second.rows()) {
             let want = match row.kind {
                 PlatformKind::Counter => 0,
-                PlatformKind::GaugeSum | PlatformKind::GaugeMax => was,
+                PlatformKind::GaugeSum | PlatformKind::GaugeMax => now,
             };
-            assert_eq!(left, want, "{} after take", row.field);
+            assert_eq!(value, want, "{} in an idle window", row.field);
         }
-
-        // A worker's delta carries counters only: they add, and its zero
-        // gauges do not reset the store's. Admission failures ran no
-        // handler and count as no handler failure.
-        let gauges = inst.platform;
-        let mut delta = Instrumentation::default();
-        delta.record_failure(FailureKind::Panic);
-        delta.record_failure(FailureKind::Quarantined);
-        delta.record_failure(FailureKind::MailboxOverflow);
-        inst.merge_delta(delta);
-        assert_eq!(
-            inst.platform,
-            PlatformCounters {
-                handler_panics: 1,
-                ..gauges
-            }
-        );
 
         // Two windows of hive A and one of hive B.
         let mut hive_a = reading(100);

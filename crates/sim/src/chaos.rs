@@ -527,7 +527,7 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
                 if disk_down {
                     torn_pending.insert(id);
                 }
-            } else if !(crash_down || disk_down) && !cluster.is_up(id) {
+            } else if !(crash_down || disk_down || cluster.is_up(id)) {
                 if torn_pending.remove(&id) {
                     if let Some(dir) = &storage {
                         tear_outbox_tail(dir, id);
@@ -601,13 +601,11 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
                             .request_migration(CHAOS_APP, bee, src, dst);
                     }
                 }
-                FaultKind::MembershipChurn => {
-                    // One churn at a time: extra windows while a join/drain
-                    // cycle is in flight do nothing.
-                    if churn.is_none() {
-                        let id = cluster.join();
-                        churn = Some((id, w.at + w.for_ticks));
-                    }
+                // One churn at a time: extra windows while a join/drain
+                // cycle is in flight do nothing.
+                FaultKind::MembershipChurn if churn.is_none() => {
+                    let id = cluster.join();
+                    churn = Some((id, w.at + w.for_ticks));
                 }
                 FaultKind::OwnershipBug => {
                     let live = cluster.live_ids();

@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use beehive_core::{BeeId, Cell, Hive, HiveId};
+use beehive_core::{BeeId, Cell, DictDump, Hive, HiveId};
 use beehive_net::FaultStats;
 
 use crate::cluster::SimCluster;
@@ -169,7 +169,7 @@ pub struct HiveAudit {
     /// Active bees of the audited app with their colonies, sorted by bee id.
     pub colonies: Vec<(BeeId, Vec<Cell>)>,
     /// Per-bee dictionary contents, parallel to `colonies`.
-    pub dicts: Vec<(BeeId, Vec<(String, Vec<(String, Vec<u8>)>)>)>,
+    pub dicts: Vec<(BeeId, DictDump)>,
     /// Recorded trace spans that are structurally malformed (zero ids, or a
     /// span that is its own parent).
     pub malformed_spans: u64,

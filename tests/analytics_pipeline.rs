@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use beehive::apps::learning_switch::{learning_switch_app, LEARNING_SWITCH_APP};
 use beehive::core::{
-    collector_app, Analytics, Hive, HiveConfig, HiveMetrics, Loopback, PlatformCounters,
-    PlatformKind, SystemClock, Tick, PLATFORM_TABLE,
+    collector_app, Analytics, Hive, HiveConfig, HiveMetrics, Instrumentation, Loopback,
+    PlatformCounters, PlatformKind, SystemClock, Tick, PLATFORM_TABLE,
 };
 use beehive::openflow::driver::PacketInEvent;
 use beehive::openflow::switch::encode_header_as_packet;
@@ -106,12 +106,13 @@ fn collector_reports_feed_analytics_with_provenance() {
         .iter()
         .any(|r| r.app == LEARNING_SWITCH_APP && r.out_type == "InstallRule"));
 
-    // Rendered report mentions the pipeline.
-    let text = analytics.to_string();
-    assert!(
-        text.contains("PacketInEvent -> PacketOutCmd"),
-        "report: {text}"
+    // The exposition carries the pipeline: one packet-out per packet-in.
+    let text = analytics.render_prometheus();
+    let sample = format!(
+        "beehive_provenance_emissions_total{{app=\"{LEARNING_SWITCH_APP}\",\
+         in_type=\"PacketInEvent\",out_type=\"PacketOutCmd\"}} 20\n"
     );
+    assert!(text.contains(&sample), "exposition: {text}");
 }
 
 /// Ticks a standalone hive's collector once and returns its report as a peer
@@ -127,9 +128,21 @@ fn collect_window(hive: &mut Hive, reports: &Mutex<Vec<HiveMetrics>>, seq: u64) 
     beehive::wire::from_slice(&bytes).unwrap()
 }
 
-/// Every row of the platform table, end to end: a distinct value per row is
-/// set on two hives' instrumentation stores over two windows, travels
-/// collector → wire → `Analytics::ingest`, and must come out of the
+/// Stands in for the hive's end-of-step publish with scripted readings: on
+/// every tick, ahead of the collector (installed after it), it publishes
+/// `next` into the hive's instrumentation store.
+fn reading_app(instr: Arc<Mutex<Instrumentation>>, next: Arc<Mutex<PlatformCounters>>) -> App {
+    App::builder("reading")
+        .handle_local::<Tick>("publish", move |_tick, _ctx| {
+            instr.lock().platform = *next.lock();
+            Ok(())
+        })
+        .build()
+}
+
+/// Every row of the platform table, end to end: a distinct cumulative
+/// reading per row is published on two hives over two windows, travels
+/// window → collector → wire → `Analytics::ingest`, and must come out of the
 /// exposition folded the way its row declares — counters summed over every
 /// window, gauges as of each hive's last window and then summed or maxed
 /// over the hives.
@@ -149,7 +162,7 @@ fn every_platform_row_reaches_the_exposition_folded_as_declared() {
 
     // value(hive, window, row): distinct everywhere, and larger on hive 1's
     // first window than on its second, so "last" and "max" cannot pass for
-    // one another.
+    // one another. A counter's reading is the sum of its windows' values.
     let value = |hive: u64, window: u64, i: usize| 1_000 * hive + 100 * (3 - window) + i as u64;
     for hive_id in [1u32, 2] {
         let reports: Arc<Mutex<Vec<HiveMetrics>>> = Arc::new(Mutex::new(Vec::new()));
@@ -161,19 +174,16 @@ fn every_platform_row_reaches_the_exposition_folded_as_declared() {
             Box::new(Loopback::new(HiveId(hive_id))),
         );
         let instr = hive.instrumentation();
-        hive.install(collector_app(instr.clone()));
+        let next = Arc::new(Mutex::new(PlatformCounters::default()));
+        hive.install(reading_app(instr.clone(), next.clone()));
+        hive.install(collector_app(instr));
         hive.install(capture_app(reports.clone()));
         for window in [1u64, 2] {
-            {
-                // What the hive's own write sites do between two ticks:
-                // counters count up from zero, gauges are overwritten.
-                let mut instr = instr.lock();
-                for (i, (row, cell)) in instr.platform.rows_mut().enumerate() {
-                    let v = value(hive_id as u64, window, i);
-                    match row.kind {
-                        PlatformKind::Counter => *cell += v,
-                        PlatformKind::GaugeSum | PlatformKind::GaugeMax => *cell = v,
-                    }
+            for (i, (row, cell)) in next.lock().rows_mut().enumerate() {
+                let v = value(hive_id as u64, window, i);
+                match row.kind {
+                    PlatformKind::Counter => *cell += v,
+                    PlatformKind::GaugeSum | PlatformKind::GaugeMax => *cell = v,
                 }
             }
             let report = collect_window(&mut hive, &reports, window);

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 
+use beehive::core::DictDump;
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
 use beehive_raft::SeededRng;
@@ -243,14 +244,7 @@ fn workers_one_vs_four_identical() {
 /// Every bank bee's full dictionary contents, byte for byte, plus the
 /// hive-level handled/error counters — the strongest observable equality
 /// the audit API offers.
-fn audit_bank(
-    workers: usize,
-    ops: &[DoOp],
-) -> (
-    BTreeMap<u64, Vec<(String, Vec<(String, Vec<u8>)>)>>,
-    u64,
-    u64,
-) {
+fn audit_bank(workers: usize, ops: &[DoOp]) -> (BTreeMap<u64, DictDump>, u64, u64) {
     let mut cfg = HiveConfig::standalone(HiveId(1));
     cfg.tick_interval_ms = 0;
     cfg.workers = workers;

@@ -6,7 +6,10 @@
 
 use std::sync::Arc;
 
-use beehive::core::{collector_app, exporter_app, Analytics};
+use beehive::core::sync::Mutex;
+use beehive::core::{
+    collector_app, exporter_app, Analytics, EventKind, HiveMetrics, PlatformCounters,
+};
 use beehive::net::FabricFaults;
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster};
@@ -454,4 +457,104 @@ fn requeued_dead_letters_get_a_fresh_redelivery_budget() {
         1,
         "counter unchanged by the successful requeue"
     );
+}
+
+/// The platform rows the collector reports and the hive's own counters are
+/// two views of the same counts: summed over every window the collector
+/// emitted, the failure rows equal `Hive::counters()`, and the last window's
+/// `quarantined` gauge is the number of bees whose breaker is open
+/// (`HiveCounters::handler_errors` counts panics too, the table's
+/// `kind="error"` row does not).
+fn platform_rows_match_counters_scenario(workers: usize) {
+    let windows: Arc<Mutex<Vec<HiveMetrics>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = windows.clone();
+    let mut c = SimCluster::new(
+        ClusterConfig {
+            hives: 1,
+            voters: 1,
+            hive: HiveConfig {
+                workers,
+                max_redeliveries: 1,
+                quarantine_threshold: 3,
+                ..ClusterConfig::default().hive
+            },
+            ..Default::default()
+        },
+        move |h| {
+            h.install(counter());
+            h.install(poison_app());
+            h.install(collector_app(h.instrumentation()));
+            let sink = sink.clone();
+            h.install(
+                App::builder("capture")
+                    .handle::<HiveMetrics>(
+                        |_m| Mapped::LocalSingleton,
+                        move |m, _c| {
+                            sink.lock().push(m.clone());
+                            Ok(())
+                        },
+                    )
+                    .build(),
+            );
+        },
+    );
+    let id = HiveId(1);
+    let inc = || Inc { key: "k".into() };
+    c.hive_mut(id).emit(inc());
+    c.advance(1_000, 50);
+    // An `Err` that one redelivery masks.
+    c.hive_mut(id).inject_handler_fault("counter", "Inc", 1);
+    c.hive_mut(id).emit(inc());
+    c.advance(1_000, 50);
+    // An `Err` that is redelivered, fails again and is dead-lettered.
+    c.hive_mut(id).inject_handler_fault("counter", "Inc", 2);
+    c.hive_mut(id).emit(inc());
+    c.advance(1_000, 50);
+    // A panic, redelivered and dead-lettered; the next poison message is
+    // the third failure in a row and trips the bee's breaker.
+    for _ in 0..2 {
+        c.hive_mut(id).emit(Poison { key: "p".into() });
+        c.advance(500, 50);
+    }
+
+    let check = |c: &SimCluster, open: u64| {
+        let hive = c.hive(id);
+        let windows = windows.lock();
+        let mut summed = PlatformCounters::default();
+        for w in windows.iter() {
+            summed.absorb(&w.platform);
+        }
+        let counters = hive.counters();
+        assert!(counters.handler_panics > 0 && counters.dead_letters > 0);
+        assert!(counters.handler_errors > counters.handler_panics);
+        assert_eq!(
+            summed.handler_errors + summed.handler_panics,
+            counters.handler_errors
+        );
+        assert_eq!(summed.handler_panics, counters.handler_panics);
+        assert_eq!(summed.redeliveries, counters.redeliveries);
+        assert_eq!(summed.dead_letters, counters.dead_letters);
+        let events = hive.events().snapshot();
+        let count = |kind| events.iter().filter(|e| e.kind == kind).count() as u64;
+        let quarantined = count(EventKind::QuarantineOpen) - count(EventKind::QuarantineHalfOpen);
+        assert_eq!(quarantined, open);
+        assert_eq!(windows.last().unwrap().platform.quarantined, quarantined);
+    };
+    // Two more collector ticks, still inside the cooldown.
+    c.advance(2_500, 50);
+    assert_eq!(c.hive(id).counters().quarantines, 1, "breaker open");
+    check(&c, 1);
+    // Past the cooldown: the breaker is half-open and the gauge drops.
+    c.advance(10_000, 50);
+    check(&c, 0);
+}
+
+#[test]
+fn platform_rows_match_counters_sequentially() {
+    platform_rows_match_counters_scenario(1);
+}
+
+#[test]
+fn platform_rows_match_counters_with_parallel_workers() {
+    platform_rows_match_counters_scenario(4);
 }

@@ -4,8 +4,6 @@
 //! one merged chrome-trace document.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -18,6 +16,9 @@ use serde::{Deserialize, Serialize};
 
 mod common;
 use common::HiveThread;
+#[path = "common/http.rs"]
+mod http;
+use http::http_get;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Hop {
@@ -49,18 +50,6 @@ fn chain_app() -> App {
             },
         )
         .build()
-}
-
-/// Plain HTTP/1.0 GET against the status server; returns the body.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to status server");
-    write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (_, body) = response
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body separator");
-    body.to_string()
 }
 
 #[test]
@@ -161,7 +150,8 @@ fn status_server_assembles_a_cross_hive_trace_over_tcp() {
 
     // GET /trace/<id> triggers the cluster-wide assembly: hive 1 broadcasts
     // a TraceQuery, hive 2 replies, and the server merges the spans.
-    let body = http_get(server.local_addr(), &format!("/trace/{}", root.trace_id));
+    let body = http_get(server.local_addr(), &format!("/trace/{}", root.trace_id))
+        .expect("status server answers");
     assert!(body.contains("\"traceEvents\""), "body: {body}");
     assert!(
         body.contains("\"pid\":1") && body.contains("\"pid\":2"),
@@ -182,7 +172,7 @@ fn status_server_assembles_a_cross_hive_trace_over_tcp() {
 
     // The flight recorder on hive 1 saw real lifecycle traffic and none of
     // it rendered malformed.
-    let events = http_get(server.local_addr(), "/events?n=500");
+    let events = http_get(server.local_addr(), "/events?n=500").expect("status server answers");
     assert!(events.contains("\"kind\":\"peer_connect\""), "{events}");
     assert!(events.contains("\"kind\":\"bee_spawned\""), "{events}");
 

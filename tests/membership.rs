@@ -7,8 +7,7 @@
 //! scale-in — with exactly one owner per cell afterwards.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -22,6 +21,9 @@ use serde::{Deserialize, Serialize};
 
 mod common;
 use common::HiveThread;
+#[path = "common/http.rs"]
+mod http;
+use http::http_get;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Count {
@@ -77,18 +79,6 @@ fn counter(answers: Arc<Mutex<HashMap<String, u64>>>) -> App {
             }
         })
         .build()
-}
-
-/// Plain HTTP/1.0 GET against the status server; returns the body.
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to status server");
-    write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (_, body) = response
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body separator");
-    body.to_string()
 }
 
 fn key(i: usize) -> String {
@@ -228,7 +218,7 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let mut saw_draining = false;
     while std::time::Instant::now() < deadline {
-        let body = http_get(server.local_addr(), "/healthz");
+        let body = http_get(server.local_addr(), "/healthz").expect("status server answers");
         if body.contains("\"lifecycle\":\"draining\"") {
             saw_draining = true;
             break;
