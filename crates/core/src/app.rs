@@ -8,12 +8,14 @@
 //! is statically visible, so dictionaries become *monolithic* and the
 //! feedback system can point at the handler responsible.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::cell::{Cell, Mapped};
 use crate::control::ControlMsg;
-use crate::error::Result;
+use crate::error::{Error, Result};
+use crate::executor::colony_holds;
 use crate::id::{AppName, BeeId, HiveId, Name};
 use crate::message::{cast, Dst, Envelope, Message, MessageRegistry, Source, TypedMessage};
 use crate::state::TxState;
@@ -290,6 +292,10 @@ impl AppBuilder {
 
 /// Everything a rcv function can do: transactional state access, emitting
 /// messages, and platform operations. Created by the hive per invocation.
+///
+/// A handler touches only its bee's colony. On the first access outside
+/// it, the message is rolled back whatever the handler then returns, and
+/// re-mapped with the touched cell added before it runs again.
 pub struct RcvCtx<'a> {
     pub(crate) hive: HiveId,
     pub(crate) app: Name,
@@ -299,6 +305,9 @@ pub struct RcvCtx<'a> {
     pub(crate) trace: TraceContext,
     pub(crate) deliveries: u32,
     pub(crate) tx: TxState<'a>,
+    /// `None` for a pinned bee, which may touch any cell.
+    pub(crate) colony: Option<&'a BTreeSet<Cell>>,
+    pub(crate) unmapped: OnceCell<Cell>,
     pub(crate) outbox: Vec<Envelope>,
     pub(crate) control_out: Vec<(HiveId, ControlMsg)>,
     pub(crate) retire: bool,
@@ -345,29 +354,51 @@ impl RcvCtx<'_> {
 
     // ----- state (transactional) -----
 
-    /// Typed read of `dict[key]` through the transaction.
+    /// `Ok` when the bee may touch `dict[key]`; the first refusal is kept
+    /// for the re-map. Allocates only on a refusal.
+    fn check(&self, dict: &str, key: &str) -> Result<()> {
+        if self.colony.is_none_or(|c| colony_holds(c, dict, key)) {
+            return Ok(());
+        }
+        let cell = Cell {
+            dict: dict.to_string(),
+            key: key.to_string(),
+        };
+        let _ = self.unmapped.set(cell.clone());
+        Err(Error::Unmapped(cell))
+    }
+
+    /// Typed read of `dict[key]` through the transaction;
+    /// [`Error::Unmapped`] outside the bee's colony.
     pub fn get<T: serde::de::DeserializeOwned>(&self, dict: &str, key: &str) -> Result<Option<T>> {
+        self.check(dict, key)?;
         self.tx.get(dict, key)
     }
 
-    /// Typed buffered write of `dict[key]`.
+    /// Typed buffered write of `dict[key]`; [`Error::Unmapped`], writing
+    /// nothing, outside the bee's colony.
     pub fn put<T: serde::Serialize>(
         &mut self,
         dict: &str,
         key: impl AsRef<str> + Into<Name>,
         value: &T,
     ) -> Result<()> {
+        self.check(dict, key.as_ref())?;
         self.tx.put(dict, key, value)
     }
 
-    /// Buffered delete of `dict[key]`.
+    /// Buffered delete of `dict[key]`. Outside the bee's colony it deletes
+    /// nothing and re-maps the message as [`Error::Unmapped`] would.
     pub fn del(&mut self, dict: &str, key: &str) {
-        self.tx.del(dict, key)
+        if self.check(dict, key).is_ok() {
+            self.tx.del(dict, key)
+        }
     }
 
-    /// Whether `dict[key]` is visible.
+    /// Whether `dict[key]` is visible. Outside the bee's colony it answers
+    /// `false` and re-maps the message as [`Error::Unmapped`] would.
     pub fn contains(&self, dict: &str, key: &str) -> bool {
-        self.tx.contains(dict, key)
+        self.check(dict, key).is_ok() && self.tx.contains(dict, key)
     }
 
     /// Keys of `dict` owned by this bee (through the transaction overlay).

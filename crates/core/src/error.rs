@@ -32,6 +32,9 @@ pub enum Error {
     Transport(String),
     /// The registry rejected an operation.
     Registry(String),
+    /// A handler touched this cell outside its bee's colony: the message
+    /// re-maps with it, whatever the handler returns, and runs again.
+    Unmapped(crate::cell::Cell),
     /// Anything else.
     Other(String),
 }
@@ -54,6 +57,7 @@ impl fmt::Display for Error {
             }
             Error::Transport(msg) => write!(f, "transport error: {msg}"),
             Error::Registry(msg) => write!(f, "registry error: {msg}"),
+            Error::Unmapped(cell) => write!(f, "cell {cell} is outside the bee's colony"),
             Error::Other(msg) => write!(f, "{msg}"),
         }
     }

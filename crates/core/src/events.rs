@@ -100,11 +100,15 @@ pub enum EventKind {
     /// A journal recovery discarded a torn tail record (crash mid-append).
     /// Expected after a hard kill; benign, but counted.
     JournalTornTail,
+    /// A handler touched a cell outside its bee's colony: the attempt was
+    /// rolled back and the message re-mapped with that cell. The detail
+    /// names the message type and the cell, i.e. which map to widen.
+    Remap,
 }
 
 impl EventKind {
     /// Every kind, in declaration order (stable for exposition and tests).
-    pub const ALL: [EventKind; 22] = [
+    pub const ALL: [EventKind; 23] = [
         EventKind::BeeSpawned,
         EventKind::BeeRetired,
         EventKind::MigrationStart,
@@ -127,6 +131,7 @@ impl EventKind {
         EventKind::SnapshotInstall,
         EventKind::StorageFault,
         EventKind::JournalTornTail,
+        EventKind::Remap,
     ];
 
     /// Stable snake_case label, used by the JSON exposition and metrics.
@@ -154,6 +159,7 @@ impl EventKind {
             EventKind::SnapshotInstall => "snapshot_install",
             EventKind::StorageFault => "storage_fault",
             EventKind::JournalTornTail => "journal_torn_tail",
+            EventKind::Remap => "remap",
         }
     }
 }

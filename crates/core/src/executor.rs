@@ -38,7 +38,7 @@ use crate::id::{BeeId, HiveId};
 use crate::message::Envelope;
 use crate::metrics::Instrumentation;
 use crate::queen::CheckedOutBee;
-use crate::state::{BeeState, JournalOp, JournalView, TxLogs, TxState};
+use crate::state::{BeeState, JournalView, TxLogs, TxState};
 use crate::supervision::{panic_detail, FailureKind, HandlerFaults};
 use crate::sync::{wait_timeout, Mutex};
 use crate::trace::{SpanRecord, TraceCollector};
@@ -117,8 +117,8 @@ pub(crate) struct BatchEnv<'a> {
     pub hive: HiveId,
     /// The bee being run.
     pub bee: BeeId,
-    /// Whether the bee is pinned (local singleton): pinned bees claim no
-    /// cells and are not replicated.
+    /// Whether the bee is pinned (local singleton): pinned bees may touch
+    /// any cell and are not replicated.
     pub pinned: bool,
     /// Platform time of this run, in ms.
     pub now_ms: u64,
@@ -144,6 +144,14 @@ pub(crate) struct FailedDelivery {
     pub kind: FailureKind,
     /// Error string or panic payload.
     pub detail: String,
+}
+
+/// A message whose handler touched `cell` outside the bee's colony, rolled
+/// back to be re-routed with `cell` added. Not a failure: it runs again.
+pub(crate) struct Remap {
+    pub hidx: u16,
+    pub env: Envelope,
+    pub cell: Cell,
 }
 
 /// What one message of a batch asked for. A failed message was rolled back:
@@ -172,9 +180,9 @@ pub(crate) struct BatchEffects {
     /// Every message the batch's handlers emitted, in message order, then
     /// emit order; [`MsgEffects::emitted`] splits it by message.
     pub outbox: Vec<Envelope>,
-    /// Cells written outside the colony (already added to it), to be
-    /// proposed as `AssignCells`.
-    pub new_cells: Vec<Cell>,
+    /// The message, after every entry of `msgs`, that stopped the batch by
+    /// touching a cell outside the colony.
+    pub remap: Option<Remap>,
     /// Whether the *last* message's handler committed a retire request.
     /// Only the last message may retire a bee: every earlier one has more
     /// mail behind it, and a bee is only collected when idle.
@@ -193,6 +201,11 @@ pub(crate) struct BatchEffects {
 /// committed messages' writes stay applied, and each committed message
 /// ships and then clears its own replication journal
 /// ([`TxState::journal_since`]).
+///
+/// A message that touches a cell outside `colony` is rolled back the same
+/// way, whatever its handler returned, and stops the batch: it comes back
+/// as [`BatchEffects::remap`], and the rest of `mail` stays unrun.
+///
 /// Handler statistics go to `instr`, which is locked per message and only
 /// after the handler returned — handlers may lock it themselves (the
 /// collector app drains it).
@@ -200,7 +213,7 @@ pub(crate) struct BatchEffects {
 pub(crate) fn run_batch(
     env: &BatchEnv<'_>,
     state: &mut BeeState,
-    colony: &mut BTreeSet<Cell>,
+    colony: &BTreeSet<Cell>,
     repl_seq: &mut u64,
     mail: &[(u16, Envelope)],
     instr: &Mutex<Instrumentation>,
@@ -229,6 +242,8 @@ pub(crate) fn run_batch(
             trace: envelope.trace,
             deliveries: envelope.deliveries,
             tx,
+            colony: (!env.pinned).then_some(colony),
+            unmapped: Default::default(),
             outbox: std::mem::take(&mut effects.outbox),
             control_out: Vec::new(),
             retire: false,
@@ -253,6 +268,7 @@ pub(crate) fn run_batch(
 
         let RcvCtx {
             tx: tx_back,
+            unmapped,
             outbox,
             control_out,
             retire,
@@ -260,27 +276,27 @@ pub(crate) fn run_batch(
         } = ctx;
         tx = tx_back;
         effects.outbox = outbox;
+        if let Some(cell) = unmapped.into_inner() {
+            // Not a run: no statistics, and nothing overtakes it.
+            tx.rollback_to(&sp);
+            effects.outbox.truncate(emitted_from);
+            effects.retire = false;
+            effects.remap = Some(Remap {
+                hidx: *hidx,
+                env: envelope.clone(),
+                cell,
+            });
+            break;
+        }
         let mut done = MsgEffects::default();
         let ok = match outcome {
             Ok(()) => {
                 let journal = tx.journal_since(&sp);
-                if !env.pinned {
-                    // Claim newly written cells that fall outside the colony.
-                    for op in journal {
-                        let (JournalOp::Put { dict, key, .. } | JournalOp::Del { dict, key }) = op;
-                        if key == WHOLE_DICT_KEY || colony_holds(colony, dict, key) {
-                            continue;
-                        }
-                        let cell = Cell::new(dict.as_str(), key.as_str());
-                        colony.insert(cell.clone());
-                        effects.new_cells.push(cell);
-                    }
-                    // Colony replication: sequence and encode the journal.
-                    if env.replicate && !journal.is_empty() {
-                        *repl_seq += 1;
-                        if let Ok(bytes) = beehive_wire::to_vec(&JournalView(journal)) {
-                            done.replicate = Some((*repl_seq, bytes));
-                        }
+                // Colony replication: sequence and encode the journal.
+                if !env.pinned && env.replicate && !journal.is_empty() {
+                    *repl_seq += 1;
+                    if let Ok(bytes) = beehive_wire::to_vec(&JournalView(journal)) {
+                        done.replicate = Some((*repl_seq, bytes));
                     }
                 }
                 tx.clear_journal_since(&sp);
@@ -352,9 +368,9 @@ pub(crate) fn run_batch(
     effects.tx_logs = tx_logs;
 }
 
-/// Whether `colony` already holds `dict[key]`, itself or through its
-/// dictionary's whole cell. Compares borrowed strings; builds no `Cell`.
-fn colony_holds(colony: &BTreeSet<Cell>, dict: &str, key: &str) -> bool {
+/// Whether `colony` holds `dict[key]`, itself or through its dictionary's
+/// whole cell. Compares borrowed strings; builds no `Cell`.
+pub(crate) fn colony_holds(colony: &BTreeSet<Cell>, dict: &str, key: &str) -> bool {
     colony.contains(&(dict, key) as &dyn CellRef)
         || colony.contains(&(dict, WHOLE_DICT_KEY) as &dyn CellRef)
 }
@@ -410,14 +426,16 @@ fn run_job(worker: usize, mut job: BeeJob) -> FinishedJob {
             faults: &job.faults,
         },
         &mut job.out.state,
-        &mut job.out.colony,
+        &job.out.colony,
         &mut job.out.repl_seq,
         &job.out.mail,
         &delta,
         &mut effects,
     );
-    // Free the processed mail here rather than on the hive thread.
-    job.out.mail = Vec::new();
+    // Free the processed mail here rather than on the hive thread; what a
+    // re-map left unrun goes back to the hive.
+    let ran = effects.msgs.len() + usize::from(effects.remap.is_some());
+    job.out.mail.drain(..ran);
     let mut instr = delta.into_inner();
     instr.executor.record_batch(
         worker,

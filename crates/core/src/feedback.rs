@@ -54,11 +54,11 @@ pub enum FeedbackItem {
         /// cost of the misplacement (None = no histogram data).
         p99_queue_wait_us: Option<u64>,
     },
-    /// Handlers wrote keys outside their mapped cells and collided with
-    /// other colonies — a consistency-endangering design error.
-    OutOfCellWrites {
-        /// Number of conflicting writes observed.
-        conflicts: u64,
+    /// Handlers touched cells their map does not name: each such message
+    /// cost a rolled-back attempt and a registry round before it committed.
+    Remaps {
+        /// Messages re-mapped.
+        remaps: u64,
     },
     /// A bee fails a large share of its deliveries: its messages burn their
     /// redelivery budget, land in the dead-letter queue, and the bee risks
@@ -118,10 +118,11 @@ impl fmt::Display for FeedbackItem {
                 }
                 Ok(())
             }
-            FeedbackItem::OutOfCellWrites { conflicts } => write!(
+            FeedbackItem::Remaps { remaps } => write!(
                 f,
-                "{conflicts} write(s) outside the mapped cells collided with other colonies; \
-                 map functions must cover every key the handler writes"
+                "{remaps} message(s) touched cells outside their map and re-mapped before \
+                 committing; map functions should name every entry the handler touches \
+                 (see the remap events)"
             ),
             FeedbackItem::FailingHandler {
                 bee,
@@ -191,12 +192,12 @@ pub fn design_feedback(app: &App) -> FeedbackReport {
 /// it (paper-style default: 0.9). `chatter_threshold` — flag bees receiving
 /// more than this fraction of their input from one remote hive. `latency` —
 /// the app's per-message-type histograms, if collected; findings then cite
-/// p99 latency evidence alongside the counts.
+/// p99 latency evidence alongside the counts. `remaps` — the hive's count.
 pub fn runtime_feedback(
     app: &str,
     snapshots: &[BeeStatsSnapshot],
     latency: Option<&BTreeMap<(String, String), MsgLatency>>,
-    assign_conflicts: u64,
+    remaps: u64,
     centralization_threshold: f64,
     chatter_threshold: f64,
 ) -> FeedbackReport {
@@ -270,10 +271,8 @@ pub fn runtime_feedback(
         }
     }
 
-    if assign_conflicts > 0 {
-        items.push(FeedbackItem::OutOfCellWrites {
-            conflicts: assign_conflicts,
-        });
+    if remaps > 0 {
+        items.push(FeedbackItem::Remaps { remaps });
     }
 
     FeedbackReport {
@@ -436,12 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn conflicts_reported() {
+    fn remaps_reported() {
         let report = runtime_feedback("te", &[], None, 3, 0.9, 0.5);
-        assert_eq!(
-            report.items,
-            vec![FeedbackItem::OutOfCellWrites { conflicts: 3 }]
-        );
+        assert_eq!(report.items, vec![FeedbackItem::Remaps { remaps: 3 }]);
     }
 
     #[test]

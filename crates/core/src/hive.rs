@@ -20,7 +20,7 @@ use crate::channel::{ChannelDelivery, ChannelTuning, ReliableChannels};
 use crate::clock::Clock;
 use crate::control::{ControlMsg, MembershipOp};
 use crate::events::{EventJournal, EventKind, EVENT_CAPACITY};
-use crate::executor::{run_batch, BatchEffects, BatchEnv, BeeJob, Executor, Parker};
+use crate::executor::{run_batch, BatchEffects, BatchEnv, BeeJob, Executor, Parker, Remap};
 use crate::id::{AppName, BeeId, HiveId};
 use crate::lifecycle::{Lifecycle, LifecycleStage};
 use crate::message::{Dst, Envelope, Message, MessageRegistry, WireEnvelope};
@@ -186,9 +186,12 @@ pub struct HiveCounters {
     pub dropped_orphans: u64,
     /// Direct-addressed messages dropped because the handler was ambiguous.
     pub dropped_ambiguous: u64,
-    /// Cells written outside a bee's mapped cells that turned out to be owned
-    /// by another bee (an application design error).
-    pub assign_conflicts: u64,
+    /// Keys a colony merge found in both the winner's and a loser's state:
+    /// 0 unless a bee touched cells outside its colony (a broken invariant).
+    pub merge_collisions: u64,
+    /// Messages re-mapped, each also an [`EventKind::Remap`] event, because
+    /// their handler touched a cell outside its bee's colony. Not failures.
+    pub remaps: u64,
     /// Registry commands that were rejected.
     pub rejected_commands: u64,
     /// Registry commands forwarded toward the leader.
@@ -336,7 +339,7 @@ pub struct Hive {
     next_bee_seq: u32,
     next_cmd_seq: u64,
     pending_routes: HashMap<u64, PendingRoute>,
-    /// Fire-and-forget registry commands (moves, removals, assignments)
+    /// Fire-and-forget registry commands (moves and removals)
     /// awaiting their applied event; resubmitted on the retry timer so a
     /// leaderless window can't strand a migration.
     pending_ops: HashMap<u64, (RegistryCommand, u64)>,
@@ -1364,9 +1367,11 @@ impl Hive {
         };
         for (h, env) in p.waiting {
             match self.apps[ai].map(h, env.msg.as_ref()) {
-                Mapped::Cells(cells) => self.route_cells(ai, Some(h), cells, Some(env)),
-                // Non-cell mappings never buffer here, but fall back to
-                // direct delivery defensively.
+                Mapped::Cells(cells) => {
+                    self.route_cells(ai, Some(h), cells, Some(env));
+                }
+                // Non-cell mappings wait here only behind a re-map: they
+                // go to the route's bee.
                 _ => self.deliver_or_relay(ai, bee, hive, h, env),
             }
         }
@@ -1560,14 +1565,15 @@ impl Hive {
         }
     }
 
-    /// Routes a message (or a pre-claim with no message) by cells.
+    /// Routes a message (or a pre-claim with no message) by cells. Returns
+    /// the pending route it waits on, if it did not go straight to a bee.
     fn route_cells(
         &mut self,
         app_idx: usize,
         handler: Option<u16>,
         mut cells: Vec<Cell>,
         env: Option<Envelope>,
-    ) {
+    ) -> Option<u64> {
         cells.sort();
         cells.dedup();
         let app = self.apps[app_idx].clone();
@@ -1589,7 +1595,7 @@ impl Hive {
                     p.waiting.push((h, env));
                 }
             }
-            return;
+            return Some(seq);
         }
 
         // A pending route whose cells merely *intersect* ours also carries
@@ -1611,7 +1617,7 @@ impl Hive {
                     p.waiting.push((h, env));
                 }
             }
-            return;
+            return Some(seq);
         }
 
         // Fast path: a single bee already owns every cell.
@@ -1619,7 +1625,7 @@ impl Hive {
             if let (Some(h), Some(env)) = (handler, env) {
                 self.deliver_or_relay(app_idx, bee, hive, h, env);
             }
-            return;
+            return None;
         }
         let new_bee = BeeId::new(self.cfg.id, self.next_bee_seq);
         self.next_bee_seq += 1;
@@ -1650,6 +1656,7 @@ impl Hive {
         );
         self.inflight.insert((app_name.to_string(), cells), seq);
         self.submit_cmd(cmd);
+        Some(seq)
     }
 
     fn deliver_direct(
@@ -1720,11 +1727,7 @@ impl Hive {
                 // The registry says it's ours but the queen doesn't have it
                 // yet (e.g. created by a remote LookupOrCreate, or a staged
                 // migration). Materialize it.
-                let colony: Vec<Cell> = self
-                    .registry_view()
-                    .bee(bee)
-                    .map(|r| r.colony.iter().cloned().collect())
-                    .unwrap_or_default();
+                let colony = self.registry_view().colony_of(bee);
                 if let Some(staged) = self.staged.remove(&(app.to_string(), bee)) {
                     self.queens[app_idx].install_migrated(
                         bee,
@@ -2652,19 +2655,15 @@ impl Hive {
                         }
                     }
                     if hive == self.cfg.id {
-                        let colony: Vec<Cell> = self
-                            .registry_view()
-                            .bee(bee)
-                            .map(|r| r.colony.iter().cloned().collect())
-                            .unwrap_or_default();
+                        let colony = self.registry_view().colony_of(bee);
                         self.queens[ai].ensure_bee(bee, colony);
                         let remote_losers: HashSet<BeeId> = merged
                             .iter()
                             .filter(|(_, lh)| *lh != self.cfg.id)
                             .map(|(l, _)| *l)
                             .collect();
-                        let conflicts = self.queens[ai].await_merges(bee, remote_losers);
-                        self.counters.assign_conflicts += conflicts as u64;
+                        let collisions = self.queens[ai].await_merges(bee, remote_losers);
+                        self.counters.merge_collisions += collisions as u64;
                         if self.queens[ai].bee(bee).is_some_and(|b| b.runnable()) {
                             self.run_queue.push_back((ai, bee));
                         }
@@ -2729,11 +2728,7 @@ impl Hive {
                         // Failover: promote the local shadow instead of
                         // waiting for a state shipment from the dead owner.
                         let shadow = self.shadows.take(&app, bee).unwrap_or_default();
-                        let colony: Vec<Cell> = self
-                            .registry_view()
-                            .bee(bee)
-                            .map(|r| r.colony.iter().cloned().collect())
-                            .unwrap_or_default();
+                        let colony = self.registry_view().colony_of(bee);
                         self.queens[ai].install_migrated(bee, shadow.state, colony, shadow.seq);
                         self.counters.failovers += 1;
                         self.events.record_full(
@@ -2748,9 +2743,6 @@ impl Hive {
                         self.queens[ai].stage_in(bee);
                     }
                 }
-            }
-            RegistryEvent::Assigned { conflicts, .. } => {
-                self.counters.assign_conflicts += conflicts.len() as u64;
             }
             RegistryEvent::Removed { app, bee, hive } => {
                 if hive == self.cfg.id {
@@ -2902,8 +2894,8 @@ impl Hive {
                     }
                 };
                 if self.queens[ai].expects_merge(winner, loser) {
-                    let conflicts = self.queens[ai].absorb_merge(winner, loser, state);
-                    self.counters.assign_conflicts += conflicts as u64;
+                    let collisions = self.queens[ai].absorb_merge(winner, loser, state);
+                    self.counters.merge_collisions += collisions as u64;
                     self.counters.merges += 1;
                     if self.queens[ai].bee(winner).is_some_and(|b| b.runnable()) {
                         self.run_queue.push_back((ai, winner));
@@ -3026,13 +3018,13 @@ impl Hive {
                 faults: &self.faults,
             },
             &mut bee.state,
-            &mut bee.colony,
+            &bee.colony,
             &mut bee.repl_seq,
             std::slice::from_ref(&mail),
             &self.instr,
             &mut effects,
         );
-        let processed = self.apply_batch(app_idx, bee_id, pinned, &mut effects, now);
+        let processed = self.apply_batch(app_idx, bee_id, pinned, &mut effects, Vec::new(), now);
         self.effects = effects;
         processed
     }
@@ -3103,6 +3095,7 @@ impl Hive {
                 r.job.bee,
                 r.job.out.pinned,
                 &mut r.effects,
+                std::mem::take(&mut r.job.out.mail),
                 now,
             );
         }
@@ -3112,13 +3105,16 @@ impl Hive {
     /// Turns what [`run_batch`] returned into hive actions — the only code
     /// that does — and leaves `effects` empty, its buffers kept for the
     /// next run. The bee is back in its queen (never borrowed, checked in)
-    /// by the time this runs. Returns messages processed.
+    /// by the time this runs; `unrun` is the mail a re-map stopped the
+    /// batch ahead of. Returns messages processed, the re-mapped one
+    /// included.
     fn apply_batch(
         &mut self,
         app_idx: usize,
         bee: BeeId,
         pinned: bool,
         effects: &mut BatchEffects,
+        unrun: Vec<(u16, Envelope)>,
         now: u64,
     ) -> usize {
         // Supervision: route each failure (redelivery or dead-letter) and
@@ -3139,6 +3135,13 @@ impl Hive {
             );
         }
         self.apply_outcome(app_idx, bee, had_success, trailing_failures, now);
+        // A re-map is neither: the breaker and the failure counters never
+        // see it.
+        let remap = effects.remap.take();
+        let remapped = usize::from(remap.is_some());
+        if let Some(r) = remap {
+            self.remap(app_idx, bee, r, unrun);
+        }
 
         // Requeue whenever mail remains: the inline caller takes one message
         // per turn, and a half-open probe checks out only one.
@@ -3150,7 +3153,7 @@ impl Hive {
         }
 
         // The handlers' outputs, in message order.
-        let processed = effects.msgs.len();
+        let processed = effects.msgs.len() + remapped;
         let mut outbox = effects.outbox.drain(..);
         for m in effects.msgs.drain(..) {
             self.dispatch_queue.extend(outbox.by_ref().take(m.emitted));
@@ -3176,12 +3179,6 @@ impl Hive {
         }
         debug_assert!(outbox.next().is_none(), "every emitted message dispatched");
         drop(outbox);
-        if !effects.new_cells.is_empty() {
-            self.submit_tracked(RegistryOp::AssignCells {
-                bee,
-                cells: std::mem::take(&mut effects.new_cells),
-            });
-        }
         // Colony garbage collection: a retired bee with empty state and an
         // idle mailbox is removed from the registry (the queen drops it when
         // the Removed event applies).
@@ -3194,6 +3191,47 @@ impl Hive {
             }
         }
         processed
+    }
+
+    /// Re-routes a message whose handler touched `r.cell` outside `bee`'s
+    /// colony through [`Hive::route_cells`], with that cell added to the
+    /// handler's mapped cells, so the registry settles who owns it (lookup,
+    /// extend or merge) before anything commits. `queued` (what the batch
+    /// left unrun) and the bee's mailbox keep their place behind it.
+    fn remap(&mut self, app_idx: usize, bee: BeeId, r: Remap, mut queued: Vec<(u16, Envelope)>) {
+        let app = self.apps[app_idx].clone();
+        self.counters.remaps += 1;
+        let msg_type = r.env.msg.type_name();
+        let detail = format!("{msg_type} touched {} outside its map", r.cell);
+        let trace = r.env.trace.trace_id;
+        self.events
+            .record_full(EventKind::Remap, trace, app.name(), Some(bee), None, detail);
+        let mut cells = match app.map(r.hidx, r.env.msg.as_ref()) {
+            Mapped::Cells(cells) => cells,
+            // Broadcast and direct deliveries name no cells: they were
+            // handed the bee's colony.
+            _ => self.registry_view().colony_of(bee),
+        };
+        cells.push(if app.is_monolithic(&r.cell.dict) {
+            Cell::whole(r.cell.dict)
+        } else {
+            r.cell
+        });
+        if let Some(b) = self.queens[app_idx].bee_mut(bee) {
+            queued.extend(b.mailbox.drain(..));
+        }
+        let parked = self
+            .route_cells(app_idx, Some(r.hidx), cells, Some(r.env))
+            .and_then(|seq| self.pending_routes.get_mut(&seq));
+        match parked {
+            Some(p) => p.waiting.extend(queued),
+            // Routed at once: the mail goes back behind it.
+            None => {
+                for (h, env) in queued {
+                    self.queens[app_idx].deliver(bee, h, env);
+                }
+            }
+        }
     }
 }
 

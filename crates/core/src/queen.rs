@@ -403,9 +403,8 @@ impl Queen {
     /// Checks a bee back in after a round: restores state, colony
     /// and replication sequence and reactivates it. Deliveries that arrived
     /// while checked out are already buffered in the mailbox and are
-    /// untouched. The colony is unioned defensively in case a registry event
-    /// extended it mid-round (cannot happen today — the hive thread blocks
-    /// for the round — but the union is free).
+    /// untouched. Nothing changes a checked-out bee's colony: a run only
+    /// reads it, and the hive thread blocks for the round.
     pub(crate) fn check_in(
         &mut self,
         id: BeeId,
@@ -417,10 +416,8 @@ impl Queen {
             return;
         };
         debug_assert_eq!(bee.status, BeeStatus::CheckedOut);
-        let extended = std::mem::take(&mut bee.colony);
         bee.state = state;
         bee.colony = colony;
-        bee.colony.extend(extended);
         bee.repl_seq = repl_seq;
         if bee.status == BeeStatus::CheckedOut {
             bee.status = BeeStatus::Active;
@@ -744,14 +741,13 @@ mod tests {
             "double checkout must fail"
         );
         assert!(q.deliver(bid(1), 0, env()));
-        // Worker "runs" the batch: mutate state, claim a cell.
+        // Worker "runs" the batch: mutate state.
         out.state.dict_mut("S").put("k", &7u32).unwrap();
-        out.colony.insert(Cell::new("S", "k2"));
         q.check_in(bid(1), out.state, out.colony, 5);
         let bee = q.bee(bid(1)).unwrap();
         assert_eq!(bee.status, BeeStatus::Active);
         assert_eq!(bee.repl_seq, 5);
-        assert_eq!(bee.colony.len(), 2);
+        assert_eq!(bee.colony.len(), 1);
         assert_eq!(bee.mailbox.len(), 1, "delivery during checkout preserved");
         assert_eq!(
             bee.state.dict("S").unwrap().get::<u32>("k").unwrap(),

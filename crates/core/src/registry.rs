@@ -36,14 +36,6 @@ pub enum RegistryOp {
         /// Destination hive.
         to: HiveId,
     },
-    /// Claims additional cells for an existing bee (keys first written inside
-    /// a handler rather than named by `map`).
-    AssignCells {
-        /// The owning bee.
-        bee: BeeId,
-        /// Cells to claim.
-        cells: Vec<Cell>,
-    },
     /// Deletes a bee and frees its cells.
     RemoveBee {
         /// The bee to remove.
@@ -102,19 +94,6 @@ pub enum RegistryEvent {
         /// New hive.
         to: HiveId,
     },
-    /// Cells were assigned to a bee; cells already owned by *another* bee are
-    /// reported as conflicts (an application design error — writes outside
-    /// the mapped cells — surfaced through feedback).
-    Assigned {
-        /// Application.
-        app: AppName,
-        /// The owning bee.
-        bee: BeeId,
-        /// Newly assigned cells.
-        assigned: Vec<Cell>,
-        /// Cells already owned elsewhere.
-        conflicts: Vec<Cell>,
-    },
     /// A bee was removed.
     Removed {
         /// Application.
@@ -171,6 +150,14 @@ impl RegistryState {
     /// The hive hosting `bee`.
     pub fn hive_of(&self, bee: BeeId) -> Option<HiveId> {
         self.bees.get(&bee).map(|r| r.hive)
+    }
+
+    /// The cells `bee` owns, empty for an unknown bee.
+    pub fn colony_of(&self, bee: BeeId) -> Vec<Cell> {
+        self.bees
+            .get(&bee)
+            .map(|r| r.colony.iter().cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Number of known bees.
@@ -239,36 +226,6 @@ impl RegistryState {
                     reason: format!("move: unknown bee {bee}"),
                 },
             },
-            RegistryOp::AssignCells { bee, cells } => {
-                let Some(rec) = self.bees.get(bee) else {
-                    return RegistryEvent::Rejected {
-                        reason: format!("assign: unknown bee {bee}"),
-                    };
-                };
-                let app = rec.app.clone();
-                let mut assigned = Vec::new();
-                let mut conflicts = Vec::new();
-                for c in cells {
-                    match self.owner(&app, c) {
-                        Some(owner) if owner != *bee => conflicts.push(c.clone()),
-                        Some(_) => {} // already ours
-                        None => {
-                            self.cells
-                                .entry(app.clone())
-                                .or_default()
-                                .insert(c.clone(), *bee);
-                            self.bees.get_mut(bee).unwrap().colony.insert(c.clone());
-                            assigned.push(c.clone());
-                        }
-                    }
-                }
-                RegistryEvent::Assigned {
-                    app,
-                    bee: *bee,
-                    assigned,
-                    conflicts,
-                }
-            }
             RegistryOp::RemoveBee { bee } => match self.bees.remove(bee) {
                 Some(rec) => {
                     if let Some(index) = self.cells.get_mut(&rec.app) {
@@ -302,10 +259,11 @@ impl RegistryState {
             };
         }
         let owners = self.owners_of(app, cells);
-        match owners.len() {
-            0 => {
-                // Nothing owns any of these cells. Create (or reuse, on a
-                // duplicate retry) the proposer's bee and assign everything.
+        let mut merged = Vec::new();
+        let (bee, created) = match owners[..] {
+            // Nothing owns any of these cells: create (or reuse, on a
+            // duplicate retry) the proposer's bee.
+            [] => {
                 let created = !self.bees.contains_key(&new_bee);
                 if created {
                     self.bees.insert(
@@ -317,46 +275,9 @@ impl RegistryState {
                         },
                     );
                 }
-                let rec_hive = self.bees.get(&new_bee).unwrap().hive;
-                for c in cells {
-                    self.cells
-                        .entry(app.to_string())
-                        .or_default()
-                        .insert(c.clone(), new_bee);
-                    self.bees
-                        .get_mut(&new_bee)
-                        .unwrap()
-                        .colony
-                        .insert(c.clone());
-                }
-                RegistryEvent::Routed {
-                    app: app.to_string(),
-                    bee: new_bee,
-                    hive: rec_hive,
-                    created,
-                    merged: Vec::new(),
-                }
+                (new_bee, created)
             }
-            1 => {
-                let bee = owners[0];
-                for c in cells {
-                    if self.owner(app, c).is_none() {
-                        self.cells
-                            .entry(app.to_string())
-                            .or_default()
-                            .insert(c.clone(), bee);
-                        self.bees.get_mut(&bee).unwrap().colony.insert(c.clone());
-                    }
-                }
-                let hive = self.bees.get(&bee).unwrap().hive;
-                RegistryEvent::Routed {
-                    app: app.to_string(),
-                    bee,
-                    hive,
-                    created: false,
-                    merged: Vec::new(),
-                }
-            }
+            [owner] => (owner, false),
             _ => {
                 // Colonies must merge to preserve the intersection guarantee.
                 // Winner: largest colony, ties broken by smallest id — both
@@ -370,7 +291,6 @@ impl RegistryState {
                         )
                     })
                     .unwrap();
-                let mut merged = Vec::new();
                 for loser in owners.iter().copied().filter(|&b| b != winner) {
                     let rec = self.bees.remove(&loser).expect("loser exists");
                     merged.push((loser, rec.hive));
@@ -384,25 +304,25 @@ impl RegistryState {
                         .colony
                         .extend(rec.colony);
                 }
-                // Claim any cells still unowned.
-                for c in cells {
-                    if self.owner(app, c).is_none() {
-                        self.cells
-                            .entry(app.to_string())
-                            .or_default()
-                            .insert(c.clone(), winner);
-                        self.bees.get_mut(&winner).unwrap().colony.insert(c.clone());
-                    }
-                }
-                let hive = self.bees.get(&winner).unwrap().hive;
-                RegistryEvent::Routed {
-                    app: app.to_string(),
-                    bee: winner,
-                    hive,
-                    created: false,
-                    merged,
-                }
+                (winner, false)
             }
+        };
+        // The one place a cell gets its first owner: every cell of the set
+        // still unowned goes to `bee`.
+        let index = self.cells.entry(app.to_string()).or_default();
+        let rec = self.bees.get_mut(&bee).expect("bee recorded above");
+        for c in cells {
+            if !index.contains_key(c) {
+                index.insert(c.clone(), bee);
+                rec.colony.insert(c.clone());
+            }
+        }
+        RegistryEvent::Routed {
+            app: app.to_string(),
+            bee,
+            hive: rec.hive,
+            created,
+            merged,
         }
     }
 }
@@ -683,47 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn assign_cells_reports_conflicts() {
-        let mut r = RegistryState::new();
-        let b1 = BeeId::new(HiveId(1), 1);
-        let b2 = BeeId::new(HiveId(1), 2);
-        r.apply_command(&cmd(
-            1,
-            RegistryOp::LookupOrCreate {
-                app: "a".into(),
-                cells: cells(&["k1"]),
-                new_bee: b1,
-            },
-        ));
-        r.apply_command(&cmd(
-            2,
-            RegistryOp::LookupOrCreate {
-                app: "a".into(),
-                cells: cells(&["k2"]),
-                new_bee: b2,
-            },
-        ));
-        let ev = r.apply_command(&cmd(
-            3,
-            RegistryOp::AssignCells {
-                bee: b2,
-                cells: cells(&["k1", "k3"]),
-            },
-        ));
-        match ev {
-            RegistryEvent::Assigned {
-                assigned,
-                conflicts,
-                ..
-            } => {
-                assert_eq!(assigned, cells(&["k3"]));
-                assert_eq!(conflicts, cells(&["k1"]));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn remove_bee_frees_cells() {
         let mut r = RegistryState::new();
         let b1 = BeeId::new(HiveId(1), 1);
@@ -748,10 +627,6 @@ mod tests {
             RegistryOp::MoveBee {
                 bee: ghost,
                 to: HiveId(1),
-            },
-            RegistryOp::AssignCells {
-                bee: ghost,
-                cells: cells(&["k"]),
             },
             RegistryOp::RemoveBee { bee: ghost },
         ] {

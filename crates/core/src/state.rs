@@ -30,7 +30,7 @@
 //! serialize byte-identically to the pre-COW clone-based engine — generation
 //! stamps are bookkeeping, never persisted or replicated.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -393,8 +393,6 @@ pub(crate) struct TxLogs {
     undo: Vec<Undo>,
     /// Ordered journal for deterministic replay (colony replication).
     redo: Vec<JournalOp>,
-    /// Every `(dict, key)` written, in op order (deduped on read).
-    written: Vec<(Name, Name)>,
     /// Where a typed put encodes its value before copying it into the
     /// value's own shared buffer.
     encoded: Vec<u8>,
@@ -404,7 +402,6 @@ impl TxLogs {
     fn clear(&mut self) {
         self.undo.clear();
         self.redo.clear();
-        self.written.clear();
     }
 }
 
@@ -414,7 +411,6 @@ impl TxLogs {
 pub struct Savepoint {
     undo_len: usize,
     redo_len: usize,
-    written_len: usize,
 }
 
 /// A transaction over a [`BeeState`]: copy-on-write, generation-stamped.
@@ -520,12 +516,7 @@ impl<'a> TxState<'a> {
                 prev: prev.map(|e| (e.value, e.gen)),
             }),
         }
-        logs.redo.push(JournalOp::Put {
-            dict: dict.clone(),
-            key: key.clone(),
-            value,
-        });
-        logs.written.push((dict, key));
+        logs.redo.push(JournalOp::Put { dict, key, value });
     }
 
     /// Typed write. The value is encoded into a buffer the logs keep, then
@@ -567,11 +558,7 @@ impl<'a> TxState<'a> {
             // Deleting an absent key needs no undo: nothing to restore.
             None => Name::from(key),
         };
-        logs.redo.push(JournalOp::Del {
-            dict: dict.clone(),
-            key: key.clone(),
-        });
-        logs.written.push((dict, key));
+        logs.redo.push(JournalOp::Del { dict, key });
     }
 
     /// Whether a key is visible.
@@ -587,22 +574,6 @@ impl<'a> TxState<'a> {
             .unwrap_or_default()
     }
 
-    /// Keys *written* (put or deleted) so far — used by the platform to
-    /// detect writes outside the mapped cells. Deduplicated.
-    pub fn written_keys(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.logs
-            .written
-            .iter()
-            .map(|(d, k)| (d.as_str(), k.as_str()))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-    }
-
-    /// True if no writes have happened.
-    pub fn is_read_only(&self) -> bool {
-        self.logs.written.is_empty()
-    }
-
     /// Marks a point in the transaction. Ops after it can be unwound with
     /// [`TxState::rollback_to`] or read with [`TxState::journal_since`].
     /// Starts a new undo era: the next write to any entry — even one
@@ -613,7 +584,6 @@ impl<'a> TxState<'a> {
         Savepoint {
             undo_len: logs.undo.len(),
             redo_len: logs.redo.len(),
-            written_len: logs.written.len(),
         }
     }
 
@@ -645,7 +615,6 @@ impl<'a> TxState<'a> {
             }
         }
         logs.redo.truncate(sp.redo_len);
-        logs.written.truncate(sp.written_len);
     }
 
     /// The journal of every op since `sp`, in order — the per-message
@@ -683,7 +652,6 @@ impl<'a> TxState<'a> {
         let sp = Savepoint {
             undo_len: 0,
             redo_len: 0,
-            written_len: 0,
         };
         self.rollback_to(&sp);
         TxJournal { ops: Vec::new() }
@@ -869,19 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn written_keys_tracks_writes_only() {
-        let mut s = BeeState::new();
-        s.dict_mut("S").put("a", &1u32).unwrap();
-        let mut tx = TxState::begin(&mut s);
-        let _ = tx.get::<u32>("S", "a");
-        assert_eq!(tx.written_keys().count(), 0);
-        tx.put("S", "b", &2u32).unwrap();
-        assert_eq!(tx.written_keys().count(), 1);
-        tx.put("S", "b", &3u32).unwrap();
-        assert_eq!(tx.written_keys().count(), 1); // deduped
-    }
-
-    #[test]
     fn snapshot_bytes_match_pre_cow_format() {
         // Pins the wire format: a BeeState must serialize exactly like the
         // old derived `struct BeeState { dicts: BTreeMap<String, Dict> }`
@@ -984,7 +939,6 @@ mod tests {
         let sp = Savepoint {
             undo_len: 0,
             redo_len: 0,
-            written_len: 0,
         };
         let ops = tx.journal_since(&sp).to_vec();
         assert_eq!(
@@ -1023,10 +977,10 @@ mod tests {
         let sp = tx.savepoint();
         tx.clear_journal_since(&sp);
         let (_, logs) = tx.commit_keeping_logs();
-        assert!(!logs.undo.is_empty() && !logs.written.is_empty());
+        assert!(!logs.undo.is_empty());
 
         let mut tx = TxState::begin_with(&mut s, logs);
-        assert!(tx.is_read_only());
+        assert!(tx.logs.undo.is_empty() && tx.logs.redo.is_empty());
         tx.put("S", "a", &2u32).unwrap();
         let j = tx.rollback();
         assert!(j.is_empty());

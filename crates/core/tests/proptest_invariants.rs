@@ -106,9 +106,9 @@ fn check_collocation_and_serializability(msgs: Vec<Touch>) {
         assert_eq!(owners.len(), 1, "message keys {:?} span colonies", keys);
     }
 
-    // 3. No errors, conflicts or drops along the way.
+    // 3. No errors, merge collisions or drops along the way.
     assert_eq!(hive.counters().handler_errors, 0);
-    assert_eq!(hive.counters().assign_conflicts, 0);
+    assert_eq!(hive.counters().merge_collisions, 0);
     assert_eq!(hive.counters().dropped_orphans, 0);
 }
 
@@ -150,7 +150,7 @@ fn registry_applies_deterministically() {
         |g| {
             g.vec(1..60, |g| {
                 (
-                    g.range(0u8..4),
+                    g.range(0u8..3),
                     g.range(0u8..6),
                     g.range(0u8..6),
                     g.range(1u8..4),
@@ -173,10 +173,6 @@ fn registry_applies_deterministically() {
                     1 => RegistryOp::MoveBee {
                         bee,
                         to: HiveId((b % 3 + 1) as u32),
-                    },
-                    2 => RegistryOp::AssignCells {
-                        bee,
-                        cells: vec![Cell::new("d", format!("x{a}"))],
                     },
                     _ => RegistryOp::RemoveBee { bee },
                 };

@@ -189,10 +189,10 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
                     OfMessage::EchoRequest { xid, data } => {
                         io_up.send(m.dpid, OfMessage::EchoReply { xid, data }.encode());
                     }
-                    OfMessage::FeaturesReply {
-                        datapath_id, ports, ..
-                    } => {
-                        let key = datapath_id.to_string();
+                    // Keyed by the channel's dpid, the cell the map names,
+                    // not by the datapath id the switch reports.
+                    OfMessage::FeaturesReply { ports, .. } => {
+                        let key = m.dpid.to_string();
                         let mut rec: SwitchRecord = ctx
                             .get(DICT, &key)
                             .map_err(|e| e.to_string())?
@@ -203,7 +203,7 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
                         ctx.put(DICT, key, &rec).map_err(|e| e.to_string())?;
                         if newly {
                             ctx.emit(SwitchJoined {
-                                dpid: datapath_id,
+                                dpid: m.dpid,
                                 n_ports: ports.len() as u16,
                             });
                         }
@@ -382,6 +382,37 @@ mod tests {
         let rec: SwitchRecord = hive.peek_state(DRIVER_APP, bee, DICT, "7").unwrap();
         assert!(rec.joined);
         assert_eq!(rec.n_ports, 3);
+    }
+
+    #[test]
+    fn features_reply_is_kept_under_the_channel_dpid() {
+        // The switch on channel 7 reports datapath id 42: the record goes
+        // to the cell the map names, so the handler never re-maps.
+        let (mut hive, io) = hive_with_driver();
+        let mut sw = SwitchModel::new(42, 3);
+        hive.emit(SwitchUpstream {
+            dpid: 7,
+            bytes: sw.hello(),
+        });
+        hive.step_until_quiescent(100);
+        let feat_req = io.sent.lock()[1].1.clone();
+        for reply in sw.handle_bytes(&feat_req).unwrap() {
+            hive.emit(SwitchUpstream {
+                dpid: 7,
+                bytes: reply,
+            });
+        }
+        hive.step_until_quiescent(100);
+
+        assert_eq!(hive.counters().remaps, 0);
+        assert_eq!(hive.local_bee_count(DRIVER_APP), 1);
+        let (bee, _) = hive.local_bees(DRIVER_APP)[0];
+        let rec: SwitchRecord = hive.peek_state(DRIVER_APP, bee, DICT, "7").unwrap();
+        assert!(rec.joined);
+        assert_eq!(rec.n_ports, 3);
+        assert!(hive
+            .peek_state::<SwitchRecord>(DRIVER_APP, bee, DICT, "42")
+            .is_none());
     }
 
     #[test]

@@ -43,8 +43,9 @@ pub const CHAOS_APP: &str = "chaos";
 /// The chaos workload app: every [`ChaosOp`] increments `left[key]` **and**
 /// `right[key]` inside one transaction. The paired write is what the
 /// atomicity checker audits (the two values must never diverge — not even
-/// across a crash-restart), and writing `right` outside the mapped cell
-/// exercises the registry's dynamic cell-assignment path.
+/// across a crash-restart). `right` lies outside the mapped cell, so the
+/// first op on each key re-maps: its bee's colony grows to cover
+/// `right[key]` before anything commits.
 pub fn chaos_app() -> App {
     App::builder(CHAOS_APP)
         .handle::<ChaosOp>(

@@ -6,7 +6,9 @@
 //! six checkers over it:
 //!
 //! 1. **Ownership exclusivity** ([`check_ownership`]): no cell is owned by
-//!    two live active bees, and no bee is active on two hives.
+//!    two live active bees, no bee is active on two hives, and every entry
+//!    a bee stores lies in its own colony — so no cell has entries in two
+//!    bees' state.
 //! 2. **Registry agreement** ([`check_registry_agreement`]): hives that
 //!    applied the same committed prefix (equal `applied_seq`) hold
 //!    byte-identical registry mirrors.
@@ -257,8 +259,15 @@ pub fn gather(
 }
 
 /// Ownership exclusivity: a cell must have at most one live active owner,
-/// and a bee must not be active on two hives.
+/// a bee must not be active on two hives, and a bee's state must hold only
+/// entries of its own colony (itself or through its dictionary's whole
+/// cell). Colonies being disjoint, the last makes state exclusive too.
 pub fn check_ownership(audit: &ClusterAudit) -> Vec<Violation> {
+    let violation = |detail: String| Violation {
+        checker: "ownership",
+        tick: audit.tick,
+        detail,
+    };
     let mut out = Vec::new();
     let mut cell_owners: BTreeMap<&Cell, Vec<(HiveId, BeeId)>> = BTreeMap::new();
     let mut bee_hives: BTreeMap<BeeId, Vec<HiveId>> = BTreeMap::new();
@@ -269,23 +278,29 @@ pub fn check_ownership(audit: &ClusterAudit) -> Vec<Violation> {
                 cell_owners.entry(cell).or_default().push((h.id, *bee));
             }
         }
+        // `dicts` runs parallel to `colonies`.
+        for ((bee, colony), (_, dicts)) in h.colonies.iter().zip(&h.dicts) {
+            for (dict, entries) in dicts {
+                let whole = colony.contains(&Cell::whole(dict.as_str()));
+                for (key, _) in entries.iter().filter(|_| !whole) {
+                    if !colony.contains(&Cell::new(dict.as_str(), key.as_str())) {
+                        let hive = h.id;
+                        out.push(violation(format!(
+                            "{bee} on {hive} stores ({dict}, {key}) outside its colony"
+                        )));
+                    }
+                }
+            }
+        }
     }
     for (cell, owners) in cell_owners {
         if owners.len() > 1 {
-            out.push(Violation {
-                checker: "ownership",
-                tick: audit.tick,
-                detail: format!("cell {cell:?} owned by {owners:?}"),
-            });
+            out.push(violation(format!("cell {cell:?} owned by {owners:?}")));
         }
     }
     for (bee, hives) in bee_hives {
         if hives.len() > 1 {
-            out.push(Violation {
-                checker: "ownership",
-                tick: audit.tick,
-                detail: format!("bee {bee} active on {hives:?}"),
-            });
+            out.push(violation(format!("bee {bee} active on {hives:?}")));
         }
     }
     out
@@ -666,6 +681,25 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].checker, "ownership");
         assert_eq!(v[0].tick, 3);
+    }
+
+    #[test]
+    fn ownership_flags_state_outside_the_colony() {
+        let mut audit = empty_audit(0);
+        let mut h1 = hive_audit(1);
+        h1.colonies = vec![(BeeId(7), vec![Cell::new("d", "a"), Cell::whole("w")])];
+        let entries = |keys: &[&str]| keys.iter().map(|k| (k.to_string(), vec![1])).collect();
+        h1.dicts = vec![(
+            BeeId(7),
+            vec![
+                ("d".to_string(), entries(&["a", "b"])),
+                ("w".to_string(), entries(&["x", "y"])),
+            ],
+        )];
+        audit.live = vec![h1];
+        let v = check_ownership(&audit);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].detail.contains("stores (d, b) outside"), "{v:?}");
     }
 
     #[test]

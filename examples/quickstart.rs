@@ -32,13 +32,19 @@ struct Located {
 }
 beehive::core::impl_message!(Located);
 
+/// The cells a host's messages touch: its count and its location.
+fn host_cells(host: &str) -> Mapped {
+    Mapped::cells([Cell::new("hosts", host), Cell::new("locations", host)])
+}
+
 fn host_tracker() -> App {
     App::builder("host-tracker")
-        // `map` declares which state entries the function needs — one cell
-        // per host. The platform guarantees all messages for the same host
-        // reach the same bee, wherever it lives in the cluster.
+        // `map` declares which state entries the function needs — a host's
+        // sighting count and location. The platform guarantees all messages
+        // for the same host reach the same bee, wherever it lives in the
+        // cluster.
         .handle::<HostSeen>(
-            |m| Mapped::cell("hosts", &m.host),
+            |m| host_cells(&m.host),
             |m, ctx| {
                 let n: u64 = ctx
                     .get("hosts", &m.host)
@@ -52,7 +58,7 @@ fn host_tracker() -> App {
             },
         )
         .handle::<WhereIs>(
-            |m| Mapped::cell("hosts", &m.host),
+            |m| host_cells(&m.host),
             |m, ctx| {
                 let sightings: u64 = ctx
                     .get("hosts", &m.host)

@@ -172,7 +172,7 @@ fn run_on(n: usize, ops: &[DoOp]) -> BTreeMap<String, Account> {
         let counters = c.hive(id).counters();
         assert_eq!(counters.handler_errors, 0);
         assert_eq!(counters.dropped_orphans, 0);
-        assert_eq!(counters.assign_conflicts, 0);
+        assert_eq!(counters.merge_collisions, 0);
     }
     out
 }
@@ -218,7 +218,7 @@ fn run_standalone(workers: usize, ops: &[DoOp]) -> (BTreeMap<String, Account>, B
     let counters = hive.counters();
     assert_eq!(counters.handler_errors, 0);
     assert_eq!(counters.dropped_orphans, 0);
-    assert_eq!(counters.assign_conflicts, 0);
+    assert_eq!(counters.merge_collisions, 0);
     (accounts, per_bee)
 }
 

@@ -194,8 +194,8 @@ fn no_handler_errors_or_conflicts_in_steady_state() {
         let c = cluster.hive(id).counters();
         assert_eq!(c.handler_errors, 0, "{id} had handler errors");
         assert_eq!(
-            c.assign_conflicts, 0,
-            "{id} had out-of-cell write conflicts"
+            c.merge_collisions, 0,
+            "{id} had colliding keys in a colony merge"
         );
         assert_eq!(c.decode_errors, 0, "{id} had decode errors");
         assert_eq!(c.dropped_orphans, 0, "{id} dropped orphaned messages");
