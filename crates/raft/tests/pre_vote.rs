@@ -92,3 +92,26 @@ fn stale_log_cannot_win_pre_vote() {
     c.assert_committed_logs_agree();
     c.assert_at_most_one_leader_per_term();
 }
+
+#[test]
+fn follower_cut_from_leader_alone_cannot_depose_it() {
+    // Only the leader–follower link is down: the follower times out, but
+    // the third voter still hears the leader, so it denies the pre-vote
+    // (leader stickiness) and the leader keeps its term.
+    let mut c = Cluster::new(3, Config::default(), 24, KvCounter::default);
+    let leader = c.run_until_leader(2_000).unwrap();
+    let follower = c.nodes().map(|n| n.id()).find(|&id| id != leader).unwrap();
+    c.propose(leader, vec![1]).unwrap();
+    c.run_ticks(50);
+    let stable_term = c.node(leader).unwrap().term();
+
+    c.partition(leader, follower);
+    c.run_ticks(500);
+    assert!(c.node(leader).unwrap().is_leader(), "leader deposed");
+    assert_eq!(
+        c.node(leader).unwrap().term(),
+        stable_term,
+        "leader's term moved"
+    );
+    c.assert_at_most_one_leader_per_term();
+}
