@@ -38,6 +38,22 @@ fn seeds_0_to_12_print_the_golden_digests() {
     );
 }
 
+/// The wider sweep: 64 seeds pass every invariant audit (exit 0), and each
+/// emits its whole workload and loses none of it. What a seed does not
+/// handle is dead-lettered or absorbed by a crash, which the conservation
+/// audit already accounts for.
+#[test]
+fn seeds_0_to_64_pass_every_audit_and_lose_nothing() {
+    let out = chaos(&["--seeds", "0..64"]);
+    assert!(out.status.success(), "sweep failed:\n{}", text(&out.stderr));
+    let stdout = text(&out.stdout);
+    assert_eq!(stdout.lines().count(), 64, "one line per seed:\n{stdout}");
+    for line in stdout.lines() {
+        assert_eq!(field(line, "emits"), 160, "{line}");
+        assert_eq!(field(line, "lost"), 0, "{line}");
+    }
+}
+
 #[test]
 fn link_faults_alone_lose_nothing_and_exercise_the_channel() {
     for seed in ["11", "29"] {
