@@ -88,22 +88,6 @@ pub fn discovery_app() -> App {
         .build()
 }
 
-/// Emits [`LinkDiscovered`] events for every (directed) link of a topology —
-/// what an LLDP round would produce.
-pub fn inject_topology(handle: &HiveHandle, topo: &beehive_sim_topology::TopologyLinks) {
-    for &(src, src_port, dst) in &topo.0 {
-        handle.emit(LinkDiscovered { src, src_port, dst });
-    }
-}
-
-/// Minimal topology-links carrier so this crate doesn't depend on
-/// `beehive-sim` (which depends on nothing here; the dependency would be
-/// backwards). The simulator converts its `Topology` into this.
-pub mod beehive_sim_topology {
-    /// Directed links: `(src, src_port, dst)`.
-    pub struct TopologyLinks(pub Vec<(u64, u16, u64)>);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

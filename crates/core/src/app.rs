@@ -118,11 +118,6 @@ impl App {
         self.monolithic.contains(dict)
     }
 
-    /// The monolithic dictionaries.
-    pub fn monolithic_dicts(&self) -> impl Iterator<Item = &String> {
-        self.monolithic.iter()
-    }
-
     /// Evaluates handler `idx`'s map for `msg`, canonicalized against the
     /// application's monolithic dictionaries.
     pub fn map(&self, idx: u16, msg: &dyn Message) -> Mapped {
@@ -419,39 +414,6 @@ impl RcvCtx<'_> {
                 hive: self.hive,
             },
             dst: Dst::Broadcast,
-            trace: self.trace.child(self.hive),
-            deliveries: 0,
-        });
-    }
-
-    /// Emits a message only to one application.
-    pub fn emit_to_app<M: Message>(&mut self, app: impl Into<AppName>, msg: M) {
-        self.outbox.push(Envelope {
-            msg: Arc::new(msg),
-            src: Source::Bee {
-                bee: self.bee,
-                hive: self.hive,
-            },
-            dst: Dst::App(app.into()),
-            trace: self.trace.child(self.hive),
-            deliveries: 0,
-        });
-    }
-
-    /// Sends a message directly to a specific bee of an application (replies).
-    pub fn send_to_bee<M: Message>(&mut self, app: impl Into<AppName>, bee: BeeId, msg: M) {
-        self.outbox.push(Envelope {
-            msg: Arc::new(msg),
-            src: Source::Bee {
-                bee: self.bee,
-                hive: self.hive,
-            },
-            dst: Dst::Bee {
-                app: app.into(),
-                bee,
-                handler: None,
-                fence: 0,
-            },
             trace: self.trace.child(self.hive),
             deliveries: 0,
         });

@@ -77,8 +77,3 @@ impl From<beehive_wire::Error> for Error {
         Error::Wire(e)
     }
 }
-
-/// Convenience constructor for handler failures.
-pub fn handler_err(msg: impl Into<String>) -> Error {
-    Error::Handler(msg.into())
-}
