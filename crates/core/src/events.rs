@@ -42,16 +42,16 @@ use crate::sync::{Mutex, Ring};
 /// The lifecycle transition an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EventKind {
-    /// A bee was created on this hive (routed creation, singleton or
-    /// staged-in shell).
+    /// A bee was created on this hive (routed creation, singleton, or a
+    /// placeholder waiting for shipped state).
     BeeSpawned,
     /// A bee was removed from this hive (retirement, merge-away or
     /// migration-out handoff).
     BeeRetired,
     /// This hive started shipping a bee to another hive.
     MigrationStart,
-    /// A migrated bee's state was installed and activated here, or the
-    /// source completed its handoff.
+    /// A migrated bee's shipped state was applied here, or the source
+    /// completed its handoff.
     MigrationCommit,
     /// A migration order could not proceed (bee missing or not movable).
     MigrationAbort,

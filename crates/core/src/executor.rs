@@ -22,8 +22,8 @@
 //!   The hive thread blocks until the whole round is back — so no delivery,
 //!   registry event or control message can touch a checked-out bee — sorts
 //!   the results by `(app, bee)`, checks every bee back in, and only then
-//!   applies effects in that order. Bees that are mid-merge, mid-migration
-//!   or staged are never checked out.
+//!   applies effects in that order. Bees that are migrating out or waiting
+//!   for shipped state are never checked out.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU8, Ordering};
