@@ -56,6 +56,13 @@ const MAX_REMOVE_ATTEMPTS: u32 = 8;
 /// messages cannot starve the timers and I/O the step loop also serves.
 pub const STEP_BUDGET: usize = 100_000;
 
+/// How many milliseconds one registry Raft tick lasts.
+pub const RAFT_TICK_MS: u64 = 50;
+
+/// How long a message for a bee the registry doesn't know yet is retried
+/// before it is dropped.
+pub const ORPHAN_TTL_MS: u64 = 10_000;
+
 /// Configuration of a hive.
 #[derive(Clone)]
 pub struct HiveConfig {
@@ -68,22 +75,18 @@ pub struct HiveConfig {
     /// rest follow as learners, and committed membership changes move them
     /// from there. Never empty: a standalone hive is a group of one.
     pub registry_voters: Vec<HiveId>,
-    /// Raft tunables for the registry group. Its `snapshot_threshold` is the
-    /// registry snapshot interval: how many applied entries may accumulate
-    /// past the last snapshot before the registry state machine is
-    /// serialized and the Raft log compacted behind it; peers and joining
+    /// The registry snapshot interval: how many applied entries may
+    /// accumulate past the last snapshot before the registry state machine
+    /// is serialized and the Raft log compacted behind it; peers and joining
     /// learners below the compaction horizon catch up via `InstallSnapshot`.
-    pub raft: beehive_raft::Config,
-    /// How many milliseconds one registry Raft tick lasts.
-    pub raft_tick_ms: u64,
+    /// The group's other Raft tunables are [`beehive_raft::Config`]'s
+    /// defaults, counted in ticks of [`RAFT_TICK_MS`].
+    pub registry_snapshot_threshold: u64,
     /// Period of the platform [`Tick`] message (the paper's `TimeOut`),
     /// 0 disables ticks.
     pub tick_interval_ms: u64,
     /// Registry proposals unanswered for this long are resubmitted.
     pub pending_retry_ms: u64,
-    /// Messages for bees the registry doesn't know yet are retried for this
-    /// long before being dropped.
-    pub orphan_ttl_ms: u64,
     /// Colony replication factor: 1 disables replication; `r > 1` ships
     /// every committed transaction to `r - 1` shadow hives (see
     /// [`crate::replication`]).
@@ -145,11 +148,9 @@ impl HiveConfig {
             id,
             all_hives: vec![id],
             registry_voters: vec![id],
-            raft: beehive_raft::Config::default(),
-            raft_tick_ms: 50,
+            registry_snapshot_threshold: beehive_raft::Config::default().snapshot_threshold,
             tick_interval_ms: 1000,
             pending_retry_ms: 2_000,
-            orphan_ttl_ms: 10_000,
             replication_factor: 1,
             registry_storage_dir: None,
             fsync: beehive_raft::FsyncPolicy::Always,
@@ -192,12 +193,6 @@ pub struct HiveCounters {
     /// Messages re-mapped, each also an [`EventKind::Remap`] event, because
     /// their handler touched a cell outside its bee's colony. Not failures.
     pub remaps: u64,
-    /// Registry commands that were rejected.
-    pub rejected_commands: u64,
-    /// Registry commands forwarded toward the leader.
-    pub forwarded_commands: u64,
-    /// Outbound migrations started / completed.
-    pub migrations_started: u64,
     /// Migrations whose state arrived and activated here.
     pub migrations_in: u64,
     /// Colony merges this hive participated in.
@@ -214,12 +209,8 @@ pub struct HiveCounters {
     /// Times a bee's quarantine circuit breaker opened (or re-armed after a
     /// failed half-open probe).
     pub quarantines: u64,
-    /// Messages relayed to other hives.
-    pub relays_out: u64,
     /// Transactions replicated to shadow hives.
     pub replicated_txs: u64,
-    /// Full-state replica resyncs served or installed.
-    pub replica_syncs: u64,
     /// Bees recovered from local shadows after a hive failure.
     pub failovers: u64,
     /// Handler invocations that completed successfully (committed their
@@ -303,12 +294,23 @@ impl std::fmt::Display for QueuedMessages {
     }
 }
 
-struct PendingRoute {
-    app_name: AppName,
-    cells_key: Vec<Cell>,
+/// A registry command this hive proposed and has not yet seen applied;
+/// resubmitted on the retry timer so a leaderless window can't strand it.
+struct Pending {
     cmd: RegistryCommand,
-    waiting: Vec<(u16, Envelope)>,
     submitted_ms: u64,
+    /// The mail a `LookupOrCreate` holds until it names the owning bee.
+    waiting: Vec<(u16, Envelope)>,
+}
+
+impl Pending {
+    /// The app and cells of a `LookupOrCreate`; `None` for other ops.
+    fn route(&self) -> Option<(&str, &[Cell])> {
+        match &self.cmd.op {
+            RegistryOp::LookupOrCreate { app, cells, .. } => Some((app, cells)),
+            _ => None,
+        }
+    }
 }
 
 /// One Beehive controller.
@@ -326,12 +328,9 @@ pub struct Hive {
     counters: HiveCounters,
     next_bee_seq: u32,
     next_cmd_seq: u64,
-    pending_routes: HashMap<u64, PendingRoute>,
-    /// Fire-and-forget registry commands (moves and removals)
-    /// awaiting their applied event; resubmitted on the retry timer so a
-    /// leaderless window can't strand a migration.
-    pending_ops: HashMap<u64, (RegistryCommand, u64)>,
-    inflight: HashMap<(AppName, Vec<Cell>), u64>,
+    /// This hive's unapplied registry commands by seq: proposal order, so
+    /// also the order they are retried in and their mail is released in.
+    pending: BTreeMap<u64, Pending>,
     orphans: VecDeque<(Envelope, u64)>,
     dispatch_queue: VecDeque<Envelope>,
     run_queue: VecDeque<(usize, BeeId)>,
@@ -448,11 +447,13 @@ impl Hive {
             .map(|h| h.as_raft())
             .filter(|id| !voters.contains(id))
             .collect();
+        let defaults = beehive_raft::Config::default();
         let raft_cfg = beehive_raft::Config {
-            rng_seed: cfg.raft.rng_seed
+            rng_seed: defaults.rng_seed
                 ^ me.wrapping_mul(0xA076_1D64_78BD_642F)
                 ^ cfg.rng_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..cfg.raft.clone()
+            snapshot_threshold: cfg.registry_snapshot_threshold,
+            ..defaults
         };
         let storage: Box<dyn beehive_raft::Storage> = match &cfg.registry_storage_dir {
             Some(dir) => {
@@ -540,9 +541,7 @@ impl Hive {
             counters: HiveCounters::default(),
             next_bee_seq: 1,
             next_cmd_seq: 1,
-            pending_routes: HashMap::new(),
-            pending_ops: HashMap::new(),
-            inflight: HashMap::new(),
+            pending: BTreeMap::new(),
             orphans: VecDeque::new(),
             dispatch_queue: VecDeque::new(),
             run_queue: VecDeque::new(),
@@ -903,10 +902,11 @@ impl Hive {
             if shadow {
                 self.recovering.insert((app, bee));
             }
-            self.submit_tracked(RegistryOp::MoveBee {
+            let op = RegistryOp::MoveBee {
                 bee,
                 to: self.cfg.id,
-            });
+            };
+            self.submit_tracked(op, Vec::new());
         }
         self.flush_io();
         n
@@ -951,7 +951,7 @@ impl Hive {
             retry: self.retry_queue.iter().map(|(env, _)| hit(env)).sum(),
             ..QueuedMessages::default()
         };
-        for p in self.pending_routes.values() {
+        for p in self.pending.values() {
             q.pending_routes += p.waiting.iter().map(|(_, env)| hit(env)).sum::<u64>();
         }
         for queen in &self.queens {
@@ -1078,8 +1078,8 @@ impl Hive {
         if self.last_raft_tick_ms == 0 {
             self.last_raft_tick_ms = now;
         }
-        while now.saturating_sub(self.last_raft_tick_ms) >= self.cfg.raft_tick_ms {
-            self.last_raft_tick_ms += self.cfg.raft_tick_ms;
+        while now.saturating_sub(self.last_raft_tick_ms) >= RAFT_TICK_MS {
+            self.last_raft_tick_ms += RAFT_TICK_MS;
             let outs = self.registry.tick();
             self.send_raft(outs);
             work += 1;
@@ -1187,7 +1187,7 @@ impl Hive {
         let orphan_count = self.orphans.len();
         for _ in 0..orphan_count {
             if let Some((env, since)) = self.orphans.pop_front() {
-                if now.saturating_sub(since) > self.cfg.orphan_ttl_ms {
+                if now.saturating_sub(since) > ORPHAN_TTL_MS {
                     self.counters.dropped_orphans += 1;
                 } else {
                     self.dispatch(env, since);
@@ -1326,14 +1326,13 @@ impl Hive {
     /// (oldest first) every pending route whose cells the mirror now
     /// resolves; a later echo of the same command finds nothing to release.
     fn release_routes_resolved_by_snapshot(&mut self) {
-        let mut seqs: Vec<u64> = self.pending_routes.keys().copied().collect();
-        seqs.sort_unstable();
+        let seqs: Vec<u64> = self.pending.keys().copied().collect();
         for seq in seqs {
-            let Some(p) = self.pending_routes.get(&seq) else {
-                continue;
-            };
-            if let Some((bee, hive)) = self.registry_view().lookup_exact(&p.app_name, &p.cells_key)
-            {
+            let resolved = self.pending.get(&seq).and_then(|p| {
+                let (app, cells) = p.route()?;
+                self.registry_view().lookup_exact(app, cells)
+            });
+            if let Some((bee, hive)) = resolved {
                 self.release_pending_route(seq, bee, hive);
             }
         }
@@ -1345,12 +1344,10 @@ impl Hive {
     /// their cells merely intersected re-evaluate their own mapping (their
     /// cell set may extend beyond this colony).
     fn release_pending_route(&mut self, seq: u64, bee: BeeId, hive: HiveId) {
-        let Some(p) = self.pending_routes.remove(&seq) else {
+        let Some(p) = self.pending.remove(&seq) else {
             return;
         };
-        self.inflight
-            .remove(&(p.app_name.clone(), p.cells_key.clone()));
-        let Some(&ai) = self.app_idx.get(&p.app_name) else {
+        let Some(&ai) = p.route().and_then(|(app, _)| self.app_idx.get(app)) else {
             return;
         };
         for (h, env) in p.waiting {
@@ -1464,11 +1461,8 @@ impl Hive {
     /// honored promptly even without a wakeup.
     fn idle_park_ms(&self, now: u64) -> u64 {
         const MAX_PARK_MS: u64 = 25;
-        let mut park = MAX_PARK_MS.min(
-            self.cfg
-                .raft_tick_ms
-                .saturating_sub(now.saturating_sub(self.last_raft_tick_ms)),
-        );
+        let mut park = MAX_PARK_MS
+            .min(RAFT_TICK_MS.saturating_sub(now.saturating_sub(self.last_raft_tick_ms)));
         if self.cfg.tick_interval_ms > 0 {
             let next = self
                 .cfg
@@ -1476,8 +1470,7 @@ impl Hive {
                 .saturating_sub(now.saturating_sub(self.last_app_tick_ms));
             park = park.min(next);
         }
-        if !self.pending_routes.is_empty()
-            || !self.pending_ops.is_empty()
+        if !self.pending.is_empty()
             || !self.orphans.is_empty()
             || !self.retry_queue.is_empty()
             || !self.quarantine_timers.is_empty()
@@ -1570,38 +1563,30 @@ impl Hive {
         // A proposal for these exact cells is already in flight: queue behind
         // it to preserve delivery order (the mirror may already know the
         // owner, but earlier messages are still parked on the pending route).
-        let inflight = if self.inflight.is_empty() {
-            None
-        } else {
-            self.inflight
-                .get(&(app_name.to_string(), cells.clone()))
-                .copied()
-        };
-        if let Some(seq) = inflight {
-            if let (Some(h), Some(env)) = (handler, env) {
-                if let Some(p) = self.pending_routes.get_mut(&seq) {
-                    p.waiting.push((h, env));
-                }
+        // Failing that, a pending route whose cells merely *intersect* ours
+        // also carries messages that must run first: queue behind the
+        // earliest such proposal, and re-route when it resolves. (Without
+        // this, a message mapping a subset of an in-flight set could take the
+        // fast path and overtake the message that created the colony.)
+        let mut behind = None;
+        for (&seq, p) in &self.pending {
+            let Some((app, pending_cells)) = p.route() else {
+                continue;
+            };
+            if app != app_name {
+                continue;
             }
-            return Some(seq);
+            if pending_cells == cells.as_slice() {
+                behind = Some(seq);
+                break;
+            }
+            if behind.is_none() && pending_cells.iter().any(|c| cells.contains(c)) {
+                behind = Some(seq);
+            }
         }
-
-        // A pending route whose cells merely *intersect* ours also carries
-        // messages that must run first: queue behind the earliest such
-        // proposal, and re-route when it resolves. (Without this, a message
-        // mapping a subset of an in-flight set could take the fast path and
-        // overtake the message that created the colony.)
-        let intersecting = self
-            .pending_routes
-            .iter()
-            .filter(|(_, p)| {
-                p.app_name == app_name && p.cells_key.iter().any(|c| cells.contains(c))
-            })
-            .map(|(&seq, _)| seq)
-            .min();
-        if let Some(seq) = intersecting {
+        if let Some(seq) = behind {
             if let (Some(h), Some(env)) = (handler, env) {
-                if let Some(p) = self.pending_routes.get_mut(&seq) {
+                if let Some(p) = self.pending.get_mut(&seq) {
                     p.waiting.push((h, env));
                 }
             }
@@ -1617,34 +1602,16 @@ impl Hive {
         }
         let new_bee = BeeId::new(self.cfg.id, self.next_bee_seq);
         self.next_bee_seq += 1;
-        let seq = self.next_cmd_seq;
-        self.next_cmd_seq += 1;
-        let cmd = RegistryCommand {
-            origin: self.cfg.id,
-            seq,
-            op: RegistryOp::LookupOrCreate {
-                app: app_name.to_string(),
-                cells: cells.clone(),
-                new_bee,
-            },
-        };
         let waiting = match (handler, env) {
             (Some(h), Some(env)) => vec![(h, env)],
             _ => Vec::new(),
         };
-        self.pending_routes.insert(
-            seq,
-            PendingRoute {
-                app_name: app_name.to_string(),
-                cells_key: cells.clone(),
-                cmd: cmd.clone(),
-                waiting,
-                submitted_ms: self.clock.now_ms(),
-            },
-        );
-        self.inflight.insert((app_name.to_string(), cells), seq);
-        self.submit_cmd(cmd);
-        Some(seq)
+        let op = RegistryOp::LookupOrCreate {
+            app: app_name.to_string(),
+            cells,
+            new_bee,
+        };
+        Some(self.submit_tracked(op, waiting))
     }
 
     fn deliver_direct(
@@ -1787,7 +1754,6 @@ impl Hive {
         }
         match WireEnvelope::from_envelope(env) {
             Ok(bytes) => {
-                self.counters.relays_out += 1;
                 // Sequence + journal + buffer for resend; the channel frame
                 // carries a piggybacked cumulative ack toward `to`.
                 let now = self.clock.now_ms();
@@ -1999,16 +1965,15 @@ impl Hive {
         } else if let Some(leader) = self.registry.leader_hint() {
             let to = HiveId::from_raft(leader);
             if to != self.cfg.id {
-                self.counters.forwarded_commands += 1;
                 self.send_control(to, &ControlMsg::RegistryForward(cmd));
             }
         }
         // No leader known: the pending-retry timer will resubmit.
     }
 
-    /// Submits a non-routing registry op and tracks it for retry until its
-    /// applied event comes back.
-    fn submit_tracked(&mut self, op: RegistryOp) {
+    /// Submits a registry op under the next seq and tracks it, with the mail
+    /// `waiting` on it, until its applied event comes back. Returns the seq.
+    fn submit_tracked(&mut self, op: RegistryOp, waiting: Vec<(u16, Envelope)>) -> u64 {
         let seq = self.next_cmd_seq;
         self.next_cmd_seq += 1;
         let cmd = RegistryCommand {
@@ -2016,36 +1981,30 @@ impl Hive {
             seq,
             op,
         };
-        self.pending_ops
-            .insert(seq, (cmd.clone(), self.clock.now_ms()));
+        let pending = Pending {
+            cmd: cmd.clone(),
+            submitted_ms: self.clock.now_ms(),
+            waiting,
+        };
+        self.pending.insert(seq, pending);
         self.submit_cmd(cmd);
+        seq
     }
 
     fn retry_pending(&mut self, now: u64) {
-        let mut retry: Vec<RegistryCommand> = self
-            .pending_routes
+        // Resubmit in original proposal order: commit order determines the
+        // order buffered messages are released, and that must follow arrival
+        // order (e.g. proposals parked while no registry leader existed).
+        let retry_ms = self.cfg.pending_retry_ms;
+        let retry: Vec<RegistryCommand> = self
+            .pending
             .values_mut()
-            .filter(|p| now.saturating_sub(p.submitted_ms) >= self.cfg.pending_retry_ms)
+            .filter(|p| now.saturating_sub(p.submitted_ms) >= retry_ms)
             .map(|p| {
                 p.submitted_ms = now;
                 p.cmd.clone()
             })
             .collect();
-        retry.extend(
-            self.pending_ops
-                .values_mut()
-                .filter(|(_, submitted)| {
-                    now.saturating_sub(*submitted) >= self.cfg.pending_retry_ms
-                })
-                .map(|(cmd, submitted)| {
-                    *submitted = now;
-                    cmd.clone()
-                }),
-        );
-        // Resubmit in original proposal order: commit order determines the
-        // order buffered messages are released, and that must follow arrival
-        // order (e.g. proposals parked while no registry leader existed).
-        retry.sort_by_key(|c| c.seq);
         for cmd in retry {
             self.submit_cmd(cmd);
         }
@@ -2303,7 +2262,6 @@ impl Hive {
         };
         match action {
             Action::Forward(to) => {
-                self.counters.forwarded_commands += 1;
                 self.send_control(to, &ControlMsg::MembershipChange { node, addr, op });
             }
             Action::AckDeparted => {
@@ -2575,8 +2533,10 @@ impl Hive {
     }
 
     fn on_registry_event(&mut self, cmd: RegistryCommand, event: RegistryEvent) {
-        if cmd.origin == self.cfg.id {
-            self.pending_ops.remove(&cmd.seq);
+        // The command is applied. A `Routed` one is released at the end of
+        // its arm, after the mail it held is re-routed.
+        if cmd.origin == self.cfg.id && !matches!(event, RegistryEvent::Routed { .. }) {
+            self.pending.remove(&cmd.seq);
         }
         match event {
             RegistryEvent::Routed {
@@ -2721,16 +2681,7 @@ impl Hive {
                     }
                 }
             }
-            RegistryEvent::Rejected { .. } => {
-                self.counters.rejected_commands += 1;
-                if cmd.origin == self.cfg.id {
-                    if let Some(p) = self.pending_routes.remove(&cmd.seq) {
-                        if let RegistryOp::LookupOrCreate { app, .. } = &cmd.op {
-                            self.inflight.remove(&(app.clone(), p.cells_key));
-                        }
-                    }
-                }
-            }
+            RegistryEvent::Rejected { .. } => {}
         }
     }
 
@@ -2812,7 +2763,6 @@ impl Hive {
                     return;
                 }
                 if let Some((state, colony, repl_seq)) = self.queens[ai].start_migration(bee, to) {
-                    self.counters.migrations_started += 1;
                     self.events.record_full(
                         EventKind::MigrationStart,
                         0,
@@ -2831,7 +2781,7 @@ impl Hive {
                             repl_seq,
                         },
                     );
-                    self.submit_tracked(RegistryOp::MoveBee { bee, to });
+                    self.submit_tracked(RegistryOp::MoveBee { bee, to }, Vec::new());
                 } else {
                     self.events.record_full(
                         EventKind::MigrationAbort,
@@ -2928,7 +2878,6 @@ impl Hive {
                     return;
                 };
                 let seq = local.repl_seq;
-                self.counters.replica_syncs += 1;
                 self.send_control(
                     from,
                     &ControlMsg::ReplicaSyncState {
@@ -2950,7 +2899,6 @@ impl Hive {
                     return;
                 };
                 self.shadows.install(&app, bee, seq, state);
-                self.counters.replica_syncs += 1;
             }
             ControlMsg::ChannelAck { ack_epoch, upto } => {
                 self.channels.on_ack(from, ack_epoch, upto);
@@ -3178,7 +3126,7 @@ impl Hive {
                 .bee(bee)
                 .is_some_and(|b| b.state.total_entries() == 0 && b.mailbox.is_empty());
             if empty_and_idle {
-                self.submit_tracked(RegistryOp::RemoveBee { bee });
+                self.submit_tracked(RegistryOp::RemoveBee { bee }, Vec::new());
             }
         }
         processed
@@ -3213,7 +3161,7 @@ impl Hive {
         }
         let parked = self
             .route_cells(app_idx, Some(r.hidx), cells, Some(r.env))
-            .and_then(|seq| self.pending_routes.get_mut(&seq));
+            .and_then(|seq| self.pending.get_mut(&seq));
         match parked {
             Some(p) => p.waiting.extend(queued),
             // Routed at once: the mail goes back behind it.
@@ -3231,7 +3179,7 @@ impl std::fmt::Debug for Hive {
         f.debug_struct("Hive")
             .field("id", &self.cfg.id)
             .field("apps", &self.apps.len())
-            .field("pending_routes", &self.pending_routes.len())
+            .field("pending", &self.pending.len())
             .finish()
     }
 }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use beehive_core::hive::STEP_BUDGET;
+use beehive_core::hive::{ORPHAN_TTL_MS, STEP_BUDGET};
 use beehive_core::prelude::*;
 use beehive_core::sync::Mutex;
 use beehive_core::{Dst, Envelope, HiveConfig, LifecycleStage, Source, TraceContext};
@@ -30,10 +30,9 @@ fn standalone(tick_ms: u64) -> Hive {
     )
 }
 
-fn sim_hive(clock: SimClock, orphan_ttl_ms: u64) -> Hive {
+fn sim_hive(clock: SimClock) -> Hive {
     let mut cfg = HiveConfig::standalone(HiveId(1));
     cfg.tick_interval_ms = 0;
-    cfg.orphan_ttl_ms = orphan_ttl_ms;
     Hive::new(cfg, Arc::new(clock), Box::new(Loopback::new(HiveId(1))))
 }
 
@@ -57,7 +56,7 @@ fn counter() -> App {
 #[test]
 fn orphans_expire_after_ttl() {
     let clock = SimClock::new();
-    let mut hive = sim_hive(clock.clone(), 500);
+    let mut hive = sim_hive(clock.clone());
     hive.install(counter());
     // A direct-addressed message for a bee that will never exist.
     let ghost = BeeId::new(HiveId(9), 99);
@@ -76,7 +75,10 @@ fn orphans_expire_after_ttl() {
     hive.handle().send(env);
     hive.step_until_quiescent(1_000);
     assert_eq!(hive.counters().dropped_orphans, 0, "still parked");
-    clock.advance(1_000);
+    clock.advance(ORPHAN_TTL_MS / 2);
+    hive.step_until_quiescent(1_000);
+    assert_eq!(hive.counters().dropped_orphans, 0, "within the TTL");
+    clock.advance(ORPHAN_TTL_MS);
     hive.step_until_quiescent(1_000);
     assert_eq!(hive.counters().dropped_orphans, 1, "TTL expired → dropped");
 }
@@ -84,7 +86,7 @@ fn orphans_expire_after_ttl() {
 #[test]
 fn fence_ahead_of_applied_seq_parks_until_catchup() {
     let clock = SimClock::new();
-    let mut hive = sim_hive(clock.clone(), 0);
+    let mut hive = sim_hive(clock.clone());
     hive.install(counter());
     // Create the bee for key "k" so a real target exists.
     hive.emit(Ping { key: "k".into() });

@@ -67,7 +67,7 @@ fn build_hive(
         // A lone restarted voter can only restore its registry mirror from
         // a snapshot (the commit index is volatile), so snapshot every
         // committed event.
-        hive_cfg.raft.snapshot_threshold = 1;
+        hive_cfg.registry_snapshot_threshold = 1;
     }
     Hive::new(
         hive_cfg,

@@ -280,12 +280,12 @@ fn main() {
         // A lone restarted voter can only restore its registry mirror from a
         // snapshot (the commit index is volatile), so snapshot every event
         // unless the operator asked for a wider interval.
-        cfg.raft.snapshot_threshold = args.snapshot_interval.unwrap_or(1);
+        cfg.registry_snapshot_threshold = args.snapshot_interval.unwrap_or(1);
         cfg.fsync = args.fsync;
         eprintln!(
             "durable state (registry + outbox) -> {} (snapshot every {} applied, fsync {})",
             dir.display(),
-            cfg.raft.snapshot_threshold,
+            cfg.registry_snapshot_threshold,
             match cfg.fsync {
                 beehive::core::FsyncPolicy::Always => "always",
                 beehive::core::FsyncPolicy::Never => "never",

@@ -43,13 +43,12 @@ fn build_hive(
     let transport = ReactorTransport::bind(id, addr, peers).unwrap();
     let mut cfg = HiveConfig::clustered(id, all, 3);
     cfg.tick_interval_ms = 0;
-    cfg.raft_tick_ms = 5;
     cfg.pending_retry_ms = 200;
     cfg.registry_storage_dir = Some(dir.to_path_buf());
     // Snapshot after every applied entry so the durable state machine is
     // always current (commit index is volatile in Raft; a lone restarted
     // voter can only restore its mirror from a snapshot).
-    cfg.raft.snapshot_threshold = 1;
+    cfg.registry_snapshot_threshold = 1;
     let mut hive = Hive::new(cfg, Arc::new(SystemClock::new()), Box::new(transport));
     hive.install(kv());
     hive
@@ -112,7 +111,7 @@ fn restarted_hive_recovers_registry_from_disk() {
     let mut cfg = HiveConfig::clustered(HiveId(1), all, 3);
     cfg.tick_interval_ms = 0;
     cfg.registry_storage_dir = Some(dir.clone());
-    cfg.raft.snapshot_threshold = 1;
+    cfg.registry_snapshot_threshold = 1;
     let mut revived = Hive::new(cfg, Arc::new(SystemClock::new()), Box::new(transport));
     revived.install(kv());
     revived.step_until_quiescent(1000);

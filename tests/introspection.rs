@@ -82,7 +82,6 @@ fn status_server_assembles_a_cross_hive_trace_over_tcp() {
         let counters = transport.counters();
         let mut cfg = HiveConfig::clustered(id, all.clone(), 2);
         cfg.tick_interval_ms = 0;
-        cfg.raft_tick_ms = 5;
         cfg.pending_retry_ms = 200;
         let mut hive = Hive::new(cfg, Arc::new(SystemClock::new()), Box::new(transport));
         hive.install(chain_app());

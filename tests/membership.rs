@@ -119,7 +119,6 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
         let counters = transport.counters();
         let mut cfg = HiveConfig::clustered(id, all.clone(), 3);
         cfg.tick_interval_ms = 0;
-        cfg.raft_tick_ms = 5;
         cfg.pending_retry_ms = 200;
         let mut hive = Hive::new(cfg, Arc::new(SystemClock::new()), Box::new(transport));
         hive.install(counter(answers.clone()));
@@ -173,7 +172,6 @@ fn hive_joins_live_then_a_voter_drains_out_over_tcp() {
     let joined: Vec<HiveId> = (1..=4).map(HiveId).collect();
     let mut cfg4 = HiveConfig::clustered(HiveId(4), joined, 3);
     cfg4.tick_interval_ms = 0;
-    cfg4.raft_tick_ms = 5;
     cfg4.pending_retry_ms = 200;
     let mut hive4 = Hive::new(cfg4, Arc::new(SystemClock::new()), Box::new(t4));
     hive4.install(counter(answers.clone()));

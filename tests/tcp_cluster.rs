@@ -109,7 +109,6 @@ fn three_hives_over_tcp_route_consistently() {
     for (id, transport, _) in transports {
         let mut cfg = HiveConfig::clustered(id, all.clone(), 3);
         cfg.tick_interval_ms = 0;
-        cfg.raft_tick_ms = 5;
         cfg.pending_retry_ms = 200;
         let mut hive = Hive::new(cfg, Arc::new(SystemClock::new()), transport);
         hive.install(counter(answers.clone()));
