@@ -411,7 +411,7 @@ impl ReliableChannels {
     /// wire once the record is committed. A cumulative ack for `to` is
     /// piggybacked, cancelling any pending standalone ack toward that peer.
     pub fn wrap(&mut self, to: HiveId, env_bytes: Vec<u8>, now_ms: u64) -> Vec<u8> {
-        let (ack_epoch, ack) = self.piggyback_ack(to);
+        let (ack_epoch, ack) = Self::piggyback_ack(&mut self.recv, to.0);
         let s = self.send.entry(to.0).or_insert_with(|| PeerSend {
             next_seq: 1,
             ..PeerSend::default()
@@ -524,14 +524,15 @@ impl ReliableChannels {
 
     /// Scans for due retransmissions (first `window` unacked entries per
     /// peer, deterministic exponential backoff per attempt) and due
-    /// standalone acks. Retransmitted frames carry fresh piggybacked acks.
+    /// standalone acks. Retransmitted frames carry fresh piggybacked acks;
+    /// a peer's owed standalone ack is taken only by a frame that is
+    /// actually retransmitted to it, so a peer with nothing due still gets
+    /// its standalone ack.
     pub fn poll(&mut self, now_ms: u64) -> ChannelWork {
         let mut work = ChannelWork::default();
-        let peers: Vec<u32> = self.send.keys().copied().collect();
-        for peer in peers {
-            let (ack_epoch, ack) = self.piggyback_ack(HiveId(peer));
+        for (&peer, s) in self.send.iter_mut() {
             let bee = BeeId::new(self.id, peer);
-            let s = self.send.get_mut(&peer).expect("present");
+            let mut ack = None;
             for u in s.unacked.iter_mut().take(self.tuning.window) {
                 let wait = backoff_delay_ms(self.tuning.resend_ms, u.attempts.max(1), bee);
                 if now_ms.saturating_sub(u.sent_ms) < wait {
@@ -540,9 +541,11 @@ impl ReliableChannels {
                 u.sent_ms = now_ms;
                 u.attempts = u.attempts.saturating_add(1);
                 self.retransmits += 1;
+                let (ack_epoch, upto) =
+                    *ack.get_or_insert_with(|| Self::piggyback_ack(&mut self.recv, peer));
                 work.retransmits.push((
                     HiveId(peer),
-                    ChannelFrame::encode(self.epoch, u.seq, ack_epoch, ack, &u.env),
+                    ChannelFrame::encode(self.epoch, u.seq, ack_epoch, upto, &u.env),
                 ));
             }
         }
@@ -623,9 +626,10 @@ impl ReliableChannels {
     }
 
     /// The cumulative ack to piggyback toward `to`, clearing any pending
-    /// standalone ack (the data frame carries it instead).
-    fn piggyback_ack(&mut self, to: HiveId) -> (u64, u64) {
-        match self.recv.get_mut(&to.0) {
+    /// standalone ack (the data frame carries it instead). Call it only for
+    /// a frame that goes on the wire.
+    fn piggyback_ack(recv: &mut BTreeMap<u32, PeerRecv>, to: u32) -> (u64, u64) {
+        match recv.get_mut(&to) {
             Some(r) => {
                 r.ack_due = None;
                 (r.epoch, r.last_delivered)
@@ -881,6 +885,32 @@ mod tests {
         // The standalone ack was cancelled by the piggyback.
         assert!(b.poll(1_000).acks.is_empty());
         assert_eq!(b.stats().acks_sent, 0);
+    }
+
+    #[test]
+    fn a_peer_sent_to_before_still_gets_a_standalone_ack() {
+        let mut a = mem(1);
+        let mut b = mem(2);
+        // b has sent to a (and been acked), so b keeps send state toward a.
+        let f = b.wrap(HiveId(1), vec![1], 0);
+        assert!(matches!(
+            deliver(&mut a, 2, &f, 0),
+            ChannelDelivery::Deliver(_)
+        ));
+        let epoch = b.epoch();
+        b.on_ack(HiveId(1), epoch, 1);
+        // Now a sends to b, and b has nothing to send back.
+        let now = 1_000;
+        let f = a.wrap(HiveId(2), vec![2], now);
+        assert!(matches!(
+            deliver(&mut b, 1, &f, now),
+            ChannelDelivery::Deliver(_)
+        ));
+        // A poll with no retransmission due must not swallow the owed ack.
+        assert!(b.poll(now).acks.is_empty());
+        let work = b.poll(now + b.tuning.ack_flush_ms);
+        assert!(work.retransmits.is_empty());
+        assert_eq!(work.acks, vec![(HiveId(1), a.epoch(), 1)]);
     }
 
     #[test]
