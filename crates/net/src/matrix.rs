@@ -3,6 +3,7 @@
 //! traffic matrices (4a–c) and the bandwidth-over-time series (4d–f).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use beehive_core::transport::FrameKind;
 use beehive_core::HiveId;
@@ -79,22 +80,25 @@ impl TrafficMatrix {
     }
 
     /// Per-bucket total bytes for `kinds`, as `(bucket_start_ms, bytes)` in
-    /// time order. Missing buckets in the range are filled with zeros.
-    pub fn series(&self, kinds: &[FrameKind]) -> Vec<(u64, u64)> {
-        let mut by_bucket: BTreeMap<u64, u64> = BTreeMap::new();
+    /// time order, for every bucket that overlaps the measurement `window`
+    /// (virtual ms), quiet ones included as zeros.
+    pub fn series(&self, kinds: &[FrameKind], window: Range<u64>) -> Vec<(u64, u64)> {
+        if window.is_empty() {
+            return Vec::new();
+        }
+        let first = window.start / self.bucket_ms;
+        let last = (window.end - 1) / self.bucket_ms;
+        let mut by_bucket: BTreeMap<u64, u64> = (first..=last).map(|b| (b, 0)).collect();
         for ((bucket, kind), cell) in &self.series {
             if kinds.contains(kind) {
-                *by_bucket.entry(*bucket).or_insert(0) += cell.bytes;
+                if let Some(bytes) = by_bucket.get_mut(bucket) {
+                    *bytes += cell.bytes;
+                }
             }
         }
-        let Some((&first, _)) = by_bucket.iter().next() else {
-            return Vec::new();
-        };
-        let Some((&last, _)) = by_bucket.iter().next_back() else {
-            return Vec::new();
-        };
-        (first..=last)
-            .map(|b| (b * self.bucket_ms, by_bucket.get(&b).copied().unwrap_or(0)))
+        by_bucket
+            .into_iter()
+            .map(|(b, bytes)| (b * self.bucket_ms, bytes))
             .collect()
     }
 
@@ -185,8 +189,18 @@ mod tests {
         let mut m = TrafficMatrix::new(1000);
         m.record(HiveId(1), HiveId(2), FrameKind::App, 10, 100);
         m.record(HiveId(1), HiveId(2), FrameKind::App, 30, 3_200);
-        let s = m.series(&[FrameKind::App]);
+        let s = m.series(&[FrameKind::App], 0..4_000);
         assert_eq!(s, vec![(0, 10), (1000, 0), (2000, 0), (3000, 30)]);
+    }
+
+    #[test]
+    fn series_spans_the_whole_window_not_just_the_busy_buckets() {
+        let mut m = TrafficMatrix::new(1000);
+        m.record(HiveId(1), HiveId(2), FrameKind::App, 10, 1_500);
+        m.record(HiveId(1), HiveId(2), FrameKind::Raft, 99, 2_500);
+        let s = m.series(&[FrameKind::App], 500..4_500);
+        assert_eq!(s, vec![(0, 0), (1000, 10), (2000, 0), (3000, 0), (4000, 0)]);
+        assert!(m.series(&[FrameKind::App], 700..700).is_empty());
     }
 
     #[test]

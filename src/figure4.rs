@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use beehive_core::optimizer::OptimizerConfig;
-use beehive_core::{collector_app, optimizer_app, Cell, FrameKind, HiveId};
+use beehive_core::{collector_app, optimizer_app, Cell, Clock, FrameKind, HiveId};
 use beehive_openflow::driver::{driver_app, DRIVER_APP};
 use beehive_sim::{
     generate_flows, ClusterConfig, SimCluster, SwitchFleet, Topology, WorkloadConfig,
@@ -245,6 +245,7 @@ pub fn run_figure4(cfg: &Figure4Config) -> Figure4Result {
 
     // Discard setup traffic: measurement starts now.
     cluster.fabric.reset_matrix();
+    let measured_from = cluster.clock.now_ms();
 
     // Measurement loop: one virtual second at a time.
     for _sec in 0..cfg.seconds {
@@ -298,28 +299,17 @@ pub fn run_figure4(cfg: &Figure4Config) -> Figure4Result {
         hot_hive = Some((best.0, best.1 as f64 / (off_total * 2) as f64 * 2.0));
     }
 
+    // Every second from the reset to the run's end, quiet ones included.
     let matrix = cluster.matrix();
-    let bw_series = matrix.series(&[FrameKind::App, FrameKind::Control]);
-    let app_series = matrix.series(&[FrameKind::App]);
-    let control_series = matrix.series(&[FrameKind::Control]);
-    let raft_series = matrix.series(&[FrameKind::Raft]);
-    let lookup = |series: &[(u64, u64)], t: u64| {
-        series
-            .iter()
-            .find(|&&(ts, _)| ts == t)
-            .map(|&(_, b)| b)
-            .unwrap_or(0)
-    };
+    let window = measured_from..cluster.clock.now_ms();
+    let series = |kinds: &[FrameKind]| matrix.series(kinds, window.clone());
+    let bw_series = series(&[FrameKind::App, FrameKind::Control]);
     let bw_by_kind = bw_series
         .iter()
-        .map(|&(t, _)| {
-            (
-                t,
-                lookup(&app_series, t),
-                lookup(&control_series, t),
-                lookup(&raft_series, t),
-            )
-        })
+        .zip(series(&[FrameKind::App]))
+        .zip(series(&[FrameKind::Control]))
+        .zip(series(&[FrameKind::Raft]))
+        .map(|(((&(t, _), (_, app)), (_, control)), (_, raft))| (t, app, control, raft))
         .collect();
 
     let te_app = match cfg.variant {
