@@ -4,40 +4,18 @@
 //! peer connections in the `/events` flight recorder.
 
 use std::collections::BTreeSet;
-use std::net::{SocketAddr, TcpListener};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 #[path = "common/http.rs"]
 mod http;
+#[path = "common/nodes.rs"]
+mod nodes;
 use http::http_get;
+use nodes::{free_addrs, Nodes};
 
 /// How long the cluster gets to report healthy and connected.
 const READY_DEADLINE: Duration = Duration::from_secs(30);
-
-/// The node processes; dropping the guard kills them, pass or fail.
-struct Nodes(Vec<Child>);
-
-impl Drop for Nodes {
-    fn drop(&mut self) {
-        // A kill, not a drain: SIGTERM would start a graceful scale-in.
-        for child in &mut self.0 {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-}
-
-/// `n` loopback addresses nothing listened on a moment ago.
-fn free_addrs(n: usize) -> Vec<SocketAddr> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind a free port"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr"))
-        .collect()
-}
 
 /// Whether `line` reads `name{labels} value` or `name value`.
 fn well_formed_sample(line: &str) -> bool {
