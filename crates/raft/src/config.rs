@@ -1,5 +1,5 @@
 //! Tunables for a Raft node. All durations are expressed in *ticks*; the
-//! embedder decides how long a tick is (the Beehive hive uses 10 ms,
+//! embedder decides how long a tick is (the Beehive hive uses 50 ms,
 //! the simulator uses one virtual tick).
 
 /// Configuration for a [`crate::RaftNode`].
