@@ -705,11 +705,27 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
         && violations.is_empty()
         && (queued > 0 || audit.in_flight_app > 0 || audit.in_transit() != 0)
     {
+        // Per hive: where its workload mail waits, then each bee holding
+        // mail with its status and where the registry mirror places it.
         let stuck: Vec<String> = cluster
             .hives()
-            .map(|h| (h.id(), h.queued_messages("ChaosOp")))
+            .map(|h| (h, h.queued_messages("ChaosOp")))
             .filter(|(_, q)| q.total() > 0)
-            .map(|(id, q)| format!("hive-{}: {q}", id.0))
+            .map(|(h, q)| {
+                let bees: Vec<String> = h
+                    .mail_holders(CHAOS_APP)
+                    .into_iter()
+                    .map(|(bee, status, mail)| {
+                        let mirror = match h.registry_view().hive_of(bee) {
+                            Some(at) if at == h.id() => "here".to_string(),
+                            Some(at) => at.to_string(),
+                            None => "unknown".to_string(),
+                        };
+                        format!("{bee} {status} mail={mail} mirror={mirror}")
+                    })
+                    .collect();
+                format!("hive-{}: {q} {{{}}}", h.id().0, bees.join(", "))
+            })
             .collect();
         violations.push(Violation {
             checker: "drain",
