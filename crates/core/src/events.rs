@@ -88,7 +88,8 @@ pub enum EventKind {
     /// elastic scale-out/scale-in lifecycle.
     MembershipChange,
     /// A message addressed to a hive that has left the cluster was dropped
-    /// to the dead-letter path instead of being retried forever.
+    /// to the dead-letter path instead of being retried forever, or a state
+    /// shipment owed to it was abandoned (the event names the shipped bee).
     PeerDeparted,
     /// The registry Raft node installed a snapshot shipped by the leader
     /// (catch-up past the compaction horizon), or took one locally.

@@ -233,14 +233,18 @@ impl WireEnvelope {
     /// The trace context survives the hop; its enqueue stamp is reset so the
     /// receiving hive re-stamps queue wait against its own clock.
     pub fn to_envelope(bytes: &[u8], registry: &MessageRegistry) -> Result<Envelope> {
-        let we: WireEnvelope = beehive_wire::from_slice(bytes)?;
-        let msg = registry.decode(&we.type_name, &we.payload)?;
+        beehive_wire::from_slice::<WireEnvelope>(bytes)?.into_envelope(registry)
+    }
+
+    /// [`WireEnvelope::to_envelope`] for an already decoded wire envelope.
+    pub fn into_envelope(self, registry: &MessageRegistry) -> Result<Envelope> {
+        let msg = registry.decode(&self.type_name, &self.payload)?;
         Ok(Envelope {
             msg,
-            src: we.src,
-            dst: we.dst,
-            trace: we.trace.rewired(),
-            deliveries: we.deliveries,
+            src: self.src,
+            dst: self.dst,
+            trace: self.trace.rewired(),
+            deliveries: self.deliveries,
         })
     }
 }

@@ -87,6 +87,45 @@ pub struct CrashLedger {
     /// Channel envelopes expired by peer retirement on crashed hives —
     /// already dead-lettered there, so they must leave the in-transit term.
     pub chan_expired: u64,
+    /// State shipments crashed hives sent, received and abandoned on the
+    /// channel. The counts are in memory only, so a restart never hands
+    /// them back ([`CrashLedger::restore`] leaves them).
+    pub shipments: Shipments,
+}
+
+/// State shipments a hive sent, received and abandoned on its reliable
+/// channel. The channel counts them among its sequences, but a shipment is
+/// not a message, so [`ClusterAudit::in_transit`] takes them out.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Shipments {
+    /// Shipments sequenced toward peers.
+    pub sent: u64,
+    /// Shipments delivered from peers.
+    pub delivered: u64,
+    /// Unacked shipments abandoned because their peer departed.
+    pub expired: u64,
+}
+
+impl Shipments {
+    fn of(hive: &Hive) -> Self {
+        let c = hive.counters();
+        Shipments {
+            sent: c.shipments_sent,
+            delivered: c.shipments_delivered,
+            expired: c.shipments_expired,
+        }
+    }
+
+    fn add(&mut self, other: Shipments) {
+        self.sent += other.sent;
+        self.delivered += other.delivered;
+        self.expired += other.expired;
+    }
+
+    /// Sent, less delivered and expired: the shipments still on a channel.
+    fn in_transit(&self) -> i128 {
+        i128::from(self.sent) - i128::from(self.delivered) - i128::from(self.expired)
+    }
 }
 
 impl CrashLedger {
@@ -106,6 +145,7 @@ impl CrashLedger {
         self.chan_sent += ch.sent;
         self.chan_delivered += ch.delivered;
         self.chan_expired += ch.expired;
+        self.shipments.add(Shipments::of(hive));
     }
 
     /// Subtracts a durably restarted hive's recovered channel accounting:
@@ -164,6 +204,8 @@ pub struct HiveAudit {
     /// Channel envelopes expired by peer retirement (dead-lettered at the
     /// departed-peer boundary — they will never be delivered).
     pub chan_expired: u64,
+    /// The state shipments among the channel counts above.
+    pub shipments: Shipments,
     /// Channel frames retransmitted after an ack timeout.
     pub retransmits: u64,
     /// Duplicate channel frames suppressed by receiver dedup.
@@ -239,6 +281,7 @@ pub fn gather(
             chan_sent: ch.sent,
             chan_delivered: ch.delivered,
             chan_expired: ch.expired,
+            shipments: Shipments::of(hive),
             retransmits: ch.retransmits,
             dups_suppressed: ch.dups_suppressed,
             colonies,
@@ -550,8 +593,9 @@ impl Digest {
 impl ClusterAudit {
     /// Messages currently owned by reliable channels (sent but not yet
     /// accepted by receiver dedup), cluster-wide and including crashed
-    /// hives' ledgered counts. Negative when an amnesiac receiver restart
-    /// caused legitimate re-deliveries.
+    /// hives' ledgered counts. State shipments ride the same channels but
+    /// are not messages, so they are taken out. Negative when an amnesiac
+    /// receiver restart caused legitimate re-deliveries.
     pub fn in_transit(&self) -> i128 {
         let sent: u64 = self.live.iter().map(|h| h.chan_sent).sum::<u64>() + self.ledger.chan_sent;
         let delivered: u64 =
@@ -561,7 +605,11 @@ impl ClusterAudit {
         // they re-enter the books through its `dead` counter instead.
         let expired: u64 =
             self.live.iter().map(|h| h.chan_expired).sum::<u64>() + self.ledger.chan_expired;
-        i128::from(sent) - i128::from(delivered) - i128::from(expired)
+        let mut shipments = self.ledger.shipments;
+        for h in &self.live {
+            shipments.add(h.shipments);
+        }
+        i128::from(sent) - i128::from(delivered) - i128::from(expired) - shipments.in_transit()
     }
 
     /// Folds this audit into `d`. Deliberately excludes wall-clock times
@@ -659,6 +707,7 @@ mod tests {
             chan_sent: 0,
             chan_delivered: 0,
             chan_expired: 0,
+            shipments: Shipments::default(),
             retransmits: 0,
             dups_suppressed: 0,
             colonies: Vec::new(),
@@ -787,6 +836,28 @@ mod tests {
         h.chan_expired = 2;
         audit.live = vec![h];
         assert_eq!(audit.in_transit(), 0);
+        assert!(check_conservation(&audit).is_empty());
+    }
+
+    #[test]
+    fn conservation_leaves_state_shipments_out_of_in_transit() {
+        // Hive 1 sent three messages and three bees' state to hive 2. One
+        // message and one shipment arrived, a crashed incarnation of hive 2
+        // had received a second shipment, and the rest are still on the
+        // channel. Only the two messages count as in transit.
+        let mut audit = empty_audit(0);
+        audit.emits = 3;
+        let mut h1 = hive_audit(1);
+        h1.chan_sent = 6;
+        h1.shipments.sent = 3;
+        let mut h2 = hive_audit(2);
+        h2.handled = 1;
+        h2.chan_delivered = 2;
+        h2.shipments.delivered = 1;
+        audit.live = vec![h1, h2];
+        audit.ledger.chan_delivered = 1;
+        audit.ledger.shipments.delivered = 1;
+        assert_eq!(audit.in_transit(), 2);
         assert!(check_conservation(&audit).is_empty());
     }
 

@@ -24,7 +24,8 @@ pub use cluster::{ClusterConfig, SimCluster};
 pub use fleet::SwitchFleet;
 pub use invariants::{
     check_all, check_atomicity, check_conservation, check_ownership, check_registry_agreement,
-    check_snapshots, check_traces, gather, ClusterAudit, CrashLedger, Digest, HiveAudit, Violation,
+    check_snapshots, check_traces, gather, ClusterAudit, CrashLedger, Digest, HiveAudit, Shipments,
+    Violation,
 };
 pub use storage::{DiskOp, FaultHandle, FaultyStorage};
 pub use topology::{Level, Link, SwitchNode, Topology};

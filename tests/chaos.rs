@@ -278,6 +278,69 @@ fn compacted_cluster_ships_snapshots_to_joining_hives() {
     );
 }
 
+/// Runs `windows` as seed `seed`'s schedule under the default config and
+/// asserts that every audit passes and nothing is lost.
+fn assert_schedule_drains(seed: u64, windows: Vec<FaultWindow>) {
+    let cfg = ChaosConfig::default();
+    let schedule = FaultSchedule {
+        seed,
+        ticks: cfg.ticks,
+        windows,
+    };
+    assert!(
+        schedule.is_lossless(),
+        "seed {seed}: no crash in the schedule"
+    );
+    let report = run(&schedule, &cfg);
+    assert!(
+        report.violations.is_empty(),
+        "seed {seed}: {:?}",
+        report.violations
+    );
+    assert_eq!(report.lost, 0, "seed {seed}");
+    assert_eq!(report.handled, report.emits, "seed {seed}");
+}
+
+/// Seed 900, minimized: a partition between the two hives drops the
+/// `MigrateState` of a forced migration. While state shipped as a lossy
+/// control frame, the destination bee waited `Awaiting` its own state
+/// forever, with no shipment parked, holding its mail. On the reliable
+/// channel the shipment is retransmitted once the partition heals.
+#[test]
+fn a_migration_shipped_across_a_partition_arrives() {
+    assert_schedule_drains(
+        900,
+        vec![
+            FaultWindow {
+                at: 7,
+                for_ticks: 6,
+                kind: FaultKind::Partition { a: 2, b: 1 },
+            },
+            FaultWindow {
+                at: 11,
+                for_ticks: 3,
+                kind: FaultKind::ForceMigration,
+            },
+        ],
+    );
+}
+
+/// Seed 1799, minimized to one window and no link fault: the source hive
+/// of a forced migration catches up on the registry by `InstallSnapshot`,
+/// so it never applies the migration's `Moved` event. It must still finish
+/// its side from the snapshot: hand the bee off and forward its mail.
+#[test]
+fn a_migration_source_finishes_from_a_registry_snapshot() {
+    assert_schedule_drains(
+        1799,
+        vec![FaultWindow {
+            at: 6,
+            for_ticks: 8,
+            kind: FaultKind::ForceMigration,
+        }],
+    );
+}
+
 /// The negative control the harness is judged by: plant a deliberate
 /// double-ownership bug (test-only `debug_force_own`) mid-run. The
 /// ownership checker must flag it, and the minimizer must shrink the

@@ -54,6 +54,20 @@ fn seeds_0_to_64_pass_every_audit_and_lose_nothing() {
     }
 }
 
+/// Seeds that once stranded mail: a shipment of bee state lost on the
+/// lossy control path (900, 1013, 1348, 1473), or a migration source that
+/// learned of the move only from a registry snapshot (1799, 1888).
+#[test]
+fn seeds_that_stranded_migrations_drain() {
+    for seed in ["900", "1013", "1348", "1473", "1799", "1888"] {
+        let out = chaos(&["--seed", seed]);
+        assert!(out.status.success(), "seed {seed}:\n{}", text(&out.stderr));
+        let stdout = text(&out.stdout);
+        let line = stdout.lines().next().expect("one digest line");
+        assert_eq!(field(line, "lost"), 0, "seed {seed}: {line}");
+    }
+}
+
 #[test]
 fn link_faults_alone_lose_nothing_and_exercise_the_channel() {
     for seed in ["11", "29"] {

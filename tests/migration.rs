@@ -335,3 +335,85 @@ fn concurrent_migrations_of_different_bees() {
         assert_eq!(sum_of(&c, k), 7);
     }
 }
+
+/// A hive removed from the cluster while a peer still owes it a migration's
+/// state. The shipment rides the reliable channel, so retiring the peer
+/// finds it unacked. It is not a message: the retiring hive records an
+/// event naming the bee, dead-letters nothing, counts no decode error, and
+/// message conservation still holds.
+#[test]
+fn retiring_a_peer_that_owes_a_shipment_records_the_bee() {
+    use beehive::core::{ControlMsg, EventKind, Frame, MembershipOp, Transport};
+    use beehive::sim::{check_conservation, gather, CrashLedger};
+
+    // Three voters and a learner, hive 4: the shipment's destination.
+    let mut c = cluster(4);
+    let gone = HiveId(4);
+    let leader = c
+        .ids()
+        .into_iter()
+        .find(|&id| c.hive(id).is_registry_leader())
+        .expect("a registry leader");
+    let src = c
+        .ids()
+        .into_iter()
+        .find(|&id| id != leader && id != gone)
+        .unwrap();
+    c.hive_mut(src).emit(Add {
+        key: "owed".into(),
+        value: 5,
+    });
+    c.advance(3_000, 50);
+    let (bee, owner) = bee_location(&c, "owed");
+    assert_eq!(owner, src);
+
+    // The state cannot reach hive 4; the move itself commits.
+    c.fabric.partition(src, gone);
+    c.hive_mut(src).request_migration("adder", bee, src, gone);
+    c.advance(1_000, 50);
+    assert_eq!(c.hive(src).registry_view().hive_of(bee), Some(gone));
+    assert_eq!(c.hive(src).channel_stats().outbox_depth, 1);
+
+    // Hive 4 asks the leader to remove it, as a drained hive would.
+    let remove = ControlMsg::MembershipChange {
+        node: gone,
+        addr: String::new(),
+        op: MembershipOp::RemoveRequest,
+    };
+    c.fabric
+        .endpoint(gone)
+        .send(leader, Frame::control(remove.encode().unwrap()));
+    c.advance(2_000, 50);
+
+    let mut ledger = CrashLedger::default();
+    let reaped = c.reap_departed();
+    assert!(
+        reaped.iter().any(|h| h.id() == gone),
+        "hive 4 left the cluster"
+    );
+    for dead in reaped {
+        ledger.absorb(&dead, "Add");
+    }
+    let hive = c.hive(src);
+    let c_src = hive.counters();
+    assert_eq!(c_src.shipments_expired, 1);
+    assert_eq!(c_src.dead_letters, 0, "a shipment is not dead-lettered");
+    assert_eq!(c_src.decode_errors, 0);
+    assert_eq!(hive.channel_stats().outbox_depth, 0);
+    let events = hive.events().snapshot();
+    assert!(
+        events.iter().any(|e| e.kind == EventKind::PeerDeparted
+            && e.bee == Some(bee)
+            && e.peer == Some(gone)
+            && e.detail.contains("state shipment")),
+        "no departure event names the shipped bee: {events:?}"
+    );
+
+    let audit = gather(&c, "adder", "Add", 0, 1, &ledger);
+    assert_eq!(audit.in_transit(), 0);
+    assert!(
+        check_conservation(&audit).is_empty(),
+        "{:?}",
+        check_conservation(&audit)
+    );
+}

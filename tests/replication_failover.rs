@@ -189,3 +189,63 @@ fn migration_keeps_replication_going() {
         .unwrap();
     assert_eq!(items, vec![1, 2, 3, 4]);
 }
+
+/// Replication stays on the lossy control path because a lost
+/// `ReplicateTx` repairs itself: the next transaction arrives with a gap,
+/// the replica marks its shadow dirty and asks the owner for its whole
+/// state (`ReplicaSyncRequest` → `ReplicaSyncState`). Here one
+/// `ReplicateTx` is dropped on a cut link, and the promoted shadow still
+/// holds every committed write.
+#[test]
+fn a_dropped_replicate_tx_is_repaired_by_a_resync() {
+    use beehive::core::EventKind;
+
+    let mut c = replicated_cluster(4, 2);
+    c.elect_registry(120_000).unwrap();
+    // Hive 4 (a learner) owns the bee; hive 1, next in the ring, shadows it.
+    let (owner, replica) = (HiveId(4), HiveId(1));
+    let append = |item| Append {
+        key: "g".into(),
+        item,
+    };
+    c.hive_mut(owner).emit(append(1));
+    c.advance(3_000, 50);
+    let (bee, at) = owner_of(&c, "g");
+    assert_eq!(at, owner);
+    assert_eq!(c.hive(replica).shadow_count(), 1);
+
+    // The second transaction's ReplicateTx is lost.
+    c.fabric.partition(owner, replica);
+    let dropped = c.fabric.fault_stats().dropped_control;
+    c.hive_mut(owner).emit(append(2));
+    c.advance(200, 50);
+    assert!(c.fabric.fault_stats().dropped_control > dropped);
+    c.fabric.heal();
+
+    // The third arrives with a gap, and the replica resyncs.
+    c.hive_mut(owner).emit(append(3));
+    c.advance(3_000, 50);
+    let gaps = c
+        .hive(replica)
+        .events()
+        .snapshot()
+        .iter()
+        .filter(|e| e.kind == EventKind::ReplicaGap && e.bee == Some(bee))
+        .count();
+    assert_eq!(gaps, 1, "the lost ReplicateTx shows as one gap");
+
+    // Promote the shadow: it converged on the owner's state.
+    for id in c.ids() {
+        if id != owner {
+            c.fabric.partition(owner, id);
+        }
+    }
+    c.advance(2_000, 50);
+    assert_eq!(c.hive_mut(replica).recover_from(owner), 1);
+    c.advance(5_000, 50);
+    let items: Vec<u64> = c
+        .hive(replica)
+        .peek_state("log", bee, "logs", "g")
+        .expect("shadow promoted");
+    assert_eq!(items, vec![1, 2, 3], "the resync carried the lost write");
+}
