@@ -389,10 +389,12 @@ mod tests {
         assert_eq!(count, 3, "all three increments applied");
     }
 
-    /// With `registry_storage_dir` set the leader compacts at every commit,
-    /// so the slower follower is served nothing but snapshots and never
-    /// sees the `Routed` echo of its own proposals: the installed snapshot
-    /// itself has to release them. Nothing here runs long enough for a
+    /// With `registry_storage_dir` set the leader compacts at every commit.
+    /// A follower cut off from the leader right after forwarding its
+    /// proposals misses the entries that commit them, falls behind the
+    /// compaction horizon and is served a snapshot, so it never sees the
+    /// `Routed` echo of its own proposals: the installed snapshot itself
+    /// has to release them. Nothing here runs long enough for a
     /// `pending_retry_ms` re-proposal to paper over a stuck route.
     #[test]
     fn routes_answered_by_a_snapshot_release_before_any_retry() {
@@ -411,8 +413,11 @@ mod tests {
             },
             |h| h.install(counter_app()),
         );
-        c.elect_registry(60_000).unwrap();
+        let leader = c.elect_registry(60_000).unwrap();
+        let slow = c.ids().into_iter().find(|&h| h != leader).unwrap();
 
+        // Fewer rounds than the shortest election timeout (10 ticks of
+        // `RAFT_TICK_MS`), so the slow hive never campaigns.
         const ROUNDS: u64 = 8;
         let mut emitted = 0;
         for round in 0..ROUNDS {
@@ -421,7 +426,12 @@ mod tests {
                 c.hive_mut(id).emit(Inc { key });
                 emitted += 1;
             }
+            // The slow hive's proposals reach the leader; the entries that
+            // commit them do not.
+            c.hive_mut(slow).step();
+            c.fabric.partition(leader, slow);
             c.advance(50, 50);
+            c.fabric.heal();
         }
         c.advance(retry_ms - ROUNDS * 50 - 100, 50);
 
