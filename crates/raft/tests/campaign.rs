@@ -1,6 +1,8 @@
 //! `RaftNode::campaign`: a lone voter leads without waiting out its election
 //! timeout; a node with other members, a learner, or a node with a latched
-//! storage fault is left as it was.
+//! storage fault is left as it was. And the eager campaign of a fresh
+//! group: its lowest voter leads after one tick, while the same voter
+//! rebooted on an empty disk cannot depose a leader its peers still hear.
 
 use beehive_raft::{
     Config, Entry, HardState, KvCounter, LogIndex, PersistedState, RaftNode, Role,
@@ -103,4 +105,64 @@ fn campaign_on_a_learner_does_nothing() {
     assert_eq!(node.role(), Role::Follower);
     assert_eq!(node.term(), 0);
     assert!(node.is_learner());
+}
+
+/// Voters `1..=n` on empty storage.
+fn fresh_group(n: u64) -> Vec<RaftNode<KvCounter>> {
+    (1..=n)
+        .map(|id| {
+            let peers = (1..=n).filter(|&p| p != id).collect();
+            RaftNode::new(id, peers, config(id), KvCounter::default(), mem())
+        })
+        .collect()
+}
+
+/// Ticks every node once, then delivers until no message is left.
+fn tick_and_deliver(nodes: &mut [RaftNode<KvCounter>]) {
+    let mut queue = std::collections::VecDeque::new();
+    for node in nodes.iter_mut() {
+        let from = node.id();
+        queue.extend(node.tick().into_iter().map(|o| (from, o)));
+    }
+    while let Some((from, o)) = queue.pop_front() {
+        let to = &mut nodes[(o.to - 1) as usize];
+        let out = to.step(from, o.msg);
+        queue.extend(out.into_iter().map(|o| (to.id(), o)));
+    }
+}
+
+#[test]
+fn a_fresh_groups_lowest_voter_leads_after_one_tick() {
+    let mut nodes = fresh_group(3);
+    tick_and_deliver(&mut nodes);
+    assert!(nodes[0].is_leader(), "node 1 is {:?}", nodes[0].role());
+    assert_eq!(nodes[0].term(), 1);
+    for n in &nodes[1..] {
+        assert_eq!(n.role(), Role::Follower);
+        assert_eq!(n.leader_hint(), Some(1));
+    }
+}
+
+#[test]
+fn a_lowest_voter_rebooted_on_an_empty_disk_does_not_depose_the_leader() {
+    let mut nodes = fresh_group(3);
+    let out = nodes[1].campaign();
+    let mut queue: std::collections::VecDeque<_> = out.into_iter().map(|o| (2, o)).collect();
+    while let Some((from, o)) = queue.pop_front() {
+        let to = &mut nodes[(o.to - 1) as usize];
+        let out = to.step(from, o.msg);
+        queue.extend(out.into_iter().map(|o| (to.id(), o)));
+    }
+    assert!(nodes[1].is_leader());
+    let term = nodes[1].term();
+
+    // Node 1 comes back with nothing on disk: a fresh lowest voter.
+    nodes[0] = RaftNode::new(1, vec![2, 3], config(1), KvCounter::default(), mem());
+    for _ in 0..100 {
+        tick_and_deliver(&mut nodes);
+        assert!(nodes[1].is_leader(), "node 2 lost the lead");
+        assert_eq!(nodes[1].term(), term, "node 2's term moved");
+    }
+    assert_eq!(nodes[0].leader_hint(), Some(2));
+    assert_eq!(nodes[0].log().last_index(), nodes[1].log().last_index());
 }
