@@ -10,14 +10,14 @@ use std::fs::File;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 #[path = "common/http.rs"]
 mod http;
 #[path = "common/nodes.rs"]
 mod nodes;
 use http::http_get;
-use nodes::{free_addrs, Nodes};
+use nodes::{free_addrs, sample, sigterm, wait_until, Nodes};
 
 /// How long the seed voters get to report healthy and connected.
 const READY_DEADLINE: Duration = Duration::from_secs(30);
@@ -27,8 +27,6 @@ const JOIN_DEADLINE: Duration = Duration::from_secs(120);
 const DRAIN_DEADLINE: Duration = Duration::from_secs(90);
 /// How long the survivors get to settle after the drained voter exited.
 const SETTLE_DEADLINE: Duration = Duration::from_secs(30);
-
-const POLL: Duration = Duration::from_millis(100);
 
 /// Starts hive `id` listening on `listen[id - 1]`, with `flags` naming its
 /// peers, its output (stdout and stderr) appended to `log`.
@@ -57,46 +55,6 @@ fn peer_flags(flag: &str, ids: &[usize], listen: &[SocketAddr]) -> Vec<String> {
     ids.iter()
         .flat_map(|&id| [flag.to_string(), format!("{id}={}", listen[id - 1])])
         .collect()
-}
-
-/// The value of the sample line `series value` in a `/metrics` body.
-fn sample(metrics: &str, series: &str) -> Option<u64> {
-    metrics
-        .lines()
-        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
-}
-
-/// Asks the drained voter to leave, the way an operator would.
-fn sigterm(child: &Child) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    const SIGTERM: i32 = 15;
-    let pid = i32::try_from(child.id()).expect("pid fits in pid_t");
-    // SAFETY: `kill(2)` only reads its two integer arguments.
-    let rc = unsafe { kill(pid, SIGTERM) };
-    assert_eq!(rc, 0, "kill -TERM {pid} failed");
-}
-
-/// Polls `done` until it holds; past `deadline`, fails with `what` and the
-/// tail of every node log.
-fn wait_until(deadline: Duration, what: &str, logs: &[PathBuf], mut done: impl FnMut() -> bool) {
-    let until = Instant::now() + deadline;
-    while !done() {
-        if Instant::now() >= until {
-            let tails: String = logs
-                .iter()
-                .map(|p| {
-                    let text = std::fs::read_to_string(p).unwrap_or_default();
-                    let lines: Vec<&str> = text.lines().collect();
-                    let tail = lines[lines.len().saturating_sub(20)..].join("\n");
-                    format!("--- {}\n{tail}\n", p.display())
-                })
-                .collect();
-            panic!("{what} within {deadline:?}\n{tails}");
-        }
-        std::thread::sleep(POLL);
-    }
 }
 
 #[test]
