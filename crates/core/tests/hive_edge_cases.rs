@@ -310,6 +310,21 @@ fn a_lone_hive_with_no_colonies_drains_out_on_its_own() {
 }
 
 #[test]
+fn a_lone_hive_with_a_colony_drains_out_and_keeps_its_cells() {
+    // No survivor can take the bee: it stays, and so does its registry entry.
+    let mut hive = standalone(0);
+    hive.install(counter());
+    hive.emit(Ping { key: "k".into() });
+    hive.step_until_quiescent(1_000);
+    assert_eq!(hive.registry_view().bee_count(), 1);
+    hive.begin_drain();
+    hive.step();
+    assert_eq!(hive.lifecycle().stage(), LifecycleStage::Departed);
+    assert_eq!(hive.local_bee_count("counter"), 1);
+    assert_eq!(hive.registry_view().bee_count(), 1);
+}
+
+#[test]
 fn instrumentation_captures_messages_bytes_and_matrix() {
     let mut hive = standalone(0);
     hive.install(counter());

@@ -27,7 +27,8 @@
 //! * `--drain` — start draining immediately after boot (testing); in normal
 //!   operation send the process SIGTERM instead: the hive evacuates its
 //!   bees, flushes its outbox, steps down voter → learner → removed and
-//!   exits cleanly
+//!   exits cleanly (a standalone hive has nowhere to evacuate to: it keeps
+//!   its cells in its `--storage-dir` registry and exits)
 //! * `--voters K` — registry Raft voters (the first K ids; default: all)
 //! * `--replication R` — colony replication factor (default 1 = off)
 //! * `--workers N` — executor worker threads; disjoint-colony bees run
