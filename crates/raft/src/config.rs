@@ -12,7 +12,10 @@ pub struct Config {
     /// Maximum election timeout, in ticks.
     pub election_timeout_max: u64,
     /// Leader heartbeat interval, in ticks. Must be well below the minimum
-    /// election timeout.
+    /// election timeout. Entries and commit indices do not wait for it:
+    /// [`crate::RaftNode::replicate`] sends them as they are proposed and
+    /// acknowledged. The heartbeat keeps followers from campaigning and
+    /// lets one that lost an append refuse the next and get it again.
     pub heartbeat_interval: u64,
     /// Maximum number of entries shipped in one `AppendEntries`.
     pub max_entries_per_append: usize,

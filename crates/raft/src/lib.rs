@@ -19,11 +19,13 @@
 //! [`harness`] module runs whole clusters in virtual time with seeded fault
 //! injection, and `beehive-sim` drives registry Raft groups the same way.
 //!
-//! Implemented: leader election with randomized timeouts, log replication
-//! with conflict-index backoff, commitment (including the current-term
-//! restriction, Raft §5.4.2), client proposal correlation, log-compaction
-//! snapshots and `InstallSnapshot`, and pluggable [`Storage`] (in-memory and
-//! file-backed via `beehive-wire`).
+//! Implemented: leader election with randomized timeouts (a fresh group's
+//! lowest voter campaigns on its first tick), pipelined log replication
+//! through one send path ([`RaftNode::replicate`]) with monotone progress,
+//! conflict-index backoff and commit notices, commitment (including the
+//! current-term restriction, Raft §5.4.2), client proposal correlation,
+//! log-compaction snapshots and `InstallSnapshot`, and pluggable
+//! [`Storage`] (in-memory and file-backed via `beehive-wire`).
 //!
 //! # Example
 //!
