@@ -12,8 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{
-    ExecutorStats, HiveMetrics, LatencyHistogram, MsgLatency, PlatformCounters, ProvenanceKey,
-    LATENCY_BUCKETS_US,
+    HiveMetrics, LatencyHistogram, MsgLatency, PlatformCounters, ProvenanceKey, LATENCY_BUCKETS_US,
 };
 
 /// Short type name (drop module path) for display.
@@ -32,8 +31,6 @@ pub struct Analytics {
     msgs_per_hive: BTreeMap<u32, u64>,
     /// Every (app, bee) observed: [`AppLoad::bees`] counts each once.
     bees_seen: BTreeSet<(String, u64)>,
-    /// Parallel-executor counters per hive (empty for sequential hives).
-    executor_per_hive: BTreeMap<u32, ExecutorStats>,
     /// Queue-wait / runtime histograms per (app, message type).
     latency: BTreeMap<(String, String), MsgLatency>,
     /// The platform scalars per hive: counters summed over its reports,
@@ -90,12 +87,6 @@ impl Analytics {
         }
         for (key, count) in &report.provenance {
             *self.provenance.entry(key.clone()).or_insert(0) += count;
-        }
-        if !report.executor.is_empty() {
-            self.executor_per_hive
-                .entry(report.hive.0)
-                .or_default()
-                .merge(&report.executor);
         }
         for (app, ty, lat) in &report.latency {
             self.latency
@@ -255,37 +246,6 @@ impl Analytics {
                     ("out_type", short_type(&k.out_type)),
                 ],
                 *count as f64,
-            );
-        }
-        push_header(
-            &mut out,
-            "beehive_executor_rounds_total",
-            "Parallel executor rounds per hive.",
-            "counter",
-        );
-        for (hive, ex) in &self.executor_per_hive {
-            let h = hive.to_string();
-            push_sample(
-                &mut out,
-                "beehive_executor_rounds_total",
-                &[("hive", &h)],
-                ex.rounds as f64,
-            );
-        }
-        push_header(
-            &mut out,
-            "beehive_executor_busy_seconds_total",
-            "Worker busy time per hive.",
-            "counter",
-        );
-        for (hive, ex) in &self.executor_per_hive {
-            let h = hive.to_string();
-            let busy: u64 = ex.workers.iter().map(|w| w.busy_nanos).sum();
-            push_sample(
-                &mut out,
-                "beehive_executor_busy_seconds_total",
-                &[("hive", &h)],
-                busy as f64 / 1e9,
             );
         }
         // The platform families render unconditionally (zeros visible), so
@@ -468,26 +428,9 @@ mod tests {
                 },
                 msgs * 8 / 10,
             )],
-            executor: ExecutorStats::default(),
             latency: Vec::new(),
             platform: Default::default(),
         }
-    }
-
-    #[test]
-    fn executor_stats_aggregate_per_hive() {
-        let mut a = Analytics::new();
-        let mut r = report(1, "ls", 1, 10);
-        r.executor.record_round(4);
-        r.executor.record_batch(0, 10, 1_000);
-        a.ingest(&r);
-        a.ingest(&report(2, "ls", 2, 10)); // sequential hive: no executor row
-        let text = a.render_prometheus();
-        let rounds: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("beehive_executor_rounds_total{"))
-            .collect();
-        assert_eq!(rounds, ["beehive_executor_rounds_total{hive=\"1\"} 1"]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub type HandlerResult = std::result::Result<(), String>;
 #[allow(clippy::type_complexity)]
 pub enum MapSpec {
     /// Compute per-message cells from the payload (`with S[msg.key]`).
-    Custom(Box<dyn Fn(&dyn Message) -> Mapped + Send + Sync>),
+    Custom(Box<dyn Fn(&dyn Message) -> Mapped + Send>),
     /// The handler needs these dictionaries *in their entirety*
     /// (`with S and T`). Declaring this makes every listed dictionary
     /// monolithic for the whole application.
@@ -53,7 +53,7 @@ impl std::fmt::Debug for MapSpec {
     }
 }
 
-type RcvFn = Box<dyn Fn(&dyn Message, &mut RcvCtx<'_>) -> HandlerResult + Send + Sync>;
+type RcvFn = Box<dyn Fn(&dyn Message, &mut RcvCtx<'_>) -> HandlerResult + Send>;
 
 /// One `on <Message>` clause: a map declaration plus a rcv function.
 pub struct HandlerDef {
@@ -175,7 +175,7 @@ impl AppBuilder {
         &mut self,
         name: Option<String>,
         map: MapSpec,
-        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + Sync + 'static,
+        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + 'static,
     ) {
         let msg_type = M::wire_name();
         let default_name = format!(
@@ -198,8 +198,8 @@ impl AppBuilder {
     /// `on M: with <cells from map(msg)>` — per-message cell mapping.
     pub fn handle<M: TypedMessage>(
         mut self,
-        map: impl Fn(&M) -> Mapped + Send + Sync + 'static,
-        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + Sync + 'static,
+        map: impl Fn(&M) -> Mapped + Send + 'static,
+        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + 'static,
     ) -> Self {
         self.push::<M>(
             None,
@@ -216,8 +216,8 @@ impl AppBuilder {
     pub fn handle_named<M: TypedMessage>(
         mut self,
         name: impl Into<String>,
-        map: impl Fn(&M) -> Mapped + Send + Sync + 'static,
-        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + Sync + 'static,
+        map: impl Fn(&M) -> Mapped + Send + 'static,
+        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + 'static,
     ) -> Self {
         self.push::<M>(
             Some(name.into()),
@@ -235,7 +235,7 @@ impl AppBuilder {
         mut self,
         name: impl Into<String>,
         dicts: &[&str],
-        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + Sync + 'static,
+        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + 'static,
     ) -> Self {
         self.push::<M>(
             Some(name.into()),
@@ -249,7 +249,7 @@ impl AppBuilder {
     pub fn handle_local<M: TypedMessage>(
         mut self,
         name: impl Into<String>,
-        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + Sync + 'static,
+        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + 'static,
     ) -> Self {
         self.push::<M>(Some(name.into()), MapSpec::LocalSingleton, rcv);
         self
@@ -259,7 +259,7 @@ impl AppBuilder {
     pub fn handle_broadcast<M: TypedMessage>(
         mut self,
         name: impl Into<String>,
-        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + Sync + 'static,
+        rcv: impl Fn(&M, &mut RcvCtx<'_>) -> HandlerResult + Send + 'static,
     ) -> Self {
         self.push::<M>(Some(name.into()), MapSpec::LocalBroadcast, rcv);
         self

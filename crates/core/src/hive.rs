@@ -20,7 +20,7 @@ use crate::channel::{ChannelDelivery, ChannelTuning, ReliableChannels};
 use crate::clock::Clock;
 use crate::control::{ControlMsg, MembershipOp};
 use crate::events::{EventJournal, EventKind, EVENT_CAPACITY};
-use crate::executor::{run_batch, BatchEffects, BatchEnv, BeeJob, Executor, Parker, Remap};
+use crate::executor::{run_batch, BatchEffects, BatchEnv, Parker, Remap};
 use crate::id::{AppName, BeeId, HiveId};
 use crate::lifecycle::{Lifecycle, LifecycleStage};
 use crate::message::{Dst, Envelope, Message, MessageRegistry, WireEnvelope};
@@ -105,12 +105,11 @@ pub struct HiveConfig {
     /// [`FsyncPolicy::Always`]: beehive_raft::FsyncPolicy::Always
     /// [`FsyncPolicy::Never`]: beehive_raft::FsyncPolicy::Never
     pub fsync: beehive_raft::FsyncPolicy,
-    /// Number of threads that run bee handlers. `1` (the default) runs
-    /// them on the hive thread, one message per run-queue turn. `> 1` spawns
-    /// a worker pool and runs disjoint-colony bees' whole mailboxes
-    /// concurrently in checkout/check-in rounds (see `DESIGN.md`,
-    /// "Execution model"). The hive thread always keeps routing, registry,
-    /// Raft and migration to itself.
+    /// Must be 1: every handler runs on the hive thread, one message per
+    /// run-queue turn (see `DESIGN.md`, "Execution model"). [`Hive::new`]
+    /// asserts it. The field stays only because the frozen benchmark
+    /// harness assigns it; the benchmark change that re-freezes the harness
+    /// (ROADMAP 16) deletes the field together with that line.
     pub workers: usize,
     /// How many times a message whose handler failed (`Err` or panic) is
     /// redelivered before it is dead-lettered. 0 dead-letters on the first
@@ -326,7 +325,7 @@ pub struct Hive {
     cfg: HiveConfig,
     clock: Arc<dyn Clock>,
     transport: Box<dyn Transport>,
-    apps: Vec<Arc<App>>,
+    apps: Vec<App>,
     app_idx: HashMap<AppName, usize>,
     msg_registry: MessageRegistry,
     queens: Vec<Queen>,
@@ -357,8 +356,8 @@ pub struct Hive {
     /// Dead-letter queue: messages that exhausted their redelivery budget
     /// or were rejected by quarantine / mailbox bounds.
     dead_letters: Arc<DeadLetterStore>,
-    /// Shared handler-fault injection table (tests / chaos runs); executor
-    /// workers consult it before each handler invocation.
+    /// Shared handler-fault injection table (tests / chaos runs), consulted
+    /// before each handler invocation.
     faults: Arc<HandlerFaults>,
     /// Failed messages awaiting their backoff-delayed redelivery:
     /// `(envelope, due ms)`. The envelope's `dst` is already re-aimed at the
@@ -380,9 +379,7 @@ pub struct Hive {
     /// Frames of every kind sent since the last [`Hive::flush_io`], in send
     /// order; the transport receives them in one [`Transport::send_all`].
     frames_out: Vec<(HiveId, Frame)>,
-    /// The worker pool when `cfg.workers > 1`; `None` = sequential.
-    executor: Option<Executor>,
-    /// What the last inline run asked for, emptied by `apply_batch`: its
+    /// What the last run asked for, emptied by `apply_batch`: its
     /// buffers serve the next run, so a run allocates none of its own.
     effects: BatchEffects,
     /// Parker for [`Hive::run`]'s idle wait, shared with every
@@ -439,6 +436,10 @@ impl Hive {
         assert!(
             !cfg.registry_voters.is_empty(),
             "registry_voters must name at least one hive"
+        );
+        assert_eq!(
+            cfg.workers, 1,
+            "workers must be 1: handlers run on the hive thread"
         );
         // The flight recorder comes up first so durable-storage faults found
         // while restoring state land in the journal before the hive halts.
@@ -504,11 +505,6 @@ impl Hive {
         if let Some(e) = registry.storage_fault() {
             storage_fatal(&events, format!("registry state unusable at boot: {e}"));
         }
-        let executor = if cfg.workers > 1 {
-            Some(Executor::new(cfg.workers))
-        } else {
-            None
-        };
         let tracer = Arc::new(TraceCollector::new(TRACE_CAPACITY));
         let dead_letters = Arc::new(DeadLetterStore::new(DEAD_LETTER_CAPACITY));
         transport.set_events(events.clone());
@@ -569,7 +565,6 @@ impl Hive {
             channels,
             published: PlatformCounters::default(),
             frames_out: Vec::new(),
-            executor,
             effects: BatchEffects::default(),
             parker: Arc::new(Parker::new()),
             events,
@@ -617,7 +612,7 @@ impl Hive {
         let mut queen = Queen::new(app.name().to_string());
         queen.set_events(self.events.clone());
         self.queens.push(queen);
-        self.apps.push(Arc::new(app));
+        self.apps.push(app);
     }
 
     /// A cloneable handle for injecting external messages.
@@ -767,7 +762,7 @@ impl Hive {
     }
 
     /// The shared handler-fault table (drivers can arm faults from other
-    /// threads; executor workers consult it per message).
+    /// threads; every handler run consults it).
     pub fn handler_faults(&self) -> Arc<HandlerFaults> {
         self.faults.clone()
     }
@@ -808,8 +803,8 @@ impl Hive {
         self.channels.torn_truncations()
     }
 
-    /// The installed applications (shared with executor workers).
-    pub fn apps(&self) -> &[Arc<App>] {
+    /// The installed applications.
+    pub fn apps(&self) -> &[App] {
         &self.apps
     }
 
@@ -1248,15 +1243,8 @@ impl Hive {
                 work += 1;
                 continue;
             }
-            if !self.run_queue.is_empty() {
-                if self.executor.is_some() {
-                    // The round always drains the queue, so a zero-work
-                    // round still makes progress toward the
-                    // `drain_applied() == 0` exit below.
-                    work += self.run_round(now);
-                } else if let Some((app_idx, bee)) = self.run_queue.pop_front() {
-                    work += self.run_inline(app_idx, bee, now);
-                }
+            if let Some((app_idx, bee)) = self.run_queue.pop_front() {
+                work += self.run_inline(app_idx, bee, now);
                 continue;
             }
             if self.drain_applied() == 0 {
@@ -1608,9 +1596,10 @@ impl Hive {
     }
 
     fn offer_to_app(&mut self, app_idx: usize, env: &Envelope) {
-        let app = self.apps[app_idx].clone();
-        for &hidx in app.handlers_for(env.msg.type_name()) {
-            match app.map(hidx, env.msg.as_ref()) {
+        let msg_type = env.msg.type_name();
+        for i in 0..self.apps[app_idx].handlers_for(msg_type).len() {
+            let hidx = self.apps[app_idx].handlers_for(msg_type)[i];
+            match self.apps[app_idx].map(hidx, env.msg.as_ref()) {
                 Mapped::Skip => {}
                 Mapped::LocalSingleton => {
                     let me = self.cfg.id;
@@ -1646,8 +1635,8 @@ impl Hive {
     ) -> Option<u64> {
         cells.sort();
         cells.dedup();
-        let app = self.apps[app_idx].clone();
-        let app_name = app.name().as_str();
+        let app_name = self.apps[app_idx].name().clone();
+        let app_name = app_name.as_str();
 
         // A proposal for these exact cells is already in flight: queue behind
         // it to preserve delivery order (the mirror may already know the
@@ -3041,10 +3030,10 @@ impl Hive {
     // Bee execution
     // ------------------------------------------------------------------
 
-    /// The `workers == 1` caller of [`run_batch`]: runs the bee's next
-    /// message on the hive thread, with the bee borrowed in place. One
-    /// message per run-queue turn keeps the round-robin interleaving across
-    /// bees that the chaos digests pin. Returns messages processed.
+    /// Runs the bee's next message through [`run_batch`] and applies what
+    /// it asked for. One message per run-queue turn keeps the round-robin
+    /// interleaving across bees that the chaos digests pin. Returns messages
+    /// processed.
     fn run_inline(&mut self, app_idx: usize, bee_id: BeeId, now: u64) -> usize {
         let Some(bee) = self.queens[app_idx].bee_mut(bee_id) else {
             return 0;
@@ -3071,131 +3060,49 @@ impl Hive {
             &mut bee.state,
             &bee.colony,
             &mut bee.repl_seq,
-            std::slice::from_ref(&mail),
+            &mail,
             &self.instr,
             &mut effects,
         );
-        let processed = self.apply_batch(app_idx, bee_id, pinned, &mut effects, Vec::new(), now);
+        self.apply_batch(app_idx, bee_id, pinned, &mut effects, now);
         self.effects = effects;
-        processed
-    }
-
-    /// The `workers > 1` caller of [`run_batch`]: drains the run queue,
-    /// checks every runnable bee out to the worker pool with its whole
-    /// mailbox, blocks for all results, checks the bees back in and applies
-    /// their effects in (app, bee) order. Returns messages processed. See
-    /// `DESIGN.md`, "Execution model".
-    fn run_round(&mut self, now: u64) -> usize {
-        let executor = self.executor.as_ref().expect("round requires executor");
-        let me = self.cfg.id;
-        let replicate = self.cfg.replication_factor > 1;
-
-        // Fan out: one job per runnable bee. Bees that refuse checkout
-        // (queued twice and already out, went inactive, mailbox drained by a
-        // merge/migration) are skipped.
-        let mut jobs = 0usize;
-        while let Some((app_idx, bee)) = self.run_queue.pop_front() {
-            let Some(out) = self.queens[app_idx].check_out(bee, now) else {
-                continue;
-            };
-            executor.submit(BeeJob {
-                app_idx,
-                bee,
-                app: self.apps[app_idx].clone(),
-                hive: me,
-                now_ms: now,
-                replicate,
-                out,
-                tracer: self.tracer.clone(),
-                faults: self.faults.clone(),
-            });
-            jobs += 1;
-        }
-        if jobs == 0 {
-            return 0;
-        }
-        self.instr.lock().executor.record_round(jobs as u64);
-
-        // Barrier: the hive thread blocks until the whole round is back, so
-        // no routing, registry event or delivery can race a checked-out bee.
-        let mut results = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            results.push(executor.collect());
-        }
-        // The same deterministic order regardless of which worker finished
-        // first.
-        results.sort_by_key(|r| (r.job.app_idx, r.job.bee));
-
-        // Restore every bee before applying any effect, so effects (which
-        // may touch other bees via dispatch) always observe a fully
-        // checked-in queen.
-        for r in &mut results {
-            self.queens[r.job.app_idx].check_in(
-                r.job.bee,
-                std::mem::take(&mut r.job.out.state),
-                std::mem::take(&mut r.job.out.colony),
-                r.job.out.repl_seq,
-            );
-        }
-
-        let mut processed = 0usize;
-        for mut r in results {
-            self.instr.lock().merge_delta(r.instr);
-            processed += self.apply_batch(
-                r.job.app_idx,
-                r.job.bee,
-                r.job.out.pinned,
-                &mut r.effects,
-                std::mem::take(&mut r.job.out.mail),
-                now,
-            );
-        }
-        processed
+        1
     }
 
     /// Turns what [`run_batch`] returned into hive actions — the only code
     /// that does — and leaves `effects` empty, its buffers kept for the
-    /// next run. The bee is back in its queen (never borrowed, checked in)
-    /// by the time this runs; `unrun` is the mail a re-map stopped the
-    /// batch ahead of. Returns messages processed, the re-mapped one
-    /// included.
+    /// next run. The bee is back in its queen by the time this runs.
     fn apply_batch(
         &mut self,
         app_idx: usize,
         bee: BeeId,
         pinned: bool,
         effects: &mut BatchEffects,
-        unrun: Vec<(u16, Envelope)>,
         now: u64,
-    ) -> usize {
-        // Supervision: route each failure (redelivery or dead-letter) and
-        // feed the run's outcome to the bee's circuit breaker.
-        let mut had_success = false;
-        let mut trailing_failures = 0u32;
-        for m in &mut effects.msgs {
-            let Some(f) = m.failure.take() else {
-                self.counters.handled_ok += 1;
-                had_success = true;
-                trailing_failures = 0;
-                continue;
-            };
+    ) {
+        // Supervision: route a failure (redelivery or dead-letter) and feed
+        // the run's outcome to the bee's circuit breaker. A re-map is
+        // neither: the breaker sees no outcome and the failure counters
+        // never see it.
+        let failure = effects.msg.failure.take();
+        let remap = effects.remap.take();
+        let had_success = failure.is_none() && remap.is_none();
+        if had_success {
+            self.counters.handled_ok += 1;
+        }
+        let trailing_failures = u32::from(failure.is_some());
+        if let Some(f) = failure {
             self.counters.handler_errors += 1;
-            trailing_failures = trailing_failures.saturating_add(1);
             self.handle_failed_delivery(
                 app_idx, bee, f.hidx, &f.handler, f.env, f.kind, f.detail, now,
             );
         }
         self.apply_outcome(app_idx, bee, had_success, trailing_failures, now);
-        // A re-map is neither: the breaker and the failure counters never
-        // see it.
-        let remap = effects.remap.take();
-        let remapped = usize::from(remap.is_some());
         if let Some(r) = remap {
-            self.remap(app_idx, bee, r, unrun);
+            self.remap(app_idx, bee, r);
         }
 
-        // Requeue whenever mail remains: the inline caller takes one message
-        // per turn, and a half-open probe checks out only one.
+        // Requeue whenever mail remains: a run takes one message.
         if self.queens[app_idx]
             .bee(bee)
             .is_some_and(|b| !b.mailbox.is_empty())
@@ -3203,33 +3110,27 @@ impl Hive {
             self.run_queue.push_back((app_idx, bee));
         }
 
-        // The handlers' outputs, in message order.
-        let processed = effects.msgs.len() + remapped;
-        let mut outbox = effects.outbox.drain(..);
-        for m in effects.msgs.drain(..) {
-            self.dispatch_queue.extend(outbox.by_ref().take(m.emitted));
-            for (to, cmsg) in m.control_out {
-                self.send_control(to, &cmsg);
-            }
-            if let Some((seq, journal)) = m.replicate {
-                let tx = ControlMsg::ReplicateTx {
-                    app: self.apps[app_idx].name().to_string(),
-                    bee,
-                    seq,
-                    journal,
-                };
-                for replica in replicas_of(
-                    self.cfg.id,
-                    &self.cfg.all_hives,
-                    self.cfg.replication_factor,
-                ) {
-                    self.counters.replicated_txs += 1;
-                    self.send_control(replica, &tx);
-                }
+        // The handler's outputs.
+        self.dispatch_queue.extend(effects.outbox.drain(..));
+        for (to, cmsg) in std::mem::take(&mut effects.msg.control_out) {
+            self.send_control(to, &cmsg);
+        }
+        if let Some((seq, journal)) = effects.msg.replicate.take() {
+            let tx = ControlMsg::ReplicateTx {
+                app: self.apps[app_idx].name().to_string(),
+                bee,
+                seq,
+                journal,
+            };
+            for replica in replicas_of(
+                self.cfg.id,
+                &self.cfg.all_hives,
+                self.cfg.replication_factor,
+            ) {
+                self.counters.replicated_txs += 1;
+                self.send_control(replica, &tx);
             }
         }
-        debug_assert!(outbox.next().is_none(), "every emitted message dispatched");
-        drop(outbox);
         // Colony garbage collection: a retired bee with empty state and an
         // idle mailbox is removed from the registry (the queen drops it when
         // the Removed event applies).
@@ -3241,16 +3142,15 @@ impl Hive {
                 self.submit_tracked(RegistryOp::RemoveBee { bee }, Vec::new());
             }
         }
-        processed
     }
 
     /// Re-routes a message whose handler touched `r.cell` outside `bee`'s
     /// colony through [`Hive::route_cells`], with that cell added to the
     /// handler's mapped cells, so the registry settles who owns it (lookup,
-    /// extend or merge) before anything commits. `queued` (what the batch
-    /// left unrun) and the bee's mailbox keep their place behind it.
-    fn remap(&mut self, app_idx: usize, bee: BeeId, r: Remap, mut queued: Vec<(u16, Envelope)>) {
-        let app = self.apps[app_idx].clone();
+    /// extend or merge) before anything commits. The bee's mailbox keeps
+    /// its place behind it.
+    fn remap(&mut self, app_idx: usize, bee: BeeId, r: Remap) {
+        let app = &self.apps[app_idx];
         self.counters.remaps += 1;
         let msg_type = r.env.msg.type_name();
         let detail = format!("{msg_type} touched {} outside its map", r.cell);
@@ -3268,9 +3168,10 @@ impl Hive {
         } else {
             r.cell
         });
-        if let Some(b) = self.queens[app_idx].bee_mut(bee) {
-            queued.extend(b.mailbox.drain(..));
-        }
+        let queued: Vec<(u16, Envelope)> = self.queens[app_idx]
+            .bee_mut(bee)
+            .map(|b| b.mailbox.drain(..).collect())
+            .unwrap_or_default();
         let parked = self
             .route_cells(app_idx, Some(r.hidx), cells, Some(r.env))
             .and_then(|seq| self.pending.get_mut(&seq));

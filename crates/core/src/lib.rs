@@ -104,9 +104,8 @@ pub use introspect::{render_metrics, StatusContext, StatusServer};
 pub use lifecycle::{Lifecycle, LifecycleStage};
 pub use message::{cast, Dst, Envelope, Message, MessageRegistry, Source, TypedMessage};
 pub use metrics::{
-    BeeStats, BeeStatsSnapshot, ExecutorStats, HiveMetrics, Instrumentation, LatencyHistogram,
-    MsgLatency, PlatformCounters, PlatformKind, PlatformRow, WorkerStats, LATENCY_BUCKETS_US,
-    PLATFORM_TABLE,
+    BeeStats, BeeStatsSnapshot, HiveMetrics, Instrumentation, LatencyHistogram, MsgLatency,
+    PlatformCounters, PlatformKind, PlatformRow, LATENCY_BUCKETS_US, PLATFORM_TABLE,
 };
 pub use outbox::{JournalEntry, Outbox, OutboxState};
 pub use platform::{

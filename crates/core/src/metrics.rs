@@ -82,74 +82,6 @@ impl BeeStats {
     }
 }
 
-/// Per-worker counters for the parallel executor.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct WorkerStats {
-    /// Bee batches this worker ran.
-    pub batches: u64,
-    /// Messages this worker processed.
-    pub messages: u64,
-    /// Wall nanoseconds spent running batches (busy time).
-    pub busy_nanos: u64,
-}
-
-/// Executor-level counters: round/queue-depth shape plus per-worker load.
-/// Empty (and omitted from analytics) when the hive runs sequentially.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ExecutorStats {
-    /// Parallel rounds executed.
-    pub rounds: u64,
-    /// Total bees fanned out across all rounds (sum of round queue depths).
-    pub queued_bees: u64,
-    /// Largest single-round queue depth observed.
-    pub max_queue_depth: u64,
-    /// Per-worker counters, indexed by worker id.
-    pub workers: Vec<WorkerStats>,
-}
-
-impl ExecutorStats {
-    /// Records one parallel round that fanned out `queued` bees.
-    pub fn record_round(&mut self, queued: u64) {
-        self.rounds += 1;
-        self.queued_bees += queued;
-        self.max_queue_depth = self.max_queue_depth.max(queued);
-    }
-
-    /// Records one finished batch: `worker` processed `messages` messages in
-    /// `busy_nanos` wall nanoseconds.
-    pub fn record_batch(&mut self, worker: usize, messages: u64, busy_nanos: u64) {
-        if self.workers.len() <= worker {
-            self.workers.resize(worker + 1, WorkerStats::default());
-        }
-        let w = &mut self.workers[worker];
-        w.batches += 1;
-        w.messages += messages;
-        w.busy_nanos += busy_nanos;
-    }
-
-    /// Folds another executor-stats delta into this one.
-    pub fn merge(&mut self, other: &ExecutorStats) {
-        self.rounds += other.rounds;
-        self.queued_bees += other.queued_bees;
-        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
-        if self.workers.len() < other.workers.len() {
-            self.workers
-                .resize(other.workers.len(), WorkerStats::default());
-        }
-        for (i, w) in other.workers.iter().enumerate() {
-            let dst = &mut self.workers[i];
-            dst.batches += w.batches;
-            dst.messages += w.messages;
-            dst.busy_nanos += w.busy_nanos;
-        }
-    }
-
-    /// Whether nothing was recorded (sequential execution).
-    pub fn is_empty(&self) -> bool {
-        self.rounds == 0 && self.workers.is_empty()
-    }
-}
-
 /// Upper bounds (inclusive, microseconds) of the fixed latency-histogram
 /// buckets, exponential from 50µs to 5s. A seventeenth overflow bucket
 /// catches everything above the last bound.
@@ -450,8 +382,6 @@ pub struct Instrumentation {
     /// the paper's Figure 4a–c inter-hive traffic matrices (which include
     /// the diagonal: locally processed messages).
     pub msg_matrix: BTreeMap<(u32, u32), u64>,
-    /// Parallel-executor counters (empty when running sequentially).
-    pub executor: ExecutorStats,
     /// Queue-wait / handler-runtime histograms per (app, message type).
     pub latency: BTreeMap<(Name, &'static str), MsgLatency>,
     /// The hive-wide scalars. In the hive's store, the latest reading the
@@ -508,9 +438,9 @@ impl Instrumentation {
             .or_insert(0) += 1;
     }
 
-    /// Folds a worker-produced instrumentation delta into this store
-    /// (parallel executor check-in). Counters add; metadata (bee cell
-    /// counts, pinned set) overwrites with the delta's fresher view.
+    /// Folds an instrumentation delta (a window [`Instrumentation::take`]
+    /// returned) into this store. Counters add; metadata (bee cell counts,
+    /// pinned set) overwrites with the delta's fresher view.
     pub fn merge_delta(&mut self, delta: Instrumentation) {
         for (key, stats) in delta.bees {
             self.bees.entry(key).or_default().merge(&stats);
@@ -531,7 +461,6 @@ impl Instrumentation {
             self.latency.entry(key).or_default().merge(&lat);
         }
         self.pinned.extend(delta.pinned);
-        self.executor.merge(&delta.executor);
     }
 
     /// Takes the window, leaving the store empty but for what describes no
@@ -602,8 +531,6 @@ pub struct HiveMetrics {
     pub bees: Vec<BeeStatsSnapshot>,
     /// Provenance deltas.
     pub provenance: Vec<(ProvenanceKey, u64)>,
-    /// Parallel-executor deltas (empty on sequential hives).
-    pub executor: ExecutorStats,
     /// Latency-histogram deltas per (app, message type).
     pub latency: Vec<(AppName, String, MsgLatency)>,
     /// The hive-wide scalars: counters since the previous report, gauges as
@@ -650,28 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn executor_stats_record_and_merge() {
-        let mut a = ExecutorStats::default();
-        assert!(a.is_empty());
-        a.record_round(3);
-        a.record_batch(1, 10, 500);
-        a.record_batch(0, 4, 200);
-        assert_eq!(a.rounds, 1);
-        assert_eq!(a.max_queue_depth, 3);
-        assert_eq!(a.workers.len(), 2);
-        assert_eq!(a.workers[1].messages, 10);
-        let mut b = ExecutorStats::default();
-        b.record_round(7);
-        b.record_batch(2, 1, 9);
-        a.merge(&b);
-        assert_eq!(a.rounds, 2);
-        assert_eq!(a.queued_bees, 10);
-        assert_eq!(a.max_queue_depth, 7);
-        assert_eq!(a.workers.len(), 3);
-        assert_eq!(a.workers[2].batches, 1);
-    }
-
-    #[test]
     fn merge_delta_accumulates_counters() {
         let bee = BeeId::new(HiveId(1), 1);
         let mut base = Instrumentation::default();
@@ -682,12 +587,10 @@ mod tests {
         delta.record_in_type("te", "PacketIn");
         delta.record_provenance("te", "PacketIn", "PacketOut");
         delta.bee_cells.insert(1, 5);
-        delta.executor.record_batch(0, 2, 100);
         base.merge_delta(delta);
         assert_eq!(base.bees[&("te".into(), bee.0)].msgs_in, 2);
         assert_eq!(base.in_type_counts[&("te".into(), "PacketIn")], 2);
         assert_eq!(base.bee_cells[&1], 5);
-        assert_eq!(base.executor.workers[0].messages, 2);
     }
 
     #[test]

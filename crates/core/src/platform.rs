@@ -52,16 +52,11 @@ pub fn collector_app(instr: Arc<Mutex<Instrumentation>>) -> App {
                 bee_cells,
                 pinned,
                 provenance,
-                executor,
                 latency,
                 platform,
                 ..
             } = instr.lock().take();
-            if bees.is_empty()
-                && provenance.is_empty()
-                && executor.is_empty()
-                && latency.is_empty()
-                && platform.is_zero()
+            if bees.is_empty() && provenance.is_empty() && latency.is_empty() && platform.is_zero()
             {
                 return Ok(());
             }
@@ -92,7 +87,6 @@ pub fn collector_app(instr: Arc<Mutex<Instrumentation>>) -> App {
                         (key, n)
                     })
                     .collect(),
-                executor,
                 latency: latency
                     .into_iter()
                     .map(|((app, ty), lat)| (app.into(), ty.into(), lat))

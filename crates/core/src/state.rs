@@ -22,9 +22,8 @@
 //! [`TxState::savepoint`] marks a point mid-transaction;
 //! [`TxState::rollback_to`] unwinds exactly the ops after it and
 //! [`TxState::journal_since`] reads exactly the ops after it. The
-//! executors use this to run a whole mailbox batch inside one open
-//! transaction with per-message savepoints: a mid-batch handler failure rolls
-//! back only that message.
+//! hive runs each message from a savepoint: a handler failure rolls back
+//! only that message.
 //!
 //! Wire compatibility: [`BeeState::snapshot`], [`Dict`] and [`TxJournal`]
 //! serialize byte-identically to the pre-COW clone-based engine — generation
@@ -221,8 +220,8 @@ impl Dict {
 }
 
 /// Equality ignores generation stamps: two dicts with the same contents are
-/// equal even if written along different execution paths (e.g. workers=1 vs
-/// workers=4, or snapshot-restored vs transaction-built).
+/// equal even if written along different execution paths (e.g.
+/// snapshot-restored vs transaction-built).
 impl PartialEq for Dict {
     fn eq(&self, other: &Self) -> bool {
         self.entries.len() == other.entries.len()

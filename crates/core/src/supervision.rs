@@ -200,8 +200,8 @@ impl DeadLetterStore {
 /// any handler of `app` triggered by `msg_type` (wire-name suffix match, so
 /// tests can say `"Inc"` instead of the full module path).
 ///
-/// Shared between the hive thread and executor workers; consulted right
-/// before each handler invocation on both paths.
+/// Shared between the hive thread and whoever arms faults; consulted right
+/// before each handler invocation.
 #[derive(Debug, Default)]
 pub struct HandlerFaults {
     entries: Mutex<Vec<FaultEntry>>,

@@ -4,8 +4,7 @@
 //! shared by a whole causal chain of messages, a span id unique to this
 //! message, and the span id of the message whose handler emitted it. The
 //! context is created at external injection ([`TraceContext::root`]),
-//! propagated across local emits and the parallel executor by
-//! [`TraceContext::child`], and shipped between hives inside
+//! propagated across local emits by [`TraceContext::child`], and shipped between hives inside
 //! [`crate::message::WireEnvelope`] — so a cross-hive chain (e.g. the TE
 //! pipeline of Figure 2) can be reassembled end to end.
 //!
@@ -199,27 +198,24 @@ impl TraceCollector {
         self.ring.push(span);
     }
 
-    /// All retained spans, ordered by (start time, span id). Executor
-    /// workers record out of start order, so the order is restored here.
+    /// All retained spans, in the order they ran: the hive thread records
+    /// each as its handler returns, so that is start order.
     pub fn snapshot(&self) -> Vec<TraceSpan> {
         self.spans_where(|_| true)
     }
 
-    /// The retained spans of one trace, in start order.
+    /// The retained spans of one trace, in the order they ran.
     pub fn spans_for(&self, trace_id: u64) -> Vec<TraceSpan> {
         self.spans_where(|s| s.trace_id == trace_id)
     }
 
     fn spans_where(&self, keep: impl Fn(&SpanRecord) -> bool) -> Vec<TraceSpan> {
-        let mut spans: Vec<TraceSpan> = self
-            .ring
+        self.ring
             .snapshot()
             .iter()
             .filter(|s| keep(s))
             .map(SpanRecord::to_span)
-            .collect();
-        spans.sort_by_key(|s| (s.start_ms, s.span_id));
-        spans
+            .collect()
     }
 }
 
@@ -527,10 +523,9 @@ mod tests {
     #[test]
     fn spans_for_filters_by_trace_in_start_order() {
         let c = TraceCollector::new(8);
-        // Recorded out of start order, as parallel workers do.
-        c.record(record(1, 11, 10, 3));
-        c.record(record(2, 20, 0, 2));
         c.record(record(1, 10, 0, 1));
+        c.record(record(2, 20, 0, 2));
+        c.record(record(1, 11, 10, 3));
         let spans = c.spans_for(1);
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.trace_id == 1));

@@ -315,8 +315,6 @@ pub struct ChaosConfig {
     pub hives: usize,
     /// Registry Raft voters.
     pub voters: usize,
-    /// Executor workers per hive (1 = fully deterministic runs).
-    pub workers: usize,
     /// Active workload ticks.
     pub ticks: u64,
     /// Virtual milliseconds per tick.
@@ -353,7 +351,6 @@ impl Default for ChaosConfig {
         ChaosConfig {
             hives: 3,
             voters: 3,
-            workers: 1,
             ticks: 80,
             tick_ms: 250,
             quiet_ticks: 30,
@@ -452,7 +449,6 @@ pub fn run(schedule: &FaultSchedule, cfg: &ChaosConfig) -> RunReport {
         hive: HiveConfig {
             tick_interval_ms: 0, // no platform ticks: ChaosOp is the only app traffic
             pending_retry_ms: 500,
-            workers: cfg.workers,
             redelivery_backoff_ms: 50,
             quarantine_threshold: 0, // chaos handler faults must not trip breakers
             channel_resend_ms: 100,  // retransmit within a 250 ms tick

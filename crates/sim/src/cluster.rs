@@ -20,9 +20,7 @@ pub struct ClusterConfig {
     /// Template for every hive's configuration: each hive gets a clone with
     /// its own `id`, `all_hives` and `registry_voters` filled in. Notes for
     /// simulated runs: `rng_seed` is the one number a whole cluster's random
-    /// choices replay from (the chaos harness sets it per run); `workers > 1`
-    /// threads run in real time, so virtual-time determinism is preserved
-    /// only per round (results are merged in bee-id order); with
+    /// choices replay from (the chaos harness sets it per run); with
     /// `registry_storage_dir` set, [`SimCluster::restart`] exercises the
     /// durable-restart path and every committed registry event is
     /// snapshotted, so a restarted voter can restore its mirror alone

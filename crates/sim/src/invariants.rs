@@ -614,10 +614,10 @@ impl ClusterAudit {
 
     /// Folds this audit into `d`. Deliberately excludes wall-clock times
     /// and span ids — the only values that legitimately differ between two
-    /// runs of the same seed (`workers > 1` executes on real threads; span
-    /// ids come from a process-global counter). Everything else — counters,
-    /// registry digests, colony maps, dictionary bytes, fault accounting —
-    /// must be identical, and therefore is folded.
+    /// runs of the same seed (span ids come from a process-global counter).
+    /// Everything else — counters, registry digests, colony maps,
+    /// dictionary bytes, fault accounting — must be identical, and
+    /// therefore is folded.
     pub fn fold_into(&self, d: &mut Digest) {
         d.write_u64(self.tick);
         d.write_u64(self.emits);

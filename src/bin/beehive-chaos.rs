@@ -24,7 +24,6 @@
 //! * `--seed N` — run exactly one seed (equivalent to `--seeds N..N+1`)
 //! * `--hives N` — cluster size (default 3)
 //! * `--ticks N` — active workload ticks per run (default 80)
-//! * `--workers N` — executor workers per hive (default 1 = fully deterministic)
 //! * `--link-faults-only` — deterministically rewrite every generated window
 //!   into a heavy drop/duplicate/reorder window; with the reliable channel
 //!   layer such schedules must report `lost=0`
@@ -43,7 +42,6 @@ struct Args {
     seeds: Range<u64>,
     hives: usize,
     ticks: u64,
-    workers: usize,
     link_faults_only: bool,
     inject_ownership_bug: bool,
     out: Option<std::path::PathBuf>,
@@ -52,7 +50,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: beehive-chaos (--seeds A..B | --seed N) [--hives N] [--ticks N] \
-         [--workers N] [--link-faults-only] [--inject-ownership-bug] [--out DIR]"
+         [--link-faults-only] [--inject-ownership-bug] [--out DIR]"
     );
     std::process::exit(2)
 }
@@ -61,7 +59,6 @@ fn parse_args() -> Args {
     let mut seeds: Option<Range<u64>> = None;
     let mut hives = 3usize;
     let mut ticks = 80u64;
-    let mut workers = 1usize;
     let mut link_faults_only = false;
     let mut inject_ownership_bug = false;
     let mut out = None;
@@ -85,7 +82,6 @@ fn parse_args() -> Args {
             }
             "--hives" => hives = val().parse::<usize>().unwrap_or_else(|_| usage()).max(1),
             "--ticks" => ticks = val().parse::<u64>().unwrap_or_else(|_| usage()).max(8),
-            "--workers" => workers = val().parse::<usize>().unwrap_or_else(|_| usage()).max(1),
             "--link-faults-only" => link_faults_only = true,
             "--inject-ownership-bug" => inject_ownership_bug = true,
             "--out" => out = Some(std::path::PathBuf::from(val())),
@@ -97,7 +93,6 @@ fn parse_args() -> Args {
         seeds: seeds.unwrap_or_else(|| usage()),
         hives,
         ticks,
-        workers,
         link_faults_only,
         inject_ownership_bug,
         out,
@@ -125,7 +120,6 @@ fn main() {
     let cfg = ChaosConfig {
         hives: args.hives,
         voters: args.hives.min(3),
-        workers: args.workers,
         ticks: args.ticks,
         inject_ownership_bug: args.inject_ownership_bug,
         ..Default::default()

@@ -8,9 +8,6 @@
 //! * **Delivered before handler.** The receiving double notes which channel
 //!   frame carried each message; the handler, when it runs, finds that
 //!   frame's `Delivered` record already on disk.
-//!
-//! Both run with the handler on the hive thread (`workers = 1`) and on a
-//! worker pool (`workers = 4`).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -195,12 +192,9 @@ fn settle(hives: &mut [Hive]) {
     panic!("hives never settled");
 }
 
-fn run(workers: usize) {
+fn run() {
     const PROBES: u64 = 40;
-    let dir = std::env::temp_dir().join(format!(
-        "bh-durability-order-{workers}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("bh-durability-order-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ids = vec![HiveId(1), HiveId(2)];
     let clock = SimClock::new();
@@ -211,7 +205,6 @@ fn run(workers: usize) {
         .map(|&id| {
             let cfg = HiveConfig {
                 tick_interval_ms: 0,
-                workers,
                 registry_storage_dir: Some(dir.clone()),
                 fsync: FsyncPolicy::Never,
                 ..HiveConfig::clustered(id, ids.clone(), 2)
@@ -263,10 +256,5 @@ fn run(workers: usize) {
 
 #[test]
 fn journal_leads_wire_and_handlers_sequentially() {
-    run(1);
-}
-
-#[test]
-fn journal_leads_wire_and_handlers_with_parallel_workers() {
-    run(4);
+    run();
 }

@@ -224,7 +224,7 @@ fn latency_does_not_break_ordering() {
 /// poison message lands in the DLQ after exactly `max_redeliveries + 1`
 /// attempts, and the exposed metrics report matching counts. Quarantine is
 /// disabled so each message exhausts its full redelivery budget.
-fn contained_panic_scenario(workers: usize) {
+fn contained_panic_scenario() {
     let analytics = Arc::new(std::sync::Mutex::new(Analytics::new()));
     let sink = analytics.clone();
     let mut c = SimCluster::new(
@@ -232,7 +232,6 @@ fn contained_panic_scenario(workers: usize) {
             hives: 1,
             voters: 1,
             hive: HiveConfig {
-                workers,
                 quarantine_threshold: 0,
                 ..ClusterConfig::default().hive
             },
@@ -292,24 +291,18 @@ fn contained_panic_scenario(workers: usize) {
 
 #[test]
 fn panicking_handler_is_contained_sequentially() {
-    contained_panic_scenario(1);
-}
-
-#[test]
-fn panicking_handler_is_contained_with_parallel_workers() {
-    contained_panic_scenario(4);
+    contained_panic_scenario();
 }
 
 /// A handler that fails deterministically (injected) and then succeeds:
 /// redelivery masks the failures entirely — state converges, nothing
 /// dead-letters.
-fn transient_failure_scenario(workers: usize) {
+fn transient_failure_scenario() {
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
             voters: 1,
             hive: HiveConfig {
-                workers,
                 ..ClusterConfig::default().hive
             },
             ..Default::default()
@@ -332,25 +325,19 @@ fn transient_failure_scenario(workers: usize) {
 
 #[test]
 fn transient_handler_failures_converge_sequentially() {
-    transient_failure_scenario(1);
-}
-
-#[test]
-fn transient_handler_failures_converge_with_parallel_workers() {
-    transient_failure_scenario(4);
+    transient_failure_scenario();
 }
 
 /// Three consecutive failures open a bee's breaker; after the cooldown one
 /// message runs as the half-open probe, its success closes the breaker, and
 /// the backlog queued behind the probe is processed without waiting for
 /// unrelated traffic.
-fn quarantine_probe_scenario(workers: usize) {
+fn quarantine_probe_scenario() {
     let mut c = SimCluster::new(
         ClusterConfig {
             hives: 1,
             voters: 1,
             hive: HiveConfig {
-                workers,
                 max_redeliveries: 0, // every failure dead-letters immediately
                 quarantine_threshold: 3,
                 ..ClusterConfig::default().hive
@@ -405,12 +392,7 @@ fn quarantine_probe_scenario(workers: usize) {
 
 #[test]
 fn quarantine_opens_and_recovers_via_half_open_probe_sequentially() {
-    quarantine_probe_scenario(1);
-}
-
-#[test]
-fn quarantine_opens_and_recovers_via_half_open_probe_with_parallel_workers() {
-    quarantine_probe_scenario(4);
+    quarantine_probe_scenario();
 }
 
 /// Regression: `requeue_dead_letters` must reset each envelope's delivery
@@ -465,7 +447,7 @@ fn requeued_dead_letters_get_a_fresh_redelivery_budget() {
 /// `quarantined` gauge is the number of bees whose breaker is open
 /// (`HiveCounters::handler_errors` counts panics too, the table's
 /// `kind="error"` row does not).
-fn platform_rows_match_counters_scenario(workers: usize) {
+fn platform_rows_match_counters_scenario() {
     let windows: Arc<Mutex<Vec<HiveMetrics>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = windows.clone();
     let mut c = SimCluster::new(
@@ -473,7 +455,6 @@ fn platform_rows_match_counters_scenario(workers: usize) {
             hives: 1,
             voters: 1,
             hive: HiveConfig {
-                workers,
                 max_redeliveries: 1,
                 quarantine_threshold: 3,
                 ..ClusterConfig::default().hive
@@ -551,10 +532,5 @@ fn platform_rows_match_counters_scenario(workers: usize) {
 
 #[test]
 fn platform_rows_match_counters_sequentially() {
-    platform_rows_match_counters_scenario(1);
-}
-
-#[test]
-fn platform_rows_match_counters_with_parallel_workers() {
-    platform_rows_match_counters_scenario(4);
+    platform_rows_match_counters_scenario();
 }

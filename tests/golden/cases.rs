@@ -12,9 +12,8 @@ use beehive_core::metrics::ProvenanceKey;
 use beehive_core::outbox::JournalEntry;
 use beehive_core::trace::TraceContext;
 use beehive_core::{
-    BeeId, BeeStats, BeeStatsSnapshot, Cell, ControlMsg, Dst, ExecutorStats, HiveId, HiveMetrics,
-    JournalOp, MsgLatency, PlatformCounters, SharedBytes, Source, TxJournal, WorkerStats,
-    COLLECTOR_APP,
+    BeeId, BeeStats, BeeStatsSnapshot, Cell, ControlMsg, Dst, HiveId, HiveMetrics, JournalOp,
+    MsgLatency, PlatformCounters, SharedBytes, Source, TxJournal, COLLECTOR_APP,
 };
 use beehive_openflow::{PacketInEvent, PacketOutCmd, SwitchUpstream};
 use beehive_raft::{Entry, EntryKind, RaftMessage, SnapshotRecord};
@@ -406,23 +405,6 @@ pub fn hive_metrics(hive: u32, seq: u64) -> HiveMetrics {
             },
             8 * seq,
         )],
-        executor: ExecutorStats {
-            rounds: 3 * seq,
-            queued_bees: 7,
-            max_queue_depth: 4 + h,
-            workers: vec![
-                WorkerStats {
-                    batches: 2,
-                    messages: 9,
-                    busy_nanos: 1_000_000 * seq,
-                },
-                WorkerStats {
-                    batches: 1,
-                    messages: 3,
-                    busy_nanos: 500_000,
-                },
-            ],
-        },
         latency: vec![("te".into(), "beehive_apps::te::StatReply".into(), latency)],
         platform,
     }

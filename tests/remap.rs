@@ -64,10 +64,9 @@ fn logger() -> App {
         .build()
 }
 
-fn standalone(workers: usize) -> Hive {
+fn standalone() -> Hive {
     let mut cfg = HiveConfig::standalone(HiveId(1));
     cfg.tick_interval_ms = 0;
-    cfg.workers = workers;
     Hive::new(
         cfg,
         Arc::new(SimClock::new()),
@@ -88,7 +87,7 @@ fn holders(hive: &Hive, app: &str, dict: &str, key: &str) -> Vec<(BeeId, u64)> {
 
 #[test]
 fn two_bees_bumping_a_cell_neither_maps_leave_one_copy() {
-    let mut hive = standalone(1);
+    let mut hive = standalone();
     hive.install(racer(Arc::default()));
     for owner in ["a", "b", "a", "b"] {
         hive.emit(Bump {
@@ -137,7 +136,7 @@ fn bees_on_two_hives_bumping_a_cell_neither_maps_leave_one_copy() {
 #[test]
 fn a_remap_is_not_a_failure() {
     let seen = Arc::new(Mutex::new(Vec::new()));
-    let mut hive = standalone(1);
+    let mut hive = standalone();
     hive.install(racer(seen.clone()));
     for owner in ["a", "b", "a", "b"] {
         hive.emit(Bump {
@@ -174,8 +173,8 @@ fn a_remap_is_not_a_failure() {
     }
 }
 
-fn queued_mail_runs_behind_its_remapped_message(workers: usize) {
-    let mut hive = standalone(workers);
+fn queued_mail_runs_behind_its_remapped_message() {
+    let mut hive = standalone();
     hive.install(logger());
     for seq in 0..12 {
         hive.emit(Step { seq });
@@ -186,7 +185,7 @@ fn queued_mail_runs_behind_its_remapped_message(workers: usize) {
     let log: Vec<u32> = hive
         .peek_state("log", bees[0].0, "own", "a")
         .expect("the log was written");
-    assert_eq!(log, (0..12).collect::<Vec<_>>(), "workers = {workers}");
+    assert_eq!(log, (0..12).collect::<Vec<_>>());
     let c = hive.counters();
     assert_eq!(c.remaps, 4, "seq 0, 3, 6 and 9 each re-map once");
     assert_eq!(c.handled_ok, 12);
@@ -195,10 +194,5 @@ fn queued_mail_runs_behind_its_remapped_message(workers: usize) {
 
 #[test]
 fn queued_mail_runs_behind_its_remapped_message_sequentially() {
-    queued_mail_runs_behind_its_remapped_message(1);
-}
-
-#[test]
-fn queued_mail_runs_behind_its_remapped_message_with_parallel_workers() {
-    queued_mail_runs_behind_its_remapped_message(4);
+    queued_mail_runs_behind_its_remapped_message();
 }

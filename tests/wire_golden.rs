@@ -136,7 +136,9 @@ fn hive_metrics_keeps_the_parent_commits_bytes() {
 /// The `/metrics` exposition is a format too: family order, HELP and TYPE
 /// lines, label spelling and the zero-valued families, for two windows of
 /// hive 1 and one of hive 2. `golden/metrics.prom` is what commit 8fb8c50
-/// rendered for this input.
+/// rendered for this input, less the eight lines of the two
+/// `beehive_executor_*` families, which left with the report's `executor`
+/// field.
 #[test]
 fn metrics_exposition_keeps_the_parent_commits_text() {
     let mut analytics = Analytics::default(); // no start instant: uptime 0
