@@ -1,10 +1,12 @@
 //! A standalone `beehive-node` (no `--peer`: a registry group of one)
 //! leaves on SIGTERM. With no survivor to take its bees, its drain flushes
 //! the outbox and departs, and the process exits 0; its cells stay in its
-//! durable registry, so a restart on the same `--storage-dir` owns as many.
+//! durable registry, so a restart on the same `--storage-dir` owns as many,
+//! even one SIGTERMed before it re-created a single bee.
 //! Node logs are kept under the test's target tmp dir (`smoke-standalone/`).
 
 use std::fs::File;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::process::Command;
 use std::time::Duration;
@@ -16,14 +18,27 @@ mod nodes;
 use http::http_get;
 use nodes::{free_addrs, sigterm, wait_until, Nodes};
 
-/// How long the node gets to place its optimizer bee, which owns a cell.
+/// How long the node gets to become ready.
 const READY_DEADLINE: Duration = Duration::from_secs(30);
 /// How long the node gets to exit once SIGTERM'd.
 const EXIT_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Runs a standalone node on `storage` until its optimizer bee is placed,
-/// SIGTERMs it, and returns the owned-cell count its exit line reports.
-fn run_until_sigterm(storage: &Path, log: &Path) -> usize {
+/// Whether the node's status server answers.
+fn answers(status: SocketAddr) -> bool {
+    http_get(status, "/healthz").is_ok()
+}
+
+/// Whether the node placed its optimizer bee, which owns a cell.
+fn placed_optimizer(status: SocketAddr) -> bool {
+    http_get(status, "/events?n=100").is_ok_and(|events| {
+        events.contains("\"kind\":\"bee_spawned\",\"app\":\"beehive.optimizer\"")
+    })
+}
+
+/// Runs a standalone node on `storage` until `ready` holds of its status
+/// address, SIGTERMs it, and returns the owned-cell count its exit line
+/// reports.
+fn run_until_sigterm(storage: &Path, log: &Path, ready: fn(SocketAddr) -> bool) -> usize {
     let addrs = free_addrs(2);
     let out = File::create(log).expect("create node log");
     let child = Command::new(env!("CARGO_BIN_EXE_beehive-node"))
@@ -36,16 +51,9 @@ fn run_until_sigterm(storage: &Path, log: &Path) -> usize {
         .expect("spawn beehive-node");
     let mut nodes = Nodes(vec![child]);
     let logs = [log.to_path_buf()];
-    wait_until(
-        READY_DEADLINE,
-        "the optimizer bee was not placed",
-        &logs,
-        || {
-            http_get(addrs[1], "/events?n=100").is_ok_and(|events| {
-                events.contains("\"kind\":\"bee_spawned\",\"app\":\"beehive.optimizer\"")
-            })
-        },
-    );
+    wait_until(READY_DEADLINE, "the node was not ready", &logs, || {
+        ready(addrs[1])
+    });
 
     sigterm(&nodes.0[0]);
     let mut status = None;
@@ -77,8 +85,15 @@ fn a_standalone_node_departs_on_sigterm_and_keeps_its_cells() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create log dir");
     let storage = dir.join("state");
-    let first = run_until_sigterm(&storage, &dir.join("run1.log"));
+    let first = run_until_sigterm(&storage, &dir.join("run1.log"), placed_optimizer);
     assert!(first > 0, "the optimizer bee owns a cell");
-    let again = run_until_sigterm(&storage, &dir.join("run2.log"));
+    let again = run_until_sigterm(&storage, &dir.join("run2.log"), placed_optimizer);
     assert_eq!(again, first, "the restart owns a different number of cells");
+    // A restart re-creates its bees on the first message routed to them;
+    // its cells are its own from boot on.
+    let early = run_until_sigterm(&storage, &dir.join("run3.log"), answers);
+    assert_eq!(
+        early, first,
+        "a restart SIGTERMed at once reports a different number of cells"
+    );
 }
