@@ -1,13 +1,15 @@
-//! Heap allocations on the hive's local message path, counted.
+//! Heap allocations on the hive's message path, counted: locally, and
+//! across two hives.
 //!
 //! This binary installs a counting global allocator. A thread-local switch
 //! confines the count to the calling thread and to the window between
-//! `emit` and the end of `step_until_quiescent`; every message is built
-//! before the window opens, so what is counted is the platform's work plus
-//! whatever the handlers and their mapping closures allocate themselves.
-//! The hive runs on a [`SimClock`] that never advances, so no timer fires
-//! inside a window, and each test first runs enough messages to fill the
-//! hive's span ring (whose buffer grows until it holds [`TRACE_CAPACITY`]
+//! `emit` and the end of `step_until_quiescent` (or the cluster's
+//! `settle`); every message is built before the window opens, so what is
+//! counted is the platform's work plus whatever the handlers and their
+//! mapping closures allocate themselves. The hives run on a [`SimClock`]
+//! that stands still inside a window, so no timer fires there, and each
+//! test first runs enough messages to fill the span ring of the hive that
+//! runs the handlers (its buffer grows until it holds [`TRACE_CAPACITY`]
 //! spans), so the counts repeat exactly from window to window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,6 +23,7 @@ use beehive::openflow::driver::{driver_app, SwitchIo};
 use beehive::openflow::switch::encode_header_as_packet;
 use beehive::openflow::wire::{OfMessage, PacketInReason};
 use beehive::openflow::{Match, SwitchUpstream};
+use beehive::sim::{ClusterConfig, SimCluster};
 use serde::{Deserialize, Serialize};
 
 struct Counting;
@@ -92,14 +95,16 @@ beehive::core::impl_message!(Noop);
 /// (a `Vec`, a dictionary name and a key) leave the platform four.
 const NOOP_BUDGET: u64 = 8;
 
+fn noop_app() -> App {
+    App::builder("noop")
+        .handle::<Noop>(|m| Mapped::cell("n", m.key.clone()), |_m, _ctx| Ok(()))
+        .build()
+}
+
 #[test]
 fn a_noop_message_stays_within_its_budget() {
     let mut hive = standalone();
-    hive.install(
-        App::builder("noop")
-            .handle::<Noop>(|m| Mapped::cell("n", m.key.clone()), |_m, _ctx| Ok(()))
-            .build(),
-    );
+    hive.install(noop_app());
     let key = || Noop { key: "k".into() };
     // Warm up: the first message creates the bee through the registry, and
     // one span per message fills the ring.
@@ -220,5 +225,71 @@ fn a_learned_packet_in_stays_within_its_budget() {
     assert!(
         per_event <= PKTIN_BUDGET as f64,
         "{per_event} allocations per learning-switch event (budget {PKTIN_BUDGET})"
+    );
+}
+
+/// At most this many allocations per no-op message that hive 1 relays to
+/// its bee on hive 2 over a [`MemFabric`](beehive::net::MemFabric): hive 1
+/// maps, wraps and encodes it, the fabric carries the frame, hive 2 decodes,
+/// unwraps, delivers and runs it, and each side's channel books the frame
+/// and its ack. The budget is the count measured when it was set, 26.1 per
+/// crossing, rounded up.
+const CROSSING_BUDGET: u64 = 27;
+
+#[test]
+fn a_crossing_noop_message_stays_within_its_budget() {
+    let mut c = SimCluster::new(
+        ClusterConfig {
+            hives: 2,
+            voters: 2,
+            hive: HiveConfig {
+                tick_interval_ms: 0,
+                ..ClusterConfig::default().hive
+            },
+            ..Default::default()
+        },
+        |h| h.install(noop_app()),
+    );
+    c.elect_registry(10_000).expect("a registry leader");
+    let (from, to) = (HiveId(1), HiveId(2));
+    let key = || Noop { key: "k".into() };
+    // Hive 2 creates the bee that owns the cell, then hive 1's messages
+    // cross to it until its span ring is full.
+    c.hive_mut(to).emit(key());
+    c.advance(1_000, 50);
+    const MSGS: u64 = 50;
+    for _ in 0..TRACE_CAPACITY as u64 / MSGS + 1 {
+        for _ in 0..MSGS {
+            c.hive_mut(from).emit(key());
+        }
+        c.advance(50, 50);
+    }
+    assert_eq!(c.hive(to).local_bee_count("noop"), 1);
+    assert_eq!(c.hive(from).local_bee_count("noop"), 0);
+
+    let mut counts = Vec::new();
+    // The first burst grows the hives' queues to its size; it is not kept.
+    for _ in 0..4 {
+        let msgs: Vec<Noop> = (0..MSGS).map(|_| key()).collect();
+        let handled = c.hive(to).counters().handled_ok;
+        counts.push(allocations(|| {
+            for m in msgs {
+                c.hive_mut(from).emit(m);
+            }
+            c.settle(100);
+        }));
+        assert_eq!(c.hive(to).counters().handled_ok, handled + MSGS);
+        // Outside the window: the acks flush and hive 1 forgets the frames.
+        c.advance(50, 50);
+    }
+    counts.remove(0);
+    assert!(
+        counts.windows(2).all(|w| w[0] == w[1]),
+        "counts differ between identical windows: {counts:?}"
+    );
+    let per_crossing = counts[0] as f64 / MSGS as f64;
+    assert!(
+        per_crossing <= CROSSING_BUDGET as f64,
+        "{per_crossing} allocations per crossing no-op message (budget {CROSSING_BUDGET})"
     );
 }
