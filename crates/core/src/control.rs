@@ -174,7 +174,7 @@ impl ControlMsg {
     }
 
     /// Encodes a state shipment from hive `sender` as the [`WireEnvelope`]
-    /// the reliable channel carries: named [`SHIPMENT`], with no trace.
+    /// the reliable channel carries: named `#shipment`, with no trace.
     pub fn encode_shipment(&self, sender: HiveId) -> crate::error::Result<Vec<u8>> {
         let we = WireEnvelope {
             src: Source::External(sender),

@@ -1,12 +1,12 @@
-//! Bee execution: [`run_batch`], the one function that runs handlers.
+//! Bee execution: [`run_message`], the one function that runs handlers.
 //!
 //! The paper's central invariant — each bee exclusively owns its mapped
 //! cells — is what makes one function enough: a bee's state, colony and
-//! mail are all a handler may touch, so `run_batch` borrows exactly those,
-//! runs one message inside one transaction and hands back what the handler
-//! asked for as [`BatchEffects`], applying none of it. Turning effects into
-//! dispatch, control frames, replication and registry proposals is
-//! `Hive::apply_batch`.
+//! mail are all a handler may touch, so `run_message` borrows exactly
+//! those, runs one message inside one transaction and hands back what the
+//! handler asked for as [`Effects`], applying none of it. Turning effects
+//! into dispatch, control frames, replication and registry proposals is
+//! `Hive::apply_effects`.
 //!
 //! Both run on the hive thread: `Hive::run_inline` takes one message per
 //! run-queue turn and borrows the bee in place from its queen. A hive runs
@@ -96,7 +96,7 @@ impl Parker {
 
 /// What is fixed for one run: which bee runs, where and when, and the
 /// hive facilities the run consults.
-pub(crate) struct BatchEnv<'a> {
+pub(crate) struct RunEnv<'a> {
     /// The application whose handler runs.
     pub app: &'a App,
     /// The hive the bee lives on.
@@ -140,10 +140,13 @@ pub(crate) struct Remap {
     pub cell: Cell,
 }
 
-/// What the handler asked for besides its emits. A failed message was
-/// rolled back: it carries only its `failure`.
+/// Everything one message's run asked for, applied by
+/// `Hive::apply_effects`. A failed message was rolled back: it carries only
+/// its `failure`; a re-mapped one only its `remap`. The hive thread keeps
+/// one and hands it to every run, so its buffers are reused rather than
+/// allocated per message.
 #[derive(Default)]
-pub(crate) struct MsgEffects {
+pub(crate) struct Effects {
     /// Control messages the handler requested.
     pub control_out: Vec<(HiveId, ControlMsg)>,
     /// The committed journal to ship to the colony's replicas:
@@ -151,15 +154,6 @@ pub(crate) struct MsgEffects {
     pub replicate: Option<(u64, Vec<u8>)>,
     /// Set when the handler failed, for supervised redelivery.
     pub failure: Option<FailedDelivery>,
-}
-
-/// Everything a run asked for, applied by `Hive::apply_batch`. The hive
-/// thread keeps one and hands it to every run, so its buffers are reused
-/// rather than allocated per message.
-#[derive(Default)]
-pub(crate) struct BatchEffects {
-    /// What the message asked for; empty when it was re-mapped.
-    pub msg: MsgEffects,
     /// The messages the handler emitted, in emit order.
     pub outbox: Vec<Envelope>,
     /// Set when the message touched a cell outside the colony: it was
@@ -172,8 +166,9 @@ pub(crate) struct BatchEffects {
     pub tx_logs: TxLogs,
 }
 
-/// Runs `mail` on one bee, the only place handlers are invoked, and leaves
-/// what the handler asked for in `effects` (empty on entry).
+/// Runs one message, `mail`, on one bee, the only place handlers are
+/// invoked, and leaves what the handler asked for in `effects` (empty on
+/// entry).
 ///
 /// The message runs inside one transaction from a savepoint: a handler
 /// failure (an `Err`, a panic, or an injected fault) rolls the message back
@@ -182,22 +177,22 @@ pub(crate) struct BatchEffects {
 ///
 /// A message that touches a cell outside `colony` is rolled back the same
 /// way, whatever its handler returned, and comes back as
-/// [`BatchEffects::remap`].
+/// [`Effects::remap`].
 ///
 /// Handler statistics go to `instr`, which is locked only after the
 /// handler returned — handlers may lock it themselves (the collector app
 /// drains it).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_batch(
-    env: &BatchEnv<'_>,
+pub(crate) fn run_message(
+    env: &RunEnv<'_>,
     state: &mut BeeState,
     colony: &BTreeSet<Cell>,
     repl_seq: &mut u64,
     mail: &(u16, Envelope),
     instr: &Mutex<Instrumentation>,
-    effects: &mut BatchEffects,
+    effects: &mut Effects,
 ) {
-    let BatchEnv {
+    let RunEnv {
         hive, bee, now_ms, ..
     } = *env;
     let app_name = env.app.name();
@@ -259,7 +254,6 @@ pub(crate) fn run_batch(
             cell,
         });
     } else {
-        let done = &mut effects.msg;
         let ok = match outcome {
             Ok(()) => {
                 let journal = tx.journal_since(&sp);
@@ -267,18 +261,18 @@ pub(crate) fn run_batch(
                 if !env.pinned && env.replicate && !journal.is_empty() {
                     *repl_seq += 1;
                     if let Ok(bytes) = beehive_wire::to_vec(&JournalView(journal)) {
-                        done.replicate = Some((*repl_seq, bytes));
+                        effects.replicate = Some((*repl_seq, bytes));
                     }
                 }
                 tx.clear_journal_since(&sp);
-                done.control_out = control_out;
+                effects.control_out = control_out;
                 effects.retire = retire;
                 true
             }
             Err((kind, detail)) => {
                 tx.rollback_to(&sp);
                 effects.outbox.clear();
-                done.failure = Some(FailedDelivery {
+                effects.failure = Some(FailedDelivery {
                     hidx: *hidx,
                     handler: handler.name.clone(),
                     env: envelope.clone(),

@@ -281,29 +281,6 @@ pub fn runtime_feedback(
     }
 }
 
-/// Merges per-window snapshots of the same bees (helper for analytics over
-/// several collection periods).
-pub fn merge_snapshots(windows: &[Vec<BeeStatsSnapshot>]) -> Vec<BeeStatsSnapshot> {
-    let mut merged: BTreeMap<(String, u64), BeeStatsSnapshot> = BTreeMap::new();
-    for window in windows {
-        for snap in window {
-            match merged.entry((snap.app.clone(), snap.bee.0)) {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(snap.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let cur = o.get_mut();
-                    cur.stats.merge(&snap.stats);
-                    cur.hive = snap.hive; // latest placement wins
-                    cur.cells = snap.cells;
-                    cur.pinned |= snap.pinned;
-                }
-            }
-        }
-    }
-    merged.into_values().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,15 +415,5 @@ mod tests {
     fn remaps_reported() {
         let report = runtime_feedback("te", &[], None, 3, 0.9, 0.5);
         assert_eq!(report.items, vec![FeedbackItem::Remaps { remaps: 3 }]);
-    }
-
-    #[test]
-    fn merge_snapshots_accumulates() {
-        let w1 = vec![snap("te", 1, 1, 10, 2)];
-        let w2 = vec![snap("te", 1, 5, 20, 2)];
-        let merged = merge_snapshots(&[w1, w2]);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged[0].stats.msgs_in, 30);
-        assert_eq!(merged[0].hive, HiveId(5), "latest placement wins");
     }
 }

@@ -10,7 +10,7 @@
 //! [`Transport`]. The simulator calls `step` in virtual time; production
 //! deployments call [`Hive::run`] on a thread.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
@@ -20,14 +20,14 @@ use crate::channel::{ChannelDelivery, ChannelTuning, ReliableChannels};
 use crate::clock::Clock;
 use crate::control::{ControlMsg, MembershipOp};
 use crate::events::{EventJournal, EventKind, EVENT_CAPACITY};
-use crate::executor::{run_batch, BatchEffects, BatchEnv, Parker, Remap};
+use crate::executor::{run_message, Effects, Parker, Remap, RunEnv};
 use crate::id::{AppName, BeeId, HiveId};
 use crate::lifecycle::{Lifecycle, LifecycleStage};
 use crate::message::{Dst, Envelope, Message, MessageRegistry, WireEnvelope};
 use crate::metrics::{Instrumentation, PlatformCounters};
 use crate::optimizer::{plan_migrations, BeeLoad, OptimizerConfig};
 use crate::platform::Tick;
-use crate::queen::{Applied, BeeStatus, Delivery, Queen, Shipment};
+use crate::queen::{Applied, BeeStatus, Delivery, Outcome, Queen, Shipment};
 use crate::registry::{RegistryCommand, RegistryEvent, RegistryOp, RegistryState};
 use crate::replication::{replicas_of, ApplyOutcome, ShadowStore};
 use crate::state::BeeState;
@@ -218,7 +218,7 @@ pub struct HiveCounters {
     /// harness audits exactly that.
     pub handled_ok: u64,
     /// Direct-addressed messages silently lost because the addressed bee no
-    /// longer exists on any hive ([`crate::routing::Delivery::NoBee`]).
+    /// longer exists on this hive ([`Delivery::NoBee`]).
     pub lost_no_bee: u64,
     /// State shipments sequenced on the reliable channel. The channel's
     /// `sent`/`delivered`/`expired` count these too; the chaos conservation
@@ -320,6 +320,19 @@ impl Pending {
     }
 }
 
+/// What an apply says about one bee beyond where the mirror now places
+/// it, for [`Hive::reconcile`].
+#[derive(Default)]
+struct Touch {
+    /// An entry routed a message to the bee: hosted here, it is
+    /// materialized at once.
+    routed: bool,
+    /// Bees whose state the apply sent toward this hive from another one:
+    /// the bee itself when it moved here, losers when it absorbed them.
+    /// Hosted here, the bee waits for each that has not arrived.
+    inbound: Vec<BeeId>,
+}
+
 /// One Beehive controller.
 pub struct Hive {
     cfg: HiveConfig,
@@ -352,7 +365,7 @@ pub struct Hive {
     /// Shadow copies of remote bees this hive replicates (colony replication).
     shadows: ShadowStore,
     /// Bees being recovered from local shadows (failover in progress).
-    recovering: HashSet<(AppName, BeeId)>,
+    recovering: BTreeSet<(AppName, BeeId)>,
     /// Dead-letter queue: messages that exhausted their redelivery budget
     /// or were rejected by quarantine / mailbox bounds.
     dead_letters: Arc<DeadLetterStore>,
@@ -379,9 +392,9 @@ pub struct Hive {
     /// Frames of every kind sent since the last [`Hive::flush_io`], in send
     /// order; the transport receives them in one [`Transport::send_all`].
     frames_out: Vec<(HiveId, Frame)>,
-    /// What the last run asked for, emptied by `apply_batch`: its
+    /// What the last run asked for, emptied by `apply_effects`: its
     /// buffers serve the next run, so a run allocates none of its own.
-    effects: BatchEffects,
+    effects: Effects,
     /// Parker for [`Hive::run`]'s idle wait, shared with every
     /// [`HiveHandle`] and handed to the transport as its waker.
     parker: Arc<Parker>,
@@ -397,9 +410,12 @@ pub struct Hive {
     /// Last observed registry Raft term/leader, for change events.
     last_raft_term: u64,
     last_raft_leader: Option<u64>,
-    /// Registry snapshots installed as of the last poll, for the
-    /// `SnapshotInstall` event and the routes an install resolves.
+    /// Registry snapshots installed as of the last apply: one more means
+    /// the mirror was replaced wholesale (see [`Hive::reconcile_snapshot`]).
     last_snapshot_installs: u64,
+    /// The mirror as it stood before an `InstallSnapshot` replaced it, kept
+    /// until the next apply compares the two.
+    before_install: Option<RegistryState>,
     /// Shared membership-lifecycle cell: written by the step loop, read by
     /// the status server (`/healthz`) and signal handlers (see
     /// [`crate::lifecycle`]).
@@ -556,7 +572,7 @@ impl Hive {
             tick_seq: 0,
             applied_seq: 0,
             shadows,
-            recovering: HashSet::new(),
+            recovering: BTreeSet::new(),
             dead_letters,
             faults: Arc::new(HandlerFaults::new()),
             retry_queue: VecDeque::new(),
@@ -565,7 +581,7 @@ impl Hive {
             channels,
             published: PlatformCounters::default(),
             frames_out: Vec::new(),
-            effects: BatchEffects::default(),
+            effects: Effects::default(),
             parker: Arc::new(Parker::new()),
             events,
             trace_hub: Arc::new(TraceHub::new()),
@@ -573,6 +589,7 @@ impl Hive {
             last_raft_term: 0,
             last_raft_leader: None,
             last_snapshot_installs: 0,
+            before_install: None,
             lifecycle: Arc::new(Lifecycle::default()),
             pending_membership: None,
             draining_peers: HashSet::new(),
@@ -821,16 +838,8 @@ impl Hive {
         let Some(&i) = self.app_idx.get(app) else {
             return Vec::new();
         };
-        self.queens[i]
-            .bee_ids()
-            .into_iter()
-            .map(|b| {
-                (
-                    b,
-                    self.queens[i].bee(b).map(|lb| lb.colony.len()).unwrap_or(0),
-                )
-            })
-            .collect()
+        let bees = self.queens[i].bees();
+        bees.map(|b| (b.id, b.colony.len())).collect()
     }
 
     /// Local bees of `app` holding mail, with their status and mailbox
@@ -839,15 +848,10 @@ impl Hive {
         let Some(&i) = self.app_idx.get(app) else {
             return Vec::new();
         };
-        let mut out: Vec<(BeeId, BeeStatus, usize)> = self.queens[i]
-            .bee_ids()
-            .into_iter()
-            .filter_map(|id| self.queens[i].bee(id))
-            .filter(|b| !b.mailbox.is_empty())
+        let holders = self.queens[i].bees().filter(|b| !b.mailbox.is_empty());
+        holders
             .map(|b| (b.id, b.status.clone(), b.mailbox.len()))
-            .collect();
-        out.sort_by_key(|(id, ..)| *id);
-        out
+            .collect()
     }
 
     /// Reads a value from a local bee's state (test/inspection API).
@@ -976,12 +980,8 @@ impl Hive {
         for p in self.pending.values() {
             q.pending_routes += p.waiting.iter().map(|(_, env)| hit(env)).sum::<u64>();
         }
-        for queen in &self.queens {
-            for id in queen.bee_ids() {
-                if let Some(b) = queen.bee(id) {
-                    q.mailboxes += b.mailbox.iter().map(|(_, env)| hit(env)).sum::<u64>();
-                }
-            }
+        for b in self.queens.iter().flat_map(Queen::bees) {
+            q.mailboxes += b.mailbox.iter().map(|(_, env)| hit(env)).sum::<u64>();
         }
         q
     }
@@ -992,16 +992,12 @@ impl Hive {
         let Some(&i) = self.app_idx.get(app) else {
             return Vec::new();
         };
-        let mut out: Vec<(BeeId, Vec<Cell>)> = self.queens[i]
-            .active_bees()
-            .filter_map(|b| {
-                self.queens[i]
-                    .bee(b)
-                    .map(|lb| (b, lb.colony.iter().cloned().collect()))
-            })
-            .collect();
-        out.sort_by_key(|(b, _)| *b);
-        out
+        let active = self.queens[i]
+            .bees()
+            .filter(|b| b.status == BeeStatus::Active);
+        active
+            .map(|b| (b.id, b.colony.iter().cloned().collect()))
+            .collect()
     }
 
     /// A bee's full dictionary contents in deterministic order: dict name →
@@ -1095,6 +1091,11 @@ impl Hive {
                 FrameKind::Raft => {
                     match beehive_wire::from_slice::<beehive_raft::RaftMessage>(&frame.bytes) {
                         Ok(msg) => {
+                            let install =
+                                matches!(msg, beehive_raft::RaftMessage::InstallSnapshot { .. });
+                            if install && self.before_install.is_none() {
+                                self.before_install = Some(self.registry_view().clone());
+                            }
                             let outs = self.registry.step(from.as_raft(), msg);
                             self.send_raft(outs);
                         }
@@ -1304,13 +1305,10 @@ impl Hive {
         }
     }
 
-    /// Records registry Raft term and leader changes and snapshot installs
-    /// into the event journal, and fail-stops the hive if the registry node
-    /// latched a storage fault. A freshly installed snapshot also releases
-    /// the pending routes it answers (see
-    /// [`Hive::release_routes_resolved_by_snapshot`]).
-    /// Everything here derives from already-deterministic state, so it
-    /// cannot perturb simulated replay.
+    /// Records registry Raft term and leader changes into the event
+    /// journal, and fail-stops the hive if the registry node latched a
+    /// storage fault. Everything here derives from already-deterministic
+    /// state, so it cannot perturb simulated replay.
     fn poll_raft_events(&mut self) {
         let node = &self.registry;
         if let Some(e) = node.storage_fault() {
@@ -1335,45 +1333,10 @@ impl Hive {
             self.events
                 .record_full(EventKind::RaftLeaderChange, 0, "", None, peer, detail);
         }
-        let installs = node.snapshots_installed();
-        if installs > self.last_snapshot_installs {
-            self.events.record(
-                EventKind::SnapshotInstall,
-                format!(
-                    "registry snapshot installed through index {}",
-                    node.snapshot_index()
-                ),
-            );
-            self.last_snapshot_installs = installs;
-            self.release_routes_resolved_by_snapshot();
-            self.finish_migrations_resolved_by_snapshot();
-        }
     }
 
-    /// The source side of a migration whose `Moved` event this hive learned
-    /// only inside a registry snapshot: every bee still frozen here that the
-    /// mirror now places on another hive hands off to it, as the `Moved` arm
-    /// would have, and its pending `MoveBee` is dropped (re-proposed, it
-    /// would commit a no-op move).
-    fn finish_migrations_resolved_by_snapshot(&mut self) {
-        for ai in 0..self.queens.len() {
-            for bee in self.queens[ai].migrating_out() {
-                let Some(at) = self.registry_view().hive_of(bee) else {
-                    continue;
-                };
-                if at == self.cfg.id {
-                    continue;
-                }
-                self.pending.retain(
-                    |_, p| !matches!(p.cmd.op, RegistryOp::MoveBee { bee: b, .. } if b == bee),
-                );
-                self.finish_migration_out(ai, bee, at);
-            }
-        }
-    }
-
-    /// Hands a migrated bee off on its source hive: the queen drops it and
-    /// leaves a tombstone, and its buffered mail is relayed to `to`.
+    /// Hands a bee off to the hive `to` the mirror now places it on: the
+    /// queen drops it, and its buffered mail is relayed to `to`.
     fn finish_migration_out(&mut self, ai: usize, bee: BeeId, to: HiveId) {
         let mail = self.queens[ai].finish_migration_out(bee, to);
         let app = self.apps[ai].name().to_string();
@@ -1393,25 +1356,6 @@ impl Hive {
                 fence: self.applied_seq,
             };
             self.relay(to, &env);
-        }
-    }
-
-    /// A registry follower that catches up by `InstallSnapshot` never sees
-    /// the `Routed` echoes of the entries the snapshot covered — and a slow
-    /// follower of a leader that compacts at every commit is served nothing
-    /// but snapshots, re-proposals included. So after an install, release
-    /// (oldest first) every pending route whose cells the mirror now
-    /// resolves; a later echo of the same command finds nothing to release.
-    fn release_routes_resolved_by_snapshot(&mut self) {
-        let seqs: Vec<u64> = self.pending.keys().copied().collect();
-        for seq in seqs {
-            let resolved = self.pending.get(&seq).and_then(|p| {
-                let (app, cells) = p.route()?;
-                self.registry_view().lookup_exact(app, cells)
-            });
-            if let Some((bee, hive)) = resolved {
-                self.release_pending_route(seq, bee, hive);
-            }
         }
     }
 
@@ -1470,7 +1414,21 @@ impl Hive {
         }
     }
 
+    /// Brings this hive in line with what the registry applied since the
+    /// last call: a snapshot install first, then each entry, and settles
+    /// this hive's own commands among them. Returns the entries applied.
     fn drain_applied(&mut self) -> usize {
+        let before = self.before_install.take();
+        let installs = self.registry.snapshots_installed();
+        if installs > self.last_snapshot_installs {
+            self.last_snapshot_installs = installs;
+            let detail = format!(
+                "registry snapshot installed through index {}",
+                self.registry.snapshot_index()
+            );
+            self.events.record(EventKind::SnapshotInstall, detail);
+            self.reconcile_snapshot(before.unwrap_or_default());
+        }
         let applied = self.registry.take_applied();
         // The fence is the applied LOG INDEX — durable across restarts (a
         // snapshot restores last_applied) and identical on every hive for the
@@ -1478,7 +1436,15 @@ impl Hive {
         self.applied_seq = self.registry.last_applied();
         let n = applied.len();
         for (cmd, event) in applied.into_iter().map(|a| a.output) {
-            self.on_registry_event(cmd, event);
+            self.reconcile_entry(&event);
+            if cmd.origin == self.cfg.id {
+                match event {
+                    RegistryEvent::Routed { bee, hive, .. } => {
+                        self.release_pending_route(cmd.seq, bee, hive)
+                    }
+                    _ => drop(self.pending.remove(&cmd.seq)),
+                }
+            }
         }
         n
     }
@@ -1730,38 +1696,14 @@ impl Hive {
             self.deliver_checked(app_idx, bee, hidx, env);
             return;
         }
-        // Merged away? Re-aim at the surviving colony.
-        if let Some(winner) = self.queens[app_idx].merge_redirect(bee) {
-            let mut env = env;
-            env.dst = Dst::Bee {
-                app: app.to_string(),
-                bee: winner,
-                handler: Some(hidx),
-                fence,
-            };
-            self.dispatch_queue.push_back(env);
-            return;
-        }
-        // Tombstone (moved away)?
-        if let Some(to) = self.queens[app_idx].tombstone(bee) {
-            let mut env = env;
-            env.dst = Dst::Bee {
-                app: app.to_string(),
-                bee,
-                handler: Some(hidx),
-                fence: self.applied_seq,
-            };
-            self.relay(to, &env);
-            return;
-        }
-        // Registry mirror?
+        // Otherwise the mirror says where the bee is, or which bee
+        // absorbed it.
         match self.registry_view().hive_of(bee) {
             Some(h) if h == self.cfg.id => {
-                // The registry says it's ours but the queen doesn't have it
-                // yet (e.g. created by a remote LookupOrCreate, or a
-                // migration whose Moved event reached us inside a registry
-                // snapshot). Materialize it.
-                if !self.adopt_parked(app_idx, bee) {
+                // Placed here but not materialized: adopt its parked state,
+                // or start it empty with its registry colony.
+                self.adopt_placed(app_idx, bee);
+                if self.queens[app_idx].bee(bee).is_none() {
                     let colony = self.registry_view().colony_of(bee);
                     self.queens[app_idx].ensure_bee(bee, colony);
                 }
@@ -1778,15 +1720,20 @@ impl Hive {
                 self.relay(h, &env);
             }
             None => {
-                // Unknown (our mirror may lag the leader). Park and retry.
+                let merged_into = self.registry_view().merged_into(bee);
                 let mut env = env;
                 env.dst = Dst::Bee {
                     app: app.to_string(),
-                    bee,
+                    bee: merged_into.unwrap_or(bee),
                     handler: Some(hidx),
                     fence,
                 };
-                self.orphans.push_back((env, now));
+                match merged_into {
+                    // Merged away: re-aimed at the bee that absorbed it.
+                    Some(_) => self.dispatch_queue.push_back(env),
+                    // Unknown (our mirror may lag the leader): park and retry.
+                    None => self.orphans.push_back((env, now)),
+                }
             }
         }
     }
@@ -1976,18 +1923,10 @@ impl Hive {
 
     /// Applies a run outcome to the bee's quarantine circuit breaker and
     /// starts the cooldown timer when it trips.
-    fn apply_outcome(
-        &mut self,
-        app_idx: usize,
-        bee: BeeId,
-        had_success: bool,
-        trailing_failures: u32,
-        now: u64,
-    ) {
+    fn apply_outcome(&mut self, app_idx: usize, bee: BeeId, outcome: Outcome, now: u64) {
         let tripped = self.queens[app_idx].record_outcome(
             bee,
-            had_success,
-            trailing_failures,
+            outcome,
             self.cfg.quarantine_threshold,
             QUARANTINE_COOLDOWN_MS,
             now,
@@ -2662,127 +2601,201 @@ impl Hive {
         }
     }
 
-    fn on_registry_event(&mut self, cmd: RegistryCommand, event: RegistryEvent) {
-        // The command is applied. A `Routed` one is released at the end of
-        // its arm, after the mail it held is re-routed.
-        if cmd.origin == self.cfg.id && !matches!(event, RegistryEvent::Routed { .. }) {
-            self.pending.remove(&cmd.seq);
-        }
-        match event {
+    // ------------------------------------------------------------------
+    // Reconciliation with the registry mirror
+    // ------------------------------------------------------------------
+
+    /// Compares the bees one applied entry touched with the mirror: the
+    /// routed bee and the losers it absorbed, a moved bee, a removed bee.
+    fn reconcile_entry(&mut self, event: &RegistryEvent) {
+        let me = self.cfg.id;
+        let (app, bee, routed, inbound, losers) = match event {
             RegistryEvent::Routed {
-                app,
-                bee,
-                hive,
-                created: _,
-                merged,
+                app, bee, merged, ..
             } => {
-                let app_idx = self.app_idx.get(&app).copied();
-
-                // Handle colony merges this hive participates in. Every
-                // hive records the redirect so late mail addressed to a
-                // merged-away bee still finds the surviving colony.
-                if let Some(ai) = app_idx {
-                    for (loser, _) in &merged {
-                        self.queens[ai].record_merge(*loser, bee);
-                    }
-                    for (loser, loser_hive) in &merged {
-                        if *loser_hive == self.cfg.id {
-                            if let Some((state, mail)) = self.queens[ai].remove_loser(*loser) {
-                                self.counters.merges += 1;
-                                let snapshot = state.snapshot().expect("loser state snapshots");
-                                self.ship(
-                                    hive,
-                                    ControlMsg::MergeState {
-                                        app: app.clone(),
-                                        winner: bee,
-                                        loser: *loser,
-                                        state: snapshot,
-                                    },
-                                );
-                                // Forward the loser's buffered mail to the winner.
-                                for (h, mut env) in mail {
-                                    env.dst = Dst::Bee {
-                                        app: app.clone(),
-                                        bee,
-                                        handler: Some(h),
-                                        fence: self.applied_seq,
-                                    };
-                                    self.dispatch_queue.push_back(env);
-                                }
-                            }
-                        }
-                    }
-                    if hive == self.cfg.id {
-                        let colony = self.registry_view().colony_of(bee);
-                        self.queens[ai].ensure_bee(bee, colony);
-                        for (loser, loser_hive) in &merged {
-                            // A loser that lived here shipped itself above,
-                            // unless this hive never held it.
-                            if *loser_hive == self.cfg.id && !self.queens[ai].is_parked(bee, *loser)
-                            {
-                                continue;
-                            }
-                            if let Some(applied) = self.queens[ai].expect(bee, *loser) {
-                                self.shipment_applied(ai, applied);
-                            }
-                        }
-                        if self.queens[ai].bee(bee).is_some_and(|b| b.runnable()) {
-                            self.run_queue.push_back((ai, bee));
-                        }
-                        self.instr.lock().bee_cells.insert(
-                            bee.0,
-                            self.queens[ai]
-                                .bee(bee)
-                                .map(|b| b.colony.len() as u64)
-                                .unwrap_or(0),
-                        );
-                    }
-                }
-
-                if cmd.origin == self.cfg.id {
-                    self.release_pending_route(cmd.seq, bee, hive);
-                }
+                let inbound = merged.iter().filter(|(_, h)| *h != me);
+                let inbound = inbound.map(|&(l, _)| l).collect();
+                (app, *bee, true, inbound, merged.as_slice())
             }
             RegistryEvent::Moved { app, bee, from, to } => {
-                let Some(&ai) = self.app_idx.get(&app) else {
-                    return;
-                };
-                if from == self.cfg.id && to != self.cfg.id {
-                    self.finish_migration_out(ai, bee, to);
-                } else if to == self.cfg.id && from != self.cfg.id {
-                    if !self.queens[ai].is_parked(bee, bee)
-                        && self.recovering.remove(&(app.clone(), bee))
-                    {
-                        // Failover: promote the local shadow instead of
-                        // waiting for a state shipment from the dead owner.
-                        let shadow = self.shadows.take(&app, bee).unwrap_or_default();
-                        let colony = self.registry_view().colony_of(bee);
-                        self.queens[ai].promote_shadow(bee, shadow.state, colony, shadow.seq);
-                        self.counters.failovers += 1;
-                        self.events.record_full(
-                            EventKind::MigrationCommit,
-                            0,
-                            &app,
-                            Some(bee),
-                            Some(from),
-                            "failover: promoted local shadow",
-                        );
-                    } else if let Some(applied) = self.queens[ai].expect(bee, bee) {
-                        self.shipment_applied(ai, applied);
-                        if self.queens[ai].bee(bee).is_some_and(|b| b.runnable()) {
-                            self.run_queue.push_back((ai, bee));
-                        }
-                    }
+                let inbound = Vec::from_iter((*to == me && *from != me).then_some(*bee));
+                (app, *bee, false, inbound, &[][..])
+            }
+            RegistryEvent::Removed { app, bee, .. } => (app, *bee, false, Vec::new(), &[][..]),
+            RegistryEvent::Rejected { .. } => return,
+        };
+        let Some(&ai) = self.app_idx.get(app) else {
+            return;
+        };
+        for &(loser, _) in losers {
+            self.reconcile(ai, loser, Touch::default());
+        }
+        self.reconcile(ai, bee, Touch { routed, inbound });
+    }
+
+    /// A registry snapshot replaced the mirror, so no entry says what
+    /// changed: release every pending route the mirror now resolves, then
+    /// compare every local bee and every bee the mirror places here with
+    /// it. `before`, the mirror the snapshot replaced, tells which state is
+    /// on its way here: a bee's own if it placed the bee on another hive, a
+    /// loser's if it placed the loser on another hive.
+    fn reconcile_snapshot(&mut self, before: RegistryState) {
+        let seqs: Vec<u64> = self.pending.keys().copied().collect();
+        for seq in seqs {
+            let resolved = self.pending.get(&seq).and_then(|p| {
+                let (app, cells) = p.route()?;
+                self.registry_view().lookup_exact(app, cells)
+            });
+            if let Some((bee, hive)) = resolved {
+                self.release_pending_route(seq, bee, hive);
+            }
+        }
+        let me = self.cfg.id;
+        let elsewhere = |bee| before.hive_of(bee).is_some_and(|h| h != me);
+        for ai in 0..self.queens.len() {
+            let app = self.apps[ai].name().as_str();
+            let local = self.queens[ai].bee_ids().into_iter();
+            let mut bees: BTreeMap<BeeId, Touch> = local.map(|b| (b, Touch::default())).collect();
+            let view = self.registry.state_machine().bees();
+            for (&bee, rec) in view.filter(|(_, r)| r.hive == me && r.app == app) {
+                let known = before.bee(bee).map(|r| &r.absorbed);
+                let fresh = rec.absorbed.iter().copied();
+                let fresh = fresh.filter(|l| known.is_none_or(|k| !k.contains(l)));
+                let inbound = &mut bees.entry(bee).or_default().inbound;
+                inbound.extend(fresh.chain([bee]).filter(|&b| elsewhere(b)));
+            }
+            for (bee, touch) in bees {
+                self.reconcile(ai, bee, touch);
+            }
+        }
+    }
+
+    /// Does what the mirror implies for bee `bee` of app `ai`: a bee placed
+    /// on another hive is handed off there; one placed here is hosted
+    /// ([`Hive::host`]); a merged-away loser ships to the bee that absorbed
+    /// it; a bee the mirror no longer has is dropped.
+    fn reconcile(&mut self, ai: usize, bee: BeeId, touch: Touch) {
+        let view = self.registry.state_machine();
+        match view.hive_of(bee) {
+            Some(at) if at != self.cfg.id => {
+                if self.queens[ai].bee(bee).is_some() {
+                    // Its `MoveBee`, if still pending, is settled: re-proposed
+                    // it would commit a stale move.
+                    self.pending.retain(
+                        |_, p| !matches!(p.cmd.op, RegistryOp::MoveBee { bee: b, .. } if b == bee),
+                    );
+                    self.finish_migration_out(ai, bee, at);
                 }
             }
-            RegistryEvent::Removed { app, bee, hive } => {
-                if hive == self.cfg.id {
-                    if let Some(&ai) = self.app_idx.get(&app) {
+            Some(_) => self.host(ai, bee, touch),
+            None => match view.merged_into(bee) {
+                Some(winner) => self.ship_loser(ai, bee, winner),
+                None => {
+                    // Hive-local singletons have no registry record.
+                    if self.queens[ai].bee(bee).is_some_and(|b| !b.pinned) {
                         self.queens[ai].remove(bee);
                     }
                 }
+            },
+        }
+    }
+
+    /// The mirror places `bee` here. Its own state, if shipped here and
+    /// parked, is adopted; if this hive is recovering it, the local shadow
+    /// is promoted. A bee an entry routed to is materialized with its
+    /// registry colony. It then waits for each bee in `touch.inbound`
+    /// whose state is not here yet, and absorbs every parked shipment the
+    /// mirror places with it.
+    fn host(&mut self, ai: usize, bee: BeeId, touch: Touch) {
+        let name = self.apps[ai].name();
+        let recovering = !self.recovering.is_empty() && !self.queens[ai].is_parked(bee, bee);
+        if recovering && self.recovering.remove(&(name.to_string(), bee)) {
+            let app = name.to_string();
+            let shadow = self.shadows.take(&app, bee).unwrap_or_default();
+            let colony = self.registry_view().colony_of(bee);
+            self.queens[ai].promote_shadow(bee, shadow.state, colony, shadow.seq);
+            self.counters.failovers += 1;
+            self.events.record_full(
+                EventKind::MigrationCommit,
+                0,
+                &app,
+                Some(bee),
+                None,
+                "failover: promoted local shadow",
+            );
+        } else if touch.inbound.contains(&bee) {
+            if let Some(applied) = self.queens[ai].expect(bee, bee) {
+                self.shipment_applied(ai, applied);
+                self.schedule(ai, bee);
             }
-            RegistryEvent::Rejected { .. } => {}
+        }
+        if touch.routed {
+            let colony = self.registry_view().colony_of(bee);
+            self.queens[ai].ensure_bee(bee, colony);
+        }
+        for &from in touch.inbound.iter().filter(|&&from| from != bee) {
+            if let Some(applied) = self.queens[ai].expect(bee, from) {
+                self.shipment_applied(ai, applied);
+            }
+        }
+        self.adopt_placed(ai, bee);
+        if touch.routed {
+            self.schedule(ai, bee);
+            let cells = self.queens[ai]
+                .bee(bee)
+                .map_or(0, |b| b.colony.len() as u64);
+            self.instr.lock().bee_cells.insert(bee.0, cells);
+        }
+    }
+
+    /// Absorbs every shipment parked for `bee` that the mirror places with
+    /// it: its own state once the mirror places it here, a loser's once the
+    /// mirror shows it absorbed by `bee`.
+    fn adopt_placed(&mut self, ai: usize, bee: BeeId) {
+        let view = self.registry.state_machine();
+        let Some(rec) = view.bee(bee).filter(|r| r.hive == self.cfg.id) else {
+            return;
+        };
+        let placed: Vec<BeeId> = self.queens[ai]
+            .parked_for(bee)
+            .filter(|from| *from == bee || rec.absorbed.contains(from))
+            .collect();
+        for from in placed {
+            if let Some(applied) = self.queens[ai].expect(bee, from) {
+                self.shipment_applied(ai, applied);
+            }
+        }
+    }
+
+    /// `loser` was merged into `winner`. If it lives here, its state ships
+    /// to the winner's hive and its mail is re-aimed at the winner.
+    fn ship_loser(&mut self, ai: usize, loser: BeeId, winner: BeeId) {
+        let Some(to) = self.registry_view().hive_of(winner) else {
+            return;
+        };
+        let Some((state, mail)) = self.queens[ai].remove_loser(loser) else {
+            return;
+        };
+        self.counters.merges += 1;
+        let app = self.apps[ai].name().to_string();
+        let state = state.snapshot().expect("loser state snapshots");
+        self.ship(
+            to,
+            ControlMsg::MergeState {
+                app: app.clone(),
+                winner,
+                loser,
+                state,
+            },
+        );
+        for (h, mut env) in mail {
+            env.dst = Dst::Bee {
+                app: app.clone(),
+                bee: winner,
+                handler: Some(h),
+                fence: self.applied_seq,
+            };
+            self.dispatch_queue.push_back(env);
         }
     }
 
@@ -2790,29 +2803,47 @@ impl Hive {
     // Control protocol
     // ------------------------------------------------------------------
 
-    /// Hands a shipment to the receiving bee's queen; if the bee took it,
-    /// books it and schedules the bee.
-    fn receive(&mut self, ai: usize, bee: BeeId, from: BeeId, shipment: Shipment) {
-        if let Some(applied) = self.queens[ai].receive(bee, from, shipment) {
-            self.shipment_applied(ai, applied);
-            if self.queens[ai].bee(bee).is_some_and(|b| b.runnable()) {
-                self.run_queue.push_back((ai, bee));
+    /// Hands `from`'s state, shipped by `sender`, to local bee `bee`'s
+    /// queen; if the bee took it, books it and schedules the bee. A
+    /// shipment the bee was not waiting for is parked, and absorbed at once
+    /// if the mirror already places it with the bee (this hive learned so
+    /// from a registry snapshot).
+    fn receive(
+        &mut self,
+        sender: HiveId,
+        app: &str,
+        (bee, from): (BeeId, BeeId),
+        state: &[u8],
+        colony: Vec<Cell>,
+        repl_seq: u64,
+    ) {
+        let Some(&ai) = self.app_idx.get(app) else {
+            return;
+        };
+        let Ok(state) = BeeState::from_snapshot(state) else {
+            self.note_decode_error(Some(sender));
+            return;
+        };
+        let shipment = Shipment {
+            sender,
+            state,
+            colony,
+            repl_seq,
+        };
+        match self.queens[ai].receive(bee, from, shipment) {
+            Some(applied) => {
+                self.shipment_applied(ai, applied);
+                self.schedule(ai, bee);
             }
+            None => self.adopt_placed(ai, bee),
         }
     }
 
-    /// The registry places `bee` here, but this hive never applied the
-    /// Moved event announcing it (the event came inside a registry
-    /// snapshot). That decision is the expectation: a migration shipment
-    /// parked for the bee is applied now. Returns whether one was.
-    fn adopt_parked(&mut self, ai: usize, bee: BeeId) -> bool {
-        if !self.queens[ai].is_parked(bee, bee) {
-            return false;
+    /// Queues local bee `bee` on the run queue if it can run.
+    fn schedule(&mut self, ai: usize, bee: BeeId) {
+        if self.queens[ai].bee(bee).is_some_and(|b| b.runnable()) {
+            self.run_queue.push_back((ai, bee));
         }
-        if let Some(applied) = self.queens[ai].expect(bee, bee) {
-            self.shipment_applied(ai, applied);
-        }
-        true
     }
 
     /// Books a shipment a queen absorbed. A migration counts in and is
@@ -2900,54 +2931,14 @@ impl Hive {
                 state,
                 colony,
                 repl_seq,
-            } => {
-                let Some(&ai) = self.app_idx.get(&app) else {
-                    return;
-                };
-                let state = match BeeState::from_snapshot(&state) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.note_decode_error(Some(from));
-                        return;
-                    }
-                };
-                let shipment = Shipment {
-                    sender: from,
-                    state,
-                    colony,
-                    repl_seq,
-                };
-                self.receive(ai, bee, bee, shipment);
-                if self.queens[ai].bee(bee).is_none()
-                    && self.registry_view().hive_of(bee) == Some(self.cfg.id)
-                {
-                    self.adopt_parked(ai, bee);
-                }
-            }
+            } => self.receive(from, &app, (bee, bee), &state, colony, repl_seq),
+            // The merge's registry entry gave the winner the loser's cells.
             ControlMsg::MergeState {
                 app,
                 winner,
                 loser,
                 state,
-            } => {
-                let Some(&ai) = self.app_idx.get(&app) else {
-                    return;
-                };
-                let state = match BeeState::from_snapshot(&state) {
-                    Ok(s) => s,
-                    Err(_) => {
-                        self.note_decode_error(Some(from));
-                        return;
-                    }
-                };
-                let shipment = Shipment {
-                    sender: from,
-                    state,
-                    colony: Vec::new(),
-                    repl_seq: 0,
-                };
-                self.receive(ai, winner, loser, shipment);
-            }
+            } => self.receive(from, &app, (winner, loser), &state, Vec::new(), 0),
             ControlMsg::ReplicateTx {
                 app,
                 bee,
@@ -3030,7 +3021,7 @@ impl Hive {
     // Bee execution
     // ------------------------------------------------------------------
 
-    /// Runs the bee's next message through [`run_batch`] and applies what
+    /// Runs the bee's next message through [`run_message`] and applies what
     /// it asked for. One message per run-queue turn keeps the round-robin
     /// interleaving across bees that the chaos digests pin. Returns messages
     /// processed.
@@ -3046,8 +3037,8 @@ impl Hive {
         let mail = bee.mailbox.pop_front().expect("runnable bee has mail");
         let pinned = bee.pinned;
         let mut effects = std::mem::take(&mut self.effects);
-        run_batch(
-            &BatchEnv {
+        run_message(
+            &RunEnv {
                 app: &self.apps[app_idx],
                 hive: self.cfg.id,
                 bee: bee_id,
@@ -3064,40 +3055,43 @@ impl Hive {
             &self.instr,
             &mut effects,
         );
-        self.apply_batch(app_idx, bee_id, pinned, &mut effects, now);
+        self.apply_effects(app_idx, bee_id, pinned, &mut effects, now);
         self.effects = effects;
         1
     }
 
-    /// Turns what [`run_batch`] returned into hive actions — the only code
-    /// that does — and leaves `effects` empty, its buffers kept for the
+    /// Turns what [`run_message`] returned into hive actions — the only
+    /// code that does — and leaves `effects` empty, its buffers kept for the
     /// next run. The bee is back in its queen by the time this runs.
-    fn apply_batch(
+    fn apply_effects(
         &mut self,
         app_idx: usize,
         bee: BeeId,
         pinned: bool,
-        effects: &mut BatchEffects,
+        effects: &mut Effects,
         now: u64,
     ) {
         // Supervision: route a failure (redelivery or dead-letter) and feed
         // the run's outcome to the bee's circuit breaker. A re-map is
-        // neither: the breaker sees no outcome and the failure counters
-        // never see it.
-        let failure = effects.msg.failure.take();
+        // neither: the breaker ignores it and the failure counters never
+        // see it.
+        let failure = effects.failure.take();
         let remap = effects.remap.take();
-        let had_success = failure.is_none() && remap.is_none();
-        if had_success {
+        let outcome = match (&failure, &remap) {
+            (Some(_), _) => Outcome::Failed,
+            (None, Some(_)) => Outcome::Remapped,
+            (None, None) => Outcome::Ok,
+        };
+        if outcome == Outcome::Ok {
             self.counters.handled_ok += 1;
         }
-        let trailing_failures = u32::from(failure.is_some());
         if let Some(f) = failure {
             self.counters.handler_errors += 1;
             self.handle_failed_delivery(
                 app_idx, bee, f.hidx, &f.handler, f.env, f.kind, f.detail, now,
             );
         }
-        self.apply_outcome(app_idx, bee, had_success, trailing_failures, now);
+        self.apply_outcome(app_idx, bee, outcome, now);
         if let Some(r) = remap {
             self.remap(app_idx, bee, r);
         }
@@ -3112,10 +3106,10 @@ impl Hive {
 
         // The handler's outputs.
         self.dispatch_queue.extend(effects.outbox.drain(..));
-        for (to, cmsg) in std::mem::take(&mut effects.msg.control_out) {
+        for (to, cmsg) in std::mem::take(&mut effects.control_out) {
             self.send_control(to, &cmsg);
         }
-        if let Some((seq, journal)) = effects.msg.replicate.take() {
+        if let Some((seq, journal)) = effects.replicate.take() {
             let tx = ControlMsg::ReplicateTx {
                 app: self.apps[app_idx].name().to_string(),
                 bee,
@@ -3132,8 +3126,8 @@ impl Hive {
             }
         }
         // Colony garbage collection: a retired bee with empty state and an
-        // idle mailbox is removed from the registry (the queen drops it when
-        // the Removed event applies).
+        // idle mailbox is removed from the registry (the queen drops it once
+        // the mirror no longer has it).
         if std::mem::take(&mut effects.retire) && !pinned {
             let empty_and_idle = self.queens[app_idx]
                 .bee(bee)

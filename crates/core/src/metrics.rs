@@ -438,31 +438,6 @@ impl Instrumentation {
             .or_insert(0) += 1;
     }
 
-    /// Folds an instrumentation delta (a window [`Instrumentation::take`]
-    /// returned) into this store. Counters add; metadata (bee cell counts,
-    /// pinned set) overwrites with the delta's fresher view.
-    pub fn merge_delta(&mut self, delta: Instrumentation) {
-        for (key, stats) in delta.bees {
-            self.bees.entry(key).or_default().merge(&stats);
-        }
-        for (bee, cells) in delta.bee_cells {
-            self.bee_cells.insert(bee, cells);
-        }
-        for (key, count) in delta.provenance {
-            *self.provenance.entry(key).or_insert(0) += count;
-        }
-        for (key, count) in delta.in_type_counts {
-            *self.in_type_counts.entry(key).or_insert(0) += count;
-        }
-        for (pair, count) in delta.msg_matrix {
-            *self.msg_matrix.entry(pair).or_insert(0) += count;
-        }
-        for (key, lat) in delta.latency {
-            self.latency.entry(key).or_default().merge(&lat);
-        }
-        self.pinned.extend(delta.pinned);
-    }
-
     /// Takes the window, leaving the store empty but for what describes no
     /// window: the cumulative message matrix and the platform reading. The
     /// window's `platform` is the reading since the previous window's.
@@ -577,23 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_delta_accumulates_counters() {
-        let bee = BeeId::new(HiveId(1), 1);
-        let mut base = Instrumentation::default();
-        base.bee("te", bee).record_in(HiveId(1), None, 8);
-        base.record_in_type("te", "PacketIn");
-        let mut delta = Instrumentation::default();
-        delta.bee("te", bee).record_in(HiveId(1), None, 4);
-        delta.record_in_type("te", "PacketIn");
-        delta.record_provenance("te", "PacketIn", "PacketOut");
-        delta.bee_cells.insert(1, 5);
-        base.merge_delta(delta);
-        assert_eq!(base.bees[&("te".into(), bee.0)].msgs_in, 2);
-        assert_eq!(base.in_type_counts[&("te".into(), "PacketIn")], 2);
-        assert_eq!(base.bee_cells[&1], 5);
-    }
-
-    #[test]
     fn histogram_observe_merge_p99() {
         let mut h = LatencyHistogram::default();
         assert!(h.is_empty());
@@ -634,19 +592,21 @@ mod tests {
             inst.latency.is_empty(),
             "take leaves an empty latency delta"
         );
-        let mut agg = Instrumentation::default();
-        agg.merge_delta(taken);
-        assert_eq!(agg.latency[&("te".into(), "StatReply")].runtime.count, 2);
+        inst.record_latency("te", "StatReply", 200, 900);
+        assert_eq!(
+            inst.take().latency[&("te".into(), "StatReply")]
+                .runtime
+                .count,
+            1
+        );
     }
 
-    /// The collector drains with `take` and the aggregator folds with
-    /// `merge_delta`; across two collection cycles every observation must be
-    /// counted exactly once.
+    /// The collector drains with `take`: across two collection cycles every
+    /// observation lands in exactly one window.
     #[test]
     fn two_collection_cycles_never_double_count() {
         let bee = BeeId::new(HiveId(1), 1);
         let mut store = Instrumentation::default();
-        let mut agg = Instrumentation::default();
 
         // Cycle 1: 3 deliveries, one provenance emission, one latency sample.
         for _ in 0..3 {
@@ -657,31 +617,35 @@ mod tests {
         store.record_latency("te", "PacketIn", 100, 1_000);
         store.pinned.insert(bee.0);
         store.bee_cells.insert(bee.0, 4);
-        agg.merge_delta(store.take());
+        let first = store.take();
 
         // Cycle 2: 2 more deliveries and another latency sample.
         for _ in 0..2 {
             store.bee("te", bee).record_in(HiveId(2), Some(bee), 10);
         }
         store.record_latency("te", "PacketIn", 100, 1_000);
-        agg.merge_delta(store.take());
+        let second = store.take();
 
         let key = ("te".into(), bee.0);
-        assert_eq!(agg.bees[&key].msgs_in, 5, "3 + 2, no replay of cycle 1");
-        assert_eq!(agg.bees[&key].bytes_in, 50);
-        assert_eq!(agg.bees[&key].in_by_hive[&2], 5);
-        assert_eq!(
-            agg.provenance.values().copied().sum::<u64>(),
-            1,
+        let [one, two] = [&first, &second].map(|w| w.bees[&key].clone());
+        assert_eq!((one.msgs_in, two.msgs_in), (3, 2), "no replay of cycle 1");
+        assert_eq!(one.bytes_in + two.bytes_in, 50);
+        assert_eq!(one.in_by_hive[&2] + two.in_by_hive[&2], 5);
+        assert_eq!(first.provenance.values().copied().sum::<u64>(), 1);
+        assert!(
+            second.provenance.is_empty(),
             "provenance from cycle 1 reported exactly once"
         );
-        let lat = &agg.latency[&("te".into(), "PacketIn")];
-        assert_eq!(lat.queue_wait.count, 2, "one sample per cycle");
-        assert_eq!(lat.runtime.count, 2);
+        for w in [&first, &second] {
+            let lat = &w.latency[&("te".into(), "PacketIn")];
+            assert_eq!(lat.queue_wait.count, 1, "one sample per cycle");
+            assert_eq!(lat.runtime.count, 1);
+        }
         // Metadata is rewritten with every handled message, so it leaves
         // with its window: nothing accumulates for bees that have gone.
-        assert!(agg.pinned.contains(&bee.0));
-        assert_eq!(agg.bee_cells[&bee.0], 4);
+        assert!(first.pinned.contains(&bee.0));
+        assert_eq!(first.bee_cells[&bee.0], 4);
+        assert!(second.pinned.is_empty() && second.bee_cells.is_empty());
         assert!(store.pinned.is_empty() && store.bee_cells.is_empty());
         assert!(store.bees.is_empty());
     }
@@ -741,9 +705,7 @@ mod tests {
         assert_eq!(inst.take().platform, reading(200), "counters by growth");
         assert_eq!(inst.platform, second, "the store keeps the reading");
 
-        // No publish in between: counters report nothing new, gauges stay,
-        // and a worker's check-in leaves the reading alone.
-        inst.merge_delta(Instrumentation::default());
+        // No publish in between: counters report nothing new, gauges stay.
         for ((row, value), (_, now)) in inst.take().platform.rows().zip(second.rows()) {
             let want = match row.kind {
                 PlatformKind::Counter => 0,

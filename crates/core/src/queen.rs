@@ -1,7 +1,8 @@
 //! The queen: per-application, per-hive management of local bees — their
-//! state, mailboxes, lifecycle (creation, merge, migration) and tombstones.
+//! state, mailboxes, circuit breakers, lifecycle (creation, merge,
+//! migration) and the shipped state waiting for the registry to place it.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use crate::cell::Cell;
@@ -25,8 +26,8 @@ pub enum BeeStatus {
         /// The shipped bees whose state has not arrived yet.
         from: BTreeSet<BeeId>,
     },
-    /// Migrating away; the mailbox buffers until the registry's `Moved`
-    /// event commits, then everything is forwarded.
+    /// Migrating away; the mailbox buffers until the registry mirror places
+    /// the bee on another hive, then everything is forwarded there.
     MigratingOut {
         /// Destination hive.
         to: HiveId,
@@ -101,6 +102,20 @@ impl LocalBee {
     }
 }
 
+/// How one message run ended, as the circuit breaker sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// The handler committed: the failure streak resets and a half-open
+    /// breaker closes.
+    Ok,
+    /// The handler failed (error, panic or injected fault): the streak
+    /// grows and may trip the breaker.
+    Failed,
+    /// The message touched a cell outside its bee's colony and is routed
+    /// again: neither a success nor a failure, so the breaker is untouched.
+    Remapped,
+}
+
 /// Outcome of a policy-aware delivery ([`Queen::offer`]). Variants that
 /// carry an [`Envelope`] hand it back to the hive for dead-lettering.
 #[derive(Debug)]
@@ -148,19 +163,13 @@ pub(crate) struct Applied {
 pub struct Queen {
     /// The application this queen serves.
     pub app: AppName,
-    bees: HashMap<BeeId, LocalBee>,
+    /// Local bees by id: every walk over them is in id order.
+    bees: BTreeMap<BeeId, LocalBee>,
     singleton: Option<BeeId>,
-    /// Bees that moved away: `bee → destination hive` (used to forward
-    /// in-flight messages that raced with the migration).
-    tombstones: HashMap<BeeId, HiveId>,
-    /// Shipments that arrived before the registry event announcing them:
+    /// Shipments that arrived before the registry mirror placed them here:
     /// `(receiving bee, shipped bee) → shipment`. [`Queen::expect`] applies
     /// them.
-    parked: HashMap<(BeeId, BeeId), Shipment>,
-    /// Merge redirects: every hive records `loser → winner` when it applies
-    /// a merge event, so late mail addressed to a merged-away bee can be
-    /// re-aimed at the surviving colony.
-    merge_redirects: HashMap<BeeId, BeeId>,
+    parked: BTreeMap<(BeeId, BeeId), Shipment>,
     /// The hive's flight-recorder journal, for bee spawn/retire and
     /// quarantine-close events. `None` for bare queens (unit tests).
     events: Option<Arc<EventJournal>>,
@@ -171,11 +180,9 @@ impl Queen {
     pub fn new(app: AppName) -> Self {
         Queen {
             app,
-            bees: HashMap::new(),
+            bees: BTreeMap::new(),
             singleton: None,
-            tombstones: HashMap::new(),
-            parked: HashMap::new(),
-            merge_redirects: HashMap::new(),
+            parked: BTreeMap::new(),
             events: None,
         }
     }
@@ -203,7 +210,12 @@ impl Queen {
         self.bees.get_mut(&id)
     }
 
-    /// Ids of all local bees.
+    /// All local bees, in id order.
+    pub fn bees(&self) -> impl Iterator<Item = &LocalBee> {
+        self.bees.values()
+    }
+
+    /// Ids of all local bees, in id order.
     pub fn bee_ids(&self) -> Vec<BeeId> {
         self.bees.keys().copied().collect()
     }
@@ -216,33 +228,6 @@ impl Queen {
     /// Whether this queen manages no bees.
     pub fn is_empty(&self) -> bool {
         self.bees.is_empty()
-    }
-
-    /// Where a moved-away bee went, if we know.
-    pub fn tombstone(&self, id: BeeId) -> Option<HiveId> {
-        self.tombstones.get(&id).copied()
-    }
-
-    /// Records that `loser` was merged into `winner` (applied on every hive).
-    pub fn record_merge(&mut self, loser: BeeId, winner: BeeId) {
-        if loser != winner {
-            self.merge_redirects.insert(loser, winner);
-        }
-    }
-
-    /// The surviving colony for a merged-away bee, following redirect chains
-    /// (a winner can itself lose a later merge).
-    pub fn merge_redirect(&self, id: BeeId) -> Option<BeeId> {
-        let mut cur = *self.merge_redirects.get(&id)?;
-        let mut hops = 0;
-        while let Some(&next) = self.merge_redirects.get(&cur) {
-            cur = next;
-            hops += 1;
-            if hops > self.merge_redirects.len() {
-                break; // defensive: never loop forever
-            }
-        }
-        Some(cur)
     }
 
     /// Ensures a cell-routed bee exists locally with (at least) `colony`.
@@ -311,47 +296,39 @@ impl Queen {
         Delivery::Delivered
     }
 
-    /// Records the outcome of a bee's run and applies the circuit breaker.
-    /// `had_success` breaks any earlier failure streak; `trailing_failures`
-    /// is the number of consecutive failures at the end of the run. Returns
-    /// `Some(until_ms)` when the bee is (re-)quarantined: the streak reached
-    /// `threshold` (0 disables the breaker).
-    /// A clean run (`had_success` and no trailing failures) closes the
-    /// breaker — this is the half-open probe succeeding.
+    /// Feeds one run's outcome to the bee's circuit breaker. Returns
+    /// `Some(until_ms)` when a failure (re-)quarantines the bee: its streak
+    /// reached `threshold` (0 disables the breaker). A success resets the
+    /// streak and closes an open breaker — the half-open probe succeeding.
     pub fn record_outcome(
         &mut self,
         id: BeeId,
-        had_success: bool,
-        trailing_failures: u32,
+        outcome: Outcome,
         threshold: u32,
         cooldown_ms: u64,
         now_ms: u64,
     ) -> Option<u64> {
         let bee = self.bees.get_mut(&id)?;
-        let mut closed = false;
-        if had_success {
-            bee.consecutive_failures = trailing_failures;
-            if trailing_failures == 0 {
-                closed = bee.quarantined_until_ms.take().is_some();
+        match outcome {
+            Outcome::Remapped => None,
+            Outcome::Ok => {
+                bee.consecutive_failures = 0;
+                if bee.quarantined_until_ms.take().is_some() {
+                    self.emit(
+                        EventKind::QuarantineClose,
+                        id,
+                        "half-open probe succeeded; breaker closed",
+                    );
+                }
+                None
             }
-        } else {
-            bee.consecutive_failures = bee.consecutive_failures.saturating_add(trailing_failures);
+            Outcome::Failed => {
+                bee.consecutive_failures = bee.consecutive_failures.saturating_add(1);
+                let until = now_ms + cooldown_ms;
+                let tripped = threshold > 0 && bee.consecutive_failures >= threshold;
+                tripped.then(|| *bee.quarantined_until_ms.insert(until))
+            }
         }
-        let tripped = if threshold > 0 && bee.consecutive_failures >= threshold {
-            let until = now_ms + cooldown_ms;
-            bee.quarantined_until_ms = Some(until);
-            Some(until)
-        } else {
-            None
-        };
-        if closed && tripped.is_none() {
-            self.emit(
-                EventKind::QuarantineClose,
-                id,
-                "half-open probe succeeded; breaker closed",
-            );
-        }
-        tripped
     }
 
     /// Whether `id` is quarantined at `now_ms`.
@@ -395,20 +372,8 @@ impl Queen {
         Some((snapshot, colony, bee.repl_seq))
     }
 
-    /// Local bees frozen for an outbound migration, in id order.
-    pub fn migrating_out(&self) -> Vec<BeeId> {
-        let mut out: Vec<BeeId> = self
-            .bees
-            .values()
-            .filter(|b| matches!(b.status, BeeStatus::MigratingOut { .. }))
-            .map(|b| b.id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Completes an outbound migration after the registry committed the move:
-    /// removes the bee and returns its buffered mailbox for forwarding.
+    /// Hands a bee off to the hive the registry now places it on: removes
+    /// it and returns its buffered mailbox for forwarding.
     pub fn finish_migration_out(&mut self, id: BeeId, to: HiveId) -> Vec<(u16, Envelope)> {
         let Some(bee) = self.bees.remove(&id) else {
             return Vec::new();
@@ -418,7 +383,6 @@ impl Queen {
             id,
             &format!("migrated out to hive-{}", to.0),
         );
-        self.tombstones.insert(id, to);
         bee.mailbox.into_iter().collect()
     }
 
@@ -438,8 +402,8 @@ impl Queen {
         bee.repl_seq = repl_seq;
     }
 
-    /// The registry announced that `from`'s state ships to local bee `bee`:
-    /// `from == bee` for a migration into this hive, the loser for a merge.
+    /// The registry placed `from`'s state with local bee `bee`: `from ==
+    /// bee` for a migration into this hive, the loser for a merge.
     /// A shipment already parked is absorbed now; otherwise `bee` (created
     /// if absent) waits for it and does not run.
     pub(crate) fn expect(&mut self, bee: BeeId, from: BeeId) -> Option<Applied> {
@@ -491,12 +455,18 @@ impl Queen {
     }
 
     /// Bees whose own state is parked here: migrations shipped to this hive
-    /// that no registry event has announced (yet).
+    /// that the registry mirror does not place here (yet).
     pub(crate) fn parked_migrations(&self) -> impl Iterator<Item = BeeId> + '_ {
         self.parked
             .keys()
             .filter(|(bee, from)| bee == from)
             .map(|&(bee, _)| bee)
+    }
+
+    /// The shipped bees whose state is parked for `bee`, in id order.
+    pub(crate) fn parked_for(&self, bee: BeeId) -> impl Iterator<Item = BeeId> + '_ {
+        let range = (bee, BeeId(0))..=(bee, BeeId(u64::MAX));
+        self.parked.range(range).map(|(&(_, from), _)| from)
     }
 
     /// Absorbs a shipment into local bee `bee` (created if absent) — the
@@ -532,9 +502,8 @@ impl Queen {
     }
 
     /// The local bee `id`, created (and logged as spawned, with `why`) if
-    /// absent. A bee can migrate back, so its tombstone goes.
+    /// absent.
     fn bee_or_spawn(&mut self, id: BeeId, why: &str) -> &mut LocalBee {
-        self.tombstones.remove(&id);
         if !self.bees.contains_key(&id) {
             self.emit(EventKind::BeeSpawned, id, why);
         }
@@ -565,10 +534,10 @@ impl Queen {
         }
     }
 
-    /// Removes a bee entirely (registry `Removed` event).
+    /// Removes a bee the registry no longer has.
     pub fn remove(&mut self, id: BeeId) {
         if self.bees.remove(&id).is_some() {
-            self.emit(EventKind::BeeRetired, id, "removed by registry event");
+            self.emit(EventKind::BeeRetired, id, "removed from the registry");
         }
         if self.singleton == Some(id) {
             self.singleton = None;
@@ -644,10 +613,9 @@ mod tests {
         assert_eq!(q.runnable().count(), 0);
         // Second migration attempt is rejected while in flight.
         assert!(q.start_migration(bid(1), HiveId(3)).is_none());
-        // Registry commits: buffered mail comes back, tombstone set.
+        // The registry places it on hive 2: buffered mail comes back.
         let mail = q.finish_migration_out(bid(1), HiveId(2));
         assert_eq!(mail.len(), 1);
-        assert_eq!(q.tombstone(bid(1)), Some(HiveId(2)));
         assert!(q.bee(bid(1)).is_none());
     }
 
@@ -677,12 +645,8 @@ mod tests {
                 if !migration {
                     q.ensure_bee(bee, [Cell::new("S", "a")]);
                 }
-                // The registry event: every hive records the merge redirect
-                // as it applies it.
-                let event = |q: &mut Queen| {
-                    q.record_merge(from, bee);
-                    q.expect(bee, from)
-                };
+                // The registry places the shipped state with `bee`.
+                let event = |q: &mut Queen| q.expect(bee, from);
                 let applied = if event_first {
                     assert_eq!(event(&mut q), None, "{case}");
                     for h in 0..3 {
@@ -775,10 +739,15 @@ mod tests {
         let mut q = Queen::new("a".into());
         q.ensure_bee(bid(1), [Cell::new("S", "k")]);
         // Two failures with threshold 3: breaker stays closed.
-        assert_eq!(q.record_outcome(bid(1), false, 2, 3, 100, 10), None);
+        for _ in 0..2 {
+            assert_eq!(q.record_outcome(bid(1), Outcome::Failed, 3, 100, 10), None);
+        }
         assert!(!q.is_quarantined(bid(1), 10));
         // Third consecutive failure trips it.
-        assert_eq!(q.record_outcome(bid(1), false, 1, 3, 100, 20), Some(120));
+        assert_eq!(
+            q.record_outcome(bid(1), Outcome::Failed, 3, 100, 20),
+            Some(120)
+        );
         assert!(q.is_quarantined(bid(1), 119));
         assert_eq!(q.quarantined_bees(119), vec![bid(1)]);
         // While open: offers dead-letter fast. (That the half-open probe
@@ -788,11 +757,20 @@ mod tests {
         assert!(matches!(d, Delivery::Quarantined(_)));
         // Cooldown expired: the breaker is half-open.
         assert!(!q.is_quarantined(bid(1), 120));
+        // Probe re-maps → neither outcome: the breaker stays half-open.
+        assert_eq!(
+            q.record_outcome(bid(1), Outcome::Remapped, 3, 100, 125),
+            None
+        );
+        assert!(!q.is_quarantined(bid(1), 125));
         // Probe fails → re-quarantined with a fresh cooldown.
-        assert_eq!(q.record_outcome(bid(1), false, 1, 3, 100, 130), Some(230));
+        assert_eq!(
+            q.record_outcome(bid(1), Outcome::Failed, 3, 100, 130),
+            Some(230)
+        );
         assert!(q.is_quarantined(bid(1), 200));
         // Probe succeeds → breaker closes and the streak resets.
-        assert_eq!(q.record_outcome(bid(1), true, 0, 3, 100, 240), None);
+        assert_eq!(q.record_outcome(bid(1), Outcome::Ok, 3, 100, 240), None);
         assert!(!q.is_quarantined(bid(1), 240));
         assert_eq!(q.bee(bid(1)).unwrap().consecutive_failures, 0);
     }
@@ -818,23 +796,15 @@ mod tests {
     }
 
     #[test]
-    fn success_mid_batch_resets_the_streak() {
+    fn a_success_resets_the_streak_and_a_remap_keeps_it() {
         let mut q = Queen::new("a".into());
         q.ensure_bee(bid(1), [Cell::new("S", "k")]);
-        assert_eq!(q.record_outcome(bid(1), false, 2, 5, 100, 0), None);
-        // A batch with a success and 2 trailing failures: streak = 2, not 4.
-        assert_eq!(q.record_outcome(bid(1), true, 2, 5, 100, 0), None);
+        for _ in 0..2 {
+            assert_eq!(q.record_outcome(bid(1), Outcome::Failed, 5, 100, 0), None);
+        }
+        assert_eq!(q.record_outcome(bid(1), Outcome::Remapped, 5, 100, 0), None);
         assert_eq!(q.bee(bid(1)).unwrap().consecutive_failures, 2);
-    }
-
-    #[test]
-    fn migrate_back_clears_tombstone() {
-        let mut q = Queen::new("a".into());
-        q.ensure_bee(bid(1), [Cell::new("S", "a")]);
-        q.start_migration(bid(1), HiveId(2)).unwrap();
-        q.finish_migration_out(bid(1), HiveId(2));
-        assert_eq!(q.tombstone(bid(1)), Some(HiveId(2)));
-        q.expect(bid(1), bid(1));
-        assert_eq!(q.tombstone(bid(1)), None);
+        assert_eq!(q.record_outcome(bid(1), Outcome::Ok, 5, 100, 0), None);
+        assert_eq!(q.bee(bid(1)).unwrap().consecutive_failures, 0);
     }
 }

@@ -119,6 +119,11 @@ pub struct BeeRecord {
     pub hive: HiveId,
     /// Cells the bee exclusively owns.
     pub colony: BTreeSet<Cell>,
+    /// The merged-away bees this bee absorbed, directly or through a bee it
+    /// absorbed: mail still addressed to one of them is forwarded here.
+    /// Each brought at least one cell of `colony`, so the set is never
+    /// larger than the colony, and it goes with the record.
+    pub absorbed: BTreeSet<BeeId>,
 }
 
 /// The registry state machine. Every hive replicates it through its
@@ -150,6 +155,14 @@ impl RegistryState {
     /// The hive hosting `bee`.
     pub fn hive_of(&self, bee: BeeId) -> Option<HiveId> {
         self.bees.get(&bee).map(|r| r.hive)
+    }
+
+    /// The live bee that absorbed merged-away `bee`, if any.
+    pub fn merged_into(&self, bee: BeeId) -> Option<BeeId> {
+        self.bees
+            .iter()
+            .find(|(_, r)| r.absorbed.contains(&bee))
+            .map(|(&winner, _)| winner)
     }
 
     /// The cells `bee` owns, empty for an unknown bee.
@@ -272,6 +285,7 @@ impl RegistryState {
                             app: app.to_string(),
                             hive: origin,
                             colony: BTreeSet::new(),
+                            absorbed: BTreeSet::new(),
                         },
                     );
                 }
@@ -298,11 +312,10 @@ impl RegistryState {
                     for c in &rec.colony {
                         index.insert(c.clone(), winner);
                     }
-                    self.bees
-                        .get_mut(&winner)
-                        .unwrap()
-                        .colony
-                        .extend(rec.colony);
+                    let won = self.bees.get_mut(&winner).unwrap();
+                    won.colony.extend(rec.colony);
+                    won.absorbed.insert(loser);
+                    won.absorbed.extend(rec.absorbed);
                 }
                 (winner, false)
             }
@@ -502,6 +515,41 @@ mod tests {
         for k in ["k1", "k2", "k3"] {
             assert_eq!(r.owner("a", &Cell::new("S", k)), Some(b1), "cell {k}");
         }
+    }
+
+    /// A loser forwards to the live bee that absorbed it, through any
+    /// number of later merges, and forwarding ends with that bee's record.
+    #[test]
+    fn merge_forwarding_follows_the_live_winner() {
+        let mut r = RegistryState::new();
+        let [b1, b2, b3] = [1, 2, 3].map(|s| BeeId::new(HiveId(1), s));
+        let colonies: [(BeeId, &[&str]); 3] = [(b1, &["a", "b"]), (b2, &["c"]), (b3, &["d", "e"])];
+        for (seq, (bee, keys)) in colonies.into_iter().enumerate() {
+            let op = RegistryOp::LookupOrCreate {
+                app: "a".into(),
+                cells: cells(keys),
+                new_bee: bee,
+            };
+            r.apply_command(&cmd(seq as u64, op));
+        }
+        let bridge = |r: &mut RegistryState, keys: &[&str]| {
+            let op = RegistryOp::LookupOrCreate {
+                app: "a".into(),
+                cells: cells(keys),
+                new_bee: BeeId::new(HiveId(1), 9),
+            };
+            r.apply_command(&cmd(9, op));
+        };
+        bridge(&mut r, &["a", "c"]);
+        assert_eq!(r.merged_into(b2), Some(b1));
+        // b1 (3 cells) absorbs b3 (2 cells); b2 still forwards to b1.
+        bridge(&mut r, &["b", "d"]);
+        assert_eq!(r.bee(b1).unwrap().absorbed, BTreeSet::from([b2, b3]));
+        assert_eq!(r.merged_into(b2), Some(b1));
+        assert_eq!(r.merged_into(b1), None, "a live bee is nobody's loser");
+        r.apply_command(&cmd(10, RegistryOp::RemoveBee { bee: b1 }));
+        assert_eq!(r.merged_into(b2), None);
+        assert_eq!(r.merged_into(b3), None);
     }
 
     #[test]

@@ -389,16 +389,6 @@ impl TraceHub {
         self.cv.notify_all();
     }
 
-    /// Non-blocking check: the merged spans if the query completed.
-    /// Consumes the query on success.
-    pub fn try_result(&self, query_id: u64) -> Option<Vec<TraceSpan>> {
-        let mut inner = self.inner.lock();
-        if inner.pending.get(&query_id).is_some_and(|p| p.done) {
-            return inner.pending.remove(&query_id).map(|p| p.spans);
-        }
-        None
-    }
-
     /// Wires the owning hive's clock so [`TraceHub::wait`] timeouts run in
     /// hive time (virtual under the simulator, wall in production).
     pub fn set_clock(&self, clock: std::sync::Arc<dyn Clock>) {
@@ -576,9 +566,10 @@ mod tests {
         assert_eq!(hub.take_requests(), vec![(qid, 7)]);
         assert!(hub.take_requests().is_empty(), "drained once");
         hub.start(qid, 0, vec![span(7, 1, 0, 1)]);
-        let spans = hub.try_result(qid).expect("no peers => done");
+        assert!(hub.inner.lock().pending[&qid].done, "no peers => done");
+        let spans = hub.wait(qid, std::time::Duration::ZERO);
         assert_eq!(spans.len(), 1);
-        assert!(hub.try_result(qid).is_none(), "consumed");
+        assert!(!hub.inner.lock().pending.contains_key(&qid), "consumed");
     }
 
     #[test]
@@ -586,11 +577,13 @@ mod tests {
         let hub = TraceHub::new();
         let qid = hub.submit(7);
         hub.take_requests();
+        let done = |hub: &TraceHub| hub.inner.lock().pending[&qid].done;
         hub.start(qid, 2, vec![span_on(1, 7, 10, 0, 5)]);
-        assert!(hub.try_result(qid).is_none(), "2 peers outstanding");
+        assert!(!done(&hub), "2 peers outstanding");
         hub.add_reply(qid, vec![span_on(2, 7, 11, 10, 6)]);
-        assert!(hub.try_result(qid).is_none(), "1 peer outstanding");
+        assert!(!done(&hub), "1 peer outstanding");
         hub.add_reply(qid, vec![]);
+        assert!(done(&hub));
         let spans = hub.wait(qid, std::time::Duration::from_millis(1));
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].span_id, 10);
@@ -605,7 +598,8 @@ mod tests {
         hub.start(qid, 3, vec![span_on(1, 7, 10, 0, 5)]);
         hub.add_reply(qid, vec![span_on(2, 7, 11, 10, 6)]);
         hub.expire(qid);
-        let spans = hub.try_result(qid).expect("expired => done");
+        assert!(hub.inner.lock().pending[&qid].done, "expired => done");
+        let spans = hub.wait(qid, std::time::Duration::ZERO);
         assert_eq!(spans.len(), 2);
     }
 

@@ -164,8 +164,8 @@ impl SendRing {
         self.frames.push_front(frame);
     }
 
-    /// Forgets partial-write progress after a connection died (see
-    /// [`SendRing::head_offset`]).
+    /// Forgets partial-write progress after a connection died: the head
+    /// frame retransmits from byte 0.
     pub fn reset_progress(&mut self) {
         self.head_offset = 0;
     }

@@ -57,14 +57,6 @@ impl TrafficMatrix {
             .unwrap_or_default()
     }
 
-    /// Total bytes between `src` and `dst`, all categories.
-    pub fn total_between(&self, src: HiveId, dst: HiveId) -> u64 {
-        [FrameKind::App, FrameKind::Raft, FrameKind::Control]
-            .into_iter()
-            .map(|k| self.get(src, dst, k).bytes)
-            .sum()
-    }
-
     /// The full `hives × hives` byte matrix for `kinds`, with hives ordered
     /// as given. Entry `[i][j]` is bytes sent from `hives[i]` to `hives[j]`.
     pub fn matrix(&self, hives: &[HiveId], kinds: &[FrameKind]) -> Vec<Vec<u64>> {
@@ -111,32 +103,7 @@ impl TrafficMatrix {
             .sum()
     }
 
-    /// Fraction of all `kinds` bytes that touch (enter or leave) the busiest
-    /// single hive — the "is this effectively centralized?" metric used to
-    /// check Figure 4a.
-    pub fn hot_hive_share(&self, hives: &[HiveId], kinds: &[FrameKind]) -> Option<(HiveId, f64)> {
-        let total = self.total(kinds);
-        if total == 0 {
-            return None;
-        }
-        let mut best: Option<(HiveId, u64)> = None;
-        for &h in hives {
-            let touched: u64 = self
-                .cells
-                .iter()
-                .filter(|((s, d, k), _)| kinds.contains(k) && (*s == h.0 || *d == h.0))
-                .map(|(_, c)| c.bytes)
-                .sum();
-            if best.is_none() || touched > best.unwrap().1 {
-                best = Some((h, touched));
-            }
-        }
-        best.map(|(h, b)| (h, b as f64 / total as f64))
-    }
-
-    /// Fraction of `kinds` bytes that flow between *distinct* hives pairs
-    /// where src == dst would be local (always 0 here since the fabric only
-    /// sees inter-hive frames); kept for symmetry in reports.
+    /// Adds `other`'s counts into this matrix.
     pub fn merge(&mut self, other: &TrafficMatrix) {
         for (k, c) in &other.cells {
             let cell = self.cells.entry(*k).or_default();
@@ -168,7 +135,7 @@ mod tests {
                 bytes: 150
             }
         );
-        assert_eq!(m.total_between(HiveId(2), HiveId(1)), 30);
+        assert_eq!(m.get(HiveId(2), HiveId(1), FrameKind::Raft).bytes, 30);
         assert_eq!(m.total(&[FrameKind::App]), 150);
         assert_eq!(m.total(&[FrameKind::App, FrameKind::Raft]), 180);
     }
@@ -201,20 +168,6 @@ mod tests {
         let s = m.series(&[FrameKind::App], 500..4_500);
         assert_eq!(s, vec![(0, 0), (1000, 10), (2000, 0), (3000, 0), (4000, 0)]);
         assert!(m.series(&[FrameKind::App], 700..700).is_empty());
-    }
-
-    #[test]
-    fn hot_hive_share_detects_centralization() {
-        let mut m = TrafficMatrix::new(1000);
-        // Everything flows to/from hive 1.
-        for other in 2..=5u32 {
-            m.record(HiveId(other), HiveId(1), FrameKind::App, 100, 0);
-            m.record(HiveId(1), HiveId(other), FrameKind::App, 10, 0);
-        }
-        let hives: Vec<HiveId> = (1..=5).map(HiveId).collect();
-        let (hot, share) = m.hot_hive_share(&hives, &[FrameKind::App]).unwrap();
-        assert_eq!(hot, HiveId(1));
-        assert!((share - 1.0).abs() < 1e-9);
     }
 
     #[test]

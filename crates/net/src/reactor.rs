@@ -235,8 +235,8 @@ impl ReactorTransport {
         })
     }
 
-    /// Per-[`FrameKind`] traffic counters; snapshot them for metric
-    /// exposition.
+    /// Per-[`FrameKind`](beehive_core::transport::FrameKind) traffic
+    /// counters; snapshot them for metric exposition.
     pub fn counters(&self) -> Arc<TransportCounters> {
         self.shared.counters.clone()
     }

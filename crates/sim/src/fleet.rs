@@ -180,22 +180,6 @@ impl SwitchFleet {
     pub fn dpids(&self) -> Vec<u64> {
         self.slots.lock().keys().copied().collect()
     }
-
-    /// Emulates a port status change on `dpid`: the switch notifies its
-    /// master controller with an OpenFlow PORT_STATUS message
-    /// (`reason`: 0 = add, 1 = delete, 2 = modify).
-    pub fn set_port_status(&self, dpid: u64, port: u16, reason: u8) {
-        let msg = beehive_openflow::wire::OfMessage::PortStatus {
-            xid: 0,
-            reason,
-            desc: beehive_openflow::wire::PhyPort {
-                port_no: port,
-                hw_addr: [0; 6],
-                name: format!("s{dpid}-eth{port}"),
-            },
-        };
-        self.upstream(dpid, msg.encode());
-    }
 }
 
 impl SwitchIo for SwitchFleet {
@@ -300,7 +284,17 @@ mod tests {
                 )
                 .build(),
         );
-        fleet.set_port_status(1, 3, 1); // port 3 down
+        // Switch 1 tells its master controller that port 3 went down.
+        let msg = beehive_openflow::wire::OfMessage::PortStatus {
+            xid: 0,
+            reason: 1,
+            desc: beehive_openflow::wire::PhyPort {
+                port_no: 3,
+                hw_addr: [0; 6],
+                name: "s1-eth3".into(),
+            },
+        };
+        fleet.upstream(1, msg.encode());
         settle(&mut hive, &fleet);
         assert_eq!(seen.lock().clone(), vec![(1, 3, 1)]);
     }

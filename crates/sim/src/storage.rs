@@ -66,20 +66,6 @@ pub struct FaultHandle {
 }
 
 impl FaultHandle {
-    /// Fails the next matching durable operation, then heals.
-    pub fn fail_next(&self, op: DiskOp) {
-        let mut st = self.state.lock();
-        st.armed = Some(op);
-        st.sticky = false;
-    }
-
-    /// Fails every matching durable operation from now on (dead disk).
-    pub fn fail_forever(&self, op: DiskOp) {
-        let mut st = self.state.lock();
-        st.armed = Some(op);
-        st.sticky = true;
-    }
-
     /// Disarms any pending fault.
     pub fn heal(&self) {
         self.state.lock().armed = None;
@@ -202,6 +188,14 @@ mod tests {
         (node, handle, shared)
     }
 
+    /// Fails the next matching durable operation, or every one from now on
+    /// (a dead disk) when `sticky`.
+    fn arm(handle: &FaultHandle, op: DiskOp, sticky: bool) {
+        let mut st = handle.state.lock();
+        st.armed = Some(op);
+        st.sticky = sticky;
+    }
+
     /// Restarts a node from the (now healed) shared storage and re-elects it.
     fn restart(threshold: u64, shared: &SharedMemStorage) -> RaftNode<KvCounter> {
         let mut node = RaftNode::new(
@@ -223,7 +217,7 @@ mod tests {
         assert_eq!(node.state_machine().total, 5);
         assert!(handle.ops() > 0, "writes flow through the shim");
 
-        handle.fail_next(DiskOp::Log);
+        arm(&handle, DiskOp::Log, false);
         // The proposal itself may return a token (the append happened in
         // memory) but the persist fails — the node must latch the fault...
         let _ = node.propose(vec![7]);
@@ -254,7 +248,7 @@ mod tests {
     #[test]
     fn a_dead_disk_fails_the_node_at_first_write() {
         let (mut node, handle, _shared) = single_node(0);
-        handle.fail_forever(DiskOp::Any);
+        arm(&handle, DiskOp::Any, true);
         // The self-vote of the first election is the first durable write —
         // the node must never become leader on an unpersisted vote.
         for _ in 0..200 {
@@ -273,7 +267,7 @@ mod tests {
 
         // Arm the fault, then push past the compaction threshold: the
         // snapshot write fails mid-compaction.
-        handle.fail_next(DiskOp::Snapshot);
+        arm(&handle, DiskOp::Snapshot, false);
         let mut expected = 0u64;
         for b in 1..=(THRESHOLD as u8 + 2) {
             expected += b as u64;

@@ -1,13 +1,17 @@
 //! The §4 use-case applications running on real multi-hive clusters (not
 //! just standalone hives): Kandoo two-tier, network virtualization shards,
-//! and the learning switch over an OpenFlow switch fleet.
+//! the centralized ACL, and the learning switch over an OpenFlow switch
+//! fleet.
 
 use std::sync::Arc;
 
+use beehive::apps::acl::{acl_app, AclVerdict, AddRule, ACL_APP};
 use beehive::apps::kandoo::{kandoo_local_app, kandoo_root_app, KANDOO_LOCAL_APP, KANDOO_ROOT_APP};
 use beehive::apps::learning_switch::{learning_switch_app, LEARNING_SWITCH_APP};
 use beehive::apps::vnet::{vnet_app, AttachPort, CreateVnet, TunnelSetup, VnetPacket, VNET_APP};
-use beehive::openflow::driver::{driver_app, FlowStat, InstallRule, StatReply};
+use beehive::core::feedback::{design_feedback, FeedbackItem};
+use beehive::openflow::driver::{driver_app, FlowStat, InstallRule, PacketInEvent, StatReply};
+use beehive::openflow::switch::encode_header_as_packet;
 use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster, SwitchFleet, Topology};
 use beehive_core::sync::Mutex;
@@ -212,4 +216,80 @@ fn learning_switch_over_fleet_on_two_hives() {
         .owner(LEARNING_SWITCH_APP, &cell)
         .expect("mac table exists");
     assert_eq!(mirror.hive_of(bee), Some(masters[&2]));
+}
+
+/// The paper's centralized application (§4): the ACL maps its `policy`
+/// dictionary whole, so design feedback flags it before it runs, and on a
+/// cluster every rule and every punted packet, whichever hive they enter
+/// on, meet at one bee.
+#[test]
+fn acl_is_one_bee_on_three_hives_as_its_feedback_says() {
+    let report = design_feedback(&acl_app());
+    assert!(report.is_centralized());
+    assert!(
+        report.items.iter().any(|i| matches!(
+            i,
+            FeedbackItem::MonolithicDict { dict, handlers }
+                if dict == "policy" && handlers.len() == 3
+        )),
+        "{report:?}"
+    );
+
+    let verdicts = Arc::new(Mutex::new(Vec::new()));
+    let v2 = verdicts.clone();
+    let mut c = SimCluster::new(
+        ClusterConfig {
+            hives: 3,
+            voters: 3,
+            ..Default::default()
+        },
+        move |h| {
+            h.install(acl_app());
+            let v3 = v2.clone();
+            h.install(
+                App::builder("sink")
+                    .handle::<AclVerdict>(
+                        |m| Mapped::cell("v", m.switch.to_string()),
+                        move |m, _| {
+                            v3.lock().push((m.switch, m.allow, m.rule.clone()));
+                            Ok(())
+                        },
+                    )
+                    .build(),
+            );
+        },
+    );
+    c.elect_registry(120_000).unwrap();
+    let mac = |n: u8| [n; 6];
+    c.hive_mut(HiveId(1)).emit(AddRule {
+        name: "no-7".into(),
+        priority: 1,
+        src_mac: None,
+        dst_mac: Some(mac(7)),
+        allow: false,
+    });
+    c.advance(3_000, 50);
+    for (switch, dst) in [(2u64, 7u8), (3, 8)] {
+        let data = encode_header_as_packet(&beehive::openflow::Match {
+            dl_src: mac(1),
+            dl_dst: mac(dst),
+            ..Default::default()
+        });
+        c.hive_mut(HiveId(switch as u32)).emit(PacketInEvent {
+            switch,
+            in_port: 1,
+            data,
+        });
+    }
+    c.advance(3_000, 50);
+
+    let bees: usize = c.hives().map(|h| h.local_bee_count(ACL_APP)).sum();
+    assert_eq!(bees, 1, "one ACL bee cluster-wide");
+    let mut seen = verdicts.lock().clone();
+    seen.sort();
+    assert_eq!(
+        seen,
+        vec![(2, false, Some("no-7".into())), (3, true, None)],
+        "each switch's packet was judged against the one policy"
+    );
 }

@@ -178,9 +178,11 @@ fn run_on(n: usize, ops: &[DoOp]) -> BTreeMap<String, Account> {
 }
 
 /// Runs the workload on one standalone hive and returns the final
-/// accounts. All ops are emitted up front, so every routing decision
-/// commits before any bee runs; nothing may error, be orphaned or collide.
-fn run_standalone(ops: &[DoOp]) -> BTreeMap<String, Account> {
+/// accounts, every bank bee's full dictionary contents byte for byte (the
+/// strongest observable the audit API offers) and the handled count. All
+/// ops are emitted up front, so every routing decision commits before any
+/// bee runs; nothing may error, be orphaned or collide.
+fn run_standalone(ops: &[DoOp]) -> (BTreeMap<String, Account>, BTreeMap<u64, DictDump>, u64) {
     let mut cfg = HiveConfig::standalone(HiveId(1));
     cfg.tick_interval_ms = 0; // no platform ticks: the workload is the only input
     let mut hive = Hive::new(
@@ -203,59 +205,32 @@ fn run_standalone(ops: &[DoOp]) -> BTreeMap<String, Account> {
             }
         }
     }
-    let counters = hive.counters();
-    assert_eq!(counters.handler_errors, 0);
-    assert_eq!(counters.dropped_orphans, 0);
-    assert_eq!(counters.merge_collisions, 0);
-    accounts
-}
-
-#[test]
-fn workers_one_vs_four_identical() {
-    let ops = workload(123, 400);
-    let accounts = run_standalone(&ops);
-    assert!(!accounts.is_empty(), "workload must have produced state");
-}
-
-/// Every bank bee's full dictionary contents, byte for byte, plus the
-/// hive-level handled/error counters — the strongest observable equality
-/// the audit API offers.
-fn audit_bank(ops: &[DoOp]) -> (BTreeMap<u64, DictDump>, u64, u64) {
-    let mut cfg = HiveConfig::standalone(HiveId(1));
-    cfg.tick_interval_ms = 0;
-    let mut hive = Hive::new(
-        cfg,
-        std::sync::Arc::new(SystemClock::new()),
-        Box::new(Loopback::new(HiveId(1))),
-    );
-    hive.install(bank());
-    for op in ops {
-        hive.emit(op.clone());
-    }
-    hive.step_until_quiescent(1_000_000);
-
     let mut dicts = BTreeMap::new();
     for (bee, _) in hive.local_bees("bank") {
         dicts.insert(bee.0, hive.audit_dicts("bank", bee));
     }
     let counters = hive.counters();
-    (dicts, counters.handled_ok, counters.handler_errors)
+    assert_eq!(counters.handler_errors, 0, "no handler may fail");
+    assert_eq!(counters.dropped_orphans, 0);
+    assert_eq!(counters.merge_collisions, 0);
+    (accounts, dicts, counters.handled_ok)
 }
 
 /// One message per run-queue turn, each from its own savepoint, handles
 /// the whole workload without an error and leaves every bee's dictionary
 /// readable through the audit API.
 #[test]
-fn batched_drains_byte_identical_to_per_message() {
-    let ops = workload(321, 400);
-    let (dicts, ok, err) = audit_bank(&ops);
-    assert_eq!(err, 0, "no handler may fail");
-    assert!(ok > 0, "workload must have handled messages");
-    assert!(!dicts.is_empty(), "workload must have produced state");
+fn one_hive_runs_the_bank_workload_without_error() {
+    for seed in [123, 321] {
+        let (accounts, dicts, ok) = run_standalone(&workload(seed, 400));
+        assert!(!accounts.is_empty(), "workload must have produced state");
+        assert!(ok > 0, "workload must have handled messages");
+        assert!(!dicts.is_empty(), "workload must have produced state");
+    }
 }
 
 #[test]
-fn parallel_stress_no_envelope_lost_or_duplicated() {
+fn many_bees_lose_and_duplicate_no_envelope() {
     // Many disjoint-cell bees hammered: every key gets an exact number of
     // bumps, so any lost or double-delivered envelope shows up as a wrong
     // counter or a wrong per-bee delivery count.
@@ -357,7 +332,7 @@ fn one_vs_five_hives_identical_state() {
 /// fault the redelivery layer fully masks — breaks no invariant, and every
 /// emitted message is handled.
 #[test]
-fn chaos_lite_workers_one_vs_four_equivalent() {
+fn chaos_lite_handler_faults_are_fully_masked() {
     use beehive::sim::chaos::{run_seed, ChaosConfig};
 
     let cfg = ChaosConfig {

@@ -395,6 +395,75 @@ fn quarantine_opens_and_recovers_via_half_open_probe_sequentially() {
     quarantine_probe_scenario();
 }
 
+/// Adds one to `key` and copies the total to `copy`, a cell its map does
+/// not name: its first run re-maps.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct IncAndCopy {
+    key: String,
+    copy: String,
+}
+beehive::core::impl_message!(IncAndCopy);
+
+fn inc_and_copy() -> App {
+    App::builder("counter")
+        .handle::<IncAndCopy>(
+            |m| Mapped::cell("c", &m.key),
+            |m, ctx| {
+                let n: u64 = ctx
+                    .get("c", &m.key)
+                    .map_err(|e| e.to_string())?
+                    .unwrap_or(0);
+                ctx.put("c", m.key.clone(), &(n + 1))
+                    .map_err(|e| e.to_string())?;
+                ctx.put("c", m.copy.clone(), &(n + 1))
+                    .map_err(|e| e.to_string())
+            },
+        )
+        .build()
+}
+
+/// A half-open probe whose message re-maps is neither a success nor a
+/// failure: the breaker stays half-open instead of tripping again, and the
+/// re-routed message runs.
+#[test]
+fn a_remapped_probe_does_not_trip_the_breaker_again() {
+    let mut c = SimCluster::new(
+        ClusterConfig {
+            hives: 1,
+            voters: 1,
+            hive: HiveConfig {
+                max_redeliveries: 0,
+                quarantine_threshold: 1,
+                ..ClusterConfig::default().hive
+            },
+            ..Default::default()
+        },
+        |h| h.install(inc_and_copy()),
+    );
+    let msg = || IncAndCopy {
+        key: "k".into(),
+        copy: "k2".into(),
+    };
+    // One failure trips the breaker.
+    c.set_faults(FabricFaults::default().fail_handler("counter", "IncAndCopy", 1));
+    c.hive_mut(HiveId(1)).emit(msg());
+    c.advance(1_000, 50);
+    assert_eq!(c.hive(HiveId(1)).counters().quarantines, 1, "breaker open");
+    // After the cooldown the probe re-maps, then runs.
+    c.advance(10_000, 50);
+    c.hive_mut(HiveId(1)).emit(msg());
+    c.advance(2_000, 50);
+    let h = c.hive(HiveId(1));
+    assert_eq!(h.counters().remaps, 1);
+    assert_eq!(
+        h.counters().quarantines,
+        1,
+        "the re-map tripped the breaker"
+    );
+    assert_eq!(h.counters().dead_letters, 1, "only the injected failure");
+    assert_eq!(count_of(&c, "k2"), Some(1), "the re-routed probe ran");
+}
+
 /// Regression: `requeue_dead_letters` must reset each envelope's delivery
 /// count. A requeued message carries `deliveries = max_redeliveries + 1`
 /// from its first life; without the reset it would bounce straight back to
