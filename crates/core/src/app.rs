@@ -365,21 +365,33 @@ impl RcvCtx<'_> {
 
     /// Typed read of `dict[key]` through the transaction;
     /// [`Error::Unmapped`] outside the bee's colony.
-    pub fn get<T: serde::de::DeserializeOwned>(&self, dict: &str, key: &str) -> Result<Option<T>> {
+    ///
+    /// The entry keeps the last value a typed read or write had in hand,
+    /// and a read as the same `T` returns a clone of it instead of decoding
+    /// the bytes ([`TxState::get_cached`]). So `T` must round-trip through
+    /// the codec: decoding what `T` encodes must give back an equal value.
+    /// A `#[serde(skip)]` field or a lossy hand-written serde impl would
+    /// read differently here than on a replica or after a migration.
+    pub fn get<T>(&self, dict: &str, key: &str) -> Result<Option<T>>
+    where
+        T: serde::de::DeserializeOwned + Clone + Send + Sync + 'static,
+    {
         self.check(dict, key)?;
-        self.tx.get(dict, key)
+        self.tx.get_cached(dict, key)
     }
 
     /// Typed buffered write of `dict[key]`; [`Error::Unmapped`], writing
     /// nothing, outside the bee's colony.
-    pub fn put<T: serde::Serialize>(
-        &mut self,
-        dict: &str,
-        key: impl AsRef<str> + Into<Name>,
-        value: &T,
-    ) -> Result<()> {
+    ///
+    /// The bytes are encoded as ever; a clone of `value` is kept beside
+    /// them for the next [`RcvCtx::get`], which is why `T` must round-trip
+    /// through the codec (see there).
+    pub fn put<T>(&mut self, dict: &str, key: impl AsRef<str> + Into<Name>, value: &T) -> Result<()>
+    where
+        T: serde::Serialize + Clone + Send + Sync + 'static,
+    {
         self.check(dict, key.as_ref())?;
-        self.tx.put(dict, key, value)
+        self.tx.put_cached(dict, key, value)
     }
 
     /// Buffered delete of `dict[key]`. Outside the bee's colony it deletes

@@ -28,11 +28,23 @@
 //! Wire compatibility: [`BeeState::snapshot`], [`Dict`] and [`TxJournal`]
 //! serialize byte-identically to the pre-COW clone-based engine — generation
 //! stamps are bookkeeping, never persisted or replicated.
+//!
+//! # Decoded slots
+//!
+//! Beside its bytes, every entry has a set-once slot for the value decoded.
+//! [`TxState::get_cached`] answers from it when it holds the type asked
+//! for, and otherwise decodes and fills it; [`TxState::put_cached`] fills it
+//! with the value it encodes. Only the bytes are persisted, journaled,
+//! replicated, shipped, snapshotted and compared: every write that has no
+//! typed value at hand (raw puts, deletes, journal replay, snapshot restore,
+//! colony absorption) leaves the slot empty, and an undo record restores a
+//! slot together with its bytes.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::de::{DeserializeOwned, SeqAccess, Visitor};
 use serde::ser::SerializeStruct;
@@ -119,6 +131,9 @@ impl<'de> Deserialize<'de> for SharedBytes {
     }
 }
 
+/// An entry's value as a typed read or write last had it in hand.
+type Decoded = Arc<dyn Any + Send + Sync>;
+
 /// One dictionary entry: the value plus the generation stamp of the write
 /// that produced it. Generation 0 marks non-transactional writes (snapshot
 /// restore, journal replay, colony absorption, direct `put_raw`).
@@ -126,6 +141,28 @@ impl<'de> Deserialize<'de> for SharedBytes {
 struct Entry {
     value: Value,
     gen: u64,
+    /// `value` decoded, once a typed read or write has produced it.
+    decoded: OnceLock<Decoded>,
+}
+
+impl Entry {
+    /// An entry whose decoded slot is empty.
+    fn raw(value: Value, gen: u64) -> Self {
+        Entry {
+            value,
+            gen,
+            decoded: OnceLock::new(),
+        }
+    }
+}
+
+/// Decodes an entry's bytes as `T`.
+fn decode<T: DeserializeOwned>(dict: &str, key: &str, bytes: &[u8]) -> Result<T> {
+    beehive_wire::from_slice(bytes).map_err(|e| Error::StateDecode {
+        dict: dict.to_string(),
+        key: key.to_string(),
+        source: e,
+    })
 }
 
 /// One state dictionary: an ordered map of keys to encoded values. Keys
@@ -148,29 +185,15 @@ impl Dict {
 
     /// Typed get: decodes the stored bytes as `T`.
     pub fn get<T: DeserializeOwned>(&self, key: &str) -> Result<Option<T>> {
-        match self.entries.get(key) {
-            None => Ok(None),
-            Some(e) => {
-                beehive_wire::from_slice(&e.value)
-                    .map(Some)
-                    .map_err(|e| Error::StateDecode {
-                        dict: String::new(),
-                        key: key.to_string(),
-                        source: e,
-                    })
-            }
-        }
+        self.entries
+            .get(key)
+            .map(|e| decode("", key, &e.value))
+            .transpose()
     }
 
     /// Raw put (non-transactional; stamps generation 0).
     pub fn put_raw(&mut self, key: impl Into<Name>, value: impl Into<Value>) {
-        self.entries.insert(
-            key.into(),
-            Entry {
-                value: value.into(),
-                gen: 0,
-            },
-        );
+        self.entries.insert(key.into(), Entry::raw(value.into(), 0));
     }
 
     /// Typed put: encodes `value` with the wire format.
@@ -213,7 +236,7 @@ impl Dict {
         Self {
             entries: entries
                 .into_iter()
-                .map(|(k, value)| (k, Entry { value, gen: 0 }))
+                .map(|(k, value)| (k, Entry::raw(value, 0)))
                 .collect(),
         }
     }
@@ -347,17 +370,7 @@ impl BeeState {
             let target = self.dicts.entry(name).or_default();
             for (k, e) in dict.entries {
                 // Absorbed entries are non-transactional writes: gen 0.
-                if target
-                    .entries
-                    .insert(
-                        k,
-                        Entry {
-                            value: e.value,
-                            gen: 0,
-                        },
-                    )
-                    .is_some()
-                {
+                if target.entries.insert(k, Entry::raw(e.value, 0)).is_some() {
                     conflicts += 1;
                 }
             }
@@ -370,12 +383,12 @@ impl BeeState {
 /// dictionary) during rollback.
 #[derive(Debug)]
 enum Undo {
-    /// `dict[key]` held `prev` (value + generation) when the current era
-    /// first touched it; `None` means the key was absent.
+    /// `dict[key]` was `prev` (value, generation and decoded slot) when the
+    /// current era first touched it; `None` means the key was absent.
     Entry {
         dict: Name,
         key: Name,
-        prev: Option<(Value, u64)>,
+        prev: Option<Entry>,
     },
     /// The dictionary itself was created by this transaction.
     CreatedDict { dict: Name },
@@ -451,18 +464,38 @@ impl<'a> TxState<'a> {
         self.base.dict(dict).and_then(|d| d.get_raw(key)).cloned()
     }
 
-    /// Typed read.
+    /// The entry at `dict[key]`, if any.
+    fn entry(&self, dict: &str, key: &str) -> Option<&Entry> {
+        self.base.dict(dict).and_then(|d| d.entries.get(key))
+    }
+
+    /// Typed read: decodes the entry's bytes.
     pub fn get<T: DeserializeOwned>(&self, dict: &str, key: &str) -> Result<Option<T>> {
-        match self.base.dict(dict).and_then(|d| d.get_raw(key)) {
-            None => Ok(None),
-            Some(bytes) => {
-                beehive_wire::from_slice(bytes)
-                    .map(Some)
-                    .map_err(|e| Error::StateDecode {
-                        dict: dict.to_string(),
-                        key: key.to_string(),
-                        source: e,
-                    })
+        self.entry(dict, key)
+            .map(|e| decode(dict, key, &e.value))
+            .transpose()
+    }
+
+    /// Typed read through the entry's decoded slot: a clone of the slot when
+    /// it holds a `T`; otherwise the bytes decoded, left in the slot if it
+    /// was empty.
+    pub fn get_cached<T: DeserializeOwned + Clone + Send + Sync + 'static>(
+        &self,
+        dict: &str,
+        key: &str,
+    ) -> Result<Option<T>> {
+        let Some(e) = self.entry(dict, key) else {
+            return Ok(None);
+        };
+        match e.decoded.get() {
+            Some(slot) => match slot.downcast_ref::<T>() {
+                Some(v) => Ok(Some(v.clone())),
+                None => decode(dict, key, &e.value).map(Some),
+            },
+            None => {
+                let v: T = decode(dict, key, &e.value)?;
+                let _ = e.decoded.set(Arc::new(v.clone()));
+                Ok(Some(v))
             }
         }
     }
@@ -488,7 +521,17 @@ impl<'a> TxState<'a> {
         key: impl AsRef<str> + Into<Name>,
         value: impl Into<Value>,
     ) {
-        let value: Value = value.into();
+        self.write(dict, key, value.into(), OnceLock::new());
+    }
+
+    /// Writes `dict[key]` with its decoded slot.
+    fn write(
+        &mut self,
+        dict: &str,
+        key: impl AsRef<str> + Into<Name>,
+        value: Value,
+        decoded: OnceLock<Decoded>,
+    ) {
         let dict = self.ensure_dict(dict);
         self.base.gen += 1;
         let gen = self.base.gen;
@@ -503,6 +546,7 @@ impl<'a> TxState<'a> {
             Entry {
                 value: value.clone(),
                 gen,
+                decoded,
             },
         );
         match prev {
@@ -512,25 +556,44 @@ impl<'a> TxState<'a> {
             prev => logs.undo.push(Undo::Entry {
                 dict: dict.clone(),
                 key: key.clone(),
-                prev: prev.map(|e| (e.value, e.gen)),
+                prev,
             }),
         }
         logs.redo.push(JournalOp::Put { dict, key, value });
     }
 
-    /// Typed write. The value is encoded into a buffer the logs keep, then
-    /// copied once into its own shared buffer.
+    /// Encodes `value` into a buffer the logs keep, then copies it once
+    /// into its own shared buffer.
+    fn encode<T: Serialize>(&mut self, value: &T) -> Result<Value> {
+        let encoded = &mut self.logs.encoded;
+        encoded.clear();
+        value.serialize(&mut beehive_wire::Serializer::with_sink(&mut *encoded))?;
+        Ok(SharedBytes::from(encoded.as_slice()))
+    }
+
+    /// Typed write: the encoded value, with the decoded slot left empty.
     pub fn put<T: Serialize>(
         &mut self,
         dict: &str,
         key: impl AsRef<str> + Into<Name>,
         value: &T,
     ) -> Result<()> {
-        let encoded = &mut self.logs.encoded;
-        encoded.clear();
-        value.serialize(&mut beehive_wire::Serializer::with_sink(&mut *encoded))?;
-        let value = SharedBytes::from(encoded.as_slice());
-        self.put_raw(dict, key, value);
+        let bytes = self.encode(value)?;
+        self.write(dict, key, bytes, OnceLock::new());
+        Ok(())
+    }
+
+    /// [`TxState::put`] that also keeps a clone of `value` in the entry's
+    /// decoded slot, for [`TxState::get_cached`].
+    pub fn put_cached<T: Serialize + Clone + Send + Sync + 'static>(
+        &mut self,
+        dict: &str,
+        key: impl AsRef<str> + Into<Name>,
+        value: &T,
+    ) -> Result<()> {
+        let bytes = self.encode(value)?;
+        let decoded: Decoded = Arc::new(value.clone());
+        self.write(dict, key, bytes, OnceLock::from(decoded));
         Ok(())
     }
 
@@ -547,7 +610,7 @@ impl<'a> TxState<'a> {
                     logs.undo.push(Undo::Entry {
                         dict: dict.clone(),
                         key: held.clone(),
-                        prev: Some((e.value, e.gen)),
+                        prev: Some(e),
                     });
                 }
                 // else: first-touch undo record of this era already
@@ -595,12 +658,8 @@ impl<'a> TxState<'a> {
         while logs.undo.len() > sp.undo_len {
             match logs.undo.pop().expect("len checked") {
                 Undo::Entry { dict, key, prev } => match prev {
-                    Some((value, gen)) => {
-                        dicts
-                            .entry(dict)
-                            .or_default()
-                            .entries
-                            .insert(key, Entry { value, gen });
+                    Some(e) => {
+                        dicts.entry(dict).or_default().entries.insert(key, e);
                     }
                     None => {
                         if let Some(d) = dicts.get_mut(dict.as_str()) {
@@ -1076,6 +1135,162 @@ mod tests {
         tx.put("S", "z", &7u32).unwrap();
         tx.rollback();
         assert_eq!(s, before);
+    }
+}
+
+#[cfg(test)]
+mod decoded_slot {
+    //! The decoded slot beside each entry's bytes: which reads it saves and
+    //! which writes empty it.
+
+    use std::cell::Cell;
+
+    use super::*;
+
+    thread_local! {
+        static DECODES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A value whose `Deserialize` counts its calls on this thread.
+    #[derive(Debug, Clone, PartialEq, Serialize)]
+    struct Counted(u64);
+
+    impl<'de> Deserialize<'de> for Counted {
+        fn deserialize<D: Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
+            DECODES.with(|c| c.set(c.get() + 1));
+            u64::deserialize(d).map(Counted)
+        }
+    }
+
+    /// Decodes of [`Counted`] on this thread so far.
+    fn decodes() -> usize {
+        DECODES.with(Cell::get)
+    }
+
+    /// `S[k]` read through the slot, and how many decodes the read took.
+    fn read(s: &mut BeeState) -> (Option<Counted>, usize) {
+        let before = decodes();
+        let v = TxState::begin(s).get_cached::<Counted>("S", "k").unwrap();
+        (v, decodes() - before)
+    }
+
+    fn bytes(v: u64) -> Vec<u8> {
+        beehive_wire::to_vec(&Counted(v)).unwrap()
+    }
+
+    /// A state whose `S[k]` holds `Counted(v)` in its bytes and its slot.
+    fn cached(v: u64) -> BeeState {
+        let mut s = BeeState::new();
+        let mut tx = TxState::begin(&mut s);
+        tx.put_cached("S", "k", &Counted(v)).unwrap();
+        tx.commit();
+        s
+    }
+
+    #[test]
+    fn a_read_after_a_typed_write_or_a_decoding_read_does_not_decode() {
+        let mut s = cached(1);
+        assert_eq!(read(&mut s), (Some(Counted(1)), 0));
+
+        let mut s = BeeState::new();
+        s.dict_mut("S").put_raw("k", bytes(2));
+        assert_eq!(read(&mut s), (Some(Counted(2)), 1));
+        assert_eq!(read(&mut s), (Some(Counted(2)), 0));
+        // The uncached reads still decode every time.
+        let before = decodes();
+        let tx = TxState::begin(&mut s);
+        assert_eq!(tx.get::<Counted>("S", "k").unwrap(), Some(Counted(2)));
+        assert_eq!(decodes() - before, 1);
+    }
+
+    #[test]
+    fn a_read_as_another_type_decodes_from_the_bytes() {
+        let mut s = BeeState::new();
+        let mut tx = TxState::begin(&mut s);
+        tx.put_cached("S", "k", &7u64).unwrap();
+        tx.commit();
+        // The slot holds a `u64`: a `Counted` read decodes, each time, and
+        // leaves the `u64` where it is.
+        assert_eq!(read(&mut s), (Some(Counted(7)), 1));
+        assert_eq!(read(&mut s), (Some(Counted(7)), 1));
+        let tx = TxState::begin(&mut s);
+        assert_eq!(tx.get_cached::<u64>("S", "k").unwrap(), Some(7));
+    }
+
+    #[test]
+    fn raw_writes_deletes_and_rollbacks_leave_no_stale_value() {
+        // A raw write empties the slot.
+        let mut s = cached(1);
+        let mut tx = TxState::begin(&mut s);
+        tx.put_raw("S", "k", bytes(2));
+        tx.commit();
+        assert_eq!(read(&mut s), (Some(Counted(2)), 1));
+
+        // A delete takes the slot with the entry; re-creating the entry raw
+        // does not bring it back.
+        let mut s = cached(1);
+        let mut tx = TxState::begin(&mut s);
+        tx.del("S", "k");
+        assert_eq!(tx.get_cached::<Counted>("S", "k").unwrap(), None);
+        tx.put_raw("S", "k", bytes(3));
+        tx.commit();
+        assert_eq!(read(&mut s), (Some(Counted(3)), 1));
+
+        // Rolling back a typed write restores the older slot with the older
+        // bytes, and rolling back a delete restores both too.
+        let mut s = cached(1);
+        let mut tx = TxState::begin(&mut s);
+        let sp = tx.savepoint();
+        tx.put_cached("S", "k", &Counted(5)).unwrap();
+        tx.rollback_to(&sp);
+        tx.del("S", "k");
+        tx.rollback();
+        assert_eq!(read(&mut s), (Some(Counted(1)), 0));
+    }
+
+    #[test]
+    fn replay_restore_and_absorb_leave_the_slot_empty() {
+        // A replica replaying a journal decodes what the journal wrote.
+        let mut replica = cached(1);
+        let mut primary = BeeState::new();
+        let mut tx = TxState::begin(&mut primary);
+        tx.put_cached("S", "k", &Counted(2)).unwrap();
+        tx.commit().replay(&mut replica);
+        assert_eq!(read(&mut replica), (Some(Counted(2)), 1));
+
+        // A restored snapshot decodes on its first read.
+        let mut restored = BeeState::from_snapshot(&cached(3).snapshot().unwrap()).unwrap();
+        assert_eq!(read(&mut restored), (Some(Counted(3)), 1));
+
+        // An absorbed entry replaces the slot of the one it overwrites and
+        // does not bring its own.
+        let mut s = cached(1);
+        assert_eq!(s.absorb(cached(4)), 1);
+        assert_eq!(read(&mut s), (Some(Counted(4)), 1));
+    }
+
+    #[test]
+    fn snapshots_and_journals_do_not_depend_on_the_slot() {
+        let mut plain = BeeState::new();
+        let mut tx = TxState::begin(&mut plain);
+        tx.put("S", "k", &Counted(1)).unwrap();
+        tx.put("S", "j", &Counted(2)).unwrap();
+        let plain_journal = beehive_wire::to_vec(&tx.commit()).unwrap();
+
+        let mut warm = BeeState::new();
+        let mut tx = TxState::begin(&mut warm);
+        tx.put_cached("S", "k", &Counted(1)).unwrap();
+        tx.put_cached("S", "j", &Counted(2)).unwrap();
+        assert_eq!(
+            tx.get_cached::<Counted>("S", "j").unwrap(),
+            Some(Counted(2))
+        );
+        let warm_journal = beehive_wire::to_vec(&tx.commit()).unwrap();
+        assert_eq!(read(&mut warm).0, Some(Counted(1)));
+
+        assert_eq!(warm_journal, plain_journal);
+        assert_eq!(warm.snapshot().unwrap(), plain.snapshot().unwrap());
+        assert_eq!(warm, plain);
     }
 }
 
