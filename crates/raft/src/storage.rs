@@ -453,4 +453,231 @@ mod tests {
         assert_eq!(s.load().unwrap().unwrap().snapshot_index, 2);
         let _ = std::fs::remove_file(&path);
     }
+
+    // ----- a node on a failing disk -----
+    //
+    // The two durability contracts the chaos harness relies on: the first
+    // failed persist latches the node inert (fail-stop, not fail-silent),
+    // and a snapshot save that fails leaves the log untruncated, so a
+    // restart replays the full history.
+
+    use std::sync::{Arc, Mutex};
+
+    use crate::{Config, KvCounter, RaftNode};
+
+    /// Which durable write an armed [`FlakyDisk`] fails.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Write {
+        HardState,
+        Log,
+        Snapshot,
+        Any,
+    }
+
+    /// What is armed on a [`FlakyDisk`], and what it injected.
+    #[derive(Debug, Default)]
+    struct Armed {
+        write: Option<Write>,
+        /// Keep failing (a dead disk) rather than fail once.
+        sticky: bool,
+        injected: u64,
+    }
+
+    /// Storage whose writes fail when armed; reads pass through. The test
+    /// keeps a clone of `armed` while the node owns the disk.
+    struct FlakyDisk {
+        inner: SharedMemStorage,
+        armed: Arc<Mutex<Armed>>,
+    }
+
+    impl FlakyDisk {
+        fn check(&self, write: Write, op: &'static str) -> Result<(), StorageError> {
+            let mut a = self.armed.lock().unwrap();
+            if !a.write.is_some_and(|w| w == Write::Any || w == write) {
+                return Ok(());
+            }
+            a.injected += 1;
+            if !a.sticky {
+                a.write = None;
+            }
+            Err(StorageError::Io {
+                op,
+                detail: "injected disk fault".into(),
+            })
+        }
+    }
+
+    impl Storage for FlakyDisk {
+        fn save_hard_state(&mut self, hs: &HardState) -> Result<(), StorageError> {
+            self.check(Write::HardState, "save hard state")?;
+            self.inner.save_hard_state(hs)
+        }
+
+        fn save_log(
+            &mut self,
+            snapshot_index: LogIndex,
+            snapshot_term: Term,
+            entries: &[Entry],
+        ) -> Result<(), StorageError> {
+            self.check(Write::Log, "save log")?;
+            self.inner.save_log(snapshot_index, snapshot_term, entries)
+        }
+
+        fn save_snapshot(&mut self, snap: &SnapshotRecord) -> Result<(), StorageError> {
+            self.check(Write::Snapshot, "save snapshot")?;
+            self.inner.save_snapshot(snap)
+        }
+
+        fn load(&mut self) -> Result<Option<PersistedState>, StorageError> {
+            self.inner.load()
+        }
+    }
+
+    fn config(threshold: u64) -> Config {
+        Config {
+            rng_seed: 1,
+            snapshot_threshold: threshold,
+            ..Config::default()
+        }
+    }
+
+    /// Ticks a lone voter until it elects itself.
+    fn run_until_leader(node: &mut RaftNode<KvCounter>) {
+        for _ in 0..200 {
+            node.tick();
+            if node.is_leader() {
+                return;
+            }
+        }
+        panic!("single-node cluster never elected itself");
+    }
+
+    /// A lone voter on a [`FlakyDisk`] over `shared`, and the disk's arm.
+    fn single_node(threshold: u64) -> (RaftNode<KvCounter>, Arc<Mutex<Armed>>, SharedMemStorage) {
+        let shared = SharedMemStorage::new();
+        let armed = Arc::new(Mutex::new(Armed::default()));
+        let disk = FlakyDisk {
+            inner: shared.handle(),
+            armed: armed.clone(),
+        };
+        let node = RaftNode::new(
+            1,
+            Vec::new(),
+            config(threshold),
+            KvCounter::default(),
+            Box::new(disk),
+        );
+        (node, armed, shared)
+    }
+
+    /// Fails the next matching write, or every one from now on (a dead
+    /// disk) when `sticky`.
+    fn arm(armed: &Mutex<Armed>, write: Write, sticky: bool) {
+        let mut a = armed.lock().unwrap();
+        a.write = Some(write);
+        a.sticky = sticky;
+    }
+
+    /// Restarts a node from the (healthy) shared storage and re-elects it.
+    fn restart(threshold: u64, shared: &SharedMemStorage) -> RaftNode<KvCounter> {
+        let mut node = RaftNode::new(
+            1,
+            Vec::new(),
+            config(threshold),
+            KvCounter::default(),
+            Box::new(shared.handle()),
+        );
+        run_until_leader(&mut node);
+        node
+    }
+
+    #[test]
+    fn an_injected_persist_failure_latches_the_node_inert() {
+        let (mut node, armed, shared) = single_node(0);
+        run_until_leader(&mut node);
+        node.propose(vec![5]).unwrap();
+        assert_eq!(node.state_machine().total, 5);
+
+        arm(&armed, Write::Log, false);
+        // The proposal itself may return a token (the append happened in
+        // memory) but the persist fails — the node must latch the fault...
+        let _ = node.propose(vec![7]);
+        let fault = node.storage_fault().expect("fault must latch");
+        assert!(matches!(fault, StorageError::Io { .. }), "{fault}");
+        assert_eq!(armed.lock().unwrap().injected, 1);
+
+        // ...and go inert: no messages out of ticks, proposals refused.
+        for _ in 0..50 {
+            assert!(node.tick().is_empty(), "a latched node emits nothing");
+        }
+        assert!(
+            node.propose(vec![9]).is_err(),
+            "a latched node refuses work"
+        );
+
+        // Durable state predating the fault is intact: a restart replays it
+        // and lands exactly where the last *successful* persist left off.
+        let restored = restart(0, &shared);
+        assert_eq!(restored.state_machine().total, 5);
+        assert_eq!(
+            restored.storage_fault(),
+            None,
+            "the healed disk restarts clean"
+        );
+    }
+
+    #[test]
+    fn a_dead_disk_fails_the_node_at_first_write() {
+        let (mut node, armed, _shared) = single_node(0);
+        arm(&armed, Write::Any, true);
+        // The self-vote of the first election is the first durable write —
+        // the node must never become leader on an unpersisted vote.
+        for _ in 0..200 {
+            node.tick();
+        }
+        assert!(!node.is_leader());
+        assert!(node.storage_fault().is_some());
+        assert!(armed.lock().unwrap().injected >= 1);
+    }
+
+    #[test]
+    fn a_snapshot_save_failure_keeps_the_log_for_full_replay() {
+        const THRESHOLD: u64 = 3;
+        let (mut node, armed, shared) = single_node(THRESHOLD);
+        run_until_leader(&mut node);
+
+        // Arm the fault, then push past the compaction threshold: the
+        // snapshot write fails mid-compaction.
+        arm(&armed, Write::Snapshot, false);
+        let mut expected = 0u64;
+        for b in 1..=(THRESHOLD as u8 + 2) {
+            expected += b as u64;
+            let _ = node.propose(vec![b]);
+            if node.storage_fault().is_some() {
+                break;
+            }
+        }
+        assert!(
+            node.storage_fault().is_some(),
+            "the failed snapshot save must latch the node"
+        );
+        // The log was NOT truncated behind a snapshot that never landed.
+        assert_eq!(node.snapshot_index(), 0);
+        assert_eq!(node.snapshots_taken(), 0);
+
+        // Restart from the durable log (every entry persisted fine): the
+        // replayed state machine equals the pre-crash one, and compaction
+        // now succeeds on a healthy disk.
+        let restored = restart(THRESHOLD, &shared);
+        assert_eq!(
+            restored.state_machine().total,
+            expected,
+            "full log replay reproduces the pre-crash state"
+        );
+        assert!(
+            restored.snapshot_index() > 0,
+            "compaction completes once the disk heals"
+        );
+        assert!(restored.snapshots_taken() > 0);
+    }
 }

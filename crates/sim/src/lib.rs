@@ -12,7 +12,6 @@ pub mod chaos;
 pub mod cluster;
 pub mod fleet;
 pub mod invariants;
-pub mod storage;
 pub mod topology;
 pub mod workload;
 
@@ -27,6 +26,5 @@ pub use invariants::{
     check_snapshots, check_traces, gather, ClusterAudit, CrashLedger, Digest, HiveAudit, Shipments,
     Violation,
 };
-pub use storage::{DiskOp, FaultHandle, FaultyStorage};
 pub use topology::{Level, Link, SwitchNode, Topology};
 pub use workload::{generate_flows, FlowSpec, WorkloadConfig};
