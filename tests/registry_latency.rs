@@ -2,7 +2,8 @@
 //! with 1 ms links: a fresh cluster elects its registry leader on the first
 //! Raft tick, and a cell first claimed from the follower hive is routed and
 //! handled a few link hops later, not on the leader's next heartbeat
-//! (every `heartbeat_interval` = 3 ticks of `RAFT_TICK_MS`).
+//! (every `heartbeat_interval` = 3 ticks of `RAFT_TICK_MS`); one claimed
+//! before there is a leader leaves as soon as one is known.
 
 use beehive::core::hive::RAFT_TICK_MS;
 use beehive::net::FabricFaults;
@@ -96,4 +97,22 @@ fn a_cell_claimed_from_the_follower_is_handled_within_a_few_hops() {
     // AppendEntries back, its ack and the commit notice: four 1 ms hops in
     // all. The leader's next heartbeat is not awaited.
     assert_eq!(ms, 5);
+}
+
+#[test]
+fn a_cell_claimed_before_any_leader_is_handled_once_one_is_known() {
+    let mut c = two_hives();
+    // Hive 2 takes the claim before the group has a leader, so it can
+    // neither propose nor forward it; its retry timer is far off.
+    assert_eq!(leader(&c), None);
+    let retry_ms = ClusterConfig::default().hive.pending_retry_ms;
+    c.hive_mut(HiveId(2)).emit(Claim { key: "k".into() });
+    let ms = ms_until(&mut c, retry_ms, |c| {
+        c.hive(HiveId(2)).counters().handled_ok == 1
+    });
+    // The election takes `1 + RAFT_TICK_MS + 4` ms (see above). Then five
+    // 1 ms hops: the leader's first AppendEntries tells hive 2 who leads,
+    // and the step that learns it forwards the claim without waiting for
+    // the retry timer; then AppendEntries, its ack and the commit notice.
+    assert_eq!(ms, 1 + RAFT_TICK_MS + 4 + 5);
 }
