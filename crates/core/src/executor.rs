@@ -21,13 +21,13 @@ use std::time::{Duration, Instant};
 use crate::app::{App, RcvCtx};
 use crate::cell::{Cell, CellRef, WHOLE_DICT_KEY};
 use crate::control::ControlMsg;
-use crate::id::{BeeId, HiveId};
+use crate::id::HiveId;
 use crate::message::Envelope;
-use crate::metrics::Instrumentation;
-use crate::state::{BeeState, JournalView, TxLogs, TxState};
+use crate::queen::LocalBee;
+use crate::state::{JournalView, TxLogs, TxState};
 use crate::supervision::{panic_detail, FailureKind, HandlerFaults};
 use crate::sync::{wait_timeout, Mutex};
-use crate::trace::{SpanRecord, TraceCollector};
+use crate::tally::{Run, Tally};
 
 /// The hive thread's idle wait. An `unpark` that arrives while the thread is
 /// *not* parked is remembered, so a wakeup between the idle check and the
@@ -94,24 +94,19 @@ impl Parker {
     }
 }
 
-/// What is fixed for one run: which bee runs, where and when, and the
-/// hive facilities the run consults.
+/// What is fixed for one run: which application runs, where and when, and
+/// the hive facilities the run consults.
 pub(crate) struct RunEnv<'a> {
     /// The application whose handler runs.
     pub app: &'a App,
+    /// Its index on the hive, which keys its bookkeeping in the [`Tally`].
+    pub app_idx: usize,
     /// The hive the bee lives on.
     pub hive: HiveId,
-    /// The bee being run.
-    pub bee: BeeId,
-    /// Whether the bee is pinned (local singleton): pinned bees may touch
-    /// any cell and are not replicated.
-    pub pinned: bool,
     /// Platform time of this run, in ms.
     pub now_ms: u64,
     /// Whether committed journals must be encoded for colony replication.
     pub replicate: bool,
-    /// The hive's span ring buffer.
-    pub tracer: &'a TraceCollector,
     /// Handler-fault injection table (tests / chaos runs).
     pub faults: &'a HandlerFaults,
 }
@@ -168,7 +163,8 @@ pub(crate) struct Effects {
 
 /// Runs one message, `mail`, on one bee, the only place handlers are
 /// invoked, and leaves what the handler asked for in `effects` (empty on
-/// entry).
+/// entry). A pinned bee (local singleton) may touch any cell and is not
+/// replicated.
 ///
 /// The message runs inside one transaction from a savepoint: a handler
 /// failure (an `Err`, a panic, or an injected fault) rolls the message back
@@ -179,22 +175,26 @@ pub(crate) struct Effects {
 /// way, whatever its handler returned, and comes back as
 /// [`Effects::remap`].
 ///
-/// Handler statistics go to `instr`, which is locked only after the
-/// handler returned — handlers may lock it themselves (the collector app
-/// drains it).
-#[allow(clippy::too_many_arguments)]
+/// The run's statistics and span go to `tally`, on the hive thread; the
+/// hive publishes them into its shared instrumentation once per step.
 pub(crate) fn run_message(
     env: &RunEnv<'_>,
-    state: &mut BeeState,
-    colony: &BTreeSet<Cell>,
-    repl_seq: &mut u64,
+    bee: &mut LocalBee,
     mail: &(u16, Envelope),
-    instr: &Mutex<Instrumentation>,
+    tally: &mut Tally,
     effects: &mut Effects,
 ) {
-    let RunEnv {
-        hive, bee, now_ms, ..
-    } = *env;
+    let RunEnv { hive, now_ms, .. } = *env;
+    let LocalBee {
+        id: bee,
+        state,
+        colony,
+        pinned,
+        repl_seq,
+        tally: link,
+        ..
+    } = bee;
+    let (bee, pinned) = (*bee, *pinned);
     let app_name = env.app.name();
     let (hidx, envelope) = mail;
     let handler = env.app.handler(*hidx).expect("handler index valid");
@@ -212,7 +212,7 @@ pub(crate) fn run_message(
         trace: envelope.trace,
         deliveries: envelope.deliveries,
         tx,
-        colony: (!env.pinned).then_some(colony),
+        colony: (!pinned).then_some(&*colony),
         unmapped: Default::default(),
         outbox: std::mem::take(&mut effects.outbox),
         control_out: Vec::new(),
@@ -258,7 +258,7 @@ pub(crate) fn run_message(
             Ok(()) => {
                 let journal = tx.journal_since(&sp);
                 // Colony replication: sequence and encode the journal.
-                if !env.pinned && env.replicate && !journal.is_empty() {
+                if !pinned && env.replicate && !journal.is_empty() {
                     *repl_seq += 1;
                     if let Ok(bytes) = beehive_wire::to_vec(&JournalView(journal)) {
                         effects.replicate = Some((*repl_seq, bytes));
@@ -283,44 +283,22 @@ pub(crate) fn run_message(
             }
         };
 
-        let wait_us = now_ms.saturating_sub(envelope.trace.enqueued_ms) * 1_000;
-        {
-            let mut instr = instr.lock();
-            if envelope.src.bee().is_some() {
-                instr.record_matrix(envelope.src.hive(), hive);
-            }
-            let stats = instr.bee(app_name, bee);
-            stats.record_in(envelope.src.hive(), envelope.src.bee(), msg_len);
-            stats.handler_nanos += elapsed;
-            if !ok {
-                stats.errors += 1;
-            }
-            for out in &effects.outbox {
-                stats.record_out(out.msg.encoded_len());
-            }
-            for out in &effects.outbox {
-                instr.record_provenance(app_name, in_type, out.msg.type_name());
-            }
-            instr.record_in_type(app_name, in_type);
-            instr.bee_cells.insert(bee.0, colony.len() as u64);
-            if env.pinned {
-                instr.pinned.insert(bee.0);
-            }
-            instr.record_latency(app_name, in_type, wait_us, elapsed / 1_000);
-        }
-        env.tracer.record(SpanRecord {
-            trace_id: envelope.trace.trace_id,
-            span_id: envelope.trace.span_id,
-            parent_span: envelope.trace.parent_span,
-            hive,
-            app: app_name.clone(),
-            bee,
+        let run = Run {
+            app_idx: env.app_idx,
+            hidx: *hidx,
             msg_type: in_type,
-            start_ms: now_ms,
-            queue_wait_us: wait_us,
-            runtime_ns: elapsed,
+            bee,
+            pinned,
+            src: envelope.src,
+            msg_len,
+            cells: colony.len() as u64,
             ok,
-        });
+            trace: envelope.trace,
+            start_ms: now_ms,
+            wait_us: now_ms.saturating_sub(envelope.trace.enqueued_ms) * 1_000,
+            runtime_ns: elapsed,
+        };
+        tally.record(&run, link, &effects.outbox);
     }
     // The journal was cleared at the savepoint or rolled back; the residual
     // commit is empty and O(1) — the writes are already in `state`.

@@ -84,6 +84,7 @@ pub mod replication;
 pub mod state;
 pub mod supervision;
 pub mod sync;
+mod tally;
 pub mod trace;
 pub mod transport;
 

@@ -10,6 +10,7 @@ use crate::events::{EventJournal, EventKind};
 use crate::id::{AppName, BeeId, HiveId};
 use crate::message::Envelope;
 use crate::state::BeeState;
+use crate::tally::TallyLink;
 
 /// Why a bee created by the rendezvous exists (its spawn event's detail).
 const RECEIVER: &str = "created to receive shipped state";
@@ -73,6 +74,9 @@ pub struct LocalBee {
     /// expires the next dequeue is a half-open probe (one message); a
     /// success clears this, a failure re-arms it.
     pub quarantined_until_ms: Option<u64>,
+    /// Where the hive's [`Tally`](crate::tally::Tally) keeps this bee's
+    /// unpublished bookkeeping.
+    pub(crate) tally: TallyLink,
 }
 
 impl LocalBee {
@@ -87,6 +91,7 @@ impl LocalBee {
             repl_seq: 0,
             consecutive_failures: 0,
             quarantined_until_ms: None,
+            tally: TallyLink::default(),
         }
     }
 
