@@ -356,7 +356,9 @@ impl PlatformCounters {
 
 /// A hive's local instrumentation store.
 ///
-/// It is written once per handled message, so its keys clone without
+/// The hive thread records each handler run without touching it and
+/// publishes what it recorded here once per step, and before any local
+/// singleton runs (see `DESIGN.md` §3.10). Its keys clone without
 /// allocating: applications by their interned [`Name`], message types by
 /// the `&'static str` [`crate::message::Message::type_name`] returns. The
 /// collector turns them into strings when it takes a window into a
@@ -371,9 +373,6 @@ pub struct Instrumentation {
     /// Provenance counters: how often, within an app, an input type
     /// produced an output type, keyed `(app, in_type, out_type)`.
     pub provenance: BTreeMap<(Name, &'static str, &'static str), u64>,
-    /// Deliveries per (app, message type) — the denominators for
-    /// [`Instrumentation::provenance_ratios`].
-    pub in_type_counts: BTreeMap<(Name, &'static str), u64>,
     /// The bees instrumented in this window that are pinned to this hive
     /// (local singletons). Per window, like `bee_cells`.
     pub pinned: std::collections::BTreeSet<u64>,
@@ -383,6 +382,8 @@ pub struct Instrumentation {
     /// the diagonal: locally processed messages).
     pub msg_matrix: BTreeMap<(u32, u32), u64>,
     /// Queue-wait / handler-runtime histograms per (app, message type).
+    /// A runtime histogram's count is the type's deliveries, the
+    /// denominator of [`Instrumentation::provenance_ratios`].
     pub latency: BTreeMap<(Name, &'static str), MsgLatency>,
     /// The hive-wide scalars. In the hive's store, the latest reading the
     /// hive published (counters since boot, gauges as of the publish); in a
@@ -393,51 +394,6 @@ pub struct Instrumentation {
 }
 
 impl Instrumentation {
-    /// Mutable stats for a bee.
-    pub fn bee(&mut self, app: impl Into<Name>, bee: BeeId) -> &mut BeeStats {
-        self.bees.entry((app.into(), bee.0)).or_default()
-    }
-
-    /// Records one bee-to-bee message for the cumulative matrix.
-    pub fn record_matrix(&mut self, src_hive: HiveId, dst_hive: HiveId) {
-        *self.msg_matrix.entry((src_hive.0, dst_hive.0)).or_insert(0) += 1;
-    }
-
-    /// Records a typed delivery (denominator for provenance ratios).
-    pub fn record_in_type(&mut self, app: impl Into<Name>, in_type: &'static str) {
-        *self
-            .in_type_counts
-            .entry((app.into(), in_type))
-            .or_insert(0) += 1;
-    }
-
-    /// Records one handler invocation's latencies for `(app, in_type)`:
-    /// `wait_us` in local queues before the handler, `runtime_us` inside it.
-    pub fn record_latency(
-        &mut self,
-        app: impl Into<Name>,
-        in_type: &'static str,
-        wait_us: u64,
-        runtime_us: u64,
-    ) {
-        let lat = self.latency.entry((app.into(), in_type)).or_default();
-        lat.queue_wait.observe(wait_us);
-        lat.runtime.observe(runtime_us);
-    }
-
-    /// Records that processing one `in_type` message emitted one `out_type`.
-    pub fn record_provenance(
-        &mut self,
-        app: impl Into<Name>,
-        in_type: &'static str,
-        out_type: &'static str,
-    ) {
-        *self
-            .provenance
-            .entry((app.into(), in_type, out_type))
-            .or_insert(0) += 1;
-    }
-
     /// Takes the window, leaving the store empty but for what describes no
     /// window: the cumulative message matrix and the platform reading. The
     /// window's `platform` is the reading since the previous window's.
@@ -459,10 +415,9 @@ impl Instrumentation {
             .iter()
             .map(|((app, in_type, out_type), &count)| {
                 let denom = self
-                    .in_type_counts
+                    .latency
                     .get(&(app.clone(), *in_type))
-                    .copied()
-                    .unwrap_or(0)
+                    .map_or(0, |lat| lat.runtime.count)
                     .max(1);
                 let key = ProvenanceKey {
                     app: app.to_string(),
@@ -579,11 +534,18 @@ mod tests {
         assert_eq!(other.p99_us(), Some(100));
     }
 
+    /// Records one run of `(app, in_type)` as the hive's publish does.
+    fn observe(inst: &mut Instrumentation, app: &str, in_type: &'static str, wait: u64, rt: u64) {
+        let lat = inst.latency.entry((app.into(), in_type)).or_default();
+        lat.queue_wait.observe(wait);
+        lat.runtime.observe(rt);
+    }
+
     #[test]
     fn latency_deltas_flow_and_reset() {
         let mut inst = Instrumentation::default();
-        inst.record_latency("te", "StatReply", 200, 900);
-        inst.record_latency("te", "StatReply", 70_000, 3_000);
+        observe(&mut inst, "te", "StatReply", 200, 900);
+        observe(&mut inst, "te", "StatReply", 70_000, 3_000);
         let taken = inst.take();
         let lat = &taken.latency[&("te".into(), "StatReply")];
         assert_eq!(lat.queue_wait.count, 2);
@@ -592,7 +554,7 @@ mod tests {
             inst.latency.is_empty(),
             "take leaves an empty latency delta"
         );
-        inst.record_latency("te", "StatReply", 200, 900);
+        observe(&mut inst, "te", "StatReply", 200, 900);
         assert_eq!(
             inst.take().latency[&("te".into(), "StatReply")]
                 .runtime
@@ -608,25 +570,28 @@ mod tests {
         let bee = BeeId::new(HiveId(1), 1);
         let mut store = Instrumentation::default();
 
+        let key = ("te".into(), bee.0);
         // Cycle 1: 3 deliveries, one provenance emission, one latency sample.
         for _ in 0..3 {
-            store.bee("te", bee).record_in(HiveId(2), Some(bee), 10);
+            let stats = store.bees.entry(key.clone()).or_default();
+            stats.record_in(HiveId(2), Some(bee), 10);
         }
-        store.record_in_type("te", "PacketIn");
-        store.record_provenance("te", "PacketIn", "PacketOut");
-        store.record_latency("te", "PacketIn", 100, 1_000);
+        store
+            .provenance
+            .insert(("te".into(), "PacketIn", "PacketOut"), 1);
+        observe(&mut store, "te", "PacketIn", 100, 1_000);
         store.pinned.insert(bee.0);
         store.bee_cells.insert(bee.0, 4);
         let first = store.take();
 
         // Cycle 2: 2 more deliveries and another latency sample.
         for _ in 0..2 {
-            store.bee("te", bee).record_in(HiveId(2), Some(bee), 10);
+            let stats = store.bees.entry(key.clone()).or_default();
+            stats.record_in(HiveId(2), Some(bee), 10);
         }
-        store.record_latency("te", "PacketIn", 100, 1_000);
+        observe(&mut store, "te", "PacketIn", 100, 1_000);
         let second = store.take();
 
-        let key = ("te".into(), bee.0);
         let [one, two] = [&first, &second].map(|w| w.bees[&key].clone());
         assert_eq!((one.msgs_in, two.msgs_in), (3, 2), "no replay of cycle 1");
         assert_eq!(one.bytes_in + two.bytes_in, 50);
@@ -733,9 +698,10 @@ mod tests {
     #[test]
     fn take_resets_store() {
         let mut inst = Instrumentation::default();
-        inst.bee("te", BeeId::new(HiveId(1), 1))
-            .record_in(HiveId(1), None, 8);
-        inst.record_provenance("te", "StatReply", "FlowMod");
+        let stats = inst.bees.entry(("te".into(), 1)).or_default();
+        stats.record_in(HiveId(1), None, 8);
+        inst.provenance
+            .insert(("te".into(), "StatReply", "FlowMod"), 1);
         let taken = inst.take();
         assert_eq!(taken.bees.len(), 1);
         assert_eq!(taken.provenance.len(), 1);
