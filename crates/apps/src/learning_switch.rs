@@ -33,14 +33,12 @@ pub fn learning_switch_app() -> App {
                 let Some((dst, src)) = parse_macs(&m.data) else {
                     return Err("packet too short for Ethernet".into());
                 };
-                let key = m.switch.to_string();
-                let mut table: MacTable = ctx
-                    .get(MACS, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
-                table.entries.insert(src, m.in_port);
-                let out = table.entries.get(&dst).copied();
-                ctx.put(MACS, key, &table).map_err(|e| e.to_string())?;
+                let out = ctx
+                    .update(MACS, m.switch.to_string(), |table: &mut MacTable| {
+                        table.entries.insert(src, m.in_port);
+                        table.entries.get(&dst).copied()
+                    })
+                    .map_err(|e| e.to_string())?;
                 match out {
                     Some(port) => {
                         // Program the fast path and release the packet.

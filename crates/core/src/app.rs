@@ -394,6 +394,28 @@ impl RcvCtx<'_> {
         self.tx.put_cached(dict, key, value)
     }
 
+    /// Typed read-modify-write of `dict[key]`: `f` mutates the value in
+    /// place (`T::default()` when the key is absent) and its result is
+    /// returned; [`Error::Unmapped`], touching nothing, outside the bee's
+    /// colony.
+    ///
+    /// Writes what [`RcvCtx::get`] then [`RcvCtx::put`] would, without
+    /// their two copies of the value: an entry kept decoded is mutated
+    /// where it is ([`TxState::update`]). `T` must round-trip through the
+    /// codec (see [`RcvCtx::get`]).
+    pub fn update<T, R>(
+        &mut self,
+        dict: &str,
+        key: impl AsRef<str> + Into<Name>,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> Result<R>
+    where
+        T: serde::Serialize + serde::de::DeserializeOwned + Default + Clone + Send + Sync + 'static,
+    {
+        self.check(dict, key.as_ref())?;
+        self.tx.update(dict, key, f)
+    }
+
     /// Buffered delete of `dict[key]`. Outside the bee's colony it deletes
     /// nothing and re-maps the message as [`Error::Unmapped`] would.
     pub fn del(&mut self, dict: &str, key: &str) {

@@ -34,7 +34,8 @@
 //! Beside its bytes, every entry has a set-once slot for the value decoded.
 //! [`TxState::get_cached`] answers from it when it holds the type asked
 //! for, and otherwise decodes and fills it; [`TxState::put_cached`] fills it
-//! with the value it encodes. Only the bytes are persisted, journaled,
+//! with the value it encodes; [`TxState::update`] mutates the slot's value
+//! in place and encodes it once. Only the bytes are persisted, journaled,
 //! replicated, shipped, snapshotted and compared: every write that has no
 //! typed value at hand (raw puts, deletes, journal replay, snapshot restore,
 //! colony absorption) leaves the slot empty, and an undo record restores a
@@ -597,6 +598,49 @@ impl<'a> TxState<'a> {
         Ok(())
     }
 
+    /// Typed read-modify-write of `dict[key]` in place: `f` mutates the
+    /// value (`T::default()` when the key is absent) and the result is
+    /// written back, encoded once for the bytes and the journal, with the
+    /// value kept in the decoded slot. The value mutated is the slot's own
+    /// when it holds a `T` that nothing else shares — so an entry a typed
+    /// write or read left decoded is neither decoded nor copied — a clone
+    /// of it when shared, and the bytes decoded otherwise. The entry's undo
+    /// record keeps its previous bytes with an empty slot.
+    pub fn update<T, R>(
+        &mut self,
+        dict: &str,
+        key: impl AsRef<str> + Into<Name>,
+        f: impl FnOnce(&mut T) -> R,
+    ) -> Result<R>
+    where
+        T: Serialize + DeserializeOwned + Default + Clone + Send + Sync + 'static,
+    {
+        let entry = self
+            .base
+            .dicts
+            .get_mut(dict)
+            .and_then(|d| d.entries.get_mut(key.as_ref()));
+        let mut decoded: Decoded = match entry {
+            None => Arc::new(T::default()),
+            Some(e) if e.decoded.get().is_some_and(|d| d.is::<T>()) => {
+                let mut slot = e.decoded.take().expect("checked above");
+                if Arc::get_mut(&mut slot).is_none() {
+                    let shared = slot.downcast_ref::<T>().expect("checked above");
+                    slot = Arc::new(shared.clone());
+                }
+                slot
+            }
+            Some(e) => Arc::new(decode::<T>(dict, key.as_ref(), &e.value)?),
+        };
+        let value = Arc::get_mut(&mut decoded)
+            .and_then(|v| v.downcast_mut::<T>())
+            .expect("a unique T");
+        let out = f(value);
+        let bytes = self.encode(&*value)?;
+        self.write(dict, key, bytes, OnceLock::from(decoded));
+        Ok(out)
+    }
+
     /// Delete. Like the clone-based engine's commit, this creates the
     /// dictionary if missing (`dict_mut` semantics) — kept so state and
     /// snapshot bytes stay identical across the engine swap.
@@ -1152,7 +1196,7 @@ mod decoded_slot {
     }
 
     /// A value whose `Deserialize` counts its calls on this thread.
-    #[derive(Debug, Clone, PartialEq, Serialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
     struct Counted(u64);
 
     impl<'de> Deserialize<'de> for Counted {
@@ -1267,6 +1311,99 @@ mod decoded_slot {
         let mut s = cached(1);
         assert_eq!(s.absorb(cached(4)), 1);
         assert_eq!(read(&mut s), (Some(Counted(4)), 1));
+    }
+
+    /// `S[k] += by` through [`TxState::update`]: the new value and how
+    /// many decodes the update took.
+    fn bump(tx: &mut TxState<'_>, key: &str, by: u64) -> (u64, usize) {
+        let before = decodes();
+        let v = tx
+            .update("S", key, |v: &mut Counted| {
+                v.0 += by;
+                v.0
+            })
+            .unwrap();
+        (v, decodes() - before)
+    }
+
+    #[test]
+    fn an_update_mutates_the_decoded_value_and_a_read_after_it_does_not_decode() {
+        // A slot holding the value: mutated where it is.
+        let mut s = cached(1);
+        let mut tx = TxState::begin(&mut s);
+        assert_eq!(bump(&mut tx, "k", 1), (2, 0));
+        assert_eq!(bump(&mut tx, "k", 1), (3, 0));
+        tx.commit();
+        assert_eq!(read(&mut s), (Some(Counted(3)), 0));
+
+        // Bytes only, or a slot of another type: decoded once.
+        let mut s = BeeState::new();
+        s.dict_mut("S").put_raw("k", bytes(5));
+        let mut tx = TxState::begin(&mut s);
+        assert_eq!(bump(&mut tx, "k", 1), (6, 1));
+        tx.put_cached("S", "k", &6u64).unwrap();
+        assert_eq!(bump(&mut tx, "k", 1), (7, 1));
+        tx.commit();
+        assert_eq!(read(&mut s), (Some(Counted(7)), 0));
+
+        // An absent key starts from the default.
+        let mut s = BeeState::new();
+        let mut tx = TxState::begin(&mut s);
+        assert_eq!(bump(&mut tx, "k", 4), (4, 0));
+        tx.commit();
+        assert_eq!(read(&mut s), (Some(Counted(4)), 0));
+
+        // A slot another state shares (a clone) is copied, not mutated.
+        let mut s = cached(1);
+        let mut copy = s.clone();
+        let mut tx = TxState::begin(&mut s);
+        assert_eq!(bump(&mut tx, "k", 1), (2, 0));
+        tx.commit();
+        assert_eq!(read(&mut copy), (Some(Counted(1)), 0));
+        assert_eq!(read(&mut s), (Some(Counted(2)), 0));
+    }
+
+    #[test]
+    fn rolling_back_an_update_restores_the_prior_value() {
+        let mut s = cached(1);
+        let mut tx = TxState::begin(&mut s);
+        let sp = tx.savepoint();
+        bump(&mut tx, "k", 8);
+        bump(&mut tx, "j", 8);
+        tx.rollback_to(&sp);
+        assert_eq!(tx.get::<Counted>("S", "j").unwrap(), None);
+        tx.commit();
+        // The undo record kept the prior bytes, with an empty slot.
+        assert_eq!(read(&mut s), (Some(Counted(1)), 1));
+
+        let mut s = cached(1);
+        let mut tx = TxState::begin(&mut s);
+        bump(&mut tx, "k", 8);
+        tx.rollback();
+        assert_eq!(read(&mut s), (Some(Counted(1)), 1));
+    }
+
+    #[test]
+    fn an_update_writes_what_a_get_and_a_put_write() {
+        let mut plain = cached(1);
+        let mut tx = TxState::begin(&mut plain);
+        for (key, by) in [("k", 2), ("j", 3), ("k", 4)] {
+            let mut v: Counted = tx.get_cached("S", key).unwrap().unwrap_or_default();
+            v.0 += by;
+            tx.put_cached("S", key, &v).unwrap();
+        }
+        let plain_journal = beehive_wire::to_vec(&tx.commit()).unwrap();
+
+        let mut updated = cached(1);
+        let mut tx = TxState::begin(&mut updated);
+        for (key, by) in [("k", 2), ("j", 3), ("k", 4)] {
+            bump(&mut tx, key, by);
+        }
+        let updated_journal = beehive_wire::to_vec(&tx.commit()).unwrap();
+
+        assert_eq!(updated_journal, plain_journal);
+        assert_eq!(updated.snapshot().unwrap(), plain.snapshot().unwrap());
+        assert_eq!(updated, plain);
     }
 
     #[test]

@@ -155,15 +155,11 @@ struct SwitchRecord {
 const DICT: &str = "switches";
 
 fn next_xid(ctx: &mut RcvCtx<'_>, dpid: u64) -> Result<u32, String> {
-    let key = dpid.to_string();
-    let mut rec: SwitchRecord = ctx
-        .get(DICT, &key)
-        .map_err(|e| e.to_string())?
-        .unwrap_or_default();
-    rec.next_xid += 1;
-    let xid = rec.next_xid;
-    ctx.put(DICT, key, &rec).map_err(|e| e.to_string())?;
-    Ok(xid)
+    ctx.update(DICT, dpid.to_string(), |rec: &mut SwitchRecord| {
+        rec.next_xid += 1;
+        rec.next_xid
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// Builds the OpenFlow driver app over the given switch IO.
