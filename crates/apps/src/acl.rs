@@ -73,10 +73,10 @@ fn evaluate(
     ctx: &RcvCtx<'_>,
     src: [u8; 6],
     dst: [u8; 6],
-) -> Result<(bool, Option<String>), String> {
+) -> beehive_core::Result<(bool, Option<String>)> {
     let mut best: Option<(u16, String, bool)> = None;
     for name in ctx.keys(POLICY) {
-        let Some(rule) = ctx.get::<Rule>(POLICY, &name).map_err(|e| e.to_string())? else {
+        let Some(rule) = ctx.get::<Rule>(POLICY, &name)? else {
             continue;
         };
         let matches =
@@ -105,7 +105,6 @@ pub fn acl_app() -> App {
                     allow: m.allow,
                 },
             )
-            .map_err(|e| e.to_string())
         })
         .handle_whole::<RemoveRule>("RemoveRule", &[POLICY], |m, ctx| {
             ctx.del(POLICY, &m.name);

@@ -53,31 +53,26 @@ struct AdjEntry {
 /// distributable — one bee per switch).
 pub fn discovery_app() -> App {
     App::builder(DISCOVERY_APP)
-        .handle_named::<LinkDiscovered>(
+        .with::<LinkDiscovered>(
             "Learn",
-            |m| Mapped::cell(ADJ, m.src.to_string()),
+            ADJ,
+            |m| m.src.to_string(),
             |m, ctx| {
-                let key = m.src.to_string();
-                let mut entry: AdjEntry = ctx
-                    .get(ADJ, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut entry: AdjEntry = ctx.entry()?.unwrap_or_default();
                 if !entry.neighbors.contains(&(m.dst, m.src_port)) {
                     entry.neighbors.push((m.dst, m.src_port));
                     entry.neighbors.sort();
-                    ctx.put(ADJ, key, &entry).map_err(|e| e.to_string())?;
+                    ctx.put_entry(&entry)?;
                 }
                 Ok(())
             },
         )
-        .handle_named::<NeighborQuery>(
+        .with::<NeighborQuery>(
             "Answer",
-            |m| Mapped::cell(ADJ, m.switch.to_string()),
+            ADJ,
+            |m| m.switch.to_string(),
             |m, ctx| {
-                let entry: AdjEntry = ctx
-                    .get(ADJ, &m.switch.to_string())
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let entry: AdjEntry = ctx.entry()?.unwrap_or_default();
                 ctx.emit(Neighbors {
                     switch: m.switch,
                     neighbors: entry.neighbors,

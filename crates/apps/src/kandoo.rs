@@ -39,15 +39,12 @@ const ROOT: &str = "root";
 /// [`ElephantDetected`] the first time a flow exceeds `threshold_bytes`.
 pub fn kandoo_local_app(threshold_bytes: u64) -> App {
     App::builder(KANDOO_LOCAL_APP)
-        .handle_named::<StatReply>(
+        .with::<StatReply>(
             "AppDetect",
-            |m| Mapped::cell(SEEN, m.switch.to_string()),
+            SEEN,
+            |m| m.switch.to_string(),
             move |m, ctx| {
-                let key = m.switch.to_string();
-                let mut reported: Vec<(u32, u32)> = ctx
-                    .get(SEEN, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut reported: Vec<(u32, u32)> = ctx.entry()?.unwrap_or_default();
                 for f in &m.flows {
                     let id = (f.nw_src, f.nw_dst);
                     if f.bytes > threshold_bytes && !reported.contains(&id) {
@@ -60,7 +57,7 @@ pub fn kandoo_local_app(threshold_bytes: u64) -> App {
                         });
                     }
                 }
-                ctx.put(SEEN, key, &reported).map_err(|e| e.to_string())
+                ctx.put_entry(&reported)
             },
         )
         .build()
@@ -75,7 +72,7 @@ pub fn kandoo_root_app() -> App {
             if ctx.contains(ROOT, &key) {
                 return Ok(());
             }
-            ctx.put(ROOT, key, &m.bytes).map_err(|e| e.to_string())?;
+            ctx.put(ROOT, key, &m.bytes)?;
             ctx.emit(InstallRule {
                 switch: m.switch,
                 match_: beehive_openflow::Match::nw_pair(m.nw_src, m.nw_dst),

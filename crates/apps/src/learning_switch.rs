@@ -26,19 +26,18 @@ struct MacTable {
 ///   and forward, otherwise flood.
 pub fn learning_switch_app() -> App {
     App::builder(LEARNING_SWITCH_APP)
-        .handle_named::<PacketInEvent>(
+        .with::<PacketInEvent>(
             "PacketIn",
-            |m| Mapped::cell(MACS, m.switch.to_string()),
+            MACS,
+            |m| m.switch.to_string(),
             |m, ctx| {
                 let Some((dst, src)) = parse_macs(&m.data) else {
                     return Err("packet too short for Ethernet".into());
                 };
-                let out = ctx
-                    .update(MACS, m.switch.to_string(), |table: &mut MacTable| {
-                        table.entries.insert(src, m.in_port);
-                        table.entries.get(&dst).copied()
-                    })
-                    .map_err(|e| e.to_string())?;
+                let out = ctx.update_entry(|table: &mut MacTable| {
+                    table.entries.insert(src, m.in_port);
+                    table.entries.get(&dst).copied()
+                })?;
                 match out {
                     Some(port) => {
                         // Program the fast path and release the packet.

@@ -101,73 +101,56 @@ const NODES: &str = "nodes";
 /// Builds the NIB app: one cell — one bee — per graph node.
 pub fn nib_app() -> App {
     App::builder(NIB_APP)
-        .handle_named::<NodeUpdate>(
+        .with::<NodeUpdate>(
             "Update",
-            |m| Mapped::cell(NODES, &m.id),
+            NODES,
+            |m| m.id.clone(),
             |m, ctx| {
-                let mut node: NibNode = ctx
-                    .get(NODES, &m.id)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(NibNode {
-                        kind: m.kind,
-                        attrs: BTreeMap::new(),
-                        out_edges: vec![],
-                    });
+                let mut node: NibNode = ctx.entry()?.unwrap_or(NibNode {
+                    kind: m.kind,
+                    attrs: BTreeMap::new(),
+                    out_edges: vec![],
+                });
                 node.kind = m.kind;
                 node.attrs.extend(m.attrs.clone());
-                ctx.put(NODES, m.id.clone(), &node)
-                    .map_err(|e| e.to_string())
+                ctx.put_entry(&node)
             },
         )
-        .handle_named::<NodeDelete>(
-            "Delete",
-            |m| Mapped::cell(NODES, &m.id),
-            |m, ctx| {
-                ctx.del(NODES, &m.id);
-                Ok(())
-            },
-        )
-        .handle_named::<EdgeAdd>(
+        .with::<NodeDelete>("Delete", NODES, |m| m.id.clone(), |_m, ctx| ctx.del_entry())
+        .with::<EdgeAdd>(
             "EdgeAdd",
-            |m| Mapped::cell(NODES, &m.from),
+            NODES,
+            |m| m.from.clone(),
             |m, ctx| {
-                let Some(mut node) = ctx
-                    .get::<NibNode>(NODES, &m.from)
-                    .map_err(|e| e.to_string())?
-                else {
-                    return Err(format!("edge from unknown node {}", m.from));
+                let Some(mut node) = ctx.entry::<NibNode>()? else {
+                    return Err(format!("edge from unknown node {}", m.from).into());
                 };
                 if !node.out_edges.contains(&m.to) {
                     node.out_edges.push(m.to.clone());
                     node.out_edges.sort();
-                    ctx.put(NODES, m.from.clone(), &node)
-                        .map_err(|e| e.to_string())?;
+                    ctx.put_entry(&node)?;
                 }
                 Ok(())
             },
         )
-        .handle_named::<EdgeDel>(
+        .with::<EdgeDel>(
             "EdgeDel",
-            |m| Mapped::cell(NODES, &m.from),
+            NODES,
+            |m| m.from.clone(),
             |m, ctx| {
-                if let Some(mut node) = ctx
-                    .get::<NibNode>(NODES, &m.from)
-                    .map_err(|e| e.to_string())?
-                {
+                if let Some(mut node) = ctx.entry::<NibNode>()? {
                     node.out_edges.retain(|e| e != &m.to);
-                    ctx.put(NODES, m.from.clone(), &node)
-                        .map_err(|e| e.to_string())?;
+                    ctx.put_entry(&node)?;
                 }
                 Ok(())
             },
         )
-        .handle_named::<NodeQuery>(
+        .with::<NodeQuery>(
             "Query",
-            |m| Mapped::cell(NODES, &m.id),
+            NODES,
+            |m| m.id.clone(),
             |m, ctx| {
-                let node = ctx
-                    .get::<NibNode>(NODES, &m.id)
-                    .map_err(|e| e.to_string())?;
+                let node = ctx.entry::<NibNode>()?;
                 ctx.emit(NodeReply {
                     id: m.id.clone(),
                     node,

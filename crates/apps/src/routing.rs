@@ -110,52 +110,44 @@ impl RibEntry {
 /// Builds the per-prefix RIB app.
 pub fn rib_app() -> App {
     App::builder(RIB_APP)
-        .handle_named::<RouteAnnounce>(
+        .with::<RouteAnnounce>(
             "Announce",
-            |m| Mapped::cell(RIB, &m.prefix),
+            RIB,
+            |m| m.prefix.clone(),
             |m, ctx| {
-                let mut entry: RibEntry = ctx
-                    .get(RIB, &m.prefix)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
-                entry.routes.insert(m.origin, (m.next_hop, m.metric));
-                ctx.put(RIB, m.prefix.clone(), &entry)
-                    .map_err(|e| e.to_string())
+                ctx.update_entry(|entry: &mut RibEntry| {
+                    entry.routes.insert(m.origin, (m.next_hop, m.metric));
+                })
             },
         )
-        .handle_named::<RouteWithdraw>(
+        .with::<RouteWithdraw>(
             "Withdraw",
-            |m| Mapped::cell(RIB, &m.prefix),
+            RIB,
+            |m| m.prefix.clone(),
             |m, ctx| {
-                let Some(mut entry) = ctx
-                    .get::<RibEntry>(RIB, &m.prefix)
-                    .map_err(|e| e.to_string())?
-                else {
+                let Some(mut entry) = ctx.entry::<RibEntry>()? else {
                     return Ok(());
                 };
                 entry.routes.remove(&m.origin);
                 if entry.routes.is_empty() {
-                    ctx.del(RIB, &m.prefix);
+                    ctx.del_entry()?;
                     if ctx.keys(RIB).is_empty() {
                         // Last prefix of this colony withdrawn: garbage-
                         // collect the bee so fine-grained cells don't leak.
                         ctx.retire();
                     }
                 } else {
-                    ctx.put(RIB, m.prefix.clone(), &entry)
-                        .map_err(|e| e.to_string())?;
+                    ctx.put_entry(&entry)?;
                 }
                 Ok(())
             },
         )
-        .handle_named::<RouteQuery>(
+        .with::<RouteQuery>(
             "Query",
-            |m| Mapped::cell(RIB, &m.prefix),
+            RIB,
+            |m| m.prefix.clone(),
             |m, ctx| {
-                let entry: RibEntry = ctx
-                    .get(RIB, &m.prefix)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let entry: RibEntry = ctx.entry()?.unwrap_or_default();
                 ctx.emit(RouteReply {
                     prefix: m.prefix.clone(),
                     best: entry.best(),
@@ -209,22 +201,16 @@ fn dijkstra(g: &Graph, src: u64, dst: u64) -> Option<Vec<u64>> {
 pub fn path_app() -> App {
     App::builder(PATH_APP)
         .handle_whole::<LinkDiscovered>("Topo", &[TOPO], |m, ctx| {
-            let mut g: Graph = ctx
-                .get(TOPO, "graph")
-                .map_err(|e| e.to_string())?
-                .unwrap_or_default();
+            let mut g: Graph = ctx.get(TOPO, "graph")?.unwrap_or_default();
             let edges = g.edges.entry(m.src).or_default();
             if !edges.contains(&(m.dst, 1)) {
                 edges.push((m.dst, 1));
                 edges.sort();
             }
-            ctx.put(TOPO, "graph", &g).map_err(|e| e.to_string())
+            ctx.put(TOPO, "graph", &g)
         })
         .handle_whole::<PathRequest>("Compute", &[TOPO], |m, ctx| {
-            let g: Graph = ctx
-                .get(TOPO, "graph")
-                .map_err(|e| e.to_string())?
-                .unwrap_or_default();
+            let g: Graph = ctx.get(TOPO, "graph")?.unwrap_or_default();
             let path = dijkstra(&g, m.src, m.dst).unwrap_or_default();
             if path.len() >= 2 {
                 ctx.emit(RouteAnnounce {

@@ -114,9 +114,41 @@ const S: &str = "S";
 const T: &str = "T";
 const M: &str = "M";
 
-fn store_link(ctx: &mut RcvCtx<'_>, dict: &str, m: &LinkDiscovered) -> Result<(), String> {
+fn store_link(ctx: &mut RcvCtx<'_>, dict: &str, m: &LinkDiscovered) -> HandlerResult {
     ctx.put(dict, format!("{}-{}", m.src, m.dst), m)
-        .map_err(|e| e.to_string())
+}
+
+/// `func Init` — on SwitchJoined, with `S[joined.switch]`.
+fn init(_m: &SwitchJoined, ctx: &mut RcvCtx<'_>) -> HandlerResult {
+    ctx.put_entry(&SwitchStats::default())
+}
+
+/// `func Query` — on TimeOut, for each switch in `S`.
+fn query(_t: &Tick, ctx: &mut RcvCtx<'_>) -> HandlerResult {
+    for key in ctx.keys(S) {
+        if let Ok(switch) = key.parse::<u64>() {
+            ctx.emit(FlowStatQuery { switch });
+        }
+    }
+    Ok(())
+}
+
+/// `func Collect` — on StatReply, with `S[reply.switch]`. A flow whose rate
+/// first crosses `delta` leaves as a [`MatrixUpdate`].
+fn collect(delta: u64) -> impl Fn(&StatReply, &mut RcvCtx<'_>) -> HandlerResult + Send {
+    move |m, ctx| {
+        let now = ctx.now_ms();
+        let hot = ctx.update_entry(|stats| collect_into(stats, m, now, delta))?;
+        for (nw_src, nw_dst, rate) in hot {
+            ctx.emit(MatrixUpdate {
+                switch: m.switch,
+                nw_src,
+                nw_dst,
+                rate,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Builds the **naive** TE app of Figure 2. `Route` maps whole `S` and `T`;
@@ -124,45 +156,15 @@ fn store_link(ctx: &mut RcvCtx<'_>, dict: &str, m: &LinkDiscovered) -> Result<()
 pub fn naive_te_app(cfg: TeConfig) -> App {
     let delta = cfg.delta_bytes_per_sec;
     App::builder(NAIVE_TE_APP)
-        // func Init — on SwitchJoined: with S[joined.switch].
-        .handle_named::<SwitchJoined>(
-            "Init",
-            |m| Mapped::cell(S, m.dpid.to_string()),
-            |m, ctx| {
-                ctx.put(S, m.dpid.to_string(), &SwitchStats::default())
-                    .map_err(|e| e.to_string())
-            },
-        )
-        // func Query — on TimeOut: for each switch in S.
-        .handle_broadcast::<Tick>("Query", |_t, ctx| {
-            for key in ctx.keys(S) {
-                if let Ok(switch) = key.parse::<u64>() {
-                    ctx.emit(FlowStatQuery { switch });
-                }
-            }
-            Ok(())
-        })
-        // func Collect — on StatReply: with S[reply.switch].
-        .handle_named::<StatReply>(
-            "Collect",
-            |m| Mapped::cell(S, m.switch.to_string()),
-            move |m, ctx| {
-                let key = m.switch.to_string();
-                let mut stats: SwitchStats = ctx
-                    .get(S, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
-                let now = ctx.now_ms();
-                // In the naive design Collect only records; Route scans S.
-                let _ = collect_into(&mut stats, m, now, u64::MAX);
-                ctx.put(S, key, &stats).map_err(|e| e.to_string())
-            },
-        )
+        .with::<SwitchJoined>("Init", S, |m| m.dpid.to_string(), init)
+        .handle_broadcast::<Tick>("Query", query)
+        // In the naive design Collect only records (no rate crosses
+        // u64::MAX); Route scans S.
+        .with::<StatReply>("Collect", S, |m| m.switch.to_string(), collect(u64::MAX))
         // func Route — on TimeOut: with S and T (WHOLE dictionaries).
         .handle_whole::<Tick>("Route", &[S, T], move |_t, ctx| {
             for key in ctx.keys(S) {
-                let Some(mut stats) = ctx.get::<SwitchStats>(S, &key).map_err(|e| e.to_string())?
-                else {
+                let Some(mut stats) = ctx.get::<SwitchStats>(S, &key)? else {
                     continue;
                 };
                 let Ok(switch) = key.parse::<u64>() else {
@@ -189,7 +191,7 @@ pub fn naive_te_app(cfg: TeConfig) -> App {
                         out_port: 2,
                     });
                 }
-                ctx.put(S, key, &stats).map_err(|e| e.to_string())?;
+                ctx.put(S, key, &stats)?;
             }
             Ok(())
         })
@@ -203,57 +205,22 @@ pub fn naive_te_app(cfg: TeConfig) -> App {
 pub fn decoupled_te_apps(cfg: TeConfig) -> (App, App) {
     let delta = cfg.delta_bytes_per_sec;
     let collect = App::builder(TE_COLLECT_APP)
-        .handle_named::<SwitchJoined>(
-            "Init",
-            |m| Mapped::cell(S, m.dpid.to_string()),
-            |m, ctx| {
-                ctx.put(S, m.dpid.to_string(), &SwitchStats::default())
-                    .map_err(|e| e.to_string())
-            },
-        )
-        .handle_broadcast::<Tick>("Query", |_t, ctx| {
-            for key in ctx.keys(S) {
-                if let Ok(switch) = key.parse::<u64>() {
-                    ctx.emit(FlowStatQuery { switch });
-                }
-            }
-            Ok(())
-        })
-        .handle_named::<StatReply>(
-            "Collect",
-            |m| Mapped::cell(S, m.switch.to_string()),
-            move |m, ctx| {
-                let key = m.switch.to_string();
-                let mut stats: SwitchStats = ctx
-                    .get(S, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
-                let now = ctx.now_ms();
-                let hot = collect_into(&mut stats, m, now, delta);
-                ctx.put(S, key, &stats).map_err(|e| e.to_string())?;
-                // Aggregated events decouple Collect from Route: only flows
-                // crossing δ travel to the (centralized) Route bee.
-                for (nw_src, nw_dst, rate) in hot {
-                    ctx.emit(MatrixUpdate {
-                        switch: m.switch,
-                        nw_src,
-                        nw_dst,
-                        rate,
-                    });
-                }
-                Ok(())
-            },
-        )
+        .with::<SwitchJoined>("Init", S, |m| m.dpid.to_string(), init)
+        .handle_broadcast::<Tick>("Query", query)
+        // Aggregated events decouple Collect from Route: only flows
+        // crossing δ travel to the (centralized) Route bee.
+        .with::<StatReply>("Collect", S, |m| m.switch.to_string(), collect(delta))
         .build();
 
     let route = App::builder(TE_ROUTE_APP)
+        // func Route — on MatrixUpdate: with M and T (WHOLE dictionaries).
         .handle_whole::<MatrixUpdate>("Route", &[M, T], |m, ctx| {
             let key = format!("{}:{}:{}", m.switch, m.nw_src, m.nw_dst);
-            let already: Option<u64> = ctx.get(M, &key).map_err(|e| e.to_string())?;
+            let already: Option<u64> = ctx.get(M, &key)?;
             if already.is_some() {
                 return Ok(());
             }
-            ctx.put(M, key, &m.rate).map_err(|e| e.to_string())?;
+            ctx.put(M, key, &m.rate)?;
             ctx.emit(InstallRule {
                 switch: m.switch,
                 match_: beehive_openflow::Match::nw_pair(m.nw_src, m.nw_dst),

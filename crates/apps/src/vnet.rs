@@ -94,62 +94,50 @@ pub struct VnetRecord {
 /// forms one shard (cell `vnets[vnet]`).
 pub fn vnet_app() -> App {
     App::builder(VNET_APP)
-        .handle_named::<CreateVnet>(
+        .with::<CreateVnet>(
             "Create",
-            |m| Mapped::cell(VNETS, m.vnet.to_string()),
+            VNETS,
+            |m| m.vnet.to_string(),
             |m, ctx| {
-                let key = m.vnet.to_string();
-                let mut rec: VnetRecord = ctx
-                    .get(VNETS, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut rec: VnetRecord = ctx.entry()?.unwrap_or_default();
                 rec.created = true;
                 rec.tenant = m.tenant.clone();
-                ctx.put(VNETS, key, &rec).map_err(|e| e.to_string())
+                ctx.put_entry(&rec)
             },
         )
-        .handle_named::<AttachPort>(
+        .with::<AttachPort>(
             "Attach",
-            |m| Mapped::cell(VNETS, m.vnet.to_string()),
+            VNETS,
+            |m| m.vnet.to_string(),
             |m, ctx| {
-                let key = m.vnet.to_string();
-                let mut rec: VnetRecord = ctx
-                    .get(VNETS, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut rec: VnetRecord = ctx.entry()?.unwrap_or_default();
                 if !rec.created {
-                    return Err(format!("vnet {} does not exist", m.vnet));
+                    return Err(format!("vnet {} does not exist", m.vnet).into());
                 }
                 rec.endpoints.insert(m.mac, (m.switch, m.port));
-                ctx.put(VNETS, key, &rec).map_err(|e| e.to_string())
+                ctx.put_entry(&rec)
             },
         )
-        .handle_named::<DetachPort>(
+        .with::<DetachPort>(
             "Detach",
-            |m| Mapped::cell(VNETS, m.vnet.to_string()),
+            VNETS,
+            |m| m.vnet.to_string(),
             |m, ctx| {
-                let key = m.vnet.to_string();
-                if let Some(mut rec) = ctx
-                    .get::<VnetRecord>(VNETS, &key)
-                    .map_err(|e| e.to_string())?
-                {
+                if let Some(mut rec) = ctx.entry::<VnetRecord>()? {
                     rec.endpoints.remove(&m.mac);
-                    ctx.put(VNETS, key, &rec).map_err(|e| e.to_string())?;
+                    ctx.put_entry(&rec)?;
                 }
                 Ok(())
             },
         )
-        .handle_named::<Packet>(
+        .with::<Packet>(
             "Packet",
-            |m| Mapped::cell(VNETS, m.vnet.to_string()),
+            VNETS,
+            |m| m.vnet.to_string(),
             |m, ctx| {
-                let key = m.vnet.to_string();
-                let mut rec: VnetRecord = ctx
-                    .get(VNETS, &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut rec: VnetRecord = ctx.entry()?.unwrap_or_default();
                 if !rec.created {
-                    return Err(format!("packet for unknown vnet {}", m.vnet));
+                    return Err(format!("packet for unknown vnet {}", m.vnet).into());
                 }
                 let Some(&(dst_switch, dst_port)) = rec.endpoints.get(&m.dst_mac) else {
                     // Unknown destination inside the vnet: ignore (a real
@@ -166,7 +154,7 @@ pub fn vnet_app() -> App {
                     });
                 } else if !rec.tunnels.contains(&(m.switch, dst_switch)) {
                     rec.tunnels.push((m.switch, dst_switch));
-                    ctx.put(VNETS, key, &rec).map_err(|e| e.to_string())?;
+                    ctx.put_entry(&rec)?;
                     ctx.emit(TunnelSetup {
                         vnet: m.vnet,
                         src_switch: m.switch,

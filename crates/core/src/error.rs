@@ -8,9 +8,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Platform-level errors.
 #[derive(Debug)]
 pub enum Error {
-    /// A handler rejected a message; the enclosing state transaction was
-    /// rolled back.
-    Handler(String),
     /// A message type was received that no decoder is registered for.
     UnknownMessageType(String),
     /// Serialization failure (wire format).
@@ -35,14 +32,13 @@ pub enum Error {
     /// A handler touched this cell outside its bee's colony: the message
     /// re-maps with it, whatever the handler returns, and runs again.
     Unmapped(crate::cell::Cell),
-    /// Anything else.
+    /// Anything else, a handler's own failure among them.
     Other(String),
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Handler(msg) => write!(f, "handler error: {msg}"),
             Error::UnknownMessageType(t) => {
                 write!(f, "no decoder registered for message type {t:?}")
             }
@@ -75,5 +71,18 @@ impl std::error::Error for Error {
 impl From<beehive_wire::Error> for Error {
     fn from(e: beehive_wire::Error) -> Self {
         Error::Wire(e)
+    }
+}
+
+/// A handler's own failure text, displayed as it is.
+impl From<String> for Error {
+    fn from(msg: String) -> Self {
+        Error::Other(msg)
+    }
+}
+
+impl From<&str> for Error {
+    fn from(msg: &str) -> Self {
+        Error::Other(msg.to_string())
     }
 }

@@ -32,16 +32,14 @@
 //! struct Seen { host: String }
 //! beehive_core::impl_message!(Seen);
 //!
-//! // 2. Define an app: count sightings per host, one cell per host.
+//! // 2. Define an app: count sightings per host, one cell per host. `with`
+//! //    declares the entry a message needs: `counts[m.host]`.
 //! let counter = App::builder("counter")
-//!     .handle::<Seen>(
-//!         |m| Mapped::cell("counts", &m.host),
-//!         |m, ctx| {
-//!             let n: u64 = ctx.get("counts", &m.host).map_err(|e| e.to_string())?.unwrap_or(0);
-//!             ctx.put("counts", m.host.clone(), &(n + 1)).map_err(|e| e.to_string())?;
-//!             Ok(())
-//!         },
-//!     )
+//!     .with::<Seen>("Count", "counts", |m| m.host.clone(), |_m, ctx| {
+//!         let n: u64 = ctx.entry()?.unwrap_or(0);
+//!         ctx.put_entry(&(n + 1))?;
+//!         Ok(())
+//!     })
 //!     .build();
 //!
 //! // 3. Run a standalone hive.

@@ -133,10 +133,7 @@ pub fn optimizer_app(cfg: OptimizerConfig, optimize_every: u64) -> App {
         .handle_whole::<HiveMetrics>("aggregate", &["agg"], move |m, ctx| {
             for snap in &m.bees {
                 let key = format!("{}/{}", snap.app, snap.bee.0);
-                let mut rec: AggRecord = ctx
-                    .get("agg", &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut rec: AggRecord = ctx.get("agg", &key)?.unwrap_or_default();
                 rec.app = snap.app.clone();
                 rec.bee = snap.bee.0;
                 rec.hive = snap.hive.0;
@@ -150,19 +147,16 @@ pub fn optimizer_app(cfg: OptimizerConfig, optimize_every: u64) -> App {
                 }
                 rec.stats.merge(&snap.stats);
                 rec.last_seen_ms = m.now_ms;
-                ctx.put("agg", key, &rec).map_err(|e| e.to_string())?;
+                ctx.put("agg", key, &rec)?;
             }
             // Per-app handler-runtime histograms, stored under reserved
             // "latency:" keys alongside the per-bee records. The optimize
             // pass uses their p99 to rank which bees to place first.
             for (app, _ty, lat) in &m.latency {
                 let key = format!("latency:{app}");
-                let mut hist: LatencyHistogram = ctx
-                    .get("agg", &key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut hist: LatencyHistogram = ctx.get("agg", &key)?.unwrap_or_default();
                 hist.merge(&lat.runtime);
-                ctx.put("agg", key, &hist).map_err(|e| e.to_string())?;
+                ctx.put("agg", key, &hist)?;
             }
             Ok(())
         })
@@ -178,10 +172,7 @@ pub fn optimizer_app(cfg: OptimizerConfig, optimize_every: u64) -> App {
                 let Some(app) = k.strip_prefix("latency:") else {
                     continue;
                 };
-                if let Some(hist) = ctx
-                    .get::<LatencyHistogram>("agg", k)
-                    .map_err(|e| e.to_string())?
-                {
+                if let Some(hist) = ctx.get::<LatencyHistogram>("agg", k)? {
                     if let Some(p99) = hist.p99_us() {
                         p99_by_app.insert(app.to_string(), p99);
                     }
@@ -193,7 +184,7 @@ pub fn optimizer_app(cfg: OptimizerConfig, optimize_every: u64) -> App {
                 if k.starts_with("latency:") {
                     continue;
                 }
-                let Some(rec) = ctx.get::<AggRecord>("agg", k).map_err(|e| e.to_string())? else {
+                let Some(rec) = ctx.get::<AggRecord>("agg", k)? else {
                     continue;
                 };
                 *occupancy.entry(rec.hive).or_insert(0usize) += 1;
@@ -212,13 +203,10 @@ pub fn optimizer_app(cfg: OptimizerConfig, optimize_every: u64) -> App {
                 // Reset the moved bee's window so the next decision uses
                 // post-migration traffic only.
                 let key = format!("{}/{}", plan.app, plan.bee.0);
-                if let Some(mut rec) = ctx
-                    .get::<AggRecord>("agg", &key)
-                    .map_err(|e| e.to_string())?
-                {
+                if let Some(mut rec) = ctx.get::<AggRecord>("agg", &key)? {
                     rec.stats = BeeStats::default();
                     rec.hive = plan.to.0;
-                    ctx.put("agg", key, &rec).map_err(|e| e.to_string())?;
+                    ctx.put("agg", key, &rec)?;
                 }
                 ctx.order_migration(plan.app, plan.bee, plan.from, plan.to);
             }

@@ -34,9 +34,8 @@ fn touch_app(trace: Arc<Mutex<Vec<(Vec<String>, BeeId)>>>) -> App {
             |m| Mapped::cells(m.keys.iter().map(|k| Cell::new("t", k))),
             move |m, ctx| {
                 for k in &m.keys {
-                    let v: u64 = ctx.get("t", k).map_err(|e| e.to_string())?.unwrap_or(0);
-                    ctx.put("t", k.clone(), &(v + m.add))
-                        .map_err(|e| e.to_string())?;
+                    let v: u64 = ctx.get("t", k)?.unwrap_or(0);
+                    ctx.put("t", k.clone(), &(v + m.add))?;
                 }
                 trace.lock().push((m.keys.clone(), ctx.bee()));
                 Ok(())

@@ -154,12 +154,12 @@ struct SwitchRecord {
 
 const DICT: &str = "switches";
 
-fn next_xid(ctx: &mut RcvCtx<'_>, dpid: u64) -> Result<u32, String> {
-    ctx.update(DICT, dpid.to_string(), |rec: &mut SwitchRecord| {
+/// Steps the switch's transaction id, kept in its declared entry.
+fn next_xid(ctx: &mut RcvCtx<'_>) -> beehive_core::Result<u32> {
+    ctx.update_entry(|rec: &mut SwitchRecord| {
         rec.next_xid += 1;
         rec.next_xid
     })
-    .map_err(|e| e.to_string())
 }
 
 /// Builds the OpenFlow driver app over the given switch IO.
@@ -170,16 +170,16 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
     let io_pkt = io;
 
     App::builder(DRIVER_APP)
-        .handle_named::<SwitchUpstream>(
+        .with::<SwitchUpstream>(
             "Upstream",
-            |m| Mapped::cell(DICT, m.dpid.to_string()),
+            DICT,
+            |m| m.dpid.to_string(),
             move |m, ctx| {
-                let msg = OfMessage::decode(&m.bytes).map_err(|e| e.to_string())?;
-                match msg {
+                match OfMessage::decode(&m.bytes)? {
                     OfMessage::Hello { .. } => {
                         // Complete the handshake and ask who they are.
                         io_up.send(m.dpid, OfMessage::Hello { xid: 0 }.encode());
-                        let xid = next_xid(ctx, m.dpid)?;
+                        let xid = next_xid(ctx)?;
                         io_up.send(m.dpid, OfMessage::FeaturesRequest { xid }.encode());
                     }
                     OfMessage::EchoRequest { xid, data } => {
@@ -188,19 +188,15 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
                     // Keyed by the channel's dpid, the cell the map names,
                     // not by the datapath id the switch reports.
                     OfMessage::FeaturesReply { ports, .. } => {
-                        let key = m.dpid.to_string();
-                        let mut rec: SwitchRecord = ctx
-                            .get(DICT, &key)
-                            .map_err(|e| e.to_string())?
-                            .unwrap_or_default();
-                        let newly = !rec.joined;
-                        rec.joined = true;
-                        rec.n_ports = ports.len() as u16;
-                        ctx.put(DICT, key, &rec).map_err(|e| e.to_string())?;
+                        let n_ports = ports.len() as u16;
+                        let newly = ctx.update_entry(|rec: &mut SwitchRecord| {
+                            rec.n_ports = n_ports;
+                            !std::mem::replace(&mut rec.joined, true)
+                        })?;
                         if newly {
                             ctx.emit(SwitchJoined {
                                 dpid: m.dpid,
-                                n_ports: ports.len() as u16,
+                                n_ports,
                             });
                         }
                     }
@@ -239,16 +235,17 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
                     // Controller-to-switch types arriving upstream are a
                     // protocol violation; surface as handler error so the tx
                     // rolls back and the error is counted.
-                    other => return Err(format!("unexpected upstream message {other:?}")),
+                    other => return Err(format!("unexpected upstream message {other:?}").into()),
                 }
                 Ok(())
             },
         )
-        .handle_named::<FlowStatQuery>(
+        .with::<FlowStatQuery>(
             "Query",
-            |m| Mapped::cell(DICT, m.switch.to_string()),
+            DICT,
+            |m| m.switch.to_string(),
             move |m, ctx| {
-                let xid = next_xid(ctx, m.switch)?;
+                let xid = next_xid(ctx)?;
                 io_query.send(
                     m.switch,
                     OfMessage::FlowStatsRequest {
@@ -261,11 +258,12 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
                 Ok(())
             },
         )
-        .handle_named::<InstallRule>(
+        .with::<InstallRule>(
             "Install",
-            |m| Mapped::cell(DICT, m.switch.to_string()),
+            DICT,
+            |m| m.switch.to_string(),
             move |m, ctx| {
-                let xid = next_xid(ctx, m.switch)?;
+                let xid = next_xid(ctx)?;
                 io_rule.send(
                     m.switch,
                     OfMessage::FlowMod {
@@ -286,11 +284,12 @@ pub fn driver_app(io: Arc<dyn SwitchIo>) -> App {
                 Ok(())
             },
         )
-        .handle_named::<PacketOutCmd>(
+        .with::<PacketOutCmd>(
             "PacketOut",
-            |m| Mapped::cell(DICT, m.switch.to_string()),
+            DICT,
+            |m| m.switch.to_string(),
             move |m, ctx| {
-                let xid = next_xid(ctx, m.switch)?;
+                let xid = next_xid(ctx)?;
                 io_pkt.send(
                     m.switch,
                     OfMessage::PacketOut {

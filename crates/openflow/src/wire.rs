@@ -54,6 +54,13 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A handler that fails on a malformed message fails with its text.
+impl From<WireError> for beehive_core::Error {
+    fn from(e: WireError) -> Self {
+        beehive_core::Error::Other(e.to_string())
+    }
+}
+
 /// Big-endian appends to the message being encoded.
 trait PutBe {
     fn put_slice(&mut self, src: &[u8]);

@@ -51,18 +51,10 @@ pub fn chaos_app() -> App {
         .handle::<ChaosOp>(
             |m| Mapped::cell("left", &m.key),
             |m, ctx| {
-                let l: u64 = ctx
-                    .get("left", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("left", m.key.clone(), &(l + m.amount))
-                    .map_err(|e| e.to_string())?;
-                let r: u64 = ctx
-                    .get("right", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("right", m.key.clone(), &(r + m.amount))
-                    .map_err(|e| e.to_string())?;
+                let l: u64 = ctx.get("left", &m.key)?.unwrap_or(0);
+                ctx.put("left", m.key.clone(), &(l + m.amount))?;
+                let r: u64 = ctx.get("right", &m.key)?.unwrap_or(0);
+                ctx.put("right", m.key.clone(), &(r + m.amount))?;
                 Ok(())
             },
         )

@@ -331,12 +331,8 @@ mod tests {
             .handle::<Inc>(
                 |m| Mapped::cell("c", &m.key),
                 |m, ctx| {
-                    let n: u64 = ctx
-                        .get("c", &m.key)
-                        .map_err(|e| e.to_string())?
-                        .unwrap_or(0);
-                    ctx.put("c", m.key.clone(), &(n + 1))
-                        .map_err(|e| e.to_string())?;
+                    let n: u64 = ctx.get("c", &m.key)?.unwrap_or(0);
+                    ctx.put("c", m.key.clone(), &(n + 1))?;
                     Ok(())
                 },
             )

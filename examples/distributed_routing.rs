@@ -29,8 +29,10 @@ fn main() {
             let r3 = r2.clone();
             hive.install(
                 App::builder("observer")
-                    .handle::<RouteReply>(
-                        |m| Mapped::cell("x", &m.prefix),
+                    .with::<RouteReply>(
+                        "Print",
+                        "x",
+                        |m| m.prefix.clone(),
                         move |m, ctx| {
                             println!("  [{}] {} -> {:?}", ctx.hive(), m.prefix, m.best);
                             r3.lock().push(m.clone());

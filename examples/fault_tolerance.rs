@@ -20,18 +20,11 @@ beehive::core::impl_message!(Record);
 
 fn telemetry() -> App {
     App::builder("telemetry")
-        .handle::<Record>(
-            |m| Mapped::cell("series", &m.device),
-            |m, ctx| {
-                let mut series: Vec<i64> = ctx
-                    .get("series", &m.device)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
-                series.push(m.reading);
-                ctx.put("series", m.device.clone(), &series)
-                    .map_err(|e| e.to_string())?;
-                Ok(())
-            },
+        .with::<Record>(
+            "Append",
+            "series",
+            |m| m.device.clone(),
+            |m, ctx| ctx.update_entry(|series: &mut Vec<i64>| series.push(m.reading)),
         )
         .build()
 }

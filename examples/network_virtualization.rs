@@ -29,8 +29,10 @@ fn main() {
     let t2 = tunnels.clone();
     hive.install(
         App::builder("observer")
-            .handle::<TunnelSetup>(
-                |m| Mapped::cell("t", m.vnet.to_string()),
+            .with::<TunnelSetup>(
+                "Print",
+                "t",
+                |m| m.vnet.to_string(),
                 move |m, _| {
                     println!(
                         "  vnet {}: tunnel {} -> {}",

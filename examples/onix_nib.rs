@@ -35,8 +35,10 @@ fn main() {
             let r3 = r2.clone();
             hive.install(
                 App::builder("observer")
-                    .handle::<NodeReply>(
-                        |m| Mapped::cell("x", &m.id),
+                    .with::<NodeReply>(
+                        "Collect",
+                        "x",
+                        |m| m.id.clone(),
                         move |m, _| {
                             r3.lock().push(m.clone());
                             Ok(())

@@ -46,26 +46,17 @@ fn host_tracker() -> App {
         .handle::<HostSeen>(
             |m| host_cells(&m.host),
             |m, ctx| {
-                let n: u64 = ctx
-                    .get("hosts", &m.host)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("hosts", m.host.clone(), &(n + 1))
-                    .map_err(|e| e.to_string())?;
-                ctx.put("locations", m.host.clone(), &m.switch)
-                    .map_err(|e| e.to_string())?;
+                let n: u64 = ctx.get("hosts", &m.host)?.unwrap_or(0);
+                ctx.put("hosts", m.host.clone(), &(n + 1))?;
+                ctx.put("locations", m.host.clone(), &m.switch)?;
                 Ok(())
             },
         )
         .handle::<WhereIs>(
             |m| host_cells(&m.host),
             |m, ctx| {
-                let sightings: u64 = ctx
-                    .get("hosts", &m.host)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                let switch: Option<u64> =
-                    ctx.get("locations", &m.host).map_err(|e| e.to_string())?;
+                let sightings: u64 = ctx.get("hosts", &m.host)?.unwrap_or(0);
+                let switch: Option<u64> = ctx.get("locations", &m.host)?;
                 ctx.emit(Located {
                     host: m.host.clone(),
                     switch,
@@ -90,8 +81,10 @@ fn main() {
     // A tiny observer that prints every `Located` answer.
     hive.install(
         App::builder("observer")
-            .handle::<Located>(
-                |m| Mapped::cell("seen", &m.host),
+            .with::<Located>(
+                "Print",
+                "seen",
+                |m| m.host.clone(),
                 |m, _ctx| {
                     println!(
                         "  {} -> switch {:?} (seen {} times)",

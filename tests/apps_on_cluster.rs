@@ -16,6 +16,14 @@ use beehive::prelude::*;
 use beehive::sim::{ClusterConfig, SimCluster, SwitchFleet, Topology};
 use beehive_core::sync::Mutex;
 
+/// A library app's handlers touch only the entries they declare, so no
+/// message on any hive was ever re-mapped.
+fn assert_no_remaps(c: &SimCluster) {
+    for id in c.ids() {
+        assert_eq!(c.hive(id).counters().remaps, 0, "{id} re-mapped a message");
+    }
+}
+
 #[test]
 fn kandoo_two_tier_on_three_hives() {
     let rules = Arc::new(Mutex::new(Vec::new()));
@@ -84,6 +92,7 @@ fn kandoo_two_tier_on_three_hives() {
         .sum();
     assert_eq!(root_bees, 1);
     assert_eq!(rules.lock().len(), 6, "every elephant rerouted once");
+    assert_no_remaps(&c);
 }
 
 #[test]
@@ -162,6 +171,7 @@ fn vnet_shards_spread_and_stay_consistent_across_hives() {
     for id in c.ids() {
         assert_eq!(c.hive(id).counters().handler_errors, 0);
     }
+    assert_no_remaps(&c);
 }
 
 #[test]
@@ -216,6 +226,7 @@ fn learning_switch_over_fleet_on_two_hives() {
         .owner(LEARNING_SWITCH_APP, &cell)
         .expect("mac table exists");
     assert_eq!(mirror.hive_of(bee), Some(masters[&2]));
+    assert_no_remaps(&c);
 }
 
 /// The paper's centralized application (§4): the ACL maps its `policy`
@@ -292,4 +303,5 @@ fn acl_is_one_bee_on_three_hives_as_its_feedback_says() {
         vec![(2, false, Some("no-7".into())), (3, true, None)],
         "each switch's packet was judged against the one policy"
     );
+    assert_no_remaps(&c);
 }

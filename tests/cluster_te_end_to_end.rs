@@ -10,6 +10,14 @@ use beehive::sim::{
     generate_flows, ClusterConfig, SimCluster, SwitchFleet, Topology, WorkloadConfig,
 };
 
+/// A library app's handlers touch only the entries they declare, so no
+/// message on any hive was ever re-mapped.
+fn assert_no_remaps(c: &SimCluster) {
+    for id in c.ids() {
+        assert_eq!(c.hive(id).counters().remaps, 0, "{id} re-mapped a message");
+    }
+}
+
 struct Setup {
     cluster: SimCluster,
     fleet: Arc<SwitchFleet>,
@@ -92,6 +100,7 @@ fn elephants_get_rerouted_on_the_switches() {
             "switch {dpid} should have exactly one TE re-route rule added"
         );
     }
+    assert_no_remaps(&cluster);
 }
 
 #[test]
@@ -137,6 +146,7 @@ fn collection_bees_live_next_to_their_switches() {
         .map(|&h| cluster.hive(h).local_bee_count(DRIVER_APP))
         .sum();
     assert_eq!(driver_total, topo.len());
+    assert_no_remaps(&cluster);
 }
 
 #[test]
@@ -168,6 +178,7 @@ fn route_app_is_a_single_bee_cluster_wide() {
         route_bees, 1,
         "whole-dict Route must collocate on exactly one bee"
     );
+    assert_no_remaps(&cluster);
 }
 
 #[test]
@@ -200,4 +211,5 @@ fn no_handler_errors_or_conflicts_in_steady_state() {
         assert_eq!(c.decode_errors, 0, "{id} had decode errors");
         assert_eq!(c.dropped_orphans, 0, "{id} dropped orphaned messages");
     }
+    assert_no_remaps(&cluster);
 }

@@ -29,32 +29,20 @@ fn bank() -> App {
         .handle::<Deposit>(
             |m| Mapped::cell("accounts", &m.account),
             |m, ctx| {
-                let v: u64 = ctx
-                    .get("accounts", &m.account)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
+                let v: u64 = ctx.get("accounts", &m.account)?.unwrap_or(0);
                 ctx.put("accounts", m.account.clone(), &(v + m.amount))
-                    .map_err(|e| e.to_string())
             },
         )
         .handle::<Transfer>(
             |m| Mapped::cells([Cell::new("accounts", &m.from), Cell::new("accounts", &m.to)]),
             |m, ctx| {
-                let from: u64 = ctx
-                    .get("accounts", &m.from)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
+                let from: u64 = ctx.get("accounts", &m.from)?.unwrap_or(0);
                 if from < m.amount {
-                    return Err(format!("insufficient funds in {}", m.from));
+                    return Err(format!("insufficient funds in {}", m.from).into());
                 }
-                let to: u64 = ctx
-                    .get("accounts", &m.to)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("accounts", m.from.clone(), &(from - m.amount))
-                    .map_err(|e| e.to_string())?;
-                ctx.put("accounts", m.to.clone(), &(to + m.amount))
-                    .map_err(|e| e.to_string())?;
+                let to: u64 = ctx.get("accounts", &m.to)?.unwrap_or(0);
+                ctx.put("accounts", m.from.clone(), &(from - m.amount))?;
+                ctx.put("accounts", m.to.clone(), &(to + m.amount))?;
                 Ok(())
             },
         )

@@ -173,9 +173,8 @@ fn probe_app(ledger: Arc<Ledger>) -> App {
                     );
                     ledger.deliveries_checked.fetch_add(1, Ordering::Relaxed);
                 }
-                let n: u64 = ctx.get("d", "n").map_err(|e| e.to_string())?.unwrap_or(0);
-                ctx.put("d", "n".to_string(), &(n + 1))
-                    .map_err(|e| e.to_string())?;
+                let n: u64 = ctx.get("d", "n")?.unwrap_or(0);
+                ctx.put("d", "n".to_string(), &(n + 1))?;
                 Ok(())
             },
         )

@@ -24,10 +24,7 @@ fn kv() -> App {
     App::builder("kv")
         .handle::<Put>(
             |m| Mapped::cell("d", &m.key),
-            |m, ctx| {
-                ctx.put("d", m.key.clone(), &m.value)
-                    .map_err(|e| e.to_string())
-            },
+            |m, ctx| ctx.put("d", m.key.clone(), &m.value),
         )
         .build()
 }

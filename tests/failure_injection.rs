@@ -42,12 +42,8 @@ fn counter() -> App {
         .handle::<Inc>(
             |m| Mapped::cell("c", &m.key),
             |m, ctx| {
-                let n: u64 = ctx
-                    .get("c", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("c", m.key.clone(), &(n + 1))
-                    .map_err(|e| e.to_string())?;
+                let n: u64 = ctx.get("c", &m.key)?.unwrap_or(0);
+                ctx.put("c", m.key.clone(), &(n + 1))?;
                 Ok(())
             },
         )
@@ -409,14 +405,9 @@ fn inc_and_copy() -> App {
         .handle::<IncAndCopy>(
             |m| Mapped::cell("c", &m.key),
             |m, ctx| {
-                let n: u64 = ctx
-                    .get("c", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("c", m.key.clone(), &(n + 1))
-                    .map_err(|e| e.to_string())?;
+                let n: u64 = ctx.get("c", &m.key)?.unwrap_or(0);
+                ctx.put("c", m.key.clone(), &(n + 1))?;
                 ctx.put("c", m.copy.clone(), &(n + 1))
-                    .map_err(|e| e.to_string())
             },
         )
         .build()

@@ -19,12 +19,8 @@ fn adder() -> App {
         .handle::<Add>(
             |m| Mapped::cell("sums", &m.key),
             |m, ctx| {
-                let n: u64 = ctx
-                    .get("sums", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("sums", m.key.clone(), &(n + m.value))
-                    .map_err(|e| e.to_string())?;
+                let n: u64 = ctx.get("sums", &m.key)?.unwrap_or(0);
+                ctx.put("sums", m.key.clone(), &(n + m.value))?;
                 Ok(())
             },
         )

@@ -41,12 +41,8 @@ fn consumer() -> App {
         .handle::<Work>(
             |m| Mapped::cell("acc", &m.key),
             |m, ctx| {
-                let v: u64 = ctx
-                    .get("acc", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("acc", m.key.clone(), &(v + m.n))
-                    .map_err(|e| e.to_string())?;
+                let v: u64 = ctx.get("acc", &m.key)?.unwrap_or(0);
+                ctx.put("acc", m.key.clone(), &(v + m.n))?;
                 Ok(())
             },
         )

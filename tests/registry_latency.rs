@@ -21,10 +21,7 @@ fn claimer() -> App {
     App::builder("claimer")
         .handle::<Claim>(
             |m| Mapped::cell("owned", &m.key),
-            |m, ctx| {
-                ctx.put("owned", m.key.clone(), &1u8)
-                    .map_err(|e| e.to_string())
-            },
+            |m, ctx| ctx.put("owned", m.key.clone(), &1u8),
         )
         .build()
 }

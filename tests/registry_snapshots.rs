@@ -36,10 +36,9 @@ struct Forget {
 }
 beehive::core::impl_message!(Forget);
 
-fn bump(ctx: &mut RcvCtx, key: &str) -> Result<(), String> {
-    let n: u64 = ctx.get("c", key).map_err(|e| e.to_string())?.unwrap_or(0);
+fn bump(ctx: &mut RcvCtx, key: &str) -> HandlerResult {
+    let n: u64 = ctx.get("c", key)?.unwrap_or(0);
     ctx.put("c", key.to_string(), &(n + 1))
-        .map_err(|e| e.to_string())
 }
 
 fn counters() -> App {

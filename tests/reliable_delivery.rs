@@ -21,12 +21,8 @@ fn adder_app() -> App {
         .handle::<Add>(
             |m| Mapped::cell("d", &m.key),
             |m, ctx| {
-                let n: u64 = ctx
-                    .get("d", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("d", m.key.clone(), &(n + m.amount))
-                    .map_err(|e| e.to_string())?;
+                let n: u64 = ctx.get("d", &m.key)?.unwrap_or(0);
+                ctx.put("d", m.key.clone(), &(n + m.amount))?;
                 Ok(())
             },
         )

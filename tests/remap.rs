@@ -34,11 +34,8 @@ fn racer(seen: Arc<Mutex<Vec<u32>>>) -> App {
             |m| Mapped::cell("own", &m.owner),
             move |_m, ctx| {
                 seen.lock().unwrap().push(ctx.deliveries());
-                let x: u64 = ctx
-                    .get("shared", "x")
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("shared", "x", &(x + 1)).map_err(|e| e.to_string())
+                let x: u64 = ctx.get("shared", "x")?.unwrap_or(0);
+                ctx.put("shared", "x", &(x + 1))
             },
         )
         .build()
@@ -50,15 +47,11 @@ fn logger() -> App {
             |_m| Mapped::cell("own", "a"),
             |m, ctx| {
                 if m.seq % 3 == 0 {
-                    ctx.put("extra", m.seq.to_string(), &m.seq)
-                        .map_err(|e| e.to_string())?;
+                    ctx.put("extra", m.seq.to_string(), &m.seq)?;
                 }
-                let mut log: Vec<u32> = ctx
-                    .get("own", "a")
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut log: Vec<u32> = ctx.get("own", "a")?.unwrap_or_default();
                 log.push(m.seq);
-                ctx.put("own", "a", &log).map_err(|e| e.to_string())
+                ctx.put("own", "a", &log)
             },
         )
         .build()

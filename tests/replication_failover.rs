@@ -18,13 +18,9 @@ fn log_app() -> App {
         .handle::<Append>(
             |m| Mapped::cell("logs", &m.key),
             |m, ctx| {
-                let mut items: Vec<u64> = ctx
-                    .get("logs", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or_default();
+                let mut items: Vec<u64> = ctx.get("logs", &m.key)?.unwrap_or_default();
                 items.push(m.item);
-                ctx.put("logs", m.key.clone(), &items)
-                    .map_err(|e| e.to_string())?;
+                ctx.put("logs", m.key.clone(), &items)?;
                 Ok(())
             },
         )

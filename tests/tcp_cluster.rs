@@ -40,22 +40,15 @@ fn counter(answers: Arc<Mutex<Vec<Answer>>>) -> App {
         .handle::<Count>(
             |m| Mapped::cell("c", &m.key),
             |m, ctx| {
-                let n: u64 = ctx
-                    .get("c", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
-                ctx.put("c", m.key.clone(), &(n + 1))
-                    .map_err(|e| e.to_string())?;
+                let n: u64 = ctx.get("c", &m.key)?.unwrap_or(0);
+                ctx.put("c", m.key.clone(), &(n + 1))?;
                 Ok(())
             },
         )
         .handle::<ReadBack>(
             |m| Mapped::cell("c", &m.key),
             move |m, ctx| {
-                let n: u64 = ctx
-                    .get("c", &m.key)
-                    .map_err(|e| e.to_string())?
-                    .unwrap_or(0);
+                let n: u64 = ctx.get("c", &m.key)?.unwrap_or(0);
                 ctx.emit(Answer {
                     key: m.key.clone(),
                     value: n,
